@@ -6,6 +6,24 @@ All state lives in the log domain.  Updates are fully synchronous (every node
 and edge is updated from the previous iterate), optionally damped by linear
 combination of old and new logs, and re-normalized so the largest entry of
 every table is 0.
+
+The message and reparameterization schedules compute on `_FlatMrf`, a layout
+built once per run from the model and rho.  Node tables are concatenated into
+one vector with per-node offsets.  Edges are grouped into buckets by table
+shape (m_s, m_t), so mixed cardinalities need no padding.  Each bucket holds
+its endpoint index arrays, its tables theta_st / rho_st stacked into one
+(E_b, m_s, m_t) array, and, in a message state, one (E_b, m) array per
+direction.  A step maps one state (a tuple of such arrays) to the next, and
+`_iterate` is the one driver for both schedules: it applies a step, measures
+the max log change and decides when to stop.  The per-node sums over
+incident edges are accumulated with `np.add.at` in the schedule's edge order
+(`mrf.edges` for messages, sorted for reparameterization), so each entry sees
+the same floating-point operations in the same order as a per-edge loop.
+`PseudoMaxMarginals` and `MessageSet` are the boundary types: `run_trw`
+builds them once at the end, or per iteration when a tree distribution asks
+for the bound trace.  The public `message_step`, `reparameterization_step`,
+`messages_to_pseudo`, `init_pseudo` and `unit_messages` convert to the layout,
+run one kernel and convert back.
 """
 
 from __future__ import annotations
@@ -40,14 +58,6 @@ class MessageSet:
     def max_log_change(self, other: "MessageSet") -> float:
         return max(float(np.max(np.abs(v - other.log_m[k])))
                    for k, v in self.log_m.items())
-
-
-def unit_messages(mrf: PairwiseMrf) -> MessageSet:
-    logs = {}
-    for (s, t) in mrf.edges:
-        logs[(t, s)] = np.zeros(mrf.cardinalities[s])
-        logs[(s, t)] = np.zeros(mrf.cardinalities[t])
-    return MessageSet(logs)
 
 
 @dataclass(frozen=True)
@@ -109,27 +119,180 @@ def resolve_rho(mrf: PairwiseMrf, dist_or_rho=None):
     return None, rho
 
 
+def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
+    return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
+
+
+def _normalized(a: np.ndarray) -> np.ndarray:
+    """Shift every table of a stack (axis 0) so its largest entry is 0."""
+    return a - a.max(axis=tuple(range(1, a.ndim)), keepdims=True)
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    """The edges of one table shape (m_s, m_t), in schedule order."""
+
+    edges: tuple
+    idx_s: np.ndarray  # (E_b, m_s): positions of the s tables in the node vector
+    idx_t: np.ndarray  # (E_b, m_t)
+    rho: np.ndarray | None  # (E_b, 1)
+    table: np.ndarray | None  # (E_b, m_s, m_t): theta_st / rho_st
+
+
+class _FlatMrf:
+    """A graph, its rho and optionally its model, laid out for array updates.
+
+    Node tables live in one vector; node s owns entries offsets[s] to
+    offsets[s] + m_s.  Edges are bucketed by table shape, in `edges` order
+    within a bucket.  Two state kinds are tuples of per-bucket arrays:
+    messages are (to_s, to_t) per bucket, to_s[i] being the log message t->s
+    of the bucket's i-th edge; pseudo-max-marginals are the node vector
+    followed by one (E_b, m_s, m_t) table stack per bucket.  Sums over the
+    edges at a node are taken in `edges` order, the order of the schedule.
+    """
+
+    def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
+        cards = np.array(cardinalities, dtype=np.intp)
+        ends = np.cumsum(cards)
+        self.offsets = ends - cards
+        self.node_of = np.repeat(np.arange(len(cards)), cards)
+        self.size = int(ends[-1])
+        self.edges = tuple(edges)
+        self.theta_node = None if mrf is None else np.concatenate(mrf.theta_node)
+        if mrf is not None:
+            for e in self.edges:
+                if rho_e[e] <= 0:
+                    raise StructureError(f"rho_e on edge {e} must be positive")
+        groups = {}
+        for k, (s, t) in enumerate(self.edges):
+            groups.setdefault((int(cards[s]), int(cards[t])), []).append(k)
+        self.buckets = []
+        self.slot = [None] * len(self.edges)  # edge position -> (bucket, row)
+        position, target = [], []
+        for bi, ((ms, mt), ks) in enumerate(groups.items()):
+            es = tuple(self.edges[k] for k in ks)
+            idx_s = self.offsets[[s for s, _ in es]][:, None] + np.arange(ms)
+            idx_t = self.offsets[[t for _, t in es]][:, None] + np.arange(mt)
+            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in es])[:, None]
+            table = None
+            if mrf is not None:
+                table = np.array([mrf.theta_edge[e] for e in es]) / rho[:, :, None]
+            self.buckets.append(_Bucket(es, idx_s, idx_t, rho, table))
+            for i, k in enumerate(ks):
+                self.slot[k] = (bi, i)
+            position += [np.repeat(ks, ms), np.repeat(ks, mt)]
+            target += [idx_s.ravel(), idx_t.ravel()]
+        # Entries of the concatenated per-bucket (to_s, to_t) contributions,
+        # reordered by edge position, and the node entries they add to.
+        if position:
+            self._gather = np.argsort(np.concatenate(position), kind="stable")
+            self._scatter = np.concatenate(target)[self._gather]
+
+    def _accumulate(self, acc: np.ndarray, to_s, to_t) -> np.ndarray:
+        """Add each bucket's to_s (E_b, m_s) and to_t (E_b, m_t) rows to the
+        endpoint tables in `acc`, edge by edge in schedule order."""
+        if self.edges:
+            parts = np.concatenate([a.ravel() for pair in zip(to_s, to_t) for a in pair])
+            np.add.at(acc, self._scatter, parts[self._gather])
+        return acc
+
+    def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
+        return v - np.maximum.reduceat(v, self.offsets)[self.node_of]
+
+    # --- messages: (to_s, to_t) per bucket ---------------------------------
+
+    def unit_messages(self) -> tuple:
+        return tuple(np.zeros(idx.shape) for b in self.buckets for idx in (b.idx_s, b.idx_t))
+
+    def _belief_sums(self, msgs: tuple) -> np.ndarray:
+        """B_s = sum over neighbors v of rho_vs * log M_vs, as a node vector."""
+        return self._accumulate(np.zeros(self.size),
+                                [b.rho * m for b, m in zip(self.buckets, msgs[0::2])],
+                                [b.rho * m for b, m in zip(self.buckets, msgs[1::2])])
+
+    def message_step(self, msgs: tuple, damping: float) -> tuple:
+        h = self.theta_node + self._belief_sums(msgs)
+        new = []
+        for b, to_s, to_t in zip(self.buckets, msgs[0::2], msgs[1::2]):
+            # message t -> s (indexed by x_s): maximize over x_t
+            src = h[b.idx_t] - to_t
+            new.append(_normalized(np.max(b.table + src[:, None, :], axis=2)))
+            # message s -> t (indexed by x_t): maximize over x_s
+            src = h[b.idx_s] - to_s
+            new.append(_normalized(np.max(b.table + src[:, :, None], axis=1)))
+        if damping < 1.0:
+            new = [_normalized(_damp(m, old, damping)) for m, old in zip(new, msgs)]
+        return tuple(new)
+
+    def pseudo_from_messages(self, msgs: tuple) -> tuple:
+        h = self.theta_node + self._belief_sums(msgs)
+        tables = []
+        for b, to_s, to_t in zip(self.buckets, msgs[0::2], msgs[1::2]):
+            left = h[b.idx_s] - to_s
+            right = h[b.idx_t] - to_t
+            tables.append(_normalized(b.table + left[:, :, None] + right[:, None, :]))
+        return (self._normalized_nodes(h), *tables)
+
+    def pack_messages(self, msgs: MessageSet) -> tuple:
+        out = []
+        for b in self.buckets:
+            out.append(np.array([msgs.log_m[(t, s)] for s, t in b.edges], dtype=float))
+            out.append(np.array([msgs.log_m[(s, t)] for s, t in b.edges], dtype=float))
+        return tuple(out)
+
+    def message_set(self, msgs: tuple) -> MessageSet:
+        logs = {}
+        for (s, t), (bi, i) in zip(self.edges, self.slot):
+            logs[(t, s)] = msgs[2 * bi][i]
+            logs[(s, t)] = msgs[2 * bi + 1][i]
+        return MessageSet(logs)
+
+    # --- pseudo-max-marginals: node vector, then table stacks ---------------
+
+    def init_pseudo(self) -> tuple:
+        th = self.theta_node
+        return (self._normalized_nodes(th),
+                *(_normalized(b.table + th[b.idx_s][:, :, None] + th[b.idx_t][:, None, :])
+                  for b in self.buckets))
+
+    def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
+        node, tables = nu[0], nu[1:]
+        rows = [m.max(axis=2) for m in tables]
+        cols = [m.max(axis=1) for m in tables]
+        new_node = self._normalized_nodes(self._accumulate(
+            node.copy(),
+            [b.rho * (r - node[b.idx_s]) for b, r in zip(self.buckets, rows)],
+            [b.rho * (c - node[b.idx_t]) for b, c in zip(self.buckets, cols)]))
+        new_tables = [_normalized(m - r[:, :, None] - c[:, None, :]
+                                  + new_node[b.idx_s][:, :, None]
+                                  + new_node[b.idx_t][:, None, :])
+                      for b, m, r, c in zip(self.buckets, tables, rows, cols)]
+        if damping < 1.0:
+            new_node = self._normalized_nodes(_damp(new_node, node, damping))
+            new_tables = [_normalized(_damp(m, old, damping))
+                          for m, old in zip(new_tables, tables)]
+        return (new_node, *new_tables)
+
+    def pack_pseudo(self, nu: MaxMarginals) -> tuple:
+        return (np.concatenate([np.asarray(v, dtype=float) for v in nu.log_node]),
+                *(np.array([nu.log_edge[e] for e in b.edges], dtype=float)
+                  for b in self.buckets))
+
+    def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
+        log_edge = {e: nu[1 + bi][i] for e, (bi, i) in zip(self.edges, self.slot)}
+        return PseudoMaxMarginals(tuple(np.split(nu[0], self.offsets[1:])), log_edge)
+
+
+def unit_messages(mrf: PairwiseMrf) -> MessageSet:
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges)
+    return flat.message_set(flat.unit_messages())
+
+
 def init_pseudo(mrf: PairwiseMrf, rho_e: Mapping[Edge, float]) -> PseudoMaxMarginals:
     """Starting pseudo-max-marginals: node tables from theta, edge tables from
     the edge table scaled by 1/rho plus both node tables, max-normalized."""
-    log_node = []
-    for s in range(mrf.node_count):
-        v = np.asarray(mrf.theta_node[s], dtype=float)
-        log_node.append(v - v.max())
-    log_edge = {}
-    for (s, t) in mrf.edges:
-        r = rho_e[(s, t)]
-        if r <= 0:
-            raise StructureError(f"rho_e on edge {(s, t)} must be positive")
-        m = (mrf.theta_edge[(s, t)] / r
-             + np.asarray(mrf.theta_node[s])[:, None]
-             + np.asarray(mrf.theta_node[t])[None, :])
-        log_edge[(s, t)] = m - m.max()
-    return PseudoMaxMarginals(tuple(log_node), log_edge)
-
-
-def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
-    return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+    return flat.pseudo(flat.init_pseudo())
 
 
 def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
@@ -137,45 +300,13 @@ def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
     """One synchronous edge-based reparameterization update.
 
     Every node table absorbs the rho-weighted row-max corrections of all its
-    incident edge tables; every edge table is recentred by its row and column
-    maxima and re-attached to the new node tables.  The update is computed
-    from the previous iterate throughout, then damped in the log domain and
-    re-normalized.
+    incident edge tables (in sorted edge order); every edge table is
+    recentred by its row and column maxima and re-attached to the new node
+    tables.  The update is computed from the previous iterate throughout,
+    then damped in the log domain and re-normalized.
     """
-    edges = sorted(nu.log_edge)
-    row_max = {}
-    col_max = {}
-    for (s, t) in edges:
-        m = nu.log_edge[(s, t)]
-        row_max[(s, t)] = m.max(axis=1)
-        col_max[(s, t)] = m.max(axis=0)
-    new_node = [np.asarray(v, dtype=float).copy() for v in nu.log_node]
-    for (s, t) in edges:
-        r = rho_e[(s, t)]
-        new_node[s] += r * (row_max[(s, t)] - nu.log_node[s])
-        new_node[t] += r * (col_max[(s, t)] - nu.log_node[t])
-    new_node = [v - v.max() for v in new_node]
-    new_edge = {}
-    for (s, t) in edges:
-        m = (nu.log_edge[(s, t)] - row_max[(s, t)][:, None] - col_max[(s, t)][None, :]
-             + new_node[s][:, None] + new_node[t][None, :])
-        new_edge[(s, t)] = m - m.max()
-    if damping < 1.0:
-        new_node = [_damp(v, old, damping) for v, old in zip(new_node, nu.log_node)]
-        new_node = [v - v.max() for v in new_node]
-        new_edge = {e: _damp(m, nu.log_edge[e], damping) for e, m in new_edge.items()}
-        new_edge = {e: m - m.max() for e, m in new_edge.items()}
-    return PseudoMaxMarginals(tuple(new_node), new_edge)
-
-
-def _belief_sums(mrf: PairwiseMrf, msgs: MessageSet, rho_e) -> list:
-    """B_s = sum over neighbors v of rho_vs * log M_vs, per node."""
-    b = [np.zeros(m) for m in mrf.cardinalities]
-    for (s, t) in mrf.edges:
-        r = rho_e[(s, t)]
-        b[s] = b[s] + r * msgs.log_m[(t, s)]
-        b[t] = b[t] + r * msgs.log_m[(s, t)]
-    return b
+    flat = _FlatMrf([len(v) for v in nu.log_node], sorted(nu.log_edge), rho_e)
+    return flat.pseudo(flat.reparameterization_step(flat.pack_pseudo(nu), damping))
 
 
 def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float],
@@ -187,41 +318,36 @@ def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float]
     incoming messages, with the reverse-direction message subtracted at full
     weight.  With rho identically 1 this is the ordinary max-product update.
     """
-    b = _belief_sums(mrf, msgs, rho_e)
-    new = {}
-    for (s, t) in mrf.edges:
-        r = rho_e[(s, t)]
-        table_st = mrf.theta_edge[(s, t)] / r  # rows: states of s, cols: of t
-        # message t -> s (indexed by x_s): maximize over x_t
-        src = mrf.theta_node[t] + b[t] - msgs.log_m[(s, t)]
-        out = np.max(table_st + src[None, :], axis=1)
-        new[(t, s)] = out - out.max()
-        # message s -> t (indexed by x_t): maximize over x_s
-        src = mrf.theta_node[s] + b[s] - msgs.log_m[(t, s)]
-        out = np.max(table_st + src[:, None], axis=0)
-        new[(s, t)] = out - out.max()
-    if damping < 1.0:
-        new = {k: _damp(v, msgs.log_m[k], damping) for k, v in new.items()}
-        new = {k: v - v.max() for k, v in new.items()}
-    return MessageSet(new)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+    return flat.message_set(flat.message_step(flat.pack_messages(msgs), damping))
 
 
 def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
                        rho_e: Mapping[Edge, float]) -> PseudoMaxMarginals:
     """Pseudo-max-marginals induced by a message set, max-normalized."""
-    b = _belief_sums(mrf, msgs, rho_e)
-    log_node = []
-    for s in range(mrf.node_count):
-        v = mrf.theta_node[s] + b[s]
-        log_node.append(v - v.max())
-    log_edge = {}
-    for (s, t) in mrf.edges:
-        r = rho_e[(s, t)]
-        left = mrf.theta_node[s] + b[s] - msgs.log_m[(t, s)]
-        right = mrf.theta_node[t] + b[t] - msgs.log_m[(s, t)]
-        m = mrf.theta_edge[(s, t)] / r + left[:, None] + right[None, :]
-        log_edge[(s, t)] = m - m.max()
-    return PseudoMaxMarginals(tuple(log_node), log_edge)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+    return flat.pseudo(flat.pseudo_from_messages(flat.pack_messages(msgs)))
+
+
+def _iterate(step, state: tuple, config: TrwConfig, observe=None):
+    """The iteration driver shared by the synchronous schedules.
+
+    Applies `step(state, damping)` until the largest absolute log change
+    between two iterates falls below the tolerance, or the iteration cap.
+    `observe`, when given, sees the starting state and every iterate.
+    Returns (final state, iterations, converged).
+    """
+    if observe is not None:
+        observe(state)
+    for iterations in range(1, config.max_iterations + 1):
+        new = step(state, config.damping)
+        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(new, state))
+        state = new
+        if observe is not None:
+            observe(state)
+        if delta < config.tol:
+            return state, iterations, True
+    return state, iterations, False
 
 
 @dataclass(frozen=True)
@@ -234,61 +360,61 @@ class CertificateResult:
 
 
 def _search_common_config(cardinalities, candidates, allowed_pairs, guard):
-    """Backtracking search with forward pruning for a configuration whose node
+    """Depth-first search with forward pruning for a configuration whose node
     states all lie in `candidates` and whose edge pairs are all `allowed`.
 
-    Returns (assignment or None, indeterminate).  Complete unless the node
-    guard trips, which is reported as indeterminate rather than absence.
+    Nodes are fixed in order of increasing candidate count; fixing one prunes
+    the domains of its later neighbors.  The replaced domains go on an undo
+    trail, so backtracking restores them without copying, and the search
+    keeps an explicit stack instead of recursing once per node.  Returns
+    (assignment or None, indeterminate).  Complete unless the node guard
+    trips, which is reported as indeterminate rather than absence.
     """
     n = len(cardinalities)
     adj = {s: [] for s in range(n)}
-    for (s, t) in allowed_pairs:
+    allowed = {}  # allowed[(s, t)][js][jt], for both orientations
+    for (s, t), m in allowed_pairs.items():
         adj[s].append(t)
         adj[t].append(s)
+        allowed[(s, t)] = np.asarray(m).tolist()
+        allowed[(t, s)] = np.asarray(m).T.tolist()
     order = sorted(range(n), key=lambda s: (len(candidates[s]), s))
     rank = {s: i for i, s in enumerate(order)}
+    later = [[t for t in adj[s] if rank[t] > pos] for pos, s in enumerate(order)]
     domains = [list(candidates[s]) for s in range(n)]
     x = [-1] * n
+    tried = [0] * n  # per position: values of its domain tried so far
+    marks = [0] * n  # per position: trail length before its current value
+    trail = []
     expanded = 0
-
-    def pair_ok(s, t, js, jt):
-        m = allowed_pairs[(s, t)] if s < t else allowed_pairs[(t, s)].T
-        return bool(m[js, jt])
-
-    def extend(pos, domains):
-        nonlocal expanded
-        if pos == n:
-            return True, False
+    pos = 0
+    while 0 <= pos < n:
         s = order[pos]
-        for j in domains[s]:
-            expanded += 1
-            if expanded > guard:
-                return False, True
-            x[s] = j
-            pruned = {}
-            ok = True
-            for t in adj[s]:
-                if rank[t] <= pos:
-                    continue
-                keep = [k for k in domains[t] if pair_ok(s, t, j, k)]
-                if not keep:
-                    ok = False
-                    break
-                pruned[t] = keep
-            if ok:
-                child = list(domains)
-                for t, keep in pruned.items():
-                    child[t] = keep
-                found, indet = extend(pos + 1, child)
-                if found or indet:
-                    return found, indet
-            x[s] = -1
-        return False, False
-
-    found, indet = extend(0, domains)
-    if indet:
-        return None, True
-    if found:
+        while len(trail) > marks[pos]:
+            t, dom = trail.pop()
+            domains[t] = dom
+        if tried[pos] == len(domains[s]):
+            pos -= 1
+            continue
+        j = domains[s][tried[pos]]
+        tried[pos] += 1
+        expanded += 1
+        if expanded > guard:
+            return None, True
+        x[s] = j
+        for t in later[pos]:
+            ok = allowed[(s, t)][j]
+            keep = [k for k in domains[t] if ok[k]]
+            if not keep:
+                break
+            trail.append((t, domains[t]))
+            domains[t] = keep
+        else:
+            pos += 1
+            if pos < n:
+                tried[pos] = 0
+                marks[pos] = len(trail)
+    if pos == n:
         return np.array(x, dtype=int), False
     return None, False
 
@@ -302,10 +428,7 @@ def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
     Such an assignment certifies MAP optimality at a fixed point of the
     tree-reweighted updates with valid edge appearance weights.
     """
-    candidates = []
-    for s in range(mrf.node_count):
-        v = nu.log_node[s]
-        candidates.append([j for j in range(len(v)) if v[j] >= v.max() - tie_tol])
+    candidates = [np.flatnonzero(v >= v.max() - tie_tol).tolist() for v in nu.log_node]
     allowed = {}
     for (s, t) in mrf.edges:
         m = nu.log_edge[(s, t)]
@@ -405,41 +528,25 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     """
     config = config or TrwConfig()
     dist, rho_e = resolve_rho(mrf, dist_or_rho)
-    bound_trace = []
-    iterations = 0
-    converged = False
-    messages = None
     if variant == "reparam":
-        nu = init_pseudo(mrf, rho_e)
-        if dist is not None:
-            bound_trace.append(_bound_value(mrf, nu, dist, rho_e))
-        for iterations in range(1, config.max_iterations + 1):
-            new = reparameterization_step(nu, rho_e, config.damping)
-            delta = new.max_log_change(nu)
-            nu = new
-            if dist is not None:
-                bound_trace.append(_bound_value(mrf, nu, dist, rho_e))
-            if delta < config.tol:
-                converged = True
-                break
+        # this update sums node corrections in sorted edge order
+        flat = _FlatMrf(mrf.cardinalities, sorted(mrf.edges), rho_e, mrf)
+        state, step, to_nu = flat.init_pseudo(), flat.reparameterization_step, flat.pseudo
     elif variant == "messages":
-        messages = unit_messages(mrf)
-        if dist is not None:
-            bound_trace.append(_bound_value(
-                mrf, messages_to_pseudo(messages, mrf, rho_e), dist, rho_e))
-        for iterations in range(1, config.max_iterations + 1):
-            new = message_step(messages, mrf, rho_e, config.damping)
-            delta = new.max_log_change(messages)
-            messages = new
-            if dist is not None:
-                bound_trace.append(_bound_value(
-                    mrf, messages_to_pseudo(messages, mrf, rho_e), dist, rho_e))
-            if delta < config.tol:
-                converged = True
-                break
-        nu = messages_to_pseudo(messages, mrf, rho_e)
+        flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+        state, step = flat.unit_messages(), flat.message_step
+
+        def to_nu(msgs):
+            return flat.pseudo(flat.pseudo_from_messages(msgs))
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    bound_trace = []
+    observe = None
+    if dist is not None:
+        def observe(state):
+            bound_trace.append(_bound_value(mrf, to_nu(state), dist, rho_e))
+    state, iterations, converged = _iterate(step, state, config, observe)
+    nu = to_nu(state)
     cert = find_certificate(nu, mrf, config.tie_tol)
     return TrwResult(
         nu=nu,
@@ -448,7 +555,7 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         certificate=cert.assignment,
         certificate_indeterminate=cert.indeterminate,
         bound_trace=tuple(bound_trace),
-        messages=messages,
+        messages=flat.message_set(state) if variant == "messages" else None,
         variant=variant,
         terminated_by="converged" if converged else "max_iterations",
         messages_per_edge=2.0 * iterations,
