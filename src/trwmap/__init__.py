@@ -18,8 +18,7 @@ from .trw import (MessageSet, PseudoMaxMarginals, TrwConfig, TrwResult,
                   run_tree_updates, run_trw, uniform_rho, unit_messages)
 from .lp import (DualVector, LinearProgram, Pseudomarginal, SimplexResult,
                  build_local_lp, classify_vertex, delta_pseudomarginal,
-                 dual_from_messages, evaluate_dual, export_lp_text, in_local,
-                 in_local_for_tree, in_marginal_polytope, marginal_polytope_value,
+                 dual_from_messages, evaluate_dual, in_local, in_marginal_polytope,
                  simplex_solve, vector_to_pseudomarginal)
 
 __version__ = "0.1.0"

@@ -283,18 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_trw_flags(p):
-        p.add_argument("--rho", choices=("uniform", "file"), default="uniform")
-        p.add_argument("--trees", metavar="FILE")
         p.add_argument("--damping", type=float, default=0.5)
         p.add_argument("--eps", type=float, default=1e-8)
         p.add_argument("--max-iters", type=int, default=2000)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--verify-oracle", action="store_true")
         p.add_argument("--out", metavar="FILE")
 
     p_solve = sub.add_parser("solve", help="solve a model document")
     p_solve.add_argument("model")
     p_solve.add_argument("--method", choices=METHODS, required=True)
+    p_solve.add_argument("--rho", choices=("uniform", "file"), default="uniform")
+    p_solve.add_argument("--trees", metavar="FILE")
     add_trw_flags(p_solve)
 
     p_ex = sub.add_parser("example", help="run a built-in worked example")
@@ -307,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--regime", choices=("attractive", "mixed"), default="attractive")
     p_exp.add_argument("--gammas", default="0.2,0.5,1.0,1.5,2.0")
     p_exp.add_argument("--trials", type=int, default=10)
+    p_exp.add_argument("--seed", type=int, default=0)
     add_trw_flags(p_exp)
     p_exp.set_defaults(max_iters=500)
     return parser

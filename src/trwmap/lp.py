@@ -3,20 +3,23 @@
 Includes a dense two-phase simplex solver with Bland's anti-cycling rule,
 vertex classification, an exact marginal-polytope oracle (enumeration of all
 configurations), and extraction/evaluation of the Lagrangian dual from
-message fixed points.
+message fixed points.  The LP layer does not import the solver at run time:
+message sets are read only through their `log_m` tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .model import CapacityError, Edge, PairwiseMrf, StructureError
-from .trees import SpanningTree, TreeDistribution
-from .treedp import brute_force_map
-from .trw import MessageSet, PseudoMaxMarginals
+from .trees import TreeDistribution
+from .treedp import MaxMarginals
+
+if TYPE_CHECKING:
+    from .trw import MessageSet
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -160,24 +163,6 @@ def in_local(tau: Pseudomarginal, tol: float = 1e-9) -> bool:
     return True
 
 
-def in_local_for_tree(tau: Pseudomarginal, tree: SpanningTree, tol: float = 1e-9) -> bool:
-    """Single-tree relaxation of the local polytope: non-negativity and node
-    normalization everywhere, marginalization only on the tree's edges."""
-    for v in tau.tau_node:
-        if v.min() < -tol or abs(v.sum() - 1.0) > tol:
-            return False
-    tree_edges = set(tree.edges)
-    for (s, t), m in tau.tau_edge.items():
-        if m.min() < -tol:
-            return False
-        if (s, t) in tree_edges:
-            if np.max(np.abs(m.sum(axis=1) - tau.tau_node[s])) > tol:
-                return False
-            if np.max(np.abs(m.sum(axis=0) - tau.tau_node[t])) > tol:
-                return False
-    return True
-
-
 def _layout(mrf: PairwiseMrf):
     node_off = []
     pos = 0
@@ -243,16 +228,6 @@ def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> Pseudomarginal:
     return Pseudomarginal(tau_node, tau_edge)
 
 
-def pseudomarginal_to_vector(mrf: PairwiseMrf, tau: Pseudomarginal) -> np.ndarray:
-    node_off, edge_off, nvars = _layout(mrf)
-    x = np.zeros(nvars)
-    for s in range(mrf.node_count):
-        x[node_off[s]:node_off[s] + mrf.cardinalities[s]] = tau.tau_node[s]
-    for e in mrf.edges:
-        x[edge_off[e]:edge_off[e] + tau.tau_edge[e].size] = tau.tau_edge[e].reshape(-1)
-    return x
-
-
 def delta_pseudomarginal(mrf: PairwiseMrf, x: Sequence[int]) -> Pseudomarginal:
     """Indicator vector of a configuration as a pseudomarginal."""
     node = []
@@ -285,13 +260,6 @@ def classify_vertex(tau: Pseudomarginal, tol: float = INTEGRAL_TOL) -> VertexCla
             return VertexClassification("fractional", None)
     x = np.array([int(np.argmax(v)) for v in tau.tau_node], dtype=int)
     return VertexClassification("integral", x)
-
-
-def marginal_polytope_value(mrf: PairwiseMrf, max_states: int = 2 ** 24) -> float:
-    """Exact value of the MAP linear program over the marginal polytope,
-    which equals the brute-force optimum."""
-    value, _ = brute_force_map(mrf, max_states=max_states)
-    return value
 
 
 def in_marginal_polytope(tau: Pseudomarginal, mrf: PairwiseMrf,
@@ -329,7 +297,7 @@ class DualVector:
     lam: Mapping[tuple, np.ndarray]
 
 
-def dual_from_messages(msgs: MessageSet, nu: PseudoMaxMarginals,
+def dual_from_messages(msgs: MessageSet, nu: MaxMarginals,
                        dist: TreeDistribution, root: int = 0) -> DualVector:
     """Dual multipliers induced by a message fixed point.
 
@@ -388,11 +356,3 @@ def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
         total += float(m.max())
     return total
 
-
-def export_lp_text(lp: LinearProgram) -> str:
-    """Plain-text standard form: one objective row, then equality rows."""
-    lines = ["maximize " + " ".join(repr(v) for v in lp.c)]
-    for row, b in zip(lp.A, lp.b):
-        lines.append("eq " + " ".join(repr(v) for v in row) + " = " + repr(float(b)))
-    lines.append("bounds x >= 0")
-    return "\n".join(lines) + "\n"

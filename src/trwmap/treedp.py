@@ -3,6 +3,12 @@
 Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
 and keeps all arithmetic overflow-safe.
+
+Trees are solved by one max-product DP rooted at node 0, `_tree_dp`, which
+returns the max-marginals and the optimal value together.  Its upward pass
+max-normalizes every message and keeps the sum of the constants it removed,
+so the optimal value is the root belief's max plus that sum; `tree_map_value`
+runs that pass alone.
 """
 
 from __future__ import annotations
@@ -137,22 +143,25 @@ def _oriented(theta: Potentials, a: int, b: int, cards) -> np.ndarray:
     return m if a < b else m.T
 
 
-def _tree_message_passes(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials,
-                         root: int = 0, normalize: bool = True):
-    """Exact two-pass max-product on the tree; returns incoming log messages."""
+def _upward_pass(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials):
+    """Leaves-to-root half of the DP rooted at node 0: the max-normalized
+    messages toward the root (msg[(u, v)] from u to v, indexed by states of
+    v), the adjacency, parent map and visit order, and the optimal value."""
+    _check_tree_potentials(mrf, tree, theta)
     n = mrf.node_count
     cards = mrf.cardinalities
     adj = tree.neighbors(n)
-    parent = tree.parent_map(n, root)
+    parent = tree.parent_map(n, 0)
     order = []
-    stack = [root]
+    stack = [0]
     while stack:
         u = stack.pop()
         order.append(u)
         for v in adj[u]:
             if v != parent[u]:
                 stack.append(v)
-    msg = {}  # (u, v): log message from u to v, indexed by states of v
+    msg = {}
+    removed = 0.0
     for u in reversed(order):
         p = parent[u]
         if p < 0:
@@ -162,7 +171,19 @@ def _tree_message_passes(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials
             if c != p:
                 vec = vec + msg[(c, u)]
         out = np.max(_oriented(theta, p, u, cards) + vec[None, :], axis=1)
-        msg[(u, p)] = out - out.max() if normalize else out
+        top = out.max()
+        msg[(u, p)] = out - top
+        removed += float(top)
+    root = np.asarray(theta.node[0], dtype=float).copy()
+    for v in adj[0]:
+        root = root + msg[(v, 0)]
+    return msg, adj, parent, order, float(root.max()) + removed
+
+
+def _tree_dp(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials):
+    """Exact two-pass max-product on the tree: (max-marginals, optimal value)."""
+    msg, adj, parent, order, value = _upward_pass(mrf, tree, theta)
+    cards = mrf.cardinalities
     for u in order:
         for v in adj[u]:
             if v == parent[u]:
@@ -172,21 +193,7 @@ def _tree_message_passes(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials
                 if c != v:
                     vec = vec + msg[(c, u)]
             out = np.max(_oriented(theta, v, u, cards) + vec[None, :], axis=1)
-            msg[(u, v)] = out - out.max() if normalize else out
-    return msg, adj
-
-
-def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
-                       theta: Potentials | None = None) -> MaxMarginals:
-    """Exact max-marginals of the tree-structured distribution given by theta.
-
-    theta must vanish off the tree; it defaults to the model's own tables
-    (valid only when the model itself is tree-structured).
-    """
-    theta = theta if theta is not None else mrf.potentials
-    _check_tree_potentials(mrf, tree, theta)
-    cards = mrf.cardinalities
-    msg, adj = _tree_message_passes(mrf, tree, theta)
+            msg[(u, v)] = out - out.max()
     log_node = []
     for s in range(mrf.node_count):
         vec = np.asarray(theta.node[s], dtype=float).copy()
@@ -205,20 +212,23 @@ def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
                 right = right + msg[(v, t)]
         m = _oriented(theta, s, t, cards) + left[:, None] + right[None, :]
         log_edge[(s, t)] = m - m.max()
-    return MaxMarginals(tuple(log_node), log_edge)
+    return MaxMarginals(tuple(log_node), log_edge), value
+
+
+def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
+                       theta: Potentials | None = None) -> MaxMarginals:
+    """Exact max-marginals of the tree-structured distribution given by theta.
+
+    theta must vanish off the tree; it defaults to the model's own tables
+    (valid only when the model itself is tree-structured).
+    """
+    return _tree_dp(mrf, tree, theta if theta is not None else mrf.potentials)[0]
 
 
 def tree_map_value(mrf: PairwiseMrf, tree: SpanningTree,
                    theta: Potentials | None = None) -> float:
     """Exact optimal value of a tree-structured objective (single upward pass)."""
-    theta = theta if theta is not None else mrf.potentials
-    _check_tree_potentials(mrf, tree, theta)
-    root = 0
-    msg, adj = _tree_message_passes(mrf, tree, theta, root=root, normalize=False)
-    vec = np.asarray(theta.node[root], dtype=float).copy()
-    for v in adj[root]:
-        vec = vec + msg[(v, root)]
-    return float(vec.max())
+    return _upward_pass(mrf, tree, theta if theta is not None else mrf.potentials)[-1]
 
 
 @dataclass(frozen=True)

@@ -158,21 +158,6 @@ def kirchhoff_count(n: int, edges: Sequence[Edge]) -> int:
     return int(round(np.linalg.det(minor)))
 
 
-def contract_edge(n: int, edges: Sequence[Edge], e: Edge) -> tuple:
-    """Contract edge e, keeping parallel edges and dropping loops."""
-    s, t = e
-    relabel = [u if u < t else u - 1 for u in range(n)]
-    relabel[t] = relabel[s]
-    out = []
-    for (a, b) in edges:
-        if (a, b) == (s, t):
-            continue
-        ra, rb = relabel[a], relabel[b]
-        if ra != rb:
-            out.append((min(ra, rb), max(ra, rb)))
-    return n - 1, out
-
-
 def uniform_tree_distribution(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) -> TreeDistribution:
     trees = enumerate_spanning_trees(mrf, guard=guard)
     w = np.full(len(trees), 1.0 / len(trees))

@@ -24,6 +24,14 @@ builds them once at the end, or per iteration when a tree distribution asks
 for the bound trace.  The public `message_step`, `reparameterization_step`,
 `messages_to_pseudo`, `init_pseudo` and `unit_messages` convert to the layout,
 run one kernel and convert back.
+
+The tree-based schedule keeps its own loop, because its stopping rules (a
+configuration optimal in every tree, or agreement of the per-tree tables) are
+checked between the tree DP and the merge.  Each iteration runs the tree DP
+once per tree, which gives both the max-marginals and the tree values of the
+bound.  Every rho-weighted sum of per-tree tables is `_weighted_sum`, and the
+certificate's tie rule, the entries within `tie_tol` of their table's max, is
+`_tie_masks`, shared by `find_certificate` and the tree schedule.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ import numpy as np
 
 from .model import Edge, PairwiseMrf, Potentials, StructureError
 from .trees import SpanningTree, TreeDistribution, edge_appearance
-from .treedp import (MaxMarginals, _guard_states, assignment_scores,
-                     tree_map_value, tree_max_marginals)
+from .treedp import (MaxMarginals, _guard_states, _tree_dp, assignment_scores,
+                     tree_map_value)
 
 CERT_TIE_TOL = 1e-9
 CERT_SEARCH_GUARD = 1_000_000
@@ -428,13 +436,22 @@ def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
     Such an assignment certifies MAP optimality at a fixed point of the
     tree-reweighted updates with valid edge appearance weights.
     """
-    candidates = [np.flatnonzero(v >= v.max() - tie_tol).tolist() for v in nu.log_node]
-    allowed = {}
-    for (s, t) in mrf.edges:
-        m = nu.log_edge[(s, t)]
-        allowed[(s, t)] = m >= m.max() - tie_tol
+    node, allowed = _tie_masks(nu, mrf.edges, tie_tol)
+    candidates = [np.flatnonzero(a).tolist() for a in node]
     assignment, indet = _search_common_config(mrf.cardinalities, candidates, allowed, guard)
     return CertificateResult(assignment, indet)
+
+
+def _tie_masks(nu: MaxMarginals, edges, tie_tol: float):
+    """The certificate's tie rule: the entries within `tie_tol` of their
+    table's max, as one boolean vector per node and one boolean matrix per
+    edge of `edges`, keyed in that order."""
+    node = [v >= v.max() - tie_tol for v in nu.log_node]
+    edge = {}
+    for e in edges:
+        m = nu.log_edge[e]
+        edge[e] = m >= m.max() - tie_tol
+    return node, edge
 
 
 def _theta_from_nu(nu: PseudoMaxMarginals, tree: SpanningTree) -> Potentials:
@@ -488,14 +505,7 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         support = dist.support_items()
         if len(thetas) != len(support):
             raise ValueError("one Potentials per supported tree required")
-        node = [np.zeros(m) for m in mrf.cardinalities]
-        edge = {e: np.zeros_like(mrf.theta_edge[e]) for e in mrf.edges}
-        for (tree, w), th in zip(support, thetas):
-            for s in range(mrf.node_count):
-                node[s] = node[s] + w * np.asarray(th.node[s])
-            for e, m in th.edge.items():
-                edge[e] = edge[e] + w * np.asarray(m)
-        combined = Potentials(tuple(node), edge)
+        combined = _weighted_sum(mrf, ((w, th) for (_, w), th in zip(support, thetas)))
     diff_node = tuple(np.asarray(combined.node[s]) - mrf.theta_node[s]
                       for s in range(mrf.node_count))
     diff_edge = {e: combined.edge_or_zero(e, mrf.theta_edge[e].shape) - mrf.theta_edge[e]
@@ -603,10 +613,11 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     units_per_iter = sum(len(t.edges) for t, _ in support) / len(mrf.edges)
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        nus = {tree: tree_max_marginals(mrf, tree, thetas[tree]) for tree, _ in support}
-        bound_trace.append(
-            sum(w * tree_map_value(mrf, tree, thetas[tree]) for tree, w in support)
-            - _constant_offset(mrf, _combine_thetas(mrf, thetas, support)))
+        solved = {tree: _tree_dp(mrf, tree, thetas[tree]) for tree, _ in support}
+        nus = {tree: nu for tree, (nu, _) in solved.items()}
+        combined = _weighted_sum(mrf, ((w, thetas[tree]) for tree, w in support))
+        bound_trace.append(sum(w * solved[tree][1] for tree, w in support)
+                           - _constant_offset(mrf, combined))
         certificate, indeterminate = _shared_tree_optimum(mrf, nus, support, config.tie_tol)
         if certificate is not None:
             converged = True
@@ -625,7 +636,8 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
                        for e in mrf.edges}
         base = Potentials(damped_node, damped_edge)
         thetas = _split_parameter(mrf, base, dist, rho_e)
-    nu = _assemble_nu(mrf, nus, support)
+    tables = ((w, Potentials(nus[tree].log_node, nus[tree].log_edge)) for tree, w in support)
+    nu = _assemble_nu(_weighted_sum(mrf, tables), rho_e)
     return TrwResult(
         nu=nu,
         iterations=iterations,
@@ -640,31 +652,22 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     )
 
 
-def _combine_thetas(mrf, thetas, support) -> Potentials:
-    """Plain rho-weighted sum of per-tree parameters."""
+def _weighted_sum(mrf: PairwiseMrf, terms) -> Potentials:
+    """Sum of w * theta over (w, Potentials) pairs, on every node and every
+    edge of the model; an edge a term has no table for counts as zero."""
     node = [np.zeros(m) for m in mrf.cardinalities]
     edge = {e: np.zeros_like(mrf.theta_edge[e]) for e in mrf.edges}
-    for tree, w in support:
-        th = thetas[tree]
+    for w, th in terms:
         for s in range(mrf.node_count):
             node[s] = node[s] + w * np.asarray(th.node[s])
-        for e in tree.edges:
-            edge[e] = edge[e] + w * np.asarray(th.edge[e])
+        for e, m in th.edge.items():
+            edge[e] = edge[e] + w * np.asarray(m)
     return Potentials(tuple(node), edge)
 
 
 def _merge_tree_potentials(mrf, nus, support) -> Potentials:
     """rho-weighted merge of per-tree max-marginals into one parameter."""
-    node = [np.zeros(m) for m in mrf.cardinalities]
-    edge = {e: np.zeros_like(mrf.theta_edge[e]) for e in mrf.edges}
-    for tree, w in support:
-        nu = nus[tree]
-        for s in range(mrf.node_count):
-            node[s] = node[s] + w * nu.log_node[s]
-        for e in tree.edges:
-            m = nu.log_edge[e]
-            edge[e] = edge[e] + w * (m - nu.log_node[e[0]][:, None] - nu.log_node[e[1]][None, :])
-    return Potentials(tuple(node), edge)
+    return _weighted_sum(mrf, ((w, _theta_from_nu(nus[tree], tree)) for tree, w in support))
 
 
 def _shared_tree_optimum(mrf, nus, support, tie_tol):
@@ -675,33 +678,19 @@ def _shared_tree_optimum(mrf, nus, support, tie_tol):
     optimality on a tree characterizes its optimal set exactly, so this search
     decides non-emptiness of the intersection of the tree optima.
     """
-    n = mrf.node_count
-    candidates = []
-    for s in range(n):
-        cand = None
-        for tree, _ in support:
-            v = nus[tree].log_node[s]
-            c = {j for j in range(len(v)) if v[j] >= v.max() - tie_tol}
-            cand = c if cand is None else (cand & c)
-        if not cand:
-            return None, False
-        candidates.append(sorted(cand))
-    allowed = {}
-    for (s, t) in mrf.edges:
-        mask = None
-        for tree, _ in support:
-            if (s, t) not in set(tree.edges):
-                continue
-            m = nus[tree].log_edge[(s, t)]
-            a = m >= m.max() - tie_tol
-            mask = a if mask is None else (mask & a)
-        if mask is not None:
-            if not mask.any():
-                return None, False
-            allowed[(s, t)] = mask
-        else:
-            allowed[(s, t)] = np.ones((mrf.cardinalities[s], mrf.cardinalities[t]), dtype=bool)
-    return _search_common_config(mrf.cardinalities, candidates, allowed, CERT_SEARCH_GUARD)
+    node, allowed = None, {}
+    for tree, _ in support:
+        t_node, t_edge = _tie_masks(nus[tree], tree.edges, tie_tol)
+        node = t_node if node is None else [a & b for a, b in zip(node, t_node)]
+        for e, a in t_edge.items():
+            allowed[e] = allowed[e] & a if e in allowed else a
+    if not all(a.any() for a in node) or not all(a.any() for a in allowed.values()):
+        return None, False
+    candidates = [np.flatnonzero(a).tolist() for a in node]
+    cards = mrf.cardinalities
+    allowed = {(s, t): allowed.get((s, t), np.ones((cards[s], cards[t]), dtype=bool))
+               for (s, t) in mrf.edges}
+    return _search_common_config(cards, candidates, allowed, CERT_SEARCH_GUARD)
 
 
 def _max_marginals_agree(nus, support, tol) -> bool:
@@ -721,23 +710,13 @@ def _max_marginals_agree(nus, support, tol) -> bool:
     return True
 
 
-def _assemble_nu(mrf, nus, support) -> PseudoMaxMarginals:
-    """Graph-wide tables from per-tree ones: rho-weighted log averages per
-    node, and per edge over the trees containing it (diagnostic view; exact
-    when the trees agree)."""
-    node = [np.zeros(m) for m in mrf.cardinalities]
+def _assemble_nu(total: Potentials, rho_e) -> PseudoMaxMarginals:
+    """Graph-wide tables from the rho-weighted sum of the per-tree log tables:
+    node sums as they are, edge sums divided by rho_e, the weight of the trees
+    containing the edge, each max-normalized (diagnostic view; exact when the
+    trees agree)."""
     edge = {}
-    weight = {e: 0.0 for e in mrf.edges}
-    acc = {e: np.zeros_like(mrf.theta_edge[e]) for e in mrf.edges}
-    for tree, w in support:
-        nu = nus[tree]
-        for s in range(mrf.node_count):
-            node[s] = node[s] + w * nu.log_node[s]
-        for e in tree.edges:
-            acc[e] = acc[e] + w * nu.log_edge[e]
-            weight[e] += w
-    for e in mrf.edges:
-        m = acc[e] / weight[e]
+    for e, m in total.edge.items():
+        m = m / rho_e[e]
         edge[e] = m - m.max()
-    node = [v - v.max() for v in node]
-    return PseudoMaxMarginals(tuple(node), edge)
+    return PseudoMaxMarginals(tuple(v - v.max() for v in total.node), edge)

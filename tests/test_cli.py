@@ -98,6 +98,18 @@ class TestSolve:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "model.json", "--method", "brute", "--seed", "1"],
+    ["experiment", "--rho", "uniform"],
+    ["experiment", "--trees", "trees.json"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv, out=io.StringIO())
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExamples:
     @pytest.mark.parametrize("name", ["cycle4", "triangle", "diamond", "fig2"])
     def test_examples_pass(self, name):

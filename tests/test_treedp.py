@@ -9,6 +9,7 @@ from trwmap import (MaxMarginals, PairwiseMrf, Potentials, SpanningTree,
                     tree_max_marginals, tree_opt_set)
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
 from trwmap.model import CapacityError
+from trwmap.treedp import brute_force_over_potentials
 
 from conftest import random_tree_mrf
 
@@ -132,6 +133,13 @@ class TestTreeMaxMarginals:
             tree = SpanningTree(mrf.edges)
             value, _ = brute_force_map(mrf)
             assert tree_map_value(mrf, tree) == pytest.approx(value, rel=1e-12, abs=1e-12)
+            # large constant shifts: every max-normalized upward message drops
+            # one, and the value must add them all back
+            shifted = Potentials(
+                tuple(v + 1e3 * (s + 1) for s, v in enumerate(mrf.theta_node)),
+                {e: m - 5e2 * (k + 1) for k, (e, m) in enumerate(mrf.theta_edge.items())})
+            value, _ = brute_force_over_potentials(mrf.cardinalities, shifted)
+            assert tree_map_value(mrf, tree, shifted) == pytest.approx(value, rel=1e-12)
 
 
 class TestEdgeConsistency:

@@ -7,9 +7,23 @@ from trwmap import (CapacityError, PairwiseMrf, SpanningTree, StructureError,
                     load_tree_distribution, save_tree_distribution,
                     uniform_tree_distribution)
 from trwmap.examples import cycle4_mrf, diamond_mrf, bridge_graph_trees, bridge_graph, triangle_mrf
-from trwmap.trees import contract_edge
 
 from conftest import random_graph_mrf
+
+
+def contract_edge(n, edges, e):
+    """Contract edge e, keeping parallel edges and dropping loops."""
+    s, t = e
+    relabel = [u if u < t else u - 1 for u in range(n)]
+    relabel[t] = relabel[s]
+    out = []
+    for (a, b) in edges:
+        if (a, b) == (s, t):
+            continue
+        ra, rb = relabel[a], relabel[b]
+        if ra != rb:
+            out.append((min(ra, rb), max(ra, rb)))
+    return n - 1, out
 
 
 def zero_mrf(n, edges):
