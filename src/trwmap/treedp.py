@@ -4,17 +4,25 @@ Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
 and keeps all arithmetic overflow-safe.
 
-Trees are solved by one max-product DP rooted at node 0, `_tree_dp`, which
-returns the max-marginals and the optimal value together.  Its upward pass
-max-normalizes every message and keeps the sum of the constants it removed,
-so the optimal value is the root belief's max plus that sum; `tree_map_value`
-runs that pass alone.
+Tables compute on `_Layout`: node tables concatenated into one vector with
+per-node offsets, edges bucketed by table shape (m_s, m_t) so mixed
+cardinalities need no padding, each bucket's tables one stacked array.  The
+tree-reweighted schedules in `trw` build on the same layout.
+
+Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
+tree of a collection at once, each rooted at node 0.  Its upward pass sends
+one batch of messages per node height, its downward pass one per node depth,
+and each batch covers all the trees.  The upward pass max-normalizes every
+message and keeps the constants it removed, so a tree's optimal value is its
+root belief's max plus their sum; `map_values` runs that pass alone and
+`solve` both, which also gives the max-marginals.  `tree_max_marginals` and
+`tree_map_value` run it on a single tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,6 +132,292 @@ def brute_force_map(mrf: PairwiseMrf, max_states: int = BRUTE_FORCE_GUARD,
                                        max_states=max_states, atol=atol)
 
 
+def _normalized(a: np.ndarray) -> np.ndarray:
+    """Shift every table of a stack (axis 0) so its largest entry is 0."""
+    return a - a.max(axis=tuple(range(1, a.ndim)), keepdims=True)
+
+
+class _Bucket(NamedTuple):
+    """The edges of one table shape (m_s, m_t), in layout order."""
+
+    edges: tuple
+    pos: np.ndarray  # (E_b,): positions of the edges in the layout's `edges`
+    idx_s: np.ndarray  # (E_b, m_s): positions of the s tables in the node vector
+    idx_t: np.ndarray  # (E_b, m_t)
+
+
+class _Layout:
+    """Node and edge tables of a graph laid out as arrays.
+
+    Node tables live in one vector; node s owns entries offsets[s] to
+    offsets[s] + m_s.  Edges are grouped into buckets by table shape
+    (m_s, m_t), so mixed cardinalities need no padding, and keep `edges`
+    order within a bucket; slot[k] is the (bucket, row) of the k-th edge.
+    A bucket's tables are one (E_b, m_s, m_t) stack.
+    """
+
+    def __init__(self, cardinalities, edges):
+        cards = np.array(cardinalities, dtype=np.intp)
+        ends = np.cumsum(cards)
+        self.offsets = ends - cards
+        self.node_of = np.repeat(np.arange(len(cards)), cards)
+        self.size = int(ends[-1])
+        self.edges = tuple(edges)
+        groups = {}
+        for k, (s, t) in enumerate(self.edges):
+            groups.setdefault((int(cards[s]), int(cards[t])), []).append(k)
+        self.buckets = []
+        self.slot = [None] * len(self.edges)
+        for bi, ((ms, mt), ks) in enumerate(groups.items()):
+            es = tuple(self.edges[k] for k in ks)
+            idx_s = self.offsets[[s for s, _ in es]][:, None] + np.arange(ms)
+            idx_t = self.offsets[[t for _, t in es]][:, None] + np.arange(mt)
+            self.buckets.append(_Bucket(es, np.array(ks), idx_s, idx_t))
+            for i, k in enumerate(ks):
+                self.slot[k] = (bi, i)
+
+    def node_max(self, v: np.ndarray) -> np.ndarray:
+        """Every entry's node-table max, for a node vector or a stack of them
+        (last axis)."""
+        return np.maximum.reduceat(v, self.offsets, axis=-1)[..., self.node_of]
+
+    def pack(self, node, edge) -> tuple:
+        """(node vector, one table stack per bucket) from per-node tables and
+        a mapping of edge tables; an edge the mapping lacks counts as zero."""
+        vec = np.concatenate([np.asarray(v, dtype=float) for v in node])
+        tables = []
+        for b in self.buckets:
+            zero = np.zeros((b.idx_s.shape[1], b.idx_t.shape[1]))
+            tables.append(np.array([edge[e] if e in edge else zero for e in b.edges],
+                                   dtype=float))
+        return vec, tables
+
+    def unpack(self, node: np.ndarray, tables) -> tuple:
+        """(per-node tables, {edge: table} in `edges` order): views of the arrays."""
+        return (tuple(np.split(node, self.offsets[1:])),
+                {e: tables[bi][i] for e, (bi, i) in zip(self.edges, self.slot)})
+
+
+class _Slots(NamedTuple):
+    """The tree edges of one bucket, ordered by tree, then by edge."""
+
+    tree: np.ndarray  # (S_b,): the tree of each slot
+    row: np.ndarray  # (S_b,): the bucket row of its edge
+    side_s: slice  # its s-side vectors in the message/cavity vectors
+    side_t: slice
+    node_s: np.ndarray  # (S_b, m_s): its tree's s table in a raveled (T, N) stack
+    node_t: np.ndarray  # (S_b, m_t)
+    by_edge: np.ndarray  # the slots stably sorted by row
+    starts: np.ndarray  # the first of each row's slots in that order
+
+
+class _TreeLayout:
+    """Spanning trees of one graph, laid out for one max-product DP that
+    runs on all of them at once.
+
+    `graph` lays out the node and edge tables, which the trees share: tree k
+    uses every node table and its own edges' tables.  Each tree is rooted at
+    node 0.  A slot is one edge of one tree.  Every slot has two sides, one
+    per endpoint x: the message into x, and x's cavity vector (x's node
+    table plus its other incoming messages), from which x's message to the
+    other endpoint is computed.  Messages and cavities live in two flat
+    vectors with the same layout: per bucket, the s sides of its slots, then
+    the t sides.
+
+    The upward pass sends the messages toward the root, one batch per node
+    height; the downward pass the messages away from it, one batch per node
+    depth.  Each batch covers every tree and one (receiver, sender)
+    cardinality pair, whose edge tables, oriented receiver by sender, are
+    one stack.  A node's incoming messages are added in its tree's adjacency
+    order, one add per rank, so every entry sees the same floating-point
+    operations in the same order as a per-edge recursion over each tree.
+    """
+
+    def __init__(self, graph: _Layout, trees):
+        self.graph = graph
+        self.count = len(trees)
+        n, N = len(graph.offsets), graph.size
+        self.cards = cards = np.diff(np.append(graph.offsets, N)).tolist()
+        where = {e: k for k, e in enumerate(graph.edges)}
+        slots = [[] for _ in graph.buckets]
+        for k, tree in enumerate(trees):
+            for e in tree.edges:
+                bi, i = graph.slot[where[e]]
+                slots[bi].append((k, i))
+        # side[k][(x, y)]: first entry of the x side of tree k's slot of edge {x, y}
+        self.side = [{} for _ in trees]
+        self.slots = []
+        end = 0
+        for b, bslots in zip(graph.buckets, slots):
+            ms, mt = b.idx_s.shape[1], b.idx_t.shape[1]
+            s0, t0 = end, end + len(bslots) * ms
+            end = t0 + len(bslots) * mt
+            for j, (k, i) in enumerate(bslots):
+                s, t = b.edges[i]
+                self.side[k][(s, t)] = s0 + j * ms
+                self.side[k][(t, s)] = t0 + j * mt
+            tree = np.array([k for k, _ in bslots], dtype=np.intp)
+            row = np.array([i for _, i in bslots], dtype=np.intp)
+            by_edge = np.argsort(row, kind="stable")
+            self.slots.append(_Slots(tree, row, slice(s0, t0), slice(t0, end),
+                                     (tree * N)[:, None] + b.idx_s[row],
+                                     (tree * N)[:, None] + b.idx_t[row], by_edge,
+                                     np.searchsorted(row[by_edge], np.arange(len(b.edges)))))
+        self.length = end
+        # per (receiver, sender) shape: the (bucket, transposed) parts of its
+        # stack of oriented tables, and each part's first row in it
+        self.stacks, first = {}, {}
+        for bi, b in enumerate(graph.buckets):
+            ms, mt = b.idx_s.shape[1], b.idx_t.shape[1]
+            for shape, flip in (((ms, mt), False), ((mt, ms), True)):
+                parts = self.stacks.setdefault(shape, [])
+                first[(bi, flip)] = sum(len(graph.buckets[p].edges) for p, _ in parts)
+                parts.append((bi, flip))
+        self.adj, up, down, rev = [], [], [], []
+        for k, tree in enumerate(trees):
+            adj = tree.neighbors(n)
+            parent = tree.parent_map(n, 0)
+            order = []
+            stack = [0]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                stack.extend(v for v in adj[u] if v != parent[u])
+            depth, height = [0] * n, [0] * n
+            for u in order[1:]:
+                depth[u] = depth[parent[u]] + 1
+            for u in reversed(order[1:]):
+                height[parent[u]] = max(height[parent[u]], height[u] + 1)
+            self.adj.append(adj)
+            up += [(height[u], k, u, parent[u]) for u in order[1:]]
+            down += [(depth[u], k, u, v) for u in order for v in adj[u] if v != parent[u]]
+            rev += [k * n + u for u in reversed(order[1:])]
+        self.rev = np.array(rev, dtype=np.intp)
+
+        def orient(k, u, v):
+            # the stack and row of edge {u, v}'s table oriented v by u
+            bi, i = graph.slot[where[(min(u, v), max(u, v))]]
+            flip = u < v
+            shape = (cards[v], cards[u])
+            return shape, first[(bi, flip)] + i
+
+        def batches(arcs):
+            groups = {}
+            for level, k, u, v in arcs:
+                shape, row = orient(k, u, v)
+                groups.setdefault((level, shape), []).append((k, u, v, row))
+            out = []
+            for (_, (mv, mu)), group in sorted(groups.items()):
+                cav = [self.side[k][(u, v)] for k, u, v, _ in group]
+                msg = [self.side[k][(v, u)] for k, u, v, _ in group]
+                out.append(((mv, mu), np.array([g[3] for g in group]),
+                            self._sum_plan([(k, u, v) for k, u, v, _ in group]),
+                            (np.array(cav)[:, None] + np.arange(mu)).ravel(),
+                            np.array(msg)[:, None] + np.arange(mv),
+                            np.array([k * n + u for k, u, _, _ in group])))
+            return out
+
+        self.up, self.down = batches(up), batches(down)
+        self.roots = self._sum_plan([(k, 0, None) for k in range(self.count)])
+        # A node's belief adds its last incoming message to the cavity
+        # vector that leaves that one out: both are on the node's side of
+        # the edge to its last neighbor.
+        last = []
+        for k, adj in enumerate(self.adj):
+            for u in range(n):
+                if adj[u]:
+                    first = self.side[k][(u, adj[u][-1])]
+                    last.extend(range(first, first + cards[u]))
+        self.last = np.array(last, dtype=np.intp)
+
+    def _sum_plan(self, rows):
+        """Index plan for the sums node[u] + the messages into u in tree k,
+        in adjacency order, leaving out the one from `skip`, for rows
+        (k, u, skip): the node entries of the sums, concatenated, and per
+        rank the positions of the sums that add a message and its entries."""
+        offsets = self.graph.offsets.tolist()
+        node, ranks = [], []
+        pos = 0
+        for k, u, skip in rows:
+            m = self.cards[u]
+            node.extend(range(offsets[u], offsets[u] + m))
+            side = self.side[k]
+            r = 0
+            for c in self.adj[k][u]:
+                if c != skip:
+                    if r == len(ranks):
+                        ranks.append(([], []))
+                    first = side[(u, c)]
+                    ranks[r][0].extend(range(pos, pos + m))
+                    ranks[r][1].extend(range(first, first + m))
+                    r += 1
+            pos += m
+        return (np.array(node, dtype=np.intp),
+                [(np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp))
+                 for dst, src in ranks])
+
+    @staticmethod
+    def _sums(plan, node, msg) -> np.ndarray:
+        sums = node[plan[0]]
+        for dst, src in plan[1]:
+            sums[dst] += msg[src]
+        return sums
+
+    def _pass(self, batches, node, stacks, msg, cav, tops=None):
+        for shape, rows, plan, at_cav, at_msg, at_top in batches:
+            c = self._sums(plan, node, msg)
+            cav[at_cav] = c
+            out = (stacks[shape][rows] + c.reshape(len(rows), 1, -1)).max(axis=2)
+            top = out.max(axis=1)
+            msg[at_msg] = out - top[:, None]
+            if tops is not None:
+                tops[at_top] = top
+
+    def _upward(self, node, tables):
+        stacks = {shape: np.concatenate([tables[bi].transpose(0, 2, 1) if flip else tables[bi]
+                                         for bi, flip in parts])
+                  for shape, parts in self.stacks.items()}
+        msg, cav = np.zeros(self.length), np.zeros(self.length)
+        tops = np.zeros(self.count * len(self.graph.offsets))
+        self._pass(self.up, node, stacks, msg, cav, tops)
+        return stacks, msg, cav, tops
+
+    def _values(self, root_max, tops) -> list:
+        """Each tree's optimal value: its root belief's max plus the constants
+        the upward pass removed, summed in reverse visit order."""
+        values = []
+        rest = tops[self.rev].reshape(self.count, -1).tolist()
+        for top, removed_tops in zip(root_max.tolist(), rest):
+            removed = 0.0
+            for r in removed_tops:
+                removed += r
+            values.append(top + removed)
+        return values
+
+    def map_values(self, node: np.ndarray, tables) -> list:
+        """Each tree's optimal value (the upward pass only).  `node` is the
+        node vector and `tables` holds one stack per bucket of the graph."""
+        _, msg, _, tops = self._upward(node, tables)
+        roots = self._sums(self.roots, node, msg).reshape(self.count, -1)
+        return self._values(roots.max(axis=1), tops)
+
+    def solve(self, node: np.ndarray, tables) -> tuple:
+        """Both passes: (node max-marginals as a (T, N) stack, per bucket the
+        edge max-marginals of its slots, each tree's optimal value)."""
+        stacks, msg, cav, tops = self._upward(node, tables)
+        self._pass(self.down, node, stacks, msg, cav)
+        # a one-node tree has no edges: its belief is the root's node table
+        beliefs = (cav[self.last] + msg[self.last] if self.length
+                   else self._sums(self.roots, node, msg)).reshape(self.count, -1)
+        top = self.graph.node_max(beliefs)
+        edge = []
+        for sl, table in zip(self.slots, tables):
+            left = cav[sl.side_s].reshape(len(sl.row), -1)
+            right = cav[sl.side_t].reshape(len(sl.row), -1)
+            edge.append(_normalized(table[sl.row] + left[:, :, None] + right[:, None, :]))
+        return beliefs - top, edge, self._values(top[:, 0], tops)
+
+
 def _check_tree_potentials(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials):
     tree.validate(mrf.node_count)
     tree_edges = set(tree.edges)
@@ -134,85 +428,11 @@ def _check_tree_potentials(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentia
                 raise StructureError(f"parameter on off-tree edge {e} must vanish")
 
 
-def _oriented(theta: Potentials, a: int, b: int, cards) -> np.ndarray:
-    key = (a, b) if a < b else (b, a)
-    m = theta.edge.get(key)
-    if m is None:
-        m = np.zeros((cards[key[0]], cards[key[1]]))
-    m = np.asarray(m)
-    return m if a < b else m.T
-
-
-def _upward_pass(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials):
-    """Leaves-to-root half of the DP rooted at node 0: the max-normalized
-    messages toward the root (msg[(u, v)] from u to v, indexed by states of
-    v), the adjacency, parent map and visit order, and the optimal value."""
+def _one_tree(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials | None):
+    theta = theta if theta is not None else mrf.potentials
     _check_tree_potentials(mrf, tree, theta)
-    n = mrf.node_count
-    cards = mrf.cardinalities
-    adj = tree.neighbors(n)
-    parent = tree.parent_map(n, 0)
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in adj[u]:
-            if v != parent[u]:
-                stack.append(v)
-    msg = {}
-    removed = 0.0
-    for u in reversed(order):
-        p = parent[u]
-        if p < 0:
-            continue
-        vec = np.asarray(theta.node[u], dtype=float).copy()
-        for c in adj[u]:
-            if c != p:
-                vec = vec + msg[(c, u)]
-        out = np.max(_oriented(theta, p, u, cards) + vec[None, :], axis=1)
-        top = out.max()
-        msg[(u, p)] = out - top
-        removed += float(top)
-    root = np.asarray(theta.node[0], dtype=float).copy()
-    for v in adj[0]:
-        root = root + msg[(v, 0)]
-    return msg, adj, parent, order, float(root.max()) + removed
-
-
-def _tree_dp(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials):
-    """Exact two-pass max-product on the tree: (max-marginals, optimal value)."""
-    msg, adj, parent, order, value = _upward_pass(mrf, tree, theta)
-    cards = mrf.cardinalities
-    for u in order:
-        for v in adj[u]:
-            if v == parent[u]:
-                continue
-            vec = np.asarray(theta.node[u], dtype=float).copy()
-            for c in adj[u]:
-                if c != v:
-                    vec = vec + msg[(c, u)]
-            out = np.max(_oriented(theta, v, u, cards) + vec[None, :], axis=1)
-            msg[(u, v)] = out - out.max()
-    log_node = []
-    for s in range(mrf.node_count):
-        vec = np.asarray(theta.node[s], dtype=float).copy()
-        for v in adj[s]:
-            vec = vec + msg[(v, s)]
-        log_node.append(vec - vec.max())
-    log_edge = {}
-    for (s, t) in tree.edges:
-        left = np.asarray(theta.node[s], dtype=float).copy()
-        for v in adj[s]:
-            if v != t:
-                left = left + msg[(v, s)]
-        right = np.asarray(theta.node[t], dtype=float).copy()
-        for v in adj[t]:
-            if v != s:
-                right = right + msg[(v, t)]
-        m = _oriented(theta, s, t, cards) + left[:, None] + right[None, :]
-        log_edge[(s, t)] = m - m.max()
-    return MaxMarginals(tuple(log_node), log_edge), value
+    layout = _TreeLayout(_Layout(mrf.cardinalities, tree.edges), [tree])
+    return layout, layout.graph.pack(theta.node, theta.edge)
 
 
 def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
@@ -222,13 +442,16 @@ def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
     theta must vanish off the tree; it defaults to the model's own tables
     (valid only when the model itself is tree-structured).
     """
-    return _tree_dp(mrf, tree, theta if theta is not None else mrf.potentials)[0]
+    layout, (node, tables) = _one_tree(mrf, tree, theta)
+    node_mm, edge_mm, _ = layout.solve(node, tables)
+    return MaxMarginals(*layout.graph.unpack(node_mm[0], edge_mm))
 
 
 def tree_map_value(mrf: PairwiseMrf, tree: SpanningTree,
                    theta: Potentials | None = None) -> float:
     """Exact optimal value of a tree-structured objective (single upward pass)."""
-    return _upward_pass(mrf, tree, theta if theta is not None else mrf.potentials)[-1]
+    layout, (node, tables) = _one_tree(mrf, tree, theta)
+    return layout.map_values(node, tables)[0]
 
 
 @dataclass(frozen=True)

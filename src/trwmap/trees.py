@@ -224,8 +224,9 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
     """Load a tree-distribution document.
 
     Returns a TreeDistribution for the explicit record form, or a plain
-    {edge: rho_e} dict for the unvalidated `{"rho_e": ...}` form (only usable
-    by the message-passing path, which needs nothing but the edge weights).
+    {edge: rho_e} dict for the `{"rho_e": ...}` form (only usable by the
+    message-passing path, which needs nothing but the edge weights, and
+    checked against the model by `trw.resolve_rho`).
     """
     try:
         doc = json.loads(data)

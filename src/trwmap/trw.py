@@ -7,44 +7,53 @@ and edge is updated from the previous iterate), optionally damped by linear
 combination of old and new logs, and re-normalized so the largest entry of
 every table is 0.
 
-The message and reparameterization schedules compute on `_FlatMrf`, a layout
-built once per run from the model and rho.  Node tables are concatenated into
-one vector with per-node offsets.  Edges are grouped into buckets by table
-shape (m_s, m_t), so mixed cardinalities need no padding.  Each bucket holds
-its endpoint index arrays, its tables theta_st / rho_st stacked into one
-(E_b, m_s, m_t) array, and, in a message state, one (E_b, m) array per
-direction.  A step maps one state (a tuple of such arrays) to the next, and
-`_iterate` is the one driver for both schedules: it applies a step, measures
-the max log change and decides when to stop.  The per-node sums over
-incident edges are accumulated with `np.add.at` in the schedule's edge order
-(`mrf.edges` for messages, sorted for reparameterization), so each entry sees
-the same floating-point operations in the same order as a per-edge loop.
-`PseudoMaxMarginals` and `MessageSet` are the boundary types: `run_trw`
-builds them once at the end, or per iteration when a tree distribution asks
-for the bound trace.  The public `message_step`, `reparameterization_step`,
-`messages_to_pseudo`, `init_pseudo` and `unit_messages` convert to the layout,
-run one kernel and convert back.
+The message and reparameterization schedules compute on `_FlatMrf`, the
+array layout of `treedp._Layout` built once per run from the model and rho.
+Node tables are concatenated into one vector with per-node offsets.  Edges
+are grouped into buckets by table shape (m_s, m_t), so mixed cardinalities
+need no padding.  Each bucket holds its endpoint index arrays, its tables
+theta_st / rho_st stacked into one (E_b, m_s, m_t) array, and, in a message
+state, one (E_b, m) array per direction.  A step maps one state (a tuple of
+such arrays) to the next, and `_iterate` is the one driver for both
+schedules: it applies a step, measures the max log change and decides when
+to stop.  The per-node sums over incident edges are accumulated with
+`np.add.at` in the schedule's edge order (`mrf.edges` for messages, sorted
+for reparameterization), so each entry sees the same floating-point
+operations in the same order as a per-edge loop.  `PseudoMaxMarginals` and
+`MessageSet` are the boundary types, built once at the end of a run.  With
+an explicit tree distribution, the per-iteration bound runs the tree DP of
+`treedp._TreeLayout`, built once per run, on the arrays.  The public
+`message_step`, `reparameterization_step`, `messages_to_pseudo`,
+`init_pseudo` and `unit_messages` convert to the layout, run one kernel and
+convert back.
 
 The tree-based schedule keeps its own loop, because its stopping rules (a
 configuration optimal in every tree, or agreement of the per-tree tables) are
-checked between the tree DP and the merge.  Each iteration runs the tree DP
-once per tree, which gives both the max-marginals and the tree values of the
-bound.  Every rho-weighted sum of per-tree tables is `_weighted_sum`, and the
-certificate's tie rule, the entries within `tie_tol` of their table's max, is
-`_tie_masks`, shared by `find_certificate` and the tree schedule.
+checked between the tree DP and the merge.  It runs on the same layout: the
+shared parameter is a node vector and one table stack per bucket, each
+iteration runs one `_TreeLayout.solve` for all trees, which gives both the
+max-marginals and the tree values of the bound, and the split, the merge,
+the damping, the tie masks and the agreement test are array operations.
+Sums over trees run in support order (`_tree_sum`).  The certificate's tie
+rule, the entries within `tie_tol` of their table's max, is `_tie_masks`,
+shared by `find_certificate` and the tree schedule.  `_weighted_sum` and the
+dict helpers `_split_parameter`, `_merge_tree_potentials` and
+`_theta_from_nu` state the tree-based update on `Potentials`, for
+`check_reparameterization` and the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .model import Edge, PairwiseMrf, Potentials, StructureError
 from .trees import SpanningTree, TreeDistribution, edge_appearance
-from .treedp import (MaxMarginals, _guard_states, _tree_dp, assignment_scores,
-                     tree_map_value)
+from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _TreeLayout,
+                     assignment_scores)
 
 CERT_TIE_TOL = 1e-9
 CERT_SEARCH_GUARD = 1_000_000
@@ -121,6 +130,12 @@ def resolve_rho(mrf: PairwiseMrf, dist_or_rho=None):
     if isinstance(dist_or_rho, TreeDistribution):
         return dist_or_rho, edge_appearance(dist_or_rho, mrf)
     rho = {mrf.edge_key(*e): float(r) for e, r in dict(dist_or_rho).items()}
+    edges = set(mrf.edges)
+    for e, r in rho.items():
+        if e not in edges:
+            raise StructureError(f"rho_e given on {e}, which is not a graph edge")
+        if not math.isfinite(r):
+            raise StructureError(f"rho_e on edge {e} is not finite: {r!r}")
     missing = [e for e in mrf.edges if e not in rho or rho[e] <= 0]
     if missing:
         raise StructureError(f"rho_e missing or non-positive on edges {missing}")
@@ -131,65 +146,45 @@ def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
     return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
 
 
-def _normalized(a: np.ndarray) -> np.ndarray:
-    """Shift every table of a stack (axis 0) so its largest entry is 0."""
-    return a - a.max(axis=tuple(range(1, a.ndim)), keepdims=True)
-
-
-@dataclass(frozen=True)
-class _Bucket:
-    """The edges of one table shape (m_s, m_t), in schedule order."""
+class _RhoBucket(NamedTuple):
+    """A `_Bucket` with its edges' rho and, given the model, their tables."""
 
     edges: tuple
-    idx_s: np.ndarray  # (E_b, m_s): positions of the s tables in the node vector
-    idx_t: np.ndarray  # (E_b, m_t)
+    pos: np.ndarray
+    idx_s: np.ndarray
+    idx_t: np.ndarray
     rho: np.ndarray | None  # (E_b, 1)
     table: np.ndarray | None  # (E_b, m_s, m_t): theta_st / rho_st
 
 
-class _FlatMrf:
+class _FlatMrf(_Layout):
     """A graph, its rho and optionally its model, laid out for array updates.
 
-    Node tables live in one vector; node s owns entries offsets[s] to
-    offsets[s] + m_s.  Edges are bucketed by table shape, in `edges` order
-    within a bucket.  Two state kinds are tuples of per-bucket arrays:
-    messages are (to_s, to_t) per bucket, to_s[i] being the log message t->s
-    of the bucket's i-th edge; pseudo-max-marginals are the node vector
-    followed by one (E_b, m_s, m_t) table stack per bucket.  Sums over the
-    edges at a node are taken in `edges` order, the order of the schedule.
+    The node vector and the edge buckets are those of `_Layout`; each bucket
+    also holds rho (E_b, 1) and, given the model, theta_st / rho_st.  Two
+    state kinds are tuples of per-bucket arrays: messages are (to_s, to_t)
+    per bucket, to_s[i] being the log message t->s of the bucket's i-th
+    edge; pseudo-max-marginals are the node vector followed by one
+    (E_b, m_s, m_t) table stack per bucket.  Sums over the edges at a node
+    are taken in `edges` order, the order of the schedule.
     """
 
     def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
-        cards = np.array(cardinalities, dtype=np.intp)
-        ends = np.cumsum(cards)
-        self.offsets = ends - cards
-        self.node_of = np.repeat(np.arange(len(cards)), cards)
-        self.size = int(ends[-1])
-        self.edges = tuple(edges)
+        super().__init__(cardinalities, edges)
         self.theta_node = None if mrf is None else np.concatenate(mrf.theta_node)
         if mrf is not None:
             for e in self.edges:
                 if rho_e[e] <= 0:
                     raise StructureError(f"rho_e on edge {e} must be positive")
-        groups = {}
-        for k, (s, t) in enumerate(self.edges):
-            groups.setdefault((int(cards[s]), int(cards[t])), []).append(k)
-        self.buckets = []
-        self.slot = [None] * len(self.edges)  # edge position -> (bucket, row)
         position, target = [], []
-        for bi, ((ms, mt), ks) in enumerate(groups.items()):
-            es = tuple(self.edges[k] for k in ks)
-            idx_s = self.offsets[[s for s, _ in es]][:, None] + np.arange(ms)
-            idx_t = self.offsets[[t for _, t in es]][:, None] + np.arange(mt)
-            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in es])[:, None]
+        for bi, b in enumerate(self.buckets):
+            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in b.edges])[:, None]
             table = None
             if mrf is not None:
-                table = np.array([mrf.theta_edge[e] for e in es]) / rho[:, :, None]
-            self.buckets.append(_Bucket(es, idx_s, idx_t, rho, table))
-            for i, k in enumerate(ks):
-                self.slot[k] = (bi, i)
-            position += [np.repeat(ks, ms), np.repeat(ks, mt)]
-            target += [idx_s.ravel(), idx_t.ravel()]
+                table = np.array([mrf.theta_edge[e] for e in b.edges]) / rho[:, :, None]
+            self.buckets[bi] = _RhoBucket(*b, rho, table)
+            position += [np.repeat(b.pos, b.idx_s.shape[1]), np.repeat(b.pos, b.idx_t.shape[1])]
+            target += [b.idx_s.ravel(), b.idx_t.ravel()]
         # Entries of the concatenated per-bucket (to_s, to_t) contributions,
         # reordered by edge position, and the node entries they add to.
         if position:
@@ -205,7 +200,7 @@ class _FlatMrf:
         return acc
 
     def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
-        return v - np.maximum.reduceat(v, self.offsets)[self.node_of]
+        return v - self.node_max(v)
 
     # --- messages: (to_s, to_t) per bucket ---------------------------------
 
@@ -282,13 +277,11 @@ class _FlatMrf:
         return (new_node, *new_tables)
 
     def pack_pseudo(self, nu: MaxMarginals) -> tuple:
-        return (np.concatenate([np.asarray(v, dtype=float) for v in nu.log_node]),
-                *(np.array([nu.log_edge[e] for e in b.edges], dtype=float)
-                  for b in self.buckets))
+        node, tables = self.pack(nu.log_node, nu.log_edge)
+        return (node, *tables)
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        log_edge = {e: nu[1 + bi][i] for e, (bi, i) in zip(self.edges, self.slot)}
-        return PseudoMaxMarginals(tuple(np.split(nu[0], self.offsets[1:])), log_edge)
+        return PseudoMaxMarginals(*self.unpack(nu[0], nu[1:]))
 
 
 def unit_messages(mrf: PairwiseMrf) -> MessageSet:
@@ -367,9 +360,10 @@ class CertificateResult:
         return self.assignment is not None
 
 
-def _search_common_config(cardinalities, candidates, allowed_pairs, guard):
+def _search_common_config(candidates, edges, allowed, guard):
     """Depth-first search with forward pruning for a configuration whose node
-    states all lie in `candidates` and whose edge pairs are all `allowed`.
+    states all lie in `candidates` and whose pairs on every edge (s, t) of
+    `edges` are allowed: allowed[i][js][jt], one nested list per edge.
 
     Nodes are fixed in order of increasing candidate count; fixing one prunes
     the domains of its later neighbors.  The replaced domains go on an undo
@@ -378,14 +372,14 @@ def _search_common_config(cardinalities, candidates, allowed_pairs, guard):
     (assignment or None, indeterminate).  Complete unless the node guard
     trips, which is reported as indeterminate rather than absence.
     """
-    n = len(cardinalities)
+    n = len(candidates)
     adj = {s: [] for s in range(n)}
-    allowed = {}  # allowed[(s, t)][js][jt], for both orientations
-    for (s, t), m in allowed_pairs.items():
+    pairs = {}  # pairs[(s, t)][js][jt], for both orientations
+    for (s, t), m in zip(edges, allowed):
         adj[s].append(t)
         adj[t].append(s)
-        allowed[(s, t)] = np.asarray(m).tolist()
-        allowed[(t, s)] = np.asarray(m).T.tolist()
+        pairs[(s, t)] = m
+        pairs[(t, s)] = list(zip(*m))
     order = sorted(range(n), key=lambda s: (len(candidates[s]), s))
     rank = {s: i for i, s in enumerate(order)}
     later = [[t for t in adj[s] if rank[t] > pos] for pos, s in enumerate(order)]
@@ -411,7 +405,7 @@ def _search_common_config(cardinalities, candidates, allowed_pairs, guard):
             return None, True
         x[s] = j
         for t in later[pos]:
-            ok = allowed[(s, t)][j]
+            ok = pairs[(s, t)][j]
             keep = [k for k in domains[t] if ok[k]]
             if not keep:
                 break
@@ -427,6 +421,27 @@ def _search_common_config(cardinalities, candidates, allowed_pairs, guard):
     return None, False
 
 
+def _tie_masks(layout: _Layout, node: np.ndarray, tables, tie_tol: float):
+    """The certificate's tie rule: the entries within `tie_tol` of their
+    table's max, on a node vector of `layout` (or a stack of them) and on
+    every table of a list of table stacks."""
+    return (node >= layout.node_max(node) - tie_tol,
+            [m >= m.max(axis=(1, 2), keepdims=True) - tie_tol for m in tables])
+
+
+def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks, guard: int):
+    """`_search_common_config` on tie masks laid out on `layout`: a node
+    vector of candidate states and one stack of allowed pairs per bucket."""
+    pos = np.flatnonzero(node_mask)
+    node = layout.node_of[pos]
+    candidates = [[] for _ in layout.offsets]
+    for s, j in zip(node.tolist(), (pos - layout.offsets[node]).tolist()):
+        candidates[s].append(j)
+    rows = [m.tolist() for m in edge_masks]
+    return _search_common_config(candidates, layout.edges,
+                                 [rows[bi][i] for bi, i in layout.slot], guard)
+
+
 def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
                      tie_tol: float = CERT_TIE_TOL,
                      guard: int = CERT_SEARCH_GUARD) -> CertificateResult:
@@ -436,22 +451,11 @@ def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
     Such an assignment certifies MAP optimality at a fixed point of the
     tree-reweighted updates with valid edge appearance weights.
     """
-    node, allowed = _tie_masks(nu, mrf.edges, tie_tol)
-    candidates = [np.flatnonzero(a).tolist() for a in node]
-    assignment, indet = _search_common_config(mrf.cardinalities, candidates, allowed, guard)
+    layout = _Layout(mrf.cardinalities, mrf.edges)
+    node, tables = layout.pack(nu.log_node, nu.log_edge)
+    assignment, indet = _search_tie_masks(layout, *_tie_masks(layout, node, tables, tie_tol),
+                                          guard)
     return CertificateResult(assignment, indet)
-
-
-def _tie_masks(nu: MaxMarginals, edges, tie_tol: float):
-    """The certificate's tie rule: the entries within `tie_tol` of their
-    table's max, as one boolean vector per node and one boolean matrix per
-    edge of `edges`, keyed in that order."""
-    node = [v >= v.max() - tie_tol for v in nu.log_node]
-    edge = {}
-    for e in edges:
-        m = nu.log_edge[e]
-        edge[e] = m >= m.max() - tie_tol
-    return node, edge
 
 
 def _theta_from_nu(nu: PseudoMaxMarginals, tree: SpanningTree) -> Potentials:
@@ -474,17 +478,31 @@ def _combined_potentials(nu: PseudoMaxMarginals, rho_e) -> Potentials:
     return Potentials(node, edge)
 
 
-def _constant_offset(mrf: PairwiseMrf, combined: Potentials) -> float:
-    """Value of <combined - theta, phi(x)> at the all-zeros configuration."""
-    total = 0.0
-    for s in range(mrf.node_count):
-        total += float(combined.node[s][0]) - float(mrf.theta_node[s][0])
-    for (s, t) in mrf.edges:
-        m = combined.edge.get((s, t))
-        if m is not None:
-            total += float(m[0, 0])
-        total -= float(mrf.theta_edge[(s, t)][0, 0])
-    return total
+class _ZeroOffset:
+    """<combined - theta, phi(x)> at the all-zeros configuration x.
+
+    Called with the combined parameter's first entries: one per node, in
+    node order, and one array per bucket of `layout` for the edges.  The
+    terms are summed node by node, then edge by edge in model order.
+    """
+
+    def __init__(self, mrf: PairwiseMrf, layout: _Layout):
+        where = {e: k for k, e in enumerate(layout.edges)}
+        first = np.cumsum([0] + [len(b.edges) for b in layout.buckets])
+        self.order = np.array([first[bi] + i for bi, i in (layout.slot[where[e]]
+                                                           for e in mrf.edges)], dtype=np.intp)
+        self.theta_node = [float(v[0]) for v in mrf.theta_node]
+        self.theta_edge = [float(mrf.theta_edge[e][0, 0]) for e in mrf.edges]
+
+    def __call__(self, node: np.ndarray, edge) -> float:
+        total = 0.0
+        for c, th in zip(node.tolist(), self.theta_node):
+            total += c - th
+        edge = np.concatenate([*edge, np.zeros(0)])[self.order]
+        for c, th in zip(edge.tolist(), self.theta_edge):
+            total += c
+            total -= th
+        return total
 
 
 def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: PairwiseMrf,
@@ -515,15 +533,18 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
     return float(np.max(np.abs(d - d.mean())))
 
 
-def _bound_value(mrf: PairwiseMrf, nu: PseudoMaxMarginals,
-                 dist: TreeDistribution, rho_e) -> float:
-    """Current upper bound: rho-weighted optimal values of the induced tree
-    problems, corrected by the additive constant separating their combination
-    from theta."""
+def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, rho, nu: tuple) -> float:
+    """Current upper bound from pseudo-max-marginals on `trees.graph` (node
+    vector, then table stacks): rho-weighted optimal values of the induced
+    tree problems, corrected by the additive constant separating their
+    combination from theta."""
+    node, graph = nu[0], trees.graph
+    theta = [(m - node[b.idx_s][:, :, None]) - node[b.idx_t][:, None, :]
+             for b, m in zip(graph.buckets, nu[1:])]
     total = 0.0
-    for tree, w in dist.support_items():
-        total += w * tree_map_value(mrf, tree, _theta_from_nu(nu, tree))
-    return total - _constant_offset(mrf, _combined_potentials(nu, rho_e))
+    for w, value in zip(weights, trees.map_values(node, theta)):
+        total += w * value
+    return total - offset(node[graph.offsets], [r[:, 0] * m[:, 0, 0] for r, m in zip(rho, theta)])
 
 
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
@@ -541,22 +562,28 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     if variant == "reparam":
         # this update sums node corrections in sorted edge order
         flat = _FlatMrf(mrf.cardinalities, sorted(mrf.edges), rho_e, mrf)
-        state, step, to_nu = flat.init_pseudo(), flat.reparameterization_step, flat.pseudo
+        state, step = flat.init_pseudo(), flat.reparameterization_step
+
+        def tables(nu):
+            return nu
     elif variant == "messages":
         flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
-        state, step = flat.unit_messages(), flat.message_step
-
-        def to_nu(msgs):
-            return flat.pseudo(flat.pseudo_from_messages(msgs))
+        state, step, tables = flat.unit_messages(), flat.message_step, flat.pseudo_from_messages
     else:
         raise ValueError(f"unknown variant {variant!r}")
     bound_trace = []
     observe = None
     if dist is not None:
+        support = dist.support_items()
+        trees = _TreeLayout(flat, [tree for tree, _ in support])
+        weights = [w for _, w in support]
+        offset = _ZeroOffset(mrf, flat)
+        rho = [b.rho for b in flat.buckets]
+
         def observe(state):
-            bound_trace.append(_bound_value(mrf, to_nu(state), dist, rho_e))
+            bound_trace.append(_bound_value(trees, weights, offset, rho, tables(state)))
     state, iterations, converged = _iterate(step, state, config, observe)
-    nu = to_nu(state)
+    nu = flat.pseudo(tables(state))
     cert = find_certificate(nu, mrf, config.tie_tol)
     return TrwResult(
         nu=nu,
@@ -596,48 +623,62 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     max-marginal values all agree instead, the state is a fixed point.  Else
     the rho-weighted log tables are merged into a new shared parameter (damped
     against the previous one) and re-split onto the trees.
+
+    The shared parameter is a node vector and one edge-table stack per
+    bucket of the model's layout.  Tree k's parameter is its node tables and
+    its edges' tables scaled by 1/rho, so one `_TreeLayout.solve` runs the DP
+    on every tree at once, and the per-tree results are slot stacks that the
+    merge sums onto the edges in support order.
     """
     if not isinstance(dist, TreeDistribution):
         raise TypeError("tree updates require an explicit tree distribution")
+    if not mrf.edges:
+        raise StructureError("model has no edges")
     config = config or TrwConfig()
     rho_e = edge_appearance(dist, mrf)
     support = dist.support_items()
-    base = mrf.potentials
-    thetas = _split_parameter(mrf, base, dist, rho_e)
+    graph = _Layout(mrf.cardinalities, mrf.edges)
+    trees = _TreeLayout(graph, [tree for tree, _ in support])
+    weights = [w for _, w in support]
+    w = np.array(weights)
+    rho = [np.array([rho_e[e] for e in b.edges])[:, None, None] for b in graph.buckets]
+    offset = _ZeroOffset(mrf, graph)
+    node, edge = graph.pack(mrf.theta_node, mrf.theta_edge)
     bound_trace = []
     converged = False
     terminated_by = "max_iterations"
     certificate = None
     indeterminate = False
-    nus = None
     units_per_iter = sum(len(t.edges) for t, _ in support) / len(mrf.edges)
-    iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        solved = {tree: _tree_dp(mrf, tree, thetas[tree]) for tree, _ in support}
-        nus = {tree: nu for tree, (nu, _) in solved.items()}
-        combined = _weighted_sum(mrf, ((w, thetas[tree]) for tree, w in support))
-        bound_trace.append(sum(w * solved[tree][1] for tree, w in support)
-                           - _constant_offset(mrf, combined))
-        certificate, indeterminate = _shared_tree_optimum(mrf, nus, support, config.tie_tol)
+        split = [m / r for m, r in zip(edge, rho)]
+        node_mm, edge_mm, values = trees.solve(node, split)
+        # the offset sums the tree parameters over the trees, as the bound
+        # is defined; taking `node` and `edge` as their sum instead would
+        # move the bound in the last ulps
+        firsts = node[graph.offsets]
+        combined = _tree_sum(trees, w, np.broadcast_to(firsts, (len(w), len(firsts))),
+                             [m[sl.row, 0, 0] for sl, m in zip(trees.slots, split)])
+        bound_trace.append(sum(wk * v for wk, v in zip(weights, values)) - offset(*combined))
+        certificate, indeterminate = _shared_tree_optimum(
+            trees, *_tie_masks(graph, node_mm, edge_mm, config.tie_tol))
         if certificate is not None:
             converged = True
             terminated_by = "tree_agreement"
             break
-        if _max_marginals_agree(nus, support, config.tol):
+        if _tree_tables_agree(trees, node_mm, edge_mm, config.tol):
             converged = True
             terminated_by = "max_marginal_agreement"
             break
-        merged = _merge_tree_potentials(mrf, nus, support)
-        damped_node = tuple(_damp(np.asarray(m), np.asarray(o), config.damping)
-                            for m, o in zip(merged.node, base.node))
-        damped_edge = {e: _damp(np.asarray(merged.edge[e]),
-                                np.asarray(base.edge_or_zero(e, mrf.theta_edge[e].shape)),
-                                config.damping)
-                       for e in mrf.edges}
-        base = Potentials(damped_node, damped_edge)
-        thetas = _split_parameter(mrf, base, dist, rho_e)
-    tables = ((w, Potentials(nus[tree].log_node, nus[tree].log_edge)) for tree, w in support)
-    nu = _assemble_nu(_weighted_sum(mrf, tables), rho_e)
+        stacked = node_mm.ravel()
+        theta = [(m - stacked[sl.node_s][:, :, None]) - stacked[sl.node_t][:, None, :]
+                 for sl, m in zip(trees.slots, edge_mm)]
+        merged_node, merged_edge = _tree_sum(trees, w, node_mm, theta)
+        node = _damp(merged_node, node, config.damping)
+        edge = [_damp(m, old, config.damping) for m, old in zip(merged_edge, edge)]
+    total_node, total_edge = _tree_sum(trees, w, node_mm, edge_mm)
+    nu = PseudoMaxMarginals(*graph.unpack(total_node - graph.node_max(total_node),
+                                          [_normalized(m / r) for m, r in zip(total_edge, rho)]))
     return TrwResult(
         nu=nu,
         iterations=iterations,
@@ -650,6 +691,22 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
         terminated_by=terminated_by,
         messages_per_edge=units_per_iter * iterations,
     )
+
+
+def _tree_sum(trees: _TreeLayout, w: np.ndarray, node: np.ndarray, slot_tables) -> tuple:
+    """Sum over the trees of w_k times tree k's tables, in tree order: node
+    tables from a stack over the trees (first axis), edge tables from one
+    stack per bucket over its slots, each slot added onto its edge's row.
+    An edge sums over the trees that hold it."""
+    total = np.zeros(node.shape[1:])
+    for wk, v in zip(w, node):
+        total = total + wk * v
+    edge = []
+    for b, sl, tables in zip(trees.graph.buckets, trees.slots, slot_tables):
+        acc = np.zeros((len(b.edges),) + tables.shape[1:])
+        np.add.at(acc, sl.row, w[sl.tree].reshape((-1,) + (1,) * (tables.ndim - 1)) * tables)
+        edge.append(acc)
+    return total, edge
 
 
 def _weighted_sum(mrf: PairwiseMrf, terms) -> Potentials:
@@ -670,53 +727,32 @@ def _merge_tree_potentials(mrf, nus, support) -> Potentials:
     return _weighted_sum(mrf, ((w, _theta_from_nu(nus[tree], tree)) for tree, w in support))
 
 
-def _shared_tree_optimum(mrf, nus, support, tie_tol):
-    """Configuration optimal for every supported tree, if one exists.
+def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks):
+    """Configuration optimal for every tree, if one exists, from per-tree tie
+    masks: a (T, N) node stack and per bucket one mask per slot.
 
     Node candidates are the intersection of per-tree nodewise argmax sets;
     edge pairs must be argmax pairs in every tree containing the edge.  Local
     optimality on a tree characterizes its optimal set exactly, so this search
     decides non-emptiness of the intersection of the tree optima.
     """
-    node, allowed = None, {}
-    for tree, _ in support:
-        t_node, t_edge = _tie_masks(nus[tree], tree.edges, tie_tol)
-        node = t_node if node is None else [a & b for a, b in zip(node, t_node)]
-        for e, a in t_edge.items():
-            allowed[e] = allowed[e] & a if e in allowed else a
-    if not all(a.any() for a in node) or not all(a.any() for a in allowed.values()):
+    node = node_masks.all(axis=0)
+    allowed = [np.logical_and.reduceat(m[sl.by_edge], sl.starts, axis=0)
+               for sl, m in zip(trees.slots, edge_masks)]
+    if not (np.logical_or.reduceat(node, trees.graph.offsets).all()
+            and all(a.any(axis=(1, 2)).all() for a in allowed)):
         return None, False
-    candidates = [np.flatnonzero(a).tolist() for a in node]
-    cards = mrf.cardinalities
-    allowed = {(s, t): allowed.get((s, t), np.ones((cards[s], cards[t]), dtype=bool))
-               for (s, t) in mrf.edges}
-    return _search_common_config(cards, candidates, allowed, CERT_SEARCH_GUARD)
+    return _search_tie_masks(trees.graph, node, allowed, CERT_SEARCH_GUARD)
 
 
-def _max_marginals_agree(nus, support, tol) -> bool:
-    trees = [t for t, _ in support]
-    first = nus[trees[0]]
-    for other_tree in trees[1:]:
-        other = nus[other_tree]
-        for a, b in zip(first.log_node, other.log_node):
-            if np.max(np.abs(a - b)) >= tol:
-                return False
-    for i, ta in enumerate(trees):
-        for tb in trees[i + 1:]:
-            shared = set(ta.edges) & set(tb.edges)
-            for e in shared:
-                if np.max(np.abs(nus[ta].log_edge[e] - nus[tb].log_edge[e])) >= tol:
-                    return False
+def _tree_tables_agree(trees: _TreeLayout, node_mm: np.ndarray, edge_mm, tol: float) -> bool:
+    """Whether the per-tree max-marginals agree within tol: each tree's node
+    tables with the first tree's, and on every edge the tables of all trees
+    holding it (their spread, max minus min, is the largest pairwise gap)."""
+    if not np.all(np.abs(node_mm[1:] - node_mm[0]) < tol):
+        return False
+    for sl, m in zip(trees.slots, edge_mm):
+        m = m[sl.by_edge]
+        if not np.all(np.maximum.reduceat(m, sl.starts) - np.minimum.reduceat(m, sl.starts) < tol):
+            return False
     return True
-
-
-def _assemble_nu(total: Potentials, rho_e) -> PseudoMaxMarginals:
-    """Graph-wide tables from the rho-weighted sum of the per-tree log tables:
-    node sums as they are, edge sums divided by rho_e, the weight of the trees
-    containing the edge, each max-normalized (diagnostic view; exact when the
-    trees agree)."""
-    edge = {}
-    for e, m in total.edge.items():
-        m = m / rho_e[e]
-        edge[e] = m - m.max()
-    return PseudoMaxMarginals(tuple(v - v.max() for v in total.node), edge)

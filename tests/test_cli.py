@@ -1,9 +1,11 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
-from trwmap import save_model, save_tree_distribution, uniform_tree_distribution
+from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
+                    uniform_tree_distribution)
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import diamond_mrf, triangle_mrf
 
@@ -96,6 +98,29 @@ class TestSolve:
         code, out = run_cli(["solve", triangle_file(1.0), "--method", "trw-msg",
                              "--rho", "file"])
         assert code == 1
+
+    def test_trw_tree_on_edgeless_model_is_error(self, tmp_path):
+        path = tmp_path / "one_node.json"
+        path.write_bytes(save_model(PairwiseMrf((2,), (), (np.array([0.0, 1.0]),), {})))
+        code, out = run_cli(["solve", str(path), "--method", "trw-tree"])
+        assert code == 1
+        assert out == "error: model has no edges\n"
+
+    @pytest.mark.parametrize("rho_e, message", [
+        ({"0,1": 0.5, "0,2": 0.5, "1,2": 0.5, "5,9": 0.5},
+         "rho_e given on (5, 9), which is not a graph edge"),
+        ({"0,1": 0.5, "0,2": float("nan"), "1,2": 0.5},
+         "rho_e on edge (0, 2) is not finite: nan"),
+        ({"0,1": 0.5, "0,2": 0.5, "1,2": float("inf")},
+         "rho_e on edge (1, 2) is not finite: inf"),
+    ])
+    def test_rho_e_file_is_validated(self, triangle_file, tmp_path, rho_e, message):
+        tpath = tmp_path / "rho.json"
+        tpath.write_text(json.dumps({"rho_e": rho_e}))
+        code, out = run_cli(["solve", triangle_file(1.0), "--method", "trw-msg",
+                             "--rho", "file", "--trees", str(tpath)])
+        assert code == 1
+        assert out == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
-"""The bucketed array kernels reproduce the per-edge dict kernels bit for bit."""
+"""The bucketed array kernels and the level-batched tree DP reproduce the
+per-edge dict kernels bit for bit."""
 
 import io
 import sys
@@ -8,12 +9,17 @@ import numpy as np
 import pytest
 
 import trw_reference as ref
-from trwmap import (MessageSet, PairwiseMrf, TrwConfig, cli, find_certificate,
-                    init_pseudo, message_step, messages_to_pseudo,
-                    reparameterization_step, run_trw, uniform_rho, unit_messages)
-from trwmap.trees import grid_edges
+from trwmap import (MessageSet, PairwiseMrf, SpanningTree, TreeDistribution, TrwConfig,
+                    cli, edge_appearance, find_certificate, init_pseudo, message_step,
+                    messages_to_pseudo, reparameterization_step, run_tree_updates, run_trw,
+                    tree_map_value, tree_max_marginals, uniform_rho,
+                    uniform_tree_distribution, unit_messages)
+from trwmap.examples import triangle_mrf
+from trwmap.trees import grid_edges, grid_two_tree_distribution
+from trwmap.treedp import MaxMarginals, _Layout, _TreeLayout
+from trwmap.trw import _split_parameter, _tree_tables_agree
 
-from conftest import random_graph_mrf
+from conftest import random_graph_mrf, random_tree_mrf
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,3 +154,125 @@ def test_experiment_csv_is_byte_identical_to_golden():
                      "--verify-oracle"], out=out)
     assert code == 0
     assert out.getvalue().encode("utf-8") == (DATA / "experiment_mixed_4x4_seed7.csv").read_bytes()
+
+
+# --- tree layer ---------------------------------------------------------------
+
+def reweighted(dist, rng, zero_first=False, reverse=False):
+    """The distribution's trees, reversed if asked, under random weights;
+    with zero_first, the first listed tree gets weight zero."""
+    trees = dist.trees[::-1] if reverse else dist.trees
+    w = rng.uniform(0.5, 1.5, len(trees))
+    if zero_first:
+        w[0] = 0.0
+    return TreeDistribution(dist.node_count, trees, w / w.sum())
+
+
+def tree_cases():
+    """(model, tree distribution) pairs: random graphs with 2 or 3 states
+    under all their spanning trees, grids under the two-tree distribution,
+    a distribution holding a zero-weight tree, one listing its trees out of
+    sorted order, a model whose edges are not sorted and a frustrated
+    triangle, whose trees agree on max-marginals but share no optimum."""
+    cases = []
+    for seed in (9400, 9402, 9403, 9407):
+        mrf = random_graph_mrf(np.random.default_rng(seed), n_nodes=5)
+        cases.append((mrf, uniform_tree_distribution(mrf)))
+    spec = cli.ExperimentSpec(4, 4, "attractive", (1.0,), 2, 20240817)
+    cases.append((cli._draw_grid_model(spec, 0, 1), grid_two_tree_distribution(4, 4)))
+    cases.append((mixed_grid(np.random.default_rng(9201), 3, 4), grid_two_tree_distribution(3, 4)))
+    rng = np.random.default_rng(9500)
+    mrf = random_graph_mrf(rng, n_nodes=5, extra_edge_prob=0.5)
+    dist = uniform_tree_distribution(mrf)
+    cases.append((mrf, reweighted(dist, rng, zero_first=True)))
+    unsorted = reweighted(dist, rng, reverse=True)
+    assert list(unsorted.trees) != sorted(unsorted.trees, key=lambda t: t.edges)
+    cases.append((mrf, unsorted))
+    edges = tuple(mrf.edges[i] for i in rng.permutation(len(mrf.edges)))
+    assert edges != tuple(sorted(edges))
+    cases.append((PairwiseMrf(mrf.cardinalities, edges, mrf.theta_node, mrf.theta_edge), dist))
+    triangle = triangle_mrf(-1.0)
+    cases.append((triangle, uniform_tree_distribution(triangle)))
+    return cases
+
+
+TREE_CASES = tree_cases()
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+@pytest.mark.parametrize("index", range(len(TREE_CASES)))
+def test_run_tree_updates_matches_reference_loop(index, damping):
+    mrf, dist = TREE_CASES[index]
+    config = TrwConfig(damping=damping, max_iterations=25)
+    result = run_tree_updates(mrf, dist, config)
+    want = ref.run_tree_updates(mrf, dist, config)
+    for field in ("iterations", "converged", "terminated_by", "certificate_indeterminate",
+                  "messages_per_edge"):
+        assert getattr(result, field) == want[field], field
+    assert (result.certificate is None) == (want["certificate"] is None)
+    if want["certificate"] is not None:
+        assert np.array_equal(result.certificate, want["certificate"])
+    assert np.array_equal(result.bound_trace, want["bound_trace"])
+    assert_pseudo_equal(result.nu, want["nu"])
+
+
+def test_tree_cases_reach_every_stopping_rule():
+    reasons = {run_tree_updates(mrf, dist, TrwConfig(max_iterations=25)).terminated_by
+               for mrf, dist in TREE_CASES}
+    assert reasons == {"tree_agreement", "max_marginal_agreement", "max_iterations"}
+
+
+@pytest.mark.parametrize("index", range(len(TREE_CASES)))
+def test_tree_dp_matches_reference(index):
+    mrf, dist = TREE_CASES[index]
+    rho = edge_appearance(dist, mrf)
+    thetas = _split_parameter(mrf, mrf.potentials, dist, rho)
+    for tree, theta in thetas.items():
+        assert_pseudo_equal(tree_max_marginals(mrf, tree, theta),
+                            ref.tree_max_marginals(mrf, tree, theta))
+        assert tree_map_value(mrf, tree, theta) == ref.tree_map_value(mrf, tree, theta)
+    tree_model = random_tree_mrf(np.random.default_rng(index), n_nodes=6)
+    tree = SpanningTree(tree_model.edges)
+    assert_pseudo_equal(tree_max_marginals(tree_model, tree),
+                        ref.tree_max_marginals(tree_model, tree))
+    assert tree_map_value(tree_model, tree) == ref.tree_map_value(tree_model, tree)
+
+
+@pytest.mark.parametrize("variant", ["messages", "reparam"])
+def test_run_trw_bound_trace_and_certificate_match_reference(variant):
+    for mrf, dist in TREE_CASES:
+        rho = edge_appearance(dist, mrf)
+        config = TrwConfig(max_iterations=15)
+        result = run_trw(mrf, dist, config, variant=variant)
+        bounds = []
+        nu, _, _, _ = ref.run(mrf, rho, config.damping, config.tol, config.max_iterations,
+                              variant, lambda nu: bounds.append(ref.bound_value(mrf, nu, dist, rho)))
+        assert np.array_equal(result.bound_trace, bounds)
+        assignment, indeterminate = ref.find_certificate(nu, mrf, config.tie_tol)
+        assert result.certificate_indeterminate == indeterminate
+        assert (result.certificate is None) == (assignment is None)
+        if assignment is not None:
+            assert np.array_equal(result.certificate, assignment)
+
+
+def test_tree_agreement_compares_every_pair_of_trees_on_an_edge():
+    # three trees hold edge (0, 1); the first lies within tol of the other
+    # two, which are 1.2 tol apart, so the trees do not agree
+    cards = (2,) * 4
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+    trees = [SpanningTree(t) for t in (((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3)),
+                                       ((0, 1), (0, 3), (1, 2)))]
+    tol, shift = 1e-8, (0.0, 0.6e-8, -0.6e-8)
+    layout = _TreeLayout(_Layout(cards, edges), trees)
+    node_mm = np.zeros((len(trees), layout.graph.size))
+    edge_mm = [np.array([np.full((2, 2), shift[k] if b.edges[i] == (0, 1) else 0.0)
+                         for k, i in zip(sl.tree, sl.row)])
+               for b, sl in zip(layout.graph.buckets, layout.slots)]
+    nus = {tree: MaxMarginals((np.zeros(2),) * 4,
+                              {e: np.full((2, 2), shift[k] if e == (0, 1) else 0.0)
+                               for e in tree.edges})
+           for k, tree in enumerate(trees)}
+    support = [(tree, 1 / 3) for tree in trees]
+    assert not ref._max_marginals_agree(nus, support, tol)
+    assert not _tree_tables_agree(layout, node_mm, edge_mm, tol)
+    assert _tree_tables_agree(layout, node_mm, edge_mm, 2e-8)

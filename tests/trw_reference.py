@@ -1,15 +1,23 @@
-"""Dict-of-tables reference implementations of the synchronous TRW kernels.
+"""Dict-of-tables reference implementations of the TRW kernels and the tree
+layer.
 
 These are the per-edge loops the library used before its compute moved to
-the bucketed array layout in `trwmap.trw`.  They are kept only as a test
-oracle: the array kernels must reproduce them bit for bit, which holds
-because both perform the same floating-point operations per table entry in
-the same order (node sums accumulate in edge order).
+the bucketed array layouts in `trwmap.trw` and `trwmap.treedp`: the
+synchronous steps, the two-pass tree DP and the tree-based update loop.
+They are kept only as a test oracle: the array code must reproduce them bit
+for bit, which holds because both perform the same floating-point
+operations per table entry in the same order (node sums accumulate in edge
+order, incoming tree messages in adjacency order, sums over trees in
+support order).
 """
 
 import numpy as np
 
-from trwmap import MessageSet, PseudoMaxMarginals
+from trwmap import MessageSet, Potentials, PseudoMaxMarginals, TrwConfig, edge_appearance
+from trwmap.treedp import MaxMarginals, _check_tree_potentials
+from trwmap.trw import (CERT_SEARCH_GUARD, _combined_potentials, _merge_tree_potentials,
+                        _search_common_config, _split_parameter, _theta_from_nu,
+                        _weighted_sum)
 
 
 def _damp(new, old, lam):
@@ -109,27 +117,253 @@ def unit_messages(mrf):
     return MessageSet(logs)
 
 
-def run(mrf, rho_e, damping, tol, max_iterations, variant):
+def run(mrf, rho_e, damping, tol, max_iterations, variant, observe=None):
     """The synchronous iteration loop: (final pseudo-max-marginals, final
-    messages or None, iterations, converged)."""
+    messages or None, iterations, converged).  `observe`, when given, sees
+    the pseudo-max-marginals of the start and of every iterate."""
     converged = False
     iterations = 0
+    observe = observe or (lambda nu: None)
     if variant == "reparam":
         state, messages = init_pseudo(mrf, rho_e), None
+        observe(state)
         for iterations in range(1, max_iterations + 1):
             new = reparameterization_step(state, rho_e, damping)
             delta = new.max_log_change(state)
             state = new
+            observe(state)
             if delta < tol:
                 converged = True
                 break
         return state, None, iterations, converged
     messages = unit_messages(mrf)
+    observe(messages_to_pseudo(messages, mrf, rho_e))
     for iterations in range(1, max_iterations + 1):
         new = message_step(messages, mrf, rho_e, damping)
         delta = new.max_log_change(messages)
         messages = new
+        observe(messages_to_pseudo(messages, mrf, rho_e))
         if delta < tol:
             converged = True
             break
     return messages_to_pseudo(messages, mrf, rho_e), messages, iterations, converged
+
+
+# --- tree layer: the dict DP and the tree-based update loop -------------------
+
+def _oriented(theta, a, b, cards):
+    key = (a, b) if a < b else (b, a)
+    m = theta.edge.get(key)
+    if m is None:
+        m = np.zeros((cards[key[0]], cards[key[1]]))
+    m = np.asarray(m)
+    return m if a < b else m.T
+
+
+def _upward_pass(mrf, tree, theta):
+    """Leaves-to-root half of the DP rooted at node 0: the max-normalized
+    messages toward the root (msg[(u, v)] from u to v, indexed by states of
+    v), the adjacency, parent map and visit order, and the optimal value."""
+    _check_tree_potentials(mrf, tree, theta)
+    n = mrf.node_count
+    cards = mrf.cardinalities
+    adj = tree.neighbors(n)
+    parent = tree.parent_map(n, 0)
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in adj[u]:
+            if v != parent[u]:
+                stack.append(v)
+    msg = {}
+    removed = 0.0
+    for u in reversed(order):
+        p = parent[u]
+        if p < 0:
+            continue
+        vec = np.asarray(theta.node[u], dtype=float).copy()
+        for c in adj[u]:
+            if c != p:
+                vec = vec + msg[(c, u)]
+        out = np.max(_oriented(theta, p, u, cards) + vec[None, :], axis=1)
+        top = out.max()
+        msg[(u, p)] = out - top
+        removed += float(top)
+    root = np.asarray(theta.node[0], dtype=float).copy()
+    for v in adj[0]:
+        root = root + msg[(v, 0)]
+    return msg, adj, parent, order, float(root.max()) + removed
+
+
+def _tree_dp(mrf, tree, theta):
+    """Exact two-pass max-product on the tree: (max-marginals, optimal value)."""
+    msg, adj, parent, order, value = _upward_pass(mrf, tree, theta)
+    cards = mrf.cardinalities
+    for u in order:
+        for v in adj[u]:
+            if v == parent[u]:
+                continue
+            vec = np.asarray(theta.node[u], dtype=float).copy()
+            for c in adj[u]:
+                if c != v:
+                    vec = vec + msg[(c, u)]
+            out = np.max(_oriented(theta, v, u, cards) + vec[None, :], axis=1)
+            msg[(u, v)] = out - out.max()
+    log_node = []
+    for s in range(mrf.node_count):
+        vec = np.asarray(theta.node[s], dtype=float).copy()
+        for v in adj[s]:
+            vec = vec + msg[(v, s)]
+        log_node.append(vec - vec.max())
+    log_edge = {}
+    for (s, t) in tree.edges:
+        left = np.asarray(theta.node[s], dtype=float).copy()
+        for v in adj[s]:
+            if v != t:
+                left = left + msg[(v, s)]
+        right = np.asarray(theta.node[t], dtype=float).copy()
+        for v in adj[t]:
+            if v != s:
+                right = right + msg[(v, t)]
+        m = _oriented(theta, s, t, cards) + left[:, None] + right[None, :]
+        log_edge[(s, t)] = m - m.max()
+    return MaxMarginals(tuple(log_node), log_edge), value
+
+
+def tree_max_marginals(mrf, tree, theta=None):
+    return _tree_dp(mrf, tree, theta if theta is not None else mrf.potentials)[0]
+
+
+def tree_map_value(mrf, tree, theta=None):
+    return _upward_pass(mrf, tree, theta if theta is not None else mrf.potentials)[-1]
+
+
+def _constant_offset(mrf, combined):
+    """Value of <combined - theta, phi(x)> at the all-zeros configuration."""
+    total = 0.0
+    for s in range(mrf.node_count):
+        total += float(combined.node[s][0]) - float(mrf.theta_node[s][0])
+    for (s, t) in mrf.edges:
+        m = combined.edge.get((s, t))
+        if m is not None:
+            total += float(m[0, 0])
+        total -= float(mrf.theta_edge[(s, t)][0, 0])
+    return total
+
+
+def bound_value(mrf, nu, dist, rho_e):
+    """The explicit-tree upper bound of `run_trw` at pseudo-max-marginals nu."""
+    total = 0.0
+    for tree, w in dist.support_items():
+        total += w * tree_map_value(mrf, tree, _theta_from_nu(nu, tree))
+    return total - _constant_offset(mrf, _combined_potentials(nu, rho_e))
+
+
+def _tie_masks(nu, edges, tie_tol):
+    node = [v >= v.max() - tie_tol for v in nu.log_node]
+    edge = {}
+    for e in edges:
+        m = nu.log_edge[e]
+        edge[e] = m >= m.max() - tie_tol
+    return node, edge
+
+
+def _search(mrf, node, allowed, guard):
+    candidates = [np.flatnonzero(a).tolist() for a in node]
+    return _search_common_config(candidates, mrf.edges,
+                                 [np.asarray(allowed[e]).tolist() for e in mrf.edges], guard)
+
+
+def find_certificate(nu, mrf, tie_tol):
+    """(assignment or None, indeterminate) of the certificate search."""
+    node, allowed = _tie_masks(nu, mrf.edges, tie_tol)
+    return _search(mrf, node, allowed, CERT_SEARCH_GUARD)
+
+
+def _shared_tree_optimum(mrf, nus, support, tie_tol):
+    node, allowed = None, {}
+    for tree, _ in support:
+        t_node, t_edge = _tie_masks(nus[tree], tree.edges, tie_tol)
+        node = t_node if node is None else [a & b for a, b in zip(node, t_node)]
+        for e, a in t_edge.items():
+            allowed[e] = allowed[e] & a if e in allowed else a
+    if not all(a.any() for a in node) or not all(a.any() for a in allowed.values()):
+        return None, False
+    cards = mrf.cardinalities
+    allowed = {(s, t): allowed.get((s, t), np.ones((cards[s], cards[t]), dtype=bool))
+               for (s, t) in mrf.edges}
+    return _search(mrf, node, allowed, CERT_SEARCH_GUARD)
+
+
+def _max_marginals_agree(nus, support, tol):
+    trees = [t for t, _ in support]
+    first = nus[trees[0]]
+    for other_tree in trees[1:]:
+        other = nus[other_tree]
+        for a, b in zip(first.log_node, other.log_node):
+            if np.max(np.abs(a - b)) >= tol:
+                return False
+    for i, ta in enumerate(trees):
+        for tb in trees[i + 1:]:
+            shared = set(ta.edges) & set(tb.edges)
+            for e in shared:
+                if np.max(np.abs(nus[ta].log_edge[e] - nus[tb].log_edge[e])) >= tol:
+                    return False
+    return True
+
+
+def _assemble_nu(total, rho_e):
+    edge = {}
+    for e, m in total.edge.items():
+        m = m / rho_e[e]
+        edge[e] = m - m.max()
+    return PseudoMaxMarginals(tuple(v - v.max() for v in total.node), edge)
+
+
+def run_tree_updates(mrf, dist, config=None):
+    """The tree-based update loop, one dict DP per tree per iteration: a dict
+    with the fields of `TrwResult` it fills."""
+    config = config or TrwConfig()
+    rho_e = edge_appearance(dist, mrf)
+    support = dist.support_items()
+    base = mrf.potentials
+    thetas = _split_parameter(mrf, base, dist, rho_e)
+    bound_trace = []
+    converged = False
+    terminated_by = "max_iterations"
+    certificate = None
+    indeterminate = False
+    nus = None
+    units_per_iter = sum(len(t.edges) for t, _ in support) / len(mrf.edges)
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        solved = {tree: _tree_dp(mrf, tree, thetas[tree]) for tree, _ in support}
+        nus = {tree: nu for tree, (nu, _) in solved.items()}
+        combined = _weighted_sum(mrf, ((w, thetas[tree]) for tree, w in support))
+        bound_trace.append(sum(w * solved[tree][1] for tree, w in support)
+                           - _constant_offset(mrf, combined))
+        certificate, indeterminate = _shared_tree_optimum(mrf, nus, support, config.tie_tol)
+        if certificate is not None:
+            converged = True
+            terminated_by = "tree_agreement"
+            break
+        if _max_marginals_agree(nus, support, config.tol):
+            converged = True
+            terminated_by = "max_marginal_agreement"
+            break
+        merged = _merge_tree_potentials(mrf, nus, support)
+        damped_node = tuple(_damp(np.asarray(m), np.asarray(o), config.damping)
+                            for m, o in zip(merged.node, base.node))
+        damped_edge = {e: _damp(np.asarray(merged.edge[e]),
+                                np.asarray(base.edge_or_zero(e, mrf.theta_edge[e].shape)),
+                                config.damping)
+                       for e in mrf.edges}
+        base = Potentials(damped_node, damped_edge)
+        thetas = _split_parameter(mrf, base, dist, rho_e)
+    tables = ((w, Potentials(nus[tree].log_node, nus[tree].log_edge)) for tree, w in support)
+    return dict(nu=_assemble_nu(_weighted_sum(mrf, tables), rho_e), iterations=iterations,
+                converged=converged, certificate=certificate,
+                certificate_indeterminate=indeterminate, bound_trace=tuple(bound_trace),
+                terminated_by=terminated_by, messages_per_edge=units_per_iter * iterations)
