@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .model import (MrfError, PairwiseMrf, ising_to_overcomplete, load_model,
 from .trees import (TreeDistribution, grid_edges, grid_two_tree_distribution,
                     load_tree_distribution, uniform_tree_distribution)
 from .treedp import brute_force_map, check_edge_consistency
-from .trw import (TrwConfig, TrwResult, check_reparameterization, run_trw,
+from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, check_reparameterization, run_trw,
                   run_tree_updates, uniform_rho)
 from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
 
@@ -87,13 +88,13 @@ def _draw_grid_model(spec: ExperimentSpec, gamma_index: int, trial: int) -> Pair
     return ising_to_overcomplete(node_w, edge_w)
 
 
-def _unique_correct_fraction(result: TrwResult, opt_set, tie_tol: float) -> float:
+def _unique_correct_fraction(result: TrwResult, opt_set) -> float:
     """Of the nodes whose table has a unique maximizer, the fraction whose
     maximizing state occurs in some oracle-optimal configuration."""
     opts = list(opt_set.configurations)
     unique, correct = 0, 0
     for s, v in enumerate(result.nu.log_node):
-        top = [j for j in range(len(v)) if v[j] >= v.max() - tie_tol]
+        top = [j for j in range(len(v)) if v[j] >= v.max() - CERT_TIE_TOL]
         if len(top) != 1:
             continue
         unique += 1
@@ -123,7 +124,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
                     value, opt = oracle
                     match = bool(cert is not None
                                  and abs(score(mrf, cert) - value) <= 1e-9)
-                    frac = _unique_correct_fraction(res, opt, config.tie_tol)
+                    frac = _unique_correct_fraction(res, opt)
                 records.append(ExperimentRecord(
                     gamma=float(gamma), trial=trial, method=method,
                     messages_per_edge=float(res.messages_per_edge),
@@ -155,22 +156,17 @@ def _trw_config(args) -> TrwConfig:
 
 
 def _load_distribution(args, mrf):
-    if args.rho == "file":
-        if not args.trees:
-            raise MrfError("--rho file requires --trees FILE")
-        with open(args.trees, "rb") as fh:
-            return load_tree_distribution(fh.read(), node_count=mrf.node_count)
-    return None
+    if args.trees is None:
+        return None
+    with open(args.trees, "rb") as fh:
+        return load_tree_distribution(fh.read(), node_count=mrf.node_count)
 
 
 def _print_invariants(out, mrf, result, dist):
     rep = check_edge_consistency(result.nu)
     out.write(f"edge-consistency max deviation: {rep.max_deviation:.3e}\n")
     if isinstance(dist, TreeDistribution):
-        states = 1
-        for m in mrf.cardinalities:
-            states *= m
-        if states <= 2 ** 20:
+        if math.prod(mrf.cardinalities) <= 2 ** 20:
             dev = check_reparameterization(result.nu, dist, mrf)
             out.write(f"reparameterization deviation: {dev:.3e}\n")
         if result.bound_trace:
@@ -195,6 +191,7 @@ def cmd_solve(args, out) -> int:
 
 
 def _solve_report(args, mrf, out) -> int:
+    dist = _load_distribution(args, mrf)
     if args.method == "brute":
         value, opt = brute_force_map(mrf)
         out.write(f"value: {value!r}\n")
@@ -213,7 +210,6 @@ def _solve_report(args, mrf, out) -> int:
             return 0
         return 2
     config = _trw_config(args)
-    dist = _load_distribution(args, mrf)
     if args.method == "maxprod":
         result = run_trw(mrf, {e: 1.0 for e in mrf.edges}, config, variant="messages")
     elif args.method == "trw-msg":
@@ -238,10 +234,7 @@ def _solve_report(args, mrf, out) -> int:
     out.write("certificate: " + "".join(str(v) for v in cert) + "\n")
     out.write(f"value: {score(mrf, cert)!r}\n")
     if args.verify_oracle:
-        states = 1
-        for m in mrf.cardinalities:
-            states *= m
-        if states <= GRID_VERIFY_LIMIT:
+        if math.prod(mrf.cardinalities) <= GRID_VERIFY_LIMIT:
             value, _ = brute_force_map(mrf)
             ok = abs(score(mrf, cert) - value) <= 1e-9
             out.write(f"oracle-match: {'true' if ok else 'false'}\n")
@@ -292,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a model document")
     p_solve.add_argument("model")
     p_solve.add_argument("--method", choices=METHODS, required=True)
-    p_solve.add_argument("--rho", choices=("uniform", "file"), default="uniform")
     p_solve.add_argument("--trees", metavar="FILE")
     add_trw_flags(p_solve)
 

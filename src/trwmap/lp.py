@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .model import CapacityError, Edge, PairwiseMrf, StructureError
+from .model import Edge, PairwiseMrf, StructureError
 from .trees import TreeDistribution
-from .treedp import MaxMarginals
+from .treedp import MaxMarginals, _guard_states
 
 if TYPE_CHECKING:
     from .trw import MessageSet
@@ -268,11 +268,7 @@ def in_marginal_polytope(tau: Pseudomarginal, mrf: PairwiseMrf,
     whose node and edge expectations reproduce tau?  Solved as a phase-1
     feasibility LP with one variable per configuration."""
     cards = mrf.cardinalities
-    total = 1
-    for m in cards:
-        total *= m
-        if total > max_states:
-            raise CapacityError(f"joint state space exceeds guard of {max_states}")
+    total = _guard_states(cards, max_states)
     states = np.stack(np.unravel_index(np.arange(total), cards), axis=1)
     rows = [np.ones(total)]
     rhs = [1.0]

@@ -51,10 +51,6 @@ class Potentials:
     node: tuple
     edge: Mapping[Edge, np.ndarray]
 
-    def edge_or_zero(self, e: Edge, shape) -> np.ndarray:
-        t = self.edge.get(e)
-        return t if t is not None else np.zeros(shape)
-
 
 @dataclass(frozen=True)
 class PairwiseMrf:

@@ -59,12 +59,6 @@ class MaxMarginals:
         m = self.log_edge[(s, t) if s < t else (t, s)]
         return np.exp(m if s < t else m.T)
 
-    def normalized(self) -> "MaxMarginals":
-        return type(self)(
-            tuple(v - v.max() for v in self.log_node),
-            {e: m - m.max() for e, m in self.log_edge.items()},
-        )
-
     def max_log_change(self, other: "MaxMarginals") -> float:
         d = 0.0
         for a, b in zip(self.log_node, other.log_node):

@@ -35,11 +35,10 @@ iteration runs one `_TreeLayout.solve` for all trees, which gives both the
 max-marginals and the tree values of the bound, and the split, the merge,
 the damping, the tie masks and the agreement test are array operations.
 Sums over trees run in support order (`_tree_sum`).  The certificate's tie
-rule, the entries within `tie_tol` of their table's max, is `_tie_masks`,
-shared by `find_certificate` and the tree schedule.  `_weighted_sum` and the
-dict helpers `_split_parameter`, `_merge_tree_potentials` and
-`_theta_from_nu` state the tree-based update on `Potentials`, for
-`check_reparameterization` and the tests.
+rule, the entries within `CERT_TIE_TOL` of their table's max, is
+`_tie_masks`, shared by `find_certificate` and the tree schedule.
+`check_reparameterization` builds the rho-weighted combination of the tree
+parameters on the same layout.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .model import Edge, PairwiseMrf, Potentials, StructureError
-from .trees import SpanningTree, TreeDistribution, edge_appearance
+from .trees import TreeDistribution, edge_appearance
 from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _TreeLayout,
                      assignment_scores)
 
@@ -82,7 +81,6 @@ class TrwConfig:
     damping: float = 0.5
     tol: float = 1e-8
     max_iterations: int = 2000
-    tie_tol: float = CERT_TIE_TOL
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -356,9 +354,6 @@ class CertificateResult:
     assignment: np.ndarray | None
     indeterminate: bool = False
 
-    def found(self) -> bool:
-        return self.assignment is not None
-
 
 def _search_common_config(candidates, edges, allowed, guard):
     """Depth-first search with forward pruning for a configuration whose node
@@ -458,26 +453,6 @@ def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
     return CertificateResult(assignment, indet)
 
 
-def _theta_from_nu(nu: PseudoMaxMarginals, tree: SpanningTree) -> Potentials:
-    """Tree parameter induced by nu: node logs everywhere, edge logs minus
-    both node logs on tree edges."""
-    node = tuple(np.asarray(v) for v in nu.log_node)
-    edge = {}
-    for (s, t) in tree.edges:
-        m = nu.log_edge[(s, t)]
-        edge[(s, t)] = m - node[s][:, None] - node[t][None, :]
-    return Potentials(node, edge)
-
-
-def _combined_potentials(nu: PseudoMaxMarginals, rho_e) -> Potentials:
-    """rho-weighted combination of the induced tree parameters, closed form."""
-    node = tuple(np.asarray(v) for v in nu.log_node)
-    edge = {}
-    for (s, t), m in nu.log_edge.items():
-        edge[(s, t)] = rho_e[(s, t)] * (m - node[s][:, None] - node[t][None, :])
-    return Potentials(node, edge)
-
-
 class _ZeroOffset:
     """<combined - theta, phi(x)> at the all-zeros configuration x.
 
@@ -510,26 +485,42 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
     """How far the rho-weighted tree parameters are from reproducing theta.
 
     Accepts either pseudo-max-marginals (tree parameters induced per edge) or
-    an explicit list of Potentials aligned with the distribution's trees.
+    an explicit list of Potentials aligned with the distribution's trees,
+    where an edge a tree parameter has no table for counts as zero.
     Evaluates the difference of objectives over every configuration and
     returns the maximum deviation from its mean: zero means the combination
     equals theta up to an additive constant.
     """
+    layout = _Layout(mrf.cardinalities, mrf.edges)
+
+    def pack(node, edge):
+        for e in edge:
+            if e not in mrf.theta_edge:
+                raise StructureError(f"parameter given on {e}, which is not a graph edge")
+        return layout.pack(node, edge)
+
     if isinstance(nu_or_thetas, MaxMarginals):
+        missing = [e for e in mrf.edges if e not in nu_or_thetas.log_edge]
+        if missing:
+            raise StructureError(f"pseudo-max-marginals missing on edges {missing}")
         rho_e = edge_appearance(dist, mrf)
-        combined = _combined_potentials(nu_or_thetas, rho_e)
+        node, tables = pack(nu_or_thetas.log_node, nu_or_thetas.log_edge)
+        tables = [np.array([rho_e[e] for e in b.edges])[:, None, None]
+                  * (m - node[b.idx_s][:, :, None] - node[b.idx_t][:, None, :])
+                  for b, m in zip(layout.buckets, tables)]
     else:
         thetas = list(nu_or_thetas)
         support = dist.support_items()
         if len(thetas) != len(support):
             raise ValueError("one Potentials per supported tree required")
-        combined = _weighted_sum(mrf, ((w, th) for (_, w), th in zip(support, thetas)))
-    diff_node = tuple(np.asarray(combined.node[s]) - mrf.theta_node[s]
-                      for s in range(mrf.node_count))
-    diff_edge = {e: combined.edge_or_zero(e, mrf.theta_edge[e].shape) - mrf.theta_edge[e]
-                 for e in mrf.edges}
+        w = [wk for _, wk in support]
+        nodes, per_tree = zip(*(pack(th.node, th.edge) for th in thetas))
+        node = _sum_in_order(w, np.array(nodes))
+        tables = [_sum_in_order(w, np.array(stack)) for stack in zip(*per_tree)]
+    theta_node, theta_tables = layout.pack(mrf.theta_node, mrf.theta_edge)
     _guard_states(mrf.cardinalities, max_states)
-    d = assignment_scores(mrf.cardinalities, Potentials(diff_node, diff_edge))
+    diff = layout.unpack(node - theta_node, [c - th for c, th in zip(tables, theta_tables)])
+    d = assignment_scores(mrf.cardinalities, Potentials(*diff))
     return float(np.max(np.abs(d - d.mean())))
 
 
@@ -584,7 +575,7 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
             bound_trace.append(_bound_value(trees, weights, offset, rho, tables(state)))
     state, iterations, converged = _iterate(step, state, config, observe)
     nu = flat.pseudo(tables(state))
-    cert = find_certificate(nu, mrf, config.tie_tol)
+    cert = find_certificate(nu, mrf)
     return TrwResult(
         nu=nu,
         iterations=iterations,
@@ -597,19 +588,6 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         terminated_by="converged" if converged else "max_iterations",
         messages_per_edge=2.0 * iterations,
     )
-
-
-def _split_parameter(mrf: PairwiseMrf, base: Potentials, dist: TreeDistribution,
-                     rho_e) -> dict:
-    """Per-tree parameters from a shared one: node tables as-is, edge tables
-    scaled by 1/rho on tree edges, zero elsewhere."""
-    out = {}
-    for tree, _ in dist.support_items():
-        edge = {}
-        for e in tree.edges:
-            edge[e] = np.asarray(base.edge_or_zero(e, mrf.theta_edge[e].shape)) / rho_e[e]
-        out[tree] = Potentials(tuple(np.asarray(v) for v in base.node), edge)
-    return out
 
 
 def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
@@ -661,7 +639,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
                              [m[sl.row, 0, 0] for sl, m in zip(trees.slots, split)])
         bound_trace.append(sum(wk * v for wk, v in zip(weights, values)) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
-            trees, *_tie_masks(graph, node_mm, edge_mm, config.tie_tol))
+            trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
         if certificate is not None:
             converged = True
             terminated_by = "tree_agreement"
@@ -698,33 +676,20 @@ def _tree_sum(trees: _TreeLayout, w: np.ndarray, node: np.ndarray, slot_tables) 
     tables from a stack over the trees (first axis), edge tables from one
     stack per bucket over its slots, each slot added onto its edge's row.
     An edge sums over the trees that hold it."""
-    total = np.zeros(node.shape[1:])
-    for wk, v in zip(w, node):
-        total = total + wk * v
     edge = []
     for b, sl, tables in zip(trees.graph.buckets, trees.slots, slot_tables):
         acc = np.zeros((len(b.edges),) + tables.shape[1:])
         np.add.at(acc, sl.row, w[sl.tree].reshape((-1,) + (1,) * (tables.ndim - 1)) * tables)
         edge.append(acc)
-    return total, edge
+    return _sum_in_order(w, node), edge
 
 
-def _weighted_sum(mrf: PairwiseMrf, terms) -> Potentials:
-    """Sum of w * theta over (w, Potentials) pairs, on every node and every
-    edge of the model; an edge a term has no table for counts as zero."""
-    node = [np.zeros(m) for m in mrf.cardinalities]
-    edge = {e: np.zeros_like(mrf.theta_edge[e]) for e in mrf.edges}
-    for w, th in terms:
-        for s in range(mrf.node_count):
-            node[s] = node[s] + w * np.asarray(th.node[s])
-        for e, m in th.edge.items():
-            edge[e] = edge[e] + w * np.asarray(m)
-    return Potentials(tuple(node), edge)
-
-
-def _merge_tree_potentials(mrf, nus, support) -> Potentials:
-    """rho-weighted merge of per-tree max-marginals into one parameter."""
-    return _weighted_sum(mrf, ((w, _theta_from_nu(nus[tree], tree)) for tree, w in support))
+def _sum_in_order(w, stack: np.ndarray) -> np.ndarray:
+    """0 + w[0] * stack[0] + w[1] * stack[1] + ..., added in that order."""
+    total = np.zeros(stack.shape[1:])
+    for wk, v in zip(w, stack):
+        total = total + wk * v
+    return total
 
 
 def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks):

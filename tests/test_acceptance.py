@@ -23,9 +23,9 @@ from trwmap.cli import ExperimentSpec, run_experiment
 from trwmap.examples import (DIAMOND_NU_BOUNDARY_EDGE, DIAMOND_NU_MIDDLE_EDGE,
                              DIAMOND_NU_NODE, diamond_mrf, bridge_graph_trees,
                              bridge_graph, triangle_mrf)
-from trwmap.trw import _theta_from_nu
 
 from conftest import random_graph_mrf, random_tree_mrf
+from trw_reference import _merge_tree_potentials, _split_parameter, _theta_from_nu
 
 
 @contextmanager
@@ -166,7 +166,6 @@ def test_criterion_6a_reparameterization_every_iteration():
             rho = edge_appearance(dist, mrf)
             nu = init_pseudo(mrf, rho)
             assert check_reparameterization(nu, dist, mrf) < 1e-8
-            from trwmap.trw import _split_parameter, _merge_tree_potentials
             from trwmap import unit_messages
             msgs = unit_messages(mrf)
             for _ in range(10):

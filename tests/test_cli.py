@@ -61,7 +61,7 @@ class TestSolve:
         tpath = tmp_path / "trees.json"
         tpath.write_bytes(save_tree_distribution(uniform_tree_distribution(mrf)))
         code, out = run_cli(["solve", str(mpath), "--method", "trw-tree",
-                             "--rho", "file", "--trees", str(tpath), "--verify-oracle"])
+                             "--trees", str(tpath), "--verify-oracle"])
         assert code == 0
         assert "certificate: 1111" in out
 
@@ -94,10 +94,19 @@ class TestSolve:
         code, out = run_cli(["solve", str(p), "--method", "brute"])
         assert code == 1
 
-    def test_rho_file_requires_trees(self, triangle_file):
-        code, out = run_cli(["solve", triangle_file(1.0), "--method", "trw-msg",
-                             "--rho", "file"])
+    @pytest.mark.parametrize("method, content", [
+        ("trw-msg", None), ("trw-msg", "not json"), ("trw-msg", '{"rho_e": {"0,1": 0.5}}'),
+        ("lp", None), ("lp", "not json"),
+    ])
+    def test_missing_or_invalid_trees_file_is_error(self, triangle_file, tmp_path, method,
+                                                    content):
+        tpath = tmp_path / "trees.json"
+        if content is not None:
+            tpath.write_text(content)
+        code, out = run_cli(["solve", triangle_file(1.0), "--method", method,
+                             "--trees", str(tpath)])
         assert code == 1
+        assert out.startswith("error: ")
 
     def test_trw_tree_on_edgeless_model_is_error(self, tmp_path):
         path = tmp_path / "one_node.json"
@@ -118,7 +127,7 @@ class TestSolve:
         tpath = tmp_path / "rho.json"
         tpath.write_text(json.dumps({"rho_e": rho_e}))
         code, out = run_cli(["solve", triangle_file(1.0), "--method", "trw-msg",
-                             "--rho", "file", "--trees", str(tpath)])
+                             "--trees", str(tpath)])
         assert code == 1
         assert out == f"error: {message}\n"
 

@@ -10,14 +10,14 @@ import pytest
 
 import trw_reference as ref
 from trwmap import (MessageSet, PairwiseMrf, SpanningTree, TreeDistribution, TrwConfig,
-                    cli, edge_appearance, find_certificate, init_pseudo, message_step,
-                    messages_to_pseudo, reparameterization_step, run_tree_updates, run_trw,
-                    tree_map_value, tree_max_marginals, uniform_rho,
+                    check_reparameterization, cli, edge_appearance, find_certificate,
+                    init_pseudo, message_step, messages_to_pseudo, reparameterization_step,
+                    run_tree_updates, run_trw, tree_map_value, tree_max_marginals, uniform_rho,
                     uniform_tree_distribution, unit_messages)
-from trwmap.examples import triangle_mrf
+from trwmap.examples import cycle4_tree_parameters, triangle_mrf
 from trwmap.trees import grid_edges, grid_two_tree_distribution
 from trwmap.treedp import MaxMarginals, _Layout, _TreeLayout
-from trwmap.trw import _split_parameter, _tree_tables_agree
+from trwmap.trw import CERT_TIE_TOL, _tree_tables_agree
 
 from conftest import random_graph_mrf, random_tree_mrf
 
@@ -226,7 +226,7 @@ def test_tree_cases_reach_every_stopping_rule():
 def test_tree_dp_matches_reference(index):
     mrf, dist = TREE_CASES[index]
     rho = edge_appearance(dist, mrf)
-    thetas = _split_parameter(mrf, mrf.potentials, dist, rho)
+    thetas = ref._split_parameter(mrf, mrf.potentials, dist, rho)
     for tree, theta in thetas.items():
         assert_pseudo_equal(tree_max_marginals(mrf, tree, theta),
                             ref.tree_max_marginals(mrf, tree, theta))
@@ -248,11 +248,38 @@ def test_run_trw_bound_trace_and_certificate_match_reference(variant):
         nu, _, _, _ = ref.run(mrf, rho, config.damping, config.tol, config.max_iterations,
                               variant, lambda nu: bounds.append(ref.bound_value(mrf, nu, dist, rho)))
         assert np.array_equal(result.bound_trace, bounds)
-        assignment, indeterminate = ref.find_certificate(nu, mrf, config.tie_tol)
+        assignment, indeterminate = ref.find_certificate(nu, mrf, CERT_TIE_TOL)
         assert result.certificate_indeterminate == indeterminate
         assert (result.certificate is None) == (assignment is None)
         if assignment is not None:
             assert np.array_equal(result.certificate, assignment)
+
+
+@pytest.mark.parametrize("index", range(len(TREE_CASES)))
+def test_check_reparameterization_matches_reference(index):
+    # both input forms: pseudo-max-marginals of the three schedules, and
+    # explicit tree parameters (tables on tree edges only) before and after
+    # one merge of their max-marginals
+    mrf, dist = TREE_CASES[index]
+    rho = edge_appearance(dist, mrf)
+    support = dist.support_items()
+    config = TrwConfig(max_iterations=15)
+    thetas = ref._split_parameter(mrf, mrf.potentials, dist, rho)
+    nus = {tree: ref.tree_max_marginals(mrf, tree, thetas[tree]) for tree, _ in support}
+    merged = ref._split_parameter(mrf, ref._merge_tree_potentials(mrf, nus, support), dist, rho)
+    inputs = [run_trw(mrf, dist, config, variant="messages").nu,
+              run_trw(mrf, dist, config, variant="reparam").nu,
+              run_tree_updates(mrf, dist, config).nu,
+              [thetas[tree] for tree, _ in support],
+              [merged[tree] for tree, _ in support]]
+    for x in inputs:
+        assert check_reparameterization(x, dist, mrf) == ref.check_reparameterization(x, dist, mrf)
+
+
+def test_check_reparameterization_matches_reference_on_cycle4_parameters():
+    mrf, dist, thetas = cycle4_tree_parameters()
+    assert check_reparameterization(thetas, dist, mrf) == ref.check_reparameterization(
+        thetas, dist, mrf)
 
 
 def test_tree_agreement_compares_every_pair_of_trees_on_an_edge():

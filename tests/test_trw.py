@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
-                    SpanningTree, TreeDistribution, TrwConfig, brute_force_map,
-                    check_edge_consistency, check_reparameterization,
+                    SpanningTree, StructureError, TreeDistribution, TrwConfig,
+                    brute_force_map, check_edge_consistency, check_reparameterization,
                     edge_appearance, find_certificate, init_pseudo,
                     ising_to_overcomplete, message_step, messages_to_pseudo,
                     reparameterization_step, run_tree_updates, run_trw, score,
@@ -15,9 +15,9 @@ from trwmap.examples import (DIAMOND_NU_BOUNDARY_EDGE, DIAMOND_NU_MIDDLE_EDGE,
                              DIAMOND_NU_NODE, cycle4_tree_parameters,
                              diamond_mrf, triangle_mrf)
 from trwmap.trees import grid_edges, grid_two_tree_distribution
-from trwmap.trw import _theta_from_nu
 
 from conftest import random_graph_mrf, random_tree_mrf
+from trw_reference import _merge_tree_potentials, _split_parameter, _theta_from_nu
 
 
 def triangle_fixed_point(beta):
@@ -255,6 +255,20 @@ class TestReparameterizationCheck:
         mrf, dist, thetas = cycle4_tree_parameters()
         assert check_reparameterization(thetas, dist, mrf) == pytest.approx(0.0, abs=1e-12)
 
+    def test_parameter_on_a_non_edge_is_an_error(self):
+        mrf, dist, thetas = cycle4_tree_parameters()
+        stray = Potentials(thetas[0].node, {**thetas[0].edge, (0, 2): np.zeros((2, 2))})
+        with pytest.raises(StructureError, match=r"\(0, 2\), which is not a graph edge"):
+            check_reparameterization([stray, *thetas[1:]], dist, mrf)
+
+    def test_pseudo_max_marginals_need_every_edge(self):
+        mrf, dist, _ = cycle4_tree_parameters()
+        nu = init_pseudo(mrf, edge_appearance(dist, mrf))
+        partial = PseudoMaxMarginals(nu.log_node,
+                                     {e: m for e, m in nu.log_edge.items() if e != (1, 2)})
+        with pytest.raises(StructureError, match=r"missing on edges \[\(1, 2\)\]"):
+            check_reparameterization(partial, dist, mrf)
+
     def test_init_pseudo_reparameterizes(self, rng):
         for _ in range(5):
             mrf = random_graph_mrf(rng, n_nodes=5)
@@ -394,7 +408,6 @@ class TestTreeUpdates:
             rng = np.random.default_rng(5000 + seed)
             mrf = random_graph_mrf(rng, n_nodes=4)
             dist = uniform_tree_distribution(mrf)
-            from trwmap.trw import _split_parameter, _merge_tree_potentials
             rho = edge_appearance(dist, mrf)
             thetas = _split_parameter(mrf, mrf.potentials, dist, rho)
             support = dist.support_items()

@@ -3,21 +3,21 @@ layer.
 
 These are the per-edge loops the library used before its compute moved to
 the bucketed array layouts in `trwmap.trw` and `trwmap.treedp`: the
-synchronous steps, the two-pass tree DP and the tree-based update loop.
-They are kept only as a test oracle: the array code must reproduce them bit
-for bit, which holds because both perform the same floating-point
-operations per table entry in the same order (node sums accumulate in edge
-order, incoming tree messages in adjacency order, sums over trees in
-support order).
+synchronous steps, the two-pass tree DP, the tree-based update on
+`Potentials` (split, merge, rho-weighted sum), the tree-based update loop
+and the reparameterization check.  They are kept only as a test oracle: the
+array code must reproduce them bit for bit, which holds because both
+perform the same floating-point operations per table entry in the same
+order (node sums accumulate in edge order, incoming tree messages in
+adjacency order, sums over trees in support order).
 """
 
 import numpy as np
 
 from trwmap import MessageSet, Potentials, PseudoMaxMarginals, TrwConfig, edge_appearance
-from trwmap.treedp import MaxMarginals, _check_tree_potentials
-from trwmap.trw import (CERT_SEARCH_GUARD, _combined_potentials, _merge_tree_potentials,
-                        _search_common_config, _split_parameter, _theta_from_nu,
-                        _weighted_sum)
+from trwmap.treedp import (MaxMarginals, _check_tree_potentials, _guard_states,
+                           assignment_scores)
+from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config
 
 
 def _damp(new, old, lam):
@@ -240,6 +240,81 @@ def tree_map_value(mrf, tree, theta=None):
     return _upward_pass(mrf, tree, theta if theta is not None else mrf.potentials)[-1]
 
 
+# --- the tree-based update on Potentials ---------------------------------------
+
+def _edge_or_zero(pot, e, shape):
+    t = pot.edge.get(e)
+    return t if t is not None else np.zeros(shape)
+
+
+def _theta_from_nu(nu, tree):
+    """Tree parameter induced by nu: node logs everywhere, edge logs minus
+    both node logs on tree edges."""
+    node = tuple(np.asarray(v) for v in nu.log_node)
+    edge = {}
+    for (s, t) in tree.edges:
+        m = nu.log_edge[(s, t)]
+        edge[(s, t)] = m - node[s][:, None] - node[t][None, :]
+    return Potentials(node, edge)
+
+
+def _combined_potentials(nu, rho_e):
+    """rho-weighted combination of the induced tree parameters, closed form."""
+    node = tuple(np.asarray(v) for v in nu.log_node)
+    edge = {}
+    for (s, t), m in nu.log_edge.items():
+        edge[(s, t)] = rho_e[(s, t)] * (m - node[s][:, None] - node[t][None, :])
+    return Potentials(node, edge)
+
+
+def _split_parameter(mrf, base, dist, rho_e):
+    """Per-tree parameters from a shared one: node tables as-is, edge tables
+    scaled by 1/rho on tree edges, zero elsewhere."""
+    out = {}
+    for tree, _ in dist.support_items():
+        edge = {}
+        for e in tree.edges:
+            edge[e] = np.asarray(_edge_or_zero(base, e, mrf.theta_edge[e].shape)) / rho_e[e]
+        out[tree] = Potentials(tuple(np.asarray(v) for v in base.node), edge)
+    return out
+
+
+def _weighted_sum(mrf, terms):
+    """Sum of w * theta over (w, Potentials) pairs, on every node and every
+    edge of the model; an edge a term has no table for counts as zero."""
+    node = [np.zeros(m) for m in mrf.cardinalities]
+    edge = {e: np.zeros_like(mrf.theta_edge[e]) for e in mrf.edges}
+    for w, th in terms:
+        for s in range(mrf.node_count):
+            node[s] = node[s] + w * np.asarray(th.node[s])
+        for e, m in th.edge.items():
+            edge[e] = edge[e] + w * np.asarray(m)
+    return Potentials(tuple(node), edge)
+
+
+def _merge_tree_potentials(mrf, nus, support):
+    """rho-weighted merge of per-tree max-marginals into one parameter."""
+    return _weighted_sum(mrf, ((w, _theta_from_nu(nus[tree], tree)) for tree, w in support))
+
+
+def check_reparameterization(nu_or_thetas, dist, mrf, max_states=2 ** 24):
+    """`trwmap.check_reparameterization` on dicts: the combination of the tree
+    parameters is `_combined_potentials` for pseudo-max-marginals and
+    `_weighted_sum` for an explicit list of Potentials."""
+    if isinstance(nu_or_thetas, MaxMarginals):
+        combined = _combined_potentials(nu_or_thetas, edge_appearance(dist, mrf))
+    else:
+        support = dist.support_items()
+        combined = _weighted_sum(mrf, ((w, th) for (_, w), th in zip(support, nu_or_thetas)))
+    diff_node = tuple(np.asarray(combined.node[s]) - mrf.theta_node[s]
+                      for s in range(mrf.node_count))
+    diff_edge = {e: _edge_or_zero(combined, e, mrf.theta_edge[e].shape) - mrf.theta_edge[e]
+                 for e in mrf.edges}
+    _guard_states(mrf.cardinalities, max_states)
+    d = assignment_scores(mrf.cardinalities, Potentials(diff_node, diff_edge))
+    return float(np.max(np.abs(d - d.mean())))
+
+
 def _constant_offset(mrf, combined):
     """Value of <combined - theta, phi(x)> at the all-zeros configuration."""
     total = 0.0
@@ -344,7 +419,7 @@ def run_tree_updates(mrf, dist, config=None):
         combined = _weighted_sum(mrf, ((w, thetas[tree]) for tree, w in support))
         bound_trace.append(sum(w * solved[tree][1] for tree, w in support)
                            - _constant_offset(mrf, combined))
-        certificate, indeterminate = _shared_tree_optimum(mrf, nus, support, config.tie_tol)
+        certificate, indeterminate = _shared_tree_optimum(mrf, nus, support, CERT_TIE_TOL)
         if certificate is not None:
             converged = True
             terminated_by = "tree_agreement"
@@ -357,7 +432,7 @@ def run_tree_updates(mrf, dist, config=None):
         damped_node = tuple(_damp(np.asarray(m), np.asarray(o), config.damping)
                             for m, o in zip(merged.node, base.node))
         damped_edge = {e: _damp(np.asarray(merged.edge[e]),
-                                np.asarray(base.edge_or_zero(e, mrf.theta_edge[e].shape)),
+                                np.asarray(_edge_or_zero(base, e, mrf.theta_edge[e].shape)),
                                 config.damping)
                        for e in mrf.edges}
         base = Potentials(damped_node, damped_edge)
