@@ -23,8 +23,8 @@ from .model import (MrfError, PairwiseMrf, ising_to_overcomplete, load_model,
 from .trees import (TreeDistribution, grid_edges, grid_two_tree_distribution,
                     load_tree_distribution, uniform_tree_distribution)
 from .treedp import brute_force_map, check_edge_consistency
-from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, check_reparameterization, run_trw,
-                  run_tree_updates, uniform_rho)
+from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, check_reparameterization, resolve_rho,
+                  run_trw, run_tree_updates, uniform_rho)
 from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
@@ -159,7 +159,9 @@ def _load_distribution(args, mrf):
     if args.trees is None:
         return None
     with open(args.trees, "rb") as fh:
-        return load_tree_distribution(fh.read(), node_count=mrf.node_count)
+        dist = load_tree_distribution(fh.read(), node_count=mrf.node_count)
+    resolve_rho(mrf, dist)  # the same check for every method, whether it reads rho or not
+    return dist
 
 
 def _print_invariants(out, mrf, result, dist):
@@ -211,6 +213,7 @@ def _solve_report(args, mrf, out) -> int:
         return 2
     config = _trw_config(args)
     if args.method == "maxprod":
+        dist = None  # rho = 1 on every edge, not the --trees distribution
         result = run_trw(mrf, {e: 1.0 for e in mrf.edges}, config, variant="messages")
     elif args.method == "trw-msg":
         result = run_trw(mrf, dist, config, variant="messages")
@@ -224,8 +227,7 @@ def _solve_report(args, mrf, out) -> int:
         result = run_tree_updates(mrf, dist, config)
     out.write(f"iterations: {result.iterations}\n")
     out.write(f"converged: {result.converged}\n")
-    _print_invariants(out, mrf, result,
-                      dist if isinstance(dist, TreeDistribution) else None)
+    _print_invariants(out, mrf, result, dist)
     if result.certificate is None:
         out.write("certificate: none"
                   + (" (search guard exceeded)\n" if result.certificate_indeterminate else "\n"))

@@ -44,6 +44,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _all_finite(tables) -> bool:
+    """Whether every entry of every table is finite (one test on all of them)."""
+    return not tables or bool(np.isfinite(np.concatenate(tables, axis=None)).all())
+
+
 @dataclass(frozen=True)
 class Potentials:
     """Node and edge weight tables; edges missing from the dict are zero."""
@@ -102,12 +107,14 @@ class PairwiseMrf:
                 raise ModelFormatError(f"theta_edge[{(s, t)}]: shape {m.shape}, expected {want}")
             etab[(s, t)] = m
         object.__setattr__(self, "theta_edge", etab)
-        for s, v in enumerate(node):
-            if not np.all(np.isfinite(v)):
-                raise ModelFormatError(f"theta_node[{s}]: non-finite entry")
-        for e, m in etab.items():
-            if not np.all(np.isfinite(m)):
-                raise ModelFormatError(f"theta_edge[{e}]: non-finite entry")
+        # one test on all the tables; the loops only name the first bad one
+        if not _all_finite((*node, *etab.values())):
+            for s, v in enumerate(node):
+                if not np.all(np.isfinite(v)):
+                    raise ModelFormatError(f"theta_node[{s}]: non-finite entry")
+            for e, m in etab.items():
+                if not np.all(np.isfinite(m)):
+                    raise ModelFormatError(f"theta_edge[{e}]: non-finite entry")
 
     @property
     def node_count(self) -> int:

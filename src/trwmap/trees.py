@@ -225,8 +225,9 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
 
     Returns a TreeDistribution for the explicit record form, or a plain
     {edge: rho_e} dict for the `{"rho_e": ...}` form (only usable by the
-    message-passing path, which needs nothing but the edge weights, and
-    checked against the model by `trw.resolve_rho`).
+    message-passing path, which needs nothing but the edge weights).  Either
+    form is checked against a model by `trw.resolve_rho`, which the CLI runs
+    on every loaded file, whatever the method.
     """
     try:
         doc = json.loads(data)

@@ -71,10 +71,6 @@ class MessageSet:
 
     log_m: Mapping[tuple, np.ndarray]
 
-    def max_log_change(self, other: "MessageSet") -> float:
-        return max(float(np.max(np.abs(v - other.log_m[k])))
-                   for k, v in self.log_m.items())
-
 
 @dataclass(frozen=True)
 class TrwConfig:

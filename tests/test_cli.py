@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
                     uniform_tree_distribution)
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import diamond_mrf, triangle_mrf
+
+from conftest import random_graph_mrf
 
 
 def run_cli(argv):
@@ -115,6 +118,7 @@ class TestSolve:
         assert code == 1
         assert out == "error: model has no edges\n"
 
+    @pytest.mark.parametrize("method", ["lp", "brute", "trw-edge", "trw-msg"])
     @pytest.mark.parametrize("rho_e, message", [
         ({"0,1": 0.5, "0,2": 0.5, "1,2": 0.5, "5,9": 0.5},
          "rho_e given on (5, 9), which is not a graph edge"),
@@ -122,14 +126,38 @@ class TestSolve:
          "rho_e on edge (0, 2) is not finite: nan"),
         ({"0,1": 0.5, "0,2": 0.5, "1,2": float("inf")},
          "rho_e on edge (1, 2) is not finite: inf"),
+        ({"0,1": 0.5}, "rho_e missing or non-positive on edges [(0, 2), (1, 2)]"),
     ])
-    def test_rho_e_file_is_validated(self, triangle_file, tmp_path, rho_e, message):
+    def test_rho_e_file_is_validated(self, triangle_file, tmp_path, method, rho_e, message):
         tpath = tmp_path / "rho.json"
         tpath.write_text(json.dumps({"rho_e": rho_e}))
-        code, out = run_cli(["solve", triangle_file(1.0), "--method", "trw-msg",
+        code, out = run_cli(["solve", triangle_file(1.0), "--method", method,
                              "--trees", str(tpath)])
         assert code == 1
         assert out == f"error: {message}\n"
+
+    def test_maxprod_ignores_trees_file(self, tmp_path):
+        # ordinary max-product runs with rho = 1: a tree file changes nothing
+        # it prints, not even the invariants it checks
+        mrf = random_graph_mrf(np.random.default_rng(7000), n_nodes=6)
+        mpath = tmp_path / "model.json"
+        mpath.write_bytes(save_model(mrf))
+        tpath = tmp_path / "trees.json"
+        tpath.write_bytes(save_tree_distribution(uniform_tree_distribution(mrf)))
+        argv = ["solve", str(mpath), "--method", "maxprod"]
+        assert run_cli(argv + ["--trees", str(tpath)]) == run_cli(argv)
+
+
+GOLDEN = Path(__file__).parent / "data" / "solve"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_solve_stdout_is_byte_identical_to_golden(case):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_CASES[case]["argv"]]
+    code, out = run_cli(["solve"] + argv)
+    assert code == GOLDEN_CASES[case]["code"]
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

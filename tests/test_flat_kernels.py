@@ -10,10 +10,10 @@ import pytest
 
 import trw_reference as ref
 from trwmap import (MessageSet, PairwiseMrf, SpanningTree, TreeDistribution, TrwConfig,
-                    check_reparameterization, cli, edge_appearance, find_certificate,
-                    init_pseudo, message_step, messages_to_pseudo, reparameterization_step,
-                    run_tree_updates, run_trw, tree_map_value, tree_max_marginals, uniform_rho,
-                    uniform_tree_distribution, unit_messages)
+                    check_edge_consistency, check_reparameterization, cli, edge_appearance,
+                    find_certificate, init_pseudo, message_step, messages_to_pseudo,
+                    reparameterization_step, run_tree_updates, run_trw, tree_map_value,
+                    tree_max_marginals, uniform_rho, uniform_tree_distribution, unit_messages)
 from trwmap.examples import cycle4_tree_parameters, triangle_mrf
 from trwmap.trees import grid_edges, grid_two_tree_distribution
 from trwmap.treedp import MaxMarginals, _Layout, _TreeLayout
@@ -280,6 +280,45 @@ def test_check_reparameterization_matches_reference_on_cycle4_parameters():
     mrf, dist, thetas = cycle4_tree_parameters()
     assert check_reparameterization(thetas, dist, mrf) == ref.check_reparameterization(
         thetas, dist, mrf)
+
+
+def assert_report_equal(got, want):
+    assert list(got.per_edge.items()) == list(want.per_edge.items())
+    assert got.max_deviation == want.max_deviation
+
+
+@pytest.mark.parametrize("index", range(len(TREE_CASES)))
+def test_check_edge_consistency_matches_reference_on_tree_cases(index):
+    mrf, dist = TREE_CASES[index]
+    config = TrwConfig(max_iterations=15)
+    for nu in (run_trw(mrf, dist, config, variant="messages").nu,
+               run_trw(mrf, dist, config, variant="reparam").nu,
+               run_tree_updates(mrf, dist, config).nu):
+        assert_report_equal(check_edge_consistency(nu), ref.check_edge_consistency(nu))
+
+
+@pytest.mark.parametrize("index", range(len(MODELS)))
+def test_check_edge_consistency_matches_reference_on_models(index):
+    # both schedules' results under random rho, and random tables keyed in
+    # random order, far from consistent
+    mrf = MODELS[index]
+    rng = np.random.default_rng(9600 + index)
+    rho = random_rho(rng, mrf)
+    cards = mrf.cardinalities
+    raw = MaxMarginals(tuple(rng.normal(size=m) for m in cards),
+                       {(s, t): rng.normal(size=(cards[s], cards[t]))
+                        for s, t in (mrf.edges[i] for i in rng.permutation(len(mrf.edges)))})
+    config = TrwConfig(max_iterations=10)
+    for nu in (run_trw(mrf, rho, config, variant="messages").nu,
+               run_trw(mrf, rho, config, variant="reparam").nu, raw):
+        assert_report_equal(check_edge_consistency(nu), ref.check_edge_consistency(nu))
+
+
+def test_check_edge_consistency_without_edges():
+    nu = MaxMarginals((np.zeros(2), np.array([0.0, -1.0, -2.0])), {})
+    report = check_edge_consistency(nu)
+    assert report.per_edge == {} and report.max_deviation == 0.0
+    assert_report_equal(report, ref.check_edge_consistency(nu))
 
 
 def test_tree_agreement_compares_every_pair_of_trees_on_an_edge():

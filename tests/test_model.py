@@ -229,6 +229,41 @@ class TestSerialization:
             load_model(b"not json at all")
 
 
+class TestNonFiniteTables:
+    @staticmethod
+    def model(bad_nodes=(), bad_edges=(), value=np.nan):
+        # mixed cardinalities, edges listed out of sorted order
+        cards = (2, 3, 2, 3)
+        edges = ((1, 2), (2, 3), (0, 1), (0, 3))
+        node = [np.zeros(m) for m in cards]
+        edge = {(s, t): np.zeros((cards[s], cards[t])) for s, t in edges}
+        for s in bad_nodes:
+            node[s][-1] = value
+        for e in bad_edges:
+            edge[e][0, -1] = value
+        return PairwiseMrf(cards, edges, tuple(node), edge)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_nodes, bad_edges, message", [
+        ((2,), (), "theta_node[2]: non-finite entry"),
+        ((), ((0, 3),), "theta_edge[(0, 3)]: non-finite entry"),
+        ((3, 1), (), "theta_node[1]: non-finite entry"),
+        ((3,), ((0, 1),), "theta_node[3]: non-finite entry"),
+        ((), ((0, 1), (2, 3), (0, 3)), "theta_edge[(2, 3)]: non-finite entry"),
+    ])
+    def test_first_bad_table_is_named(self, value, bad_nodes, bad_edges, message):
+        with pytest.raises(ModelFormatError) as info:
+            self.model(bad_nodes, bad_edges, value)
+        assert str(info.value) == message
+
+    def test_non_finite_json_is_rejected(self):
+        doc = (b'{"nodes": [2, 2], "edges": [[0, 1]], "theta_node": [[0, 0], [0, 0]],'
+               b' "theta_edge": [[[0, Infinity], [0, NaN]]]}')
+        with pytest.raises(ModelFormatError) as info:
+            load_model(doc)
+        assert str(info.value) == "theta_edge[(0, 1)]: non-finite entry"
+
+
 class TestImmutability:
     def test_tables_are_read_only(self):
         # models may be shared across threads; construction freezes the tables

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from trwmap import (MaxMarginals, PairwiseMrf, Potentials, SpanningTree,
-                    StructureError, backtrack_optimum, brute_force_map,
+from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
+                    SpanningTree, StructureError, backtrack_optimum, brute_force_map,
                     check_edge_consistency, score, tree_map_value,
                     tree_max_marginals, tree_opt_set)
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
@@ -70,9 +70,9 @@ class TestTreeMaxMarginals:
     def test_two_node_chain_exact_values(self):
         mrf = chain2_mrf()
         nu = tree_max_marginals(mrf, SpanningTree(((0, 1),)))
-        assert np.allclose(nu.node(0), [1.0, 1.0], atol=0)
-        assert np.allclose(nu.node(1), [1.0, 1.0], atol=0)
-        assert np.allclose(nu.edge(0, 1), [[1.0, np.exp(-1)], [np.exp(-1), 1.0]],
+        assert np.allclose(np.exp(nu.log_node[0]), [1.0, 1.0], atol=0)
+        assert np.allclose(np.exp(nu.log_node[1]), [1.0, 1.0], atol=0)
+        assert np.allclose(np.exp(nu.log_edge[(0, 1)]), [[1.0, np.exp(-1)], [np.exp(-1), 1.0]],
                            rtol=1e-15)
 
     def test_all_zero_parameters_give_all_ones(self, rng):
@@ -80,9 +80,9 @@ class TestTreeMaxMarginals:
         tree = SpanningTree(mrf.edges)
         nu = tree_max_marginals(mrf, tree)
         for s in range(6):
-            assert np.all(nu.node(s) == 1.0)
+            assert np.all(np.exp(nu.log_node[s]) == 1.0)
         for e in tree.edges:
-            assert np.all(nu.edge(*e) == 1.0)
+            assert np.all(np.exp(nu.log_edge[e]) == 1.0)
 
     def test_cycle4_tree_parameter_matches_enumeration(self):
         mrf, dist, thetas = cycle4_tree_parameters()
@@ -142,6 +142,22 @@ class TestTreeMaxMarginals:
             assert tree_map_value(mrf, tree, shifted) == pytest.approx(value, rel=1e-12)
 
 
+class TestMaxMarginalsValidation:
+    @pytest.mark.parametrize("cls", [MaxMarginals, PseudoMaxMarginals])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("bad_node, bad_edge", [(True, False), (False, True), (True, True)])
+    def test_non_finite_entry_rejected(self, cls, value, bad_node, bad_edge):
+        node = [np.zeros(2), np.zeros(3)]
+        edge = {(0, 1): np.zeros((2, 3))}
+        if bad_node:
+            node[1][2] = value
+        if bad_edge:
+            edge[(0, 1)][1, 0] = value
+        with pytest.raises(ValueError) as info:
+            cls(tuple(node), edge)
+        assert str(info.value) == "non-finite log max-marginal"
+
+
 class TestEdgeConsistency:
     def test_exact_max_marginals_consistent(self, rng):
         for _ in range(10):
@@ -156,7 +172,7 @@ class TestEdgeConsistency:
         bumped = {e: m.copy() for e, m in nu.log_edge.items()}
         bumped[(0, 1)][0, 0] += np.log(1.1)  # +10% on a row-maximal entry
         report = check_edge_consistency(MaxMarginals(nu.log_node, bumped))
-        assert report.flagged(1e-8) == [(0, 1)]
+        assert [e for e, d in report.per_edge.items() if d > 1e-8] == [(0, 1)]
 
     def test_triangle_shared_tables_consistent_any_beta(self):
         for beta in (-2.0, -1.0, 0.5, 1.0, 3.0):

@@ -4,19 +4,19 @@ layer.
 These are the per-edge loops the library used before its compute moved to
 the bucketed array layouts in `trwmap.trw` and `trwmap.treedp`: the
 synchronous steps, the two-pass tree DP, the tree-based update on
-`Potentials` (split, merge, rho-weighted sum), the tree-based update loop
-and the reparameterization check.  They are kept only as a test oracle: the
-array code must reproduce them bit for bit, which holds because both
-perform the same floating-point operations per table entry in the same
-order (node sums accumulate in edge order, incoming tree messages in
-adjacency order, sums over trees in support order).
+`Potentials` (split, merge, rho-weighted sum), the tree-based update loop,
+the reparameterization check and the edge-consistency check.  They are kept
+only as a test oracle: the array code must reproduce them bit for bit, which
+holds because both perform the same floating-point operations per table
+entry in the same order (node sums accumulate in edge order, incoming tree
+messages in adjacency order, sums over trees in support order).
 """
 
 import numpy as np
 
 from trwmap import MessageSet, Potentials, PseudoMaxMarginals, TrwConfig, edge_appearance
-from trwmap.treedp import (MaxMarginals, _check_tree_potentials, _guard_states,
-                           assignment_scores)
+from trwmap.treedp import (EdgeConsistencyReport, MaxMarginals, _check_tree_potentials,
+                           _guard_states, assignment_scores)
 from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config
 
 
@@ -117,6 +117,17 @@ def unit_messages(mrf):
     return MessageSet(logs)
 
 
+def max_log_change(new, old):
+    """Largest absolute entry of new - old over all tables, for two message
+    sets or two (pseudo-)max-marginals on the same graph."""
+    if isinstance(new, MessageSet):
+        pairs = [(v, old.log_m[k]) for k, v in new.log_m.items()]
+    else:
+        pairs = [*zip(new.log_node, old.log_node),
+                 *((m, old.log_edge[e]) for e, m in new.log_edge.items())]
+    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+
+
 def run(mrf, rho_e, damping, tol, max_iterations, variant, observe=None):
     """The synchronous iteration loop: (final pseudo-max-marginals, final
     messages or None, iterations, converged).  `observe`, when given, sees
@@ -129,7 +140,7 @@ def run(mrf, rho_e, damping, tol, max_iterations, variant, observe=None):
         observe(state)
         for iterations in range(1, max_iterations + 1):
             new = reparameterization_step(state, rho_e, damping)
-            delta = new.max_log_change(state)
+            delta = max_log_change(new, state)
             state = new
             observe(state)
             if delta < tol:
@@ -140,7 +151,7 @@ def run(mrf, rho_e, damping, tol, max_iterations, variant, observe=None):
     observe(messages_to_pseudo(messages, mrf, rho_e))
     for iterations in range(1, max_iterations + 1):
         new = message_step(messages, mrf, rho_e, damping)
-        delta = new.max_log_change(messages)
+        delta = max_log_change(new, messages)
         messages = new
         observe(messages_to_pseudo(messages, mrf, rho_e))
         if delta < tol:
@@ -442,3 +453,18 @@ def run_tree_updates(mrf, dist, config=None):
                 converged=converged, certificate=certificate,
                 certificate_indeterminate=indeterminate, bound_trace=tuple(bound_trace),
                 terminated_by=terminated_by, messages_per_edge=units_per_iter * iterations)
+
+
+# --- result checks ------------------------------------------------------------
+
+def check_edge_consistency(nu):
+    edges = sorted(nu.log_edge)
+    per_edge = {}
+    for (s, t) in edges:
+        m = nu.log_edge[(s, t)]
+        d_s = m.max(axis=1) - nu.log_node[s]
+        d_t = m.max(axis=0) - nu.log_node[t]
+        dev = max(float(d_s.max() - d_s.min()), float(d_t.max() - d_t.min()))
+        per_edge[(s, t)] = dev
+    worst = max(per_edge.values()) if per_edge else 0.0
+    return EdgeConsistencyReport(per_edge, worst)
