@@ -23,8 +23,8 @@ from .model import (MrfError, PairwiseMrf, ising_to_overcomplete, load_model,
 from .trees import (TreeDistribution, grid_edges, grid_two_tree_distribution,
                     load_tree_distribution, uniform_tree_distribution)
 from .treedp import brute_force_map, check_edge_consistency
-from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, check_reparameterization, resolve_rho,
-                  run_trw, run_tree_updates, uniform_rho)
+from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _tie_masks, check_reparameterization,
+                  resolve_rho, run_trw, run_tree_updates, uniform_rho)
 from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
@@ -91,16 +91,14 @@ def _draw_grid_model(spec: ExperimentSpec, gamma_index: int, trial: int) -> Pair
 def _unique_correct_fraction(result: TrwResult, opt_set) -> float:
     """Of the nodes whose table has a unique maximizer, the fraction whose
     maximizing state occurs in some oracle-optimal configuration."""
-    opts = list(opt_set.configurations)
-    unique, correct = 0, 0
-    for s, v in enumerate(result.nu.log_node):
-        top = [j for j in range(len(v)) if v[j] >= v.max() - CERT_TIE_TOL]
-        if len(top) != 1:
-            continue
-        unique += 1
-        if any(x[s] == top[0] for x in opts):
-            correct += 1
-    return correct / unique if unique else 1.0
+    layout = result.nu.layout
+    ties, _ = _tie_masks(layout, result.nu.node, (), CERT_TIE_TOL)
+    unique = np.add.reduceat(ties, layout.offsets) == 1
+    pos = np.flatnonzero(ties & unique[layout.node_of])
+    nodes = layout.node_of[pos]
+    opts = np.array(opt_set.configurations)
+    correct = (opts[:, nodes] == pos - layout.offsets[nodes]).any(axis=0)
+    return int(correct.sum()) / len(pos) if len(pos) else 1.0
 
 
 def run_experiment(spec: ExperimentSpec) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import Edge, PairwiseMrf, StructureError
 from .trees import TreeDistribution
-from .treedp import MaxMarginals, _guard_states
+from .treedp import MaxMarginals, _guard_states, _Layout
 
 if TYPE_CHECKING:
     from .trw import MessageSet
@@ -163,19 +163,6 @@ def in_local(tau: Pseudomarginal, tol: float = 1e-9) -> bool:
     return True
 
 
-def _layout(mrf: PairwiseMrf):
-    node_off = []
-    pos = 0
-    for m in mrf.cardinalities:
-        node_off.append(pos)
-        pos += m
-    edge_off = {}
-    for (s, t) in mrf.edges:
-        edge_off[(s, t)] = pos
-        pos += mrf.cardinalities[s] * mrf.cardinalities[t]
-    return node_off, edge_off, pos
-
-
 def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     """Relaxed MAP linear program: maximize theta.tau over the local polytope.
 
@@ -183,23 +170,20 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     order).  Constraints are one normalization row per node and both-direction
     marginalization rows per edge; edge normalization is implied and omitted.
     """
-    node_off, edge_off, nvars = _layout(mrf)
-    c = np.zeros(nvars)
-    for s in range(mrf.node_count):
-        c[node_off[s]:node_off[s] + mrf.cardinalities[s]] = mrf.theta_node[s]
-    for e in mrf.edges:
-        ms, mt = mrf.cardinalities[e[0]], mrf.cardinalities[e[1]]
-        c[edge_off[e]:edge_off[e] + ms * mt] = mrf.theta_edge[e].reshape(-1)
+    layout = _Layout(mrf.cardinalities, ())
+    cards, node_off = mrf.cardinalities, layout.offsets
+    edge_off = np.cumsum([layout.size] + [cards[s] * cards[t] for s, t in mrf.edges]).tolist()
+    nvars = edge_off[-1]
+    c = np.concatenate([*mrf.theta_node, *(mrf.theta_edge[e].ravel() for e in mrf.edges)])
     rows = []
     rhs = []
     for s in range(mrf.node_count):
         row = np.zeros(nvars)
-        row[node_off[s]:node_off[s] + mrf.cardinalities[s]] = 1.0
+        row[node_off[s]:node_off[s] + cards[s]] = 1.0
         rows.append(row)
         rhs.append(1.0)
-    for (s, t) in mrf.edges:
-        ms, mt = mrf.cardinalities[s], mrf.cardinalities[t]
-        base = edge_off[(s, t)]
+    for (s, t), base in zip(mrf.edges, edge_off):
+        ms, mt = cards[s], cards[t]
         for j in range(ms):
             row = np.zeros(nvars)
             row[base + j * mt: base + (j + 1) * mt] = 1.0
@@ -216,16 +200,15 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
 
 
 def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> Pseudomarginal:
-    node_off, edge_off, nvars = _layout(mrf)
-    if x.shape != (nvars,):
+    layout = _Layout(mrf.cardinalities, ())
+    cards = mrf.cardinalities
+    edge_off = np.cumsum([layout.size] + [cards[s] * cards[t] for s, t in mrf.edges]).tolist()
+    if x.shape != (edge_off[-1],):
         raise ValueError("solution vector has the wrong length")
-    tau_node = tuple(x[node_off[s]:node_off[s] + mrf.cardinalities[s]].copy()
-                     for s in range(mrf.node_count))
-    tau_edge = {}
-    for e in mrf.edges:
-        ms, mt = mrf.cardinalities[e[0]], mrf.cardinalities[e[1]]
-        tau_edge[e] = x[edge_off[e]:edge_off[e] + ms * mt].reshape(ms, mt).copy()
-    return Pseudomarginal(tau_node, tau_edge)
+    x = x.copy()
+    tau_edge = {(s, t): x[a:b].reshape(cards[s], cards[t])
+                for (s, t), a, b in zip(mrf.edges, edge_off, edge_off[1:])}
+    return Pseudomarginal(np.split(x[:layout.size], layout.offsets[1:]), tau_edge)
 
 
 def delta_pseudomarginal(mrf: PairwiseMrf, x: Sequence[int]) -> Pseudomarginal:

@@ -7,9 +7,10 @@ and keeps all arithmetic overflow-safe.
 Tables compute on `_Layout`: node tables concatenated into one vector with
 per-node offsets, edges bucketed by table shape (m_s, m_t) so mixed
 cardinalities need no padding, each bucket's tables one stacked array.  The
-tree-reweighted schedules in `trw` build on the same layout, and
-`check_edge_consistency` packs the max-marginals onto it and tests every
-edge of a bucket at once.
+tree-reweighted schedules in `trw` build on the same layout.  A
+`MaxMarginals` keeps the layout it was computed on, with its node vector and
+table stacks; its per-node and per-edge tables are views of them, and
+`check_edge_consistency` tests every edge of a bucket at once on them.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
 tree of a collection at once, each rooted at node 0.  Its upward pass sends
@@ -36,20 +37,36 @@ BRUTE_FORCE_GUARD = 2 ** 24
 OFF_TREE_TOL = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MaxMarginals:
-    """Per-node vectors and per-edge matrices, stored as logs."""
+    """Per-node vectors and per-edge matrices, stored as logs, on the
+    `_Layout` they were computed on: `node` is its node vector and `tables`
+    holds one table stack per bucket.  `log_node` and `log_edge` are views
+    of these arrays, with the edges in the layout's order."""
 
+    layout: _Layout
+    node: np.ndarray
+    tables: tuple
     log_node: tuple
     log_edge: Mapping[Edge, np.ndarray]
 
-    def __post_init__(self):
-        node = tuple(np.asarray(v, dtype=float) for v in self.log_node)
-        edge = {e: np.asarray(m, dtype=float) for e, m in self.log_edge.items()}
-        if not _all_finite((*node, *edge.values())):
+    def __init__(self, log_node, log_edge):
+        layout = _Layout([len(v) for v in log_node], tuple(log_edge))
+        self._place(layout, *layout.pack(log_node, log_edge))
+
+    @classmethod
+    def on_layout(cls, layout: _Layout, node: np.ndarray, tables) -> MaxMarginals:
+        """From a node vector of `layout` and one table stack per bucket."""
+        self = cls.__new__(cls)
+        self._place(layout, node, tuple(tables))
+        return self
+
+    def _place(self, layout, node, tables):
+        if not _all_finite((node, *tables)):
             raise ValueError("non-finite log max-marginal")
-        object.__setattr__(self, "log_node", node)
-        object.__setattr__(self, "log_edge", edge)
+        for name, value in zip(("layout", "node", "tables", "log_node", "log_edge"),
+                               (layout, node, tables, *layout.unpack(node, tables))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -422,7 +439,7 @@ def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
     """
     layout, (node, tables) = _one_tree(mrf, tree, theta)
     node_mm, edge_mm, _ = layout.solve(node, tables)
-    return MaxMarginals(*layout.graph.unpack(node_mm[0], edge_mm))
+    return MaxMarginals.on_layout(layout.graph, node_mm[0], edge_mm)
 
 
 def tree_map_value(mrf: PairwiseMrf, tree: SpanningTree,
@@ -446,19 +463,14 @@ def check_edge_consistency(nu: MaxMarginals) -> EdgeConsistencyReport:
     spread of the implied constants over both directions (relative scale).
     Edges are reported in sorted order.
     """
-    edges = sorted(nu.log_edge)
-    if not edges:
-        return EdgeConsistencyReport({}, 0.0)
-    layout = _Layout([len(v) for v in nu.log_node], edges)
-    node, tables = layout.pack(nu.log_node, nu.log_edge)
-    dev = np.empty(len(edges))
-    for b, m in zip(layout.buckets, tables):
-        d_s = m.max(axis=2) - node[b.idx_s]
-        d_t = m.max(axis=1) - node[b.idx_t]
+    dev = np.empty(len(nu.layout.edges))
+    for b, m in zip(nu.layout.buckets, nu.tables):
+        d_s = m.max(axis=2) - nu.node[b.idx_s]
+        d_t = m.max(axis=1) - nu.node[b.idx_t]
         dev[b.pos] = np.maximum(d_s.max(axis=1) - d_s.min(axis=1),
                                 d_t.max(axis=1) - d_t.min(axis=1))
-    per_edge = dict(zip(edges, dev.tolist()))
-    return EdgeConsistencyReport(per_edge, max(per_edge.values()))
+    per_edge = dict(sorted(zip(nu.layout.edges, dev.tolist())))
+    return EdgeConsistencyReport(per_edge, max(per_edge.values(), default=0.0))
 
 
 def backtrack_optimum(nu: MaxMarginals, tree: SpanningTree, root: int = 0) -> np.ndarray:

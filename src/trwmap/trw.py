@@ -20,7 +20,9 @@ to stop.  The per-node sums over incident edges are accumulated with
 `np.add.at` in the schedule's edge order (`mrf.edges` for messages, sorted
 for reparameterization), so each entry sees the same floating-point
 operations in the same order as a per-edge loop.  `PseudoMaxMarginals` and
-`MessageSet` are the boundary types, built once at the end of a run.  With
+`MessageSet` are the boundary types, built once at the end of a run; the
+former keeps the run's layout and arrays, which the certificate search and
+the checks read, so a run builds one layout.  With
 an explicit tree distribution, the per-iteration bound runs the tree DP of
 `treedp._TreeLayout`, built once per run, on the arrays.  The public
 `message_step`, `reparameterization_step`, `messages_to_pseudo`,
@@ -36,9 +38,8 @@ max-marginals and the tree values of the bound, and the split, the merge,
 the damping, the tie masks and the agreement test are array operations.
 Sums over trees run in support order (`_tree_sum`).  The certificate's tie
 rule, the entries within `CERT_TIE_TOL` of their table's max, is
-`_tie_masks`, shared by `find_certificate` and the tree schedule.
-`check_reparameterization` builds the rho-weighted combination of the tree
-parameters on the same layout.
+`_tie_masks`, shared by `find_certificate`, the tree schedule and the
+experiment's unique-maximizer count.
 """
 
 from __future__ import annotations
@@ -270,12 +271,8 @@ class _FlatMrf(_Layout):
                           for m, old in zip(new_tables, tables)]
         return (new_node, *new_tables)
 
-    def pack_pseudo(self, nu: MaxMarginals) -> tuple:
-        node, tables = self.pack(nu.log_node, nu.log_edge)
-        return (node, *tables)
-
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        return PseudoMaxMarginals(*self.unpack(nu[0], nu[1:]))
+        return PseudoMaxMarginals.on_layout(self, nu[0], nu[1:])
 
 
 def unit_messages(mrf: PairwiseMrf) -> MessageSet:
@@ -301,7 +298,8 @@ def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
     then damped in the log domain and re-normalized.
     """
     flat = _FlatMrf([len(v) for v in nu.log_node], sorted(nu.log_edge), rho_e)
-    return flat.pseudo(flat.reparameterization_step(flat.pack_pseudo(nu), damping))
+    node, tables = flat.pack(nu.log_node, nu.log_edge)
+    return flat.pseudo(flat.reparameterization_step((node, *tables), damping))
 
 
 def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float],
@@ -442,11 +440,23 @@ def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
     Such an assignment certifies MAP optimality at a fixed point of the
     tree-reweighted updates with valid edge appearance weights.
     """
-    layout = _Layout(mrf.cardinalities, mrf.edges)
-    node, tables = layout.pack(nu.log_node, nu.log_edge)
-    assignment, indet = _search_tie_masks(layout, *_tie_masks(layout, node, tables, tie_tol),
-                                          guard)
+    _check_graph(nu, mrf)
+    masks = _tie_masks(nu.layout, nu.node, nu.tables, tie_tol)
+    assignment, indet = _search_tie_masks(nu.layout, *masks, guard)
     return CertificateResult(assignment, indet)
+
+
+def _check_graph(nu: MaxMarginals, mrf: PairwiseMrf):
+    """Raise unless `nu` has tables on exactly the nodes and edges of `mrf`."""
+    cards, want = [len(v) for v in nu.log_node], list(mrf.cardinalities)
+    if cards != want:
+        raise StructureError(f"pseudo-max-marginals have cardinalities {cards}, the model {want}")
+    missing = [e for e in mrf.edges if e not in nu.log_edge]
+    if missing:
+        raise StructureError(f"pseudo-max-marginals missing on edges {missing}")
+    extra = [e for e in nu.log_edge if e not in mrf.theta_edge]
+    if extra:
+        raise StructureError(f"pseudo-max-marginals given on edges {extra}, not graph edges")
 
 
 class _ZeroOffset:
@@ -487,36 +497,32 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
     returns the maximum deviation from its mean: zero means the combination
     equals theta up to an additive constant.
     """
-    layout = _Layout(mrf.cardinalities, mrf.edges)
-
-    def pack(node, edge):
-        for e in edge:
-            if e not in mrf.theta_edge:
-                raise StructureError(f"parameter given on {e}, which is not a graph edge")
-        return layout.pack(node, edge)
-
     if isinstance(nu_or_thetas, MaxMarginals):
-        missing = [e for e in mrf.edges if e not in nu_or_thetas.log_edge]
-        if missing:
-            raise StructureError(f"pseudo-max-marginals missing on edges {missing}")
+        _check_graph(nu_or_thetas, mrf)
+        layout, node = nu_or_thetas.layout, nu_or_thetas.node
         rho_e = edge_appearance(dist, mrf)
-        node, tables = pack(nu_or_thetas.log_node, nu_or_thetas.log_edge)
         tables = [np.array([rho_e[e] for e in b.edges])[:, None, None]
                   * (m - node[b.idx_s][:, :, None] - node[b.idx_t][:, None, :])
-                  for b, m in zip(layout.buckets, tables)]
+                  for b, m in zip(layout.buckets, nu_or_thetas.tables)]
     else:
         thetas = list(nu_or_thetas)
         support = dist.support_items()
         if len(thetas) != len(support):
             raise ValueError("one Potentials per supported tree required")
+        stray = [e for th in thetas for e in th.edge if e not in mrf.theta_edge]
+        if stray:
+            raise StructureError(f"parameter given on {stray[0]}, which is not a graph edge")
+        layout = _Layout(mrf.cardinalities, mrf.edges)
         w = [wk for _, wk in support]
-        nodes, per_tree = zip(*(pack(th.node, th.edge) for th in thetas))
+        nodes, per_tree = zip(*(layout.pack(th.node, th.edge) for th in thetas))
         node = _sum_in_order(w, np.array(nodes))
         tables = [_sum_in_order(w, np.array(stack)) for stack in zip(*per_tree)]
     theta_node, theta_tables = layout.pack(mrf.theta_node, mrf.theta_edge)
     _guard_states(mrf.cardinalities, max_states)
-    diff = layout.unpack(node - theta_node, [c - th for c, th in zip(tables, theta_tables)])
-    d = assignment_scores(mrf.cardinalities, Potentials(*diff))
+    diff_node, diff_edge = layout.unpack(node - theta_node,
+                                         [c - th for c, th in zip(tables, theta_tables)])
+    d = assignment_scores(mrf.cardinalities,
+                          Potentials(diff_node, {e: diff_edge[e] for e in mrf.edges}))
     return float(np.max(np.abs(d - d.mean())))
 
 
@@ -651,8 +657,8 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
         node = _damp(merged_node, node, config.damping)
         edge = [_damp(m, old, config.damping) for m, old in zip(merged_edge, edge)]
     total_node, total_edge = _tree_sum(trees, w, node_mm, edge_mm)
-    nu = PseudoMaxMarginals(*graph.unpack(total_node - graph.node_max(total_node),
-                                          [_normalized(m / r) for m, r in zip(total_edge, rho)]))
+    nu = PseudoMaxMarginals.on_layout(graph, total_node - graph.node_max(total_node),
+                                      [_normalized(m / r) for m, r in zip(total_edge, rho)])
     return TrwResult(
         nu=nu,
         iterations=iterations,

@@ -9,6 +9,7 @@ from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
                     uniform_tree_distribution)
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import diamond_mrf, triangle_mrf
+from trwmap.treedp import _Layout
 
 from conftest import random_graph_mrf
 
@@ -146,6 +147,29 @@ class TestSolve:
         tpath.write_bytes(save_tree_distribution(uniform_tree_distribution(mrf)))
         argv = ["solve", str(mpath), "--method", "maxprod"]
         assert run_cli(argv + ["--trees", str(tpath)]) == run_cli(argv)
+
+
+@pytest.mark.parametrize("with_trees", [False, True])
+@pytest.mark.parametrize("method", ["trw-msg", "trw-edge", "trw-tree", "maxprod"])
+def test_trw_solve_builds_one_layout(method, with_trees, tmp_path, monkeypatch):
+    # the run, the certificate search and the invariant checks share the
+    # run's layout (a `_FlatMrf` is one)
+    mrf = random_graph_mrf(np.random.default_rng(7000), n_nodes=6)
+    path, tpath = tmp_path / "model.json", tmp_path / "trees.json"
+    path.write_bytes(save_model(mrf))
+    tpath.write_bytes(save_tree_distribution(uniform_tree_distribution(mrf)))
+    built = []
+    init = _Layout.__init__
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(_Layout, "__init__", counted)
+    code, out = run_cli(["solve", str(path), "--method", method, "--max-iters", "50"]
+                        + (["--trees", str(tpath)] if with_trees else []))
+    assert code in (0, 2) and "edge-consistency" in out
+    assert len(built) == 1, built
 
 
 GOLDEN = Path(__file__).parent / "data" / "solve"

@@ -314,6 +314,41 @@ def test_check_edge_consistency_matches_reference_on_models(index):
         assert_report_equal(check_edge_consistency(nu), ref.check_edge_consistency(nu))
 
 
+def reordered_results():
+    """(model, its tree distribution, pseudo-max-marginals) whose layout
+    orders the edges otherwise than `mrf.edges`: the reparameterization
+    result on the model with unsorted edges, whose layout is sorted, and
+    tables built from a dict keyed in reverse edge order, on that model, a
+    triangle and a 4x4 grid.  The search finds a certificate in each."""
+    shuffled = MODELS[-1]
+    triangle = triangle_mrf(1.0)
+    config = TrwConfig(max_iterations=30)
+    out = [(shuffled, uniform_tree_distribution(shuffled),
+            run_trw(shuffled, None, config, variant="reparam").nu)]
+    for mrf, dist in ((shuffled, out[0][1]), (triangle, uniform_tree_distribution(triangle)),
+                      TREE_CASES[4]):
+        nu = run_trw(mrf, None, config, variant="messages").nu
+        out.append((mrf, dist, MaxMarginals(nu.log_node,
+                                            {e: nu.log_edge[e] for e in reversed(mrf.edges)})))
+    return out
+
+
+REORDERED = reordered_results()
+
+
+@pytest.mark.parametrize("index", range(len(REORDERED)))
+def test_checks_on_reordered_layouts_match_reference(index):
+    mrf, dist, nu = REORDERED[index]
+    assert nu.layout.edges != mrf.edges
+    got = find_certificate(nu, mrf)
+    assignment, indeterminate = ref.find_certificate(nu, mrf, CERT_TIE_TOL)
+    assert assignment is not None  # each case certifies, so the assignments are compared
+    assert np.array_equal(got.assignment, assignment)
+    assert got.indeterminate == indeterminate
+    assert_report_equal(check_edge_consistency(nu), ref.check_edge_consistency(nu))
+    assert check_reparameterization(nu, dist, mrf) == ref.check_reparameterization(nu, dist, mrf)
+
+
 def test_check_edge_consistency_without_edges():
     nu = MaxMarginals((np.zeros(2), np.array([0.0, -1.0, -2.0])), {})
     report = check_edge_consistency(nu)

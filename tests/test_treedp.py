@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
-                    SpanningTree, StructureError, backtrack_optimum, brute_force_map,
-                    check_edge_consistency, score, tree_map_value,
-                    tree_max_marginals, tree_opt_set)
+                    SpanningTree, StructureError, TrwConfig, backtrack_optimum,
+                    brute_force_map, check_edge_consistency, run_trw, score,
+                    tree_map_value, tree_max_marginals, tree_opt_set)
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
 from trwmap.model import CapacityError
 from trwmap.treedp import brute_force_over_potentials
 
-from conftest import random_tree_mrf
+from conftest import random_graph_mrf, random_tree_mrf
 
 
 def potentials_score(cards, pot, x):
@@ -156,6 +156,41 @@ class TestMaxMarginalsValidation:
         with pytest.raises(ValueError) as info:
             cls(tuple(node), edge)
         assert str(info.value) == "non-finite log max-marginal"
+
+
+class TestMaxMarginalsLayout:
+    def results(self):
+        mrf = random_graph_mrf(np.random.default_rng(11), n_nodes=5)
+        tree = random_tree_mrf(np.random.default_rng(12), n_nodes=5)
+        built = MaxMarginals((np.zeros(2), np.array([0.0, -1.0, -2.0]), np.zeros(2)),
+                             {(1, 2): np.zeros((3, 2)), (0, 2): np.ones((2, 2)),
+                              (0, 1): np.zeros((2, 3))})
+        return [built, tree_max_marginals(tree, SpanningTree(tree.edges)),
+                run_trw(mrf, None, TrwConfig(max_iterations=5), variant="messages").nu,
+                run_trw(mrf, None, TrwConfig(max_iterations=5), variant="reparam").nu]
+
+    def test_tables_are_views_of_the_layout_arrays(self):
+        for nu in self.results():
+            layout = nu.layout
+            assert list(nu.log_edge) == list(layout.edges)
+            for s, v in enumerate(nu.log_node):
+                assert np.shares_memory(v, nu.node)
+                assert np.array_equal(v, nu.node[layout.offsets[s]:layout.offsets[s] + len(v)])
+            for e, (bi, i) in zip(layout.edges, layout.slot):
+                assert np.shares_memory(nu.log_edge[e], nu.tables[bi])
+                assert np.array_equal(nu.log_edge[e], nu.tables[bi][i])
+
+    def test_dict_order_is_the_layout_order(self):
+        nu = self.results()[0]
+        assert nu.layout.edges == ((1, 2), (0, 2), (0, 1))
+        assert [len(b.edges) for b in nu.layout.buckets] == [1, 1, 1]
+
+    def test_attributes_cannot_be_set(self):
+        nu = self.results()[0]
+        for name in ("layout", "node", "tables", "log_node", "log_edge"):
+            value = getattr(nu, name)
+            with pytest.raises(AttributeError):
+                setattr(nu, name, value)
 
 
 class TestEdgeConsistency:

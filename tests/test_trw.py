@@ -250,6 +250,30 @@ class TestCertificateSearch:
         assert res.assignment is None
         assert res.indeterminate
 
+    def test_tables_missing_on_an_edge_are_an_error(self):
+        # without edge (2, 4) the search found [0 1 0 2 1 0], which scores
+        # 8.372 against a MAP value of 9.255; with it, there is no certificate
+        mrf = random_graph_mrf(np.random.default_rng(13), n_nodes=6)
+        nu = run_trw(mrf, None, TrwConfig(max_iterations=200)).nu
+        partial = PseudoMaxMarginals(nu.log_node,
+                                     {e: m for e, m in nu.log_edge.items() if e != (2, 4)})
+        with pytest.raises(StructureError, match=r"missing on edges \[\(2, 4\)\]"):
+            find_certificate(partial, mrf)
+        assert find_certificate(nu, mrf).assignment is None
+
+    def test_tables_of_another_graph_are_an_error(self):
+        mrf = triangle_mrf(1.0)
+        chain = PairwiseMrf(mrf.cardinalities, ((0, 1), (1, 2)), mrf.theta_node,
+                            {e: mrf.theta_edge[e] for e in ((0, 1), (1, 2))})
+        with pytest.raises(StructureError, match=r"given on edges \[\(0, 2\)\], not graph edges"):
+            find_certificate(triangle_fixed_point(1.0), chain)
+        wide = PseudoMaxMarginals((np.zeros(3), np.zeros(2), np.zeros(2)),
+                                  {(0, 1): np.zeros((3, 2)), (0, 2): np.zeros((3, 2)),
+                                   (1, 2): np.zeros((2, 2))})
+        with pytest.raises(StructureError,
+                           match=r"cardinalities \[3, 2, 2\], the model \[2, 2, 2\]"):
+            find_certificate(wide, triangle_mrf(1.0))
+
 
 class TestReparameterizationCheck:
     def test_cycle4_explicit_collection_exact(self):
