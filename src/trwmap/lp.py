@@ -1,6 +1,9 @@
 """The tree-based linear-programming relaxation over the local polytope.
 
 Includes a dense two-phase simplex solver with Bland's anti-cycling rule,
+whose entering-column choice, ratio test and pivots are array operations
+over the pivot column's and pivot row's nonzeros (the loop form it
+reproduces pivot for pivot is kept in `tests/lp_reference.py`),
 vertex classification, an exact marginal-polytope oracle (enumeration of all
 configurations), and extraction/evaluation of the Lagrangian dual from
 message fixed points.  The LP layer does not import the solver at run time:
@@ -56,35 +59,43 @@ class SimplexResult:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Pivot the tableau in place on (row, col).
+
+    The pivot row is divided by the pivot.  Every other row i with
+    f_i = T[i, col] nonzero gets T_ij - f_i * piv_j, but only at the columns
+    j where the pivot row piv is nonzero: at the others a full row update
+    subtracts a signed zero, so every value is `==` to the full update's.
+    The one difference is the sign of a zero: the full update can turn a
+    -0.0 into +0.0 at a skipped column, so zero entries of a solution may
+    differ in sign from the loop form kept in `tests/lp_reference.py`.
+    """
     T[row] /= T[row, col]
     piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * piv
+    rows = T[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    cols = piv.nonzero()[0]
+    T[rows[:, None], cols] -= T[rows, col][:, None] * piv[cols]
 
 
 def _simplex_core(T: np.ndarray, basis: list, c: np.ndarray) -> str:
     """Maximize c.x on the tableau in place; Bland's rule throughout."""
-    m, ncols = T.shape
-    nvars = ncols - 1
+    nvars = T.shape[1] - 1
     while True:
         reduced = c - c[basis] @ T[:, :nvars]
         reduced[basis] = 0.0
-        entering = -1
-        for j in range(nvars):
-            if reduced[j] > PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = (reduced > PIVOT_TOL).nonzero()[0]
+        if improving.size == 0:
             return "optimal"
+        entering = int(improving[0])
         col = T[:, entering]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        ratios = T[rows, -1] / col[rows]
+        # Smallest ratio; within the PIVOT_TOL band, the smallest basis index.
         leave, best, best_var = -1, np.inf, -1
-        for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
-                                                and basis[i] < best_var):
-                    leave, best, best_var = i, ratio, basis[i]
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
+                                            and basis[i] < best_var):
+                leave, best, best_var = i, ratio, basis[i]
         if leave < 0:
             return "unbounded"
         _pivot(T, leave, entering)
@@ -112,13 +123,10 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     keep_rows = []
     for i in range(m):
         if basis[i] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(T[i, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv < 0:
+            nonzero = (np.abs(T[i, :n]) > PIVOT_TOL).nonzero()[0]
+            if nonzero.size == 0:
                 continue  # redundant constraint
+            piv = int(nonzero[0])
             _pivot(T, i, piv)
             basis[i] = piv
         keep_rows.append(i)

@@ -51,7 +51,14 @@ class MaxMarginals:
     log_edge: Mapping[Edge, np.ndarray]
 
     def __init__(self, log_node, log_edge):
-        layout = _Layout([len(v) for v in log_node], tuple(log_edge))
+        cards = [len(v) for v in log_node]
+        for (s, t), m in log_edge.items():
+            if not (0 <= s < len(cards) and 0 <= t < len(cards)):
+                raise StructureError(f"edge {(s, t)} names a node outside 0..{len(cards) - 1}")
+            if np.shape(m) != (cards[s], cards[t]):
+                raise StructureError(f"edge {(s, t)} table has shape {np.shape(m)}, "
+                                     f"expected {(cards[s], cards[t])}")
+        layout = _Layout(cards, tuple(log_edge))
         self._place(layout, *layout.pack(log_node, log_edge))
 
     @classmethod

@@ -8,7 +8,7 @@ from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
                     brute_force_map, check_edge_consistency, run_trw, score,
                     tree_map_value, tree_max_marginals, tree_opt_set)
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
-from trwmap.model import CapacityError
+from trwmap.model import CapacityError, StructureError
 from trwmap.treedp import brute_force_over_potentials
 
 from conftest import random_graph_mrf, random_tree_mrf
@@ -156,6 +156,19 @@ class TestMaxMarginalsValidation:
         with pytest.raises(ValueError) as info:
             cls(tuple(node), edge)
         assert str(info.value) == "non-finite log max-marginal"
+
+    @pytest.mark.parametrize("cls", [MaxMarginals, PseudoMaxMarginals])
+    @pytest.mark.parametrize("edge, message", [
+        ({(0, 2): np.zeros((2, 2))}, "edge (0, 2) names a node outside 0..1"),
+        ({(0, 1): np.zeros((3, 2))}, "edge (0, 1) table has shape (3, 2), expected (2, 2)"),
+        ({(0, 1): np.zeros(4)}, "edge (0, 1) table has shape (4,), expected (2, 2)"),
+        ({(0, 1): np.zeros((2, 2)), (1, 0): np.zeros((2, 1))},
+         "edge (1, 0) table has shape (2, 1), expected (2, 2)"),
+    ])
+    def test_malformed_edge_table_rejected(self, cls, edge, message):
+        with pytest.raises(StructureError) as info:
+            cls((np.zeros(2), np.zeros(2)), edge)
+        assert str(info.value) == message
 
 
 class TestMaxMarginalsLayout:
