@@ -1,10 +1,13 @@
 """The tree-based linear-programming relaxation over the local polytope.
 
-Includes a dense two-phase simplex solver with Bland's anti-cycling rule,
-whose entering-column choice, ratio test and pivots are array operations
-over the pivot column's and pivot row's nonzeros (the loop form it
-reproduces pivot for pivot is kept in `tests/lp_reference.py`),
-vertex classification, an exact marginal-polytope oracle (enumeration of all
+Includes a dense two-phase simplex solver with Bland's anti-cycling rule.
+Its tableau carries the reduced-cost row c_B T - c as its last row, which
+each pivot updates; the dense product runs once per phase and again at each
+terminal decision.  The entering-column choice, ratio test and pivots are
+array operations over the pivot column's and pivot row's nonzeros.  The loop
+form it reproduces pivot for pivot, which recomputes the dense row at every
+pivot, is kept in `tests/lp_reference.py`.  Also included: vertex
+classification, an exact marginal-polytope oracle (enumeration of all
 configurations), and extraction/evaluation of the Lagrangian dual from
 message fixed points.  The LP layer does not import the solver at run time:
 message sets are read only through their `log_m` tables.
@@ -42,7 +45,7 @@ class LinearProgram:
         c = np.asarray(self.c, dtype=float)
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if A.shape != (b.shape[0], c.shape[0]):
+        if c.ndim != 1 or b.ndim != 1 or A.shape != (b.shape[0], c.shape[0]):
             raise ValueError("inconsistent LP dimensions")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
             raise ValueError("non-finite LP data")
@@ -77,33 +80,73 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[rows[:, None], cols] -= T[rows, col][:, None] * piv[cols]
 
 
+def _dense_row(T: np.ndarray, basis: list, c: np.ndarray) -> np.ndarray:
+    """The reduced-cost row c_B T - c over the constraint rows, 0 on the basic
+    columns: the dense product the carried objective row must agree with."""
+    z = c[basis] @ T[:-1, :-1] - c
+    z[basis] = 0.0
+    return z
+
+
+def _first_improving(z: np.ndarray) -> int:
+    """Bland's entering column: the first j with z_j < -PIVOT_TOL, else -1."""
+    improving = (z < -PIVOT_TOL).nonzero()[0]
+    return int(improving[0]) if improving.size else -1
+
+
 def _simplex_core(T: np.ndarray, basis: list, c: np.ndarray) -> str:
-    """Maximize c.x on the tableau in place; Bland's rule throughout."""
-    nvars = T.shape[1] - 1
+    """Maximize c.x on the tableau in place; Bland's rule throughout.
+
+    The last row of T is the objective row z = c_B T - c.  It is computed
+    once here with the dense product and then carried: `_pivot` updates it
+    like any other row.  The entering column is the first j with
+    z_j < -PIVOT_TOL, and the ratio test runs over the constraint rows.
+    Before returning "optimal" or "unbounded", the dense row is computed
+    again; if its entering column differs from the carried row's, it
+    replaces the carried row and the iteration goes on.  So every status is
+    decided by the dense row, as in the loop form in `tests/lp_reference.py`.
+    """
+    z = T[-1, :-1]
+    z[:] = _dense_row(T, basis, c)
     while True:
-        reduced = c - c[basis] @ T[:, :nvars]
-        reduced[basis] = 0.0
-        improving = (reduced > PIVOT_TOL).nonzero()[0]
-        if improving.size == 0:
-            return "optimal"
-        entering = int(improving[0])
-        col = T[:, entering]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        ratios = T[rows, -1] / col[rows]
-        # Smallest ratio; within the PIVOT_TOL band, the smallest basis index.
-        leave, best, best_var = -1, np.inf, -1
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
-                                            and basis[i] < best_var):
-                leave, best, best_var = i, ratio, basis[i]
+        entering = _first_improving(z)
+        leave = -1
+        if entering >= 0:
+            col = T[:-1, entering]
+            rows = (col > PIVOT_TOL).nonzero()[0]
+            ratios = T[rows, -1] / col[rows]
+            # Smallest ratio; within the PIVOT_TOL band, the smallest basis index.
+            best, best_var = np.inf, -1
+            for i, ratio in zip(rows.tolist(), ratios.tolist()):
+                if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
+                                                and basis[i] < best_var):
+                    leave, best, best_var = i, ratio, basis[i]
         if leave < 0:
-            return "unbounded"
+            dense = _dense_row(T, basis, c)
+            if _first_improving(dense) == entering:
+                return "optimal" if entering < 0 else "unbounded"
+            z[:] = dense
+            continue
         _pivot(T, leave, entering)
         basis[leave] = entering
 
 
+def _tableau(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Constraint rows [M | rhs] above a row of zeros for the objective row
+    that `_simplex_core` fills in and carries."""
+    T = np.zeros((M.shape[0] + 1, M.shape[1] + 1))
+    T[:-1, :-1] = M
+    T[:-1, -1] = rhs
+    return T
+
+
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Two-phase dense simplex; returns an optimal basic feasible solution."""
+    """Two-phase dense simplex; returns an optimal basic feasible solution.
+
+    Each phase's tableau carries an objective row below its constraint rows
+    (`_tableau`).  Phase 1's is dropped before the remaining artificials are
+    driven out, and phase 2 reads x from its constraint rows.
+    """
     A, b, c = lp.A.copy(), lp.b.copy(), lp.c
     m, n = A.shape
     flip = b < 0
@@ -111,10 +154,11 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     b[flip] *= -1
 
     # Phase 1: artificial basis, maximize minus their sum.
-    T = np.hstack([A, np.eye(m), b[:, None]])
+    T = _tableau(np.hstack([A, np.eye(m)]), b)
     basis = list(range(n, n + m))
     c1 = np.concatenate([np.zeros(n), -np.ones(m)])
     _simplex_core(T, basis, c1)
+    T = T[:-1]
     art_sum = float(c1[basis] @ T[:, -1])
     if art_sum < -FEAS_TOL:
         return SimplexResult("infeasible", np.nan, None)
@@ -130,14 +174,15 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             _pivot(T, i, piv)
             basis[i] = piv
         keep_rows.append(i)
-    T = np.hstack([T[keep_rows][:, :n], T[keep_rows][:, -1:]])
+    kept = T[keep_rows]
+    T = _tableau(kept[:, :n], kept[:, -1])
     basis = [basis[i] for i in keep_rows]
 
     status = _simplex_core(T, basis, np.asarray(c, dtype=float))
     if status != "optimal":
         return SimplexResult(status, np.nan, None)
     x = np.zeros(n)
-    x[basis] = T[:, -1]
+    x[basis] = T[:-1, -1]
     return SimplexResult("optimal", float(c @ x), x)
 
 

@@ -550,6 +550,8 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     reported in the result, never raised.  After termination the certificate
     search runs on the final pseudo-max-marginals.
     """
+    if not mrf.edges:
+        raise StructureError("model has no edges")
     config = config or TrwConfig()
     dist, rho_e = resolve_rho(mrf, dist_or_rho)
     if variant == "reparam":

@@ -119,6 +119,15 @@ class TestSolve:
         assert code == 1
         assert out == "error: model has no edges\n"
 
+    @pytest.mark.parametrize("method", ["maxprod", "trw-msg", "trw-edge"])
+    def test_run_trw_methods_on_two_node_edgeless_model_are_errors(self, tmp_path, method):
+        path = tmp_path / "two_nodes.json"
+        path.write_bytes(save_model(PairwiseMrf(
+            (2, 2), (), (np.array([0.0, 1.0]), np.array([1.0, 0.0])), {})))
+        code, out = run_cli(["solve", str(path), "--method", method])
+        assert code == 1
+        assert out == "error: model has no edges\n"
+
     @pytest.mark.parametrize("method", ["lp", "brute", "trw-edge", "trw-msg"])
     @pytest.mark.parametrize("rho_e, message", [
         ({"0,1": 0.5, "0,2": 0.5, "1,2": 0.5, "5,9": 0.5},

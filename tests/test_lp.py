@@ -99,6 +99,19 @@ class TestSimplex:
         lp = LinearProgram(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
         assert simplex_solve(lp).status == "unbounded"
 
+    @pytest.mark.parametrize("c, A, b", [
+        ([[1.0], [0.0]], [[1.0, -1.0]], [0.0]),  # 2-D c
+        ([1.0, 0.0], [[1.0, -1.0]], [[0.0]]),  # 2-D b
+        ([1.0], [1.0], [1.0]),  # 1-D A
+        ([1.0], [[[1.0]]], [1.0]),  # 3-D A
+        (1.0, [[1.0]], [1.0]),  # scalar c
+        ([1.0, 0.0], [[1.0, -1.0]], [0.0, 0.0]),  # b longer than A has rows
+        ([1.0, 0.0, 0.0], [[1.0, -1.0]], [0.0]),  # c longer than A has columns
+    ])
+    def test_inconsistent_shapes_rejected(self, c, A, b):
+        with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
+            LinearProgram(np.array(c), np.array(A), np.array(b))
+
 
 class TestVertexClassification:
     def test_fractional_vertex(self):

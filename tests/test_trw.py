@@ -215,6 +215,13 @@ class TestRunTrw:
             value, _ = brute_force_map(mrf)
             assert score(mrf, result.certificate) == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize("variant", ["messages", "reparam"])
+    @pytest.mark.parametrize("rho", [None, {}, {(0, 1): 1.0}])
+    def test_edgeless_model_is_error(self, variant, rho):
+        mrf = PairwiseMrf((2, 3), (), (np.array([0.0, 1.0]), np.zeros(3)), {})
+        with pytest.raises(StructureError, match=r"^model has no edges$"):
+            run_trw(mrf, rho, TrwConfig(), variant=variant)
+
 
 class TestCertificateSearch:
     def test_triangle_agreeing_returns_constant_state(self):
