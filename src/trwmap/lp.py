@@ -1,16 +1,19 @@
 """The tree-based linear-programming relaxation over the local polytope.
 
-Includes a dense two-phase simplex solver with Bland's anti-cycling rule.
-Its tableau carries the reduced-cost row c_B T - c as its last row, which
-each pivot updates; the dense product runs once per phase and again at each
-terminal decision.  The entering-column choice, ratio test and pivots are
-array operations over the pivot column's and pivot row's nonzeros.  The loop
-form it reproduces pivot for pivot, which recomputes the dense row at every
-pivot, is kept in `tests/lp_reference.py`.  Also included: vertex
-classification, an exact marginal-polytope oracle (enumeration of all
-configurations), and extraction/evaluation of the Lagrangian dual from
-message fixed points.  The LP layer does not import the solver at run time:
-message sets are read only through their `log_m` tables.
+`_offsets` is the one statement of the LP vector's order and
+`_indicator_index` the positions of a configuration's indicator vector phi(x)
+in it: the local LP, the decoding of a solution, phi(x) as a pseudomarginal
+and the exact marginal-polytope oracle read these two.  The Lagrangian dual,
+with multipliers from message fixed points, is evaluated on the `_Layout`
+buckets of `treedp`.  Message sets are read only through their `log_m`
+tables, so the LP layer does not import the solver at run time.
+
+The dense two-phase simplex uses Bland's anti-cycling rule.  Its tableau
+carries the reduced-cost row c_B T - c as its last row, which each pivot
+updates; the dense product runs once per phase and again at each terminal
+decision.  The entering-column choice, ratio test and pivots are array
+operations over the pivot column's and pivot row's nonzeros.  The loop form
+they reproduce pivot for pivot is kept in `tests/lp_reference.py`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, StructureError
+from .model import Edge, PairwiseMrf, StructureError, check_assignment
 from .trees import TreeDistribution
 from .treedp import MaxMarginals, _guard_states, _Layout
 
@@ -216,67 +219,71 @@ def in_local(tau: Pseudomarginal, tol: float = 1e-9) -> bool:
     return True
 
 
+def _offsets(mrf: PairwiseMrf) -> tuple:
+    """(node offsets, edge offsets) of the LP vector: every node table, then
+    every edge table row-major in `mrf.edges` order; the last is its length."""
+    cards = mrf.cardinalities
+    off = np.cumsum([0, *cards, *(cards[s] * cards[t] for s, t in mrf.edges)])
+    return off[:len(cards)], off[len(cards):]
+
+
+def _to_vector(mrf: PairwiseMrf, node, edge) -> np.ndarray:
+    """Per-node tables and a mapping of edge tables as one LP vector."""
+    return np.concatenate([*node, *(np.ravel(edge[e]) for e in mrf.edges)])
+
+
+def _indicator_index(mrf: PairwiseMrf, states: np.ndarray) -> np.ndarray:
+    """The positions of the ones of phi(x) in the LP vector, for each
+    configuration x (a row of `states`): one per node, then one per edge."""
+    node_off, edge_off = _offsets(mrf)
+    s, t = np.array(mrf.edges, dtype=np.intp).reshape(-1, 2).T
+    mt = np.array(mrf.cardinalities)[t]
+    return np.concatenate([node_off + states,
+                           edge_off[:-1] + states[:, s] * mt + states[:, t]], axis=1)
+
+
 def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     """Relaxed MAP linear program: maximize theta.tau over the local polytope.
 
-    Variables are all node entries then all edge entries (row-major, in edge
-    order).  Constraints are one normalization row per node and both-direction
-    marginalization rows per edge; edge normalization is implied and omitted.
+    Variables are the LP vector of `_offsets`.  Constraints are one
+    normalization row per node and both-direction marginalization rows per
+    edge; edge normalization is implied and omitted.
     """
-    layout = _Layout(mrf.cardinalities, ())
-    cards, node_off = mrf.cardinalities, layout.offsets
-    edge_off = np.cumsum([layout.size] + [cards[s] * cards[t] for s, t in mrf.edges]).tolist()
-    nvars = edge_off[-1]
-    c = np.concatenate([*mrf.theta_node, *(mrf.theta_edge[e].ravel() for e in mrf.edges)])
-    rows = []
-    rhs = []
-    for s in range(mrf.node_count):
-        row = np.zeros(nvars)
-        row[node_off[s]:node_off[s] + cards[s]] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
+    cards, n = mrf.cardinalities, mrf.node_count
+    node_off, edge_off = (a.tolist() for a in _offsets(mrf))
+    A = np.zeros((n + sum(cards[s] + cards[t] for s, t in mrf.edges), edge_off[-1]))
+    A[np.repeat(np.arange(n), cards), np.arange(edge_off[0])] = 1.0
+    row = n
     for (s, t), base in zip(mrf.edges, edge_off):
         ms, mt = cards[s], cards[t]
         for j in range(ms):
-            row = np.zeros(nvars)
-            row[base + j * mt: base + (j + 1) * mt] = 1.0
-            row[node_off[s] + j] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
+            A[row, base + j * mt: base + (j + 1) * mt] = 1.0
+            A[row, node_off[s] + j] = -1.0
+            row += 1
         for k in range(mt):
-            row = np.zeros(nvars)
-            row[base + k: base + ms * mt: mt] = 1.0
-            row[node_off[t] + k] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    return LinearProgram(c, np.array(rows), np.array(rhs))
+            A[row, base + k: base + ms * mt: mt] = 1.0
+            A[row, node_off[t] + k] = -1.0
+            row += 1
+    b = np.concatenate([np.ones(n), np.zeros(A.shape[0] - n)])
+    return LinearProgram(_to_vector(mrf, mrf.theta_node, mrf.theta_edge), A, b)
 
 
 def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> Pseudomarginal:
-    layout = _Layout(mrf.cardinalities, ())
-    cards = mrf.cardinalities
-    edge_off = np.cumsum([layout.size] + [cards[s] * cards[t] for s, t in mrf.edges]).tolist()
+    node_off, edge_off = _offsets(mrf)
     if x.shape != (edge_off[-1],):
         raise ValueError("solution vector has the wrong length")
-    x = x.copy()
+    x, cards = x.copy(), mrf.cardinalities
     tau_edge = {(s, t): x[a:b].reshape(cards[s], cards[t])
                 for (s, t), a, b in zip(mrf.edges, edge_off, edge_off[1:])}
-    return Pseudomarginal(np.split(x[:layout.size], layout.offsets[1:]), tau_edge)
+    return Pseudomarginal(np.split(x[:edge_off[0]], node_off[1:]), tau_edge)
 
 
 def delta_pseudomarginal(mrf: PairwiseMrf, x: Sequence[int]) -> Pseudomarginal:
-    """Indicator vector of a configuration as a pseudomarginal."""
-    node = []
-    for s, m in enumerate(mrf.cardinalities):
-        v = np.zeros(m)
-        v[x[s]] = 1.0
-        node.append(v)
-    edge = {}
-    for (s, t) in mrf.edges:
-        m = np.zeros((mrf.cardinalities[s], mrf.cardinalities[t]))
-        m[x[s], x[t]] = 1.0
-        edge[(s, t)] = m
-    return Pseudomarginal(tuple(node), edge)
+    """Indicator vector phi(x) of a configuration as a pseudomarginal."""
+    x = check_assignment(mrf, x)
+    v = np.zeros(_offsets(mrf)[1][-1])
+    v[_indicator_index(mrf, x[None, :])] = 1.0
+    return vector_to_pseudomarginal(mrf, v)
 
 
 @dataclass(frozen=True)
@@ -290,35 +297,25 @@ def classify_vertex(tau: Pseudomarginal, tol: float = INTEGRAL_TOL) -> VertexCla
     or fractional.  The input must lie in the local polytope."""
     if not in_local(tau, tol=max(tol, 1e-7)):
         raise ValueError("pseudomarginal is not in the local polytope")
-    entries = [v for v in tau.tau_node] + [m.reshape(-1) for m in tau.tau_edge.values()]
-    for v in entries:
-        if np.any(np.minimum(np.abs(v), np.abs(v - 1.0)) > tol):
-            return VertexClassification("fractional", None)
-    x = np.array([int(np.argmax(v)) for v in tau.tau_node], dtype=int)
-    return VertexClassification("integral", x)
+    flat = np.concatenate([*tau.tau_node, *(m.ravel() for m in tau.tau_edge.values())])
+    if np.any(np.minimum(np.abs(flat), np.abs(flat - 1.0)) > tol):
+        return VertexClassification("fractional", None)
+    return VertexClassification("integral", np.array([np.argmax(v) for v in tau.tau_node]))
 
 
 def in_marginal_polytope(tau: Pseudomarginal, mrf: PairwiseMrf,
                          max_states: int = MEMBERSHIP_GUARD) -> bool:
     """Exact membership test: is there a distribution over configurations
     whose node and edge expectations reproduce tau?  Solved as a phase-1
-    feasibility LP with one variable per configuration."""
-    cards = mrf.cardinalities
-    total = _guard_states(cards, max_states)
-    states = np.stack(np.unravel_index(np.arange(total), cards), axis=1)
-    rows = [np.ones(total)]
-    rhs = [1.0]
-    for s in range(mrf.node_count):
-        for j in range(cards[s]):
-            rows.append((states[:, s] == j).astype(float))
-            rhs.append(float(tau.tau_node[s][j]))
-    for (s, t) in mrf.edges:
-        for j in range(cards[s]):
-            for k in range(cards[t]):
-                rows.append(((states[:, s] == j) & (states[:, t] == k)).astype(float))
-                rhs.append(float(tau.tau_edge[(s, t)][j, k]))
-    lp = LinearProgram(np.zeros(total), np.array(rows), np.array(rhs))
-    return simplex_solve(lp).status == "optimal"
+    feasibility LP with one variable per configuration: a sum-to-one row,
+    then one row per LP-vector entry, which is 1 where phi(x) is."""
+    total = _guard_states(mrf.cardinalities, max_states)
+    states = np.stack(np.unravel_index(np.arange(total), mrf.cardinalities), axis=1)
+    b = np.concatenate([[1.0], _to_vector(mrf, tau.tau_node, tau.tau_edge)])
+    A = np.zeros((b.size, total))
+    A[0] = 1.0
+    A[1 + _indicator_index(mrf, states), np.arange(total)[:, None]] = 1.0
+    return simplex_solve(LinearProgram(np.zeros(total), A, b)).status == "optimal"
 
 
 @dataclass(frozen=True)
@@ -371,20 +368,17 @@ def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
     The relaxed maximization separates over nodes and edges: each node
     maximizes its table plus its rho-weighted incoming multipliers; each edge
     maximizes its table minus the rho-weighted multipliers of both endpoints.
-    Always an upper bound on the relaxed-LP optimum.
+    Always an upper bound on the relaxed-LP optimum.  Computed on the
+    `_Layout` buckets: one max per table stack, node maxima by `reduceat`.
     """
+    layout = _Layout(mrf.cardinalities, mrf.edges)
+    node, tables = layout.pack(mrf.theta_node, mrf.theta_edge)
     total = 0.0
-    for s in range(mrf.node_count):
-        v = np.asarray(mrf.theta_node[s], dtype=float).copy()
-        for t in mrf.neighbors[s]:
-            key = mrf.edge_key(s, t)
-            v = v + rho_e[key] * lam.lam[(t, s)]
-        total += float(v.max())
-    for (s, t) in mrf.edges:
-        r = rho_e[(s, t)]
-        m = (mrf.theta_edge[(s, t)]
-             - r * lam.lam[(t, s)][:, None]
-             - r * lam.lam[(s, t)][None, :])
-        total += float(m.max())
-    return total
-
+    for b, table in zip(layout.buckets, tables):
+        rho = np.array([float(rho_e[e]) for e in b.edges])[:, None]
+        to_s = rho * np.array([lam.lam[(t, s)] for s, t in b.edges], dtype=float)
+        to_t = rho * np.array([lam.lam[(s, t)] for s, t in b.edges], dtype=float)
+        np.add.at(node, b.idx_s, to_s)
+        np.add.at(node, b.idx_t, to_t)
+        total += (table - to_s[:, :, None] - to_t[:, None, :]).max(axis=(1, 2)).sum()
+    return float(np.maximum.reduceat(node, layout.offsets).sum() + total)

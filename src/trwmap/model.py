@@ -288,6 +288,9 @@ def load_model(data: bytes | str) -> PairwiseMrf:
     cards = doc["nodes"]
     if not isinstance(cards, list) or not all(isinstance(m, int) for m in cards):
         raise ModelFormatError("nodes: expected a list of integers")
+    for key in ("edges", "theta_node", "theta_edge"):
+        if not isinstance(doc[key], list):
+            raise ModelFormatError(f"{key}: expected a list")
     edges = []
     for i, e in enumerate(doc["edges"]):
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):

@@ -95,6 +95,9 @@ class TreeDistribution:
             raise ModelFormatError("one weight per tree required")
         if len(set(trees)) != len(trees):
             raise ModelFormatError("duplicate tree in distribution")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ModelFormatError(f"tree weight {bad[0]} is not finite: {float(w[bad[0]])!r}")
         if np.any(w < 0):
             raise ModelFormatError("tree weights must be non-negative")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -124,23 +127,25 @@ def enumerate_spanning_trees(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) -
             u = parent[u]
         return u
 
-    def recurse(idx: int, chosen: list, parent: list):
+    # Depth first on an explicit stack: (next edge, chosen edges, union-find
+    # parents).  The include branch is pushed last, so it is explored first.
+    stack = [(0, [], list(range(n)))]
+    while stack:
+        idx, chosen, parent = stack.pop()
         if len(chosen) == n - 1:
             found.append(SpanningTree(tuple(chosen)))
             if len(found) > guard:
                 raise CapacityError(f"more than {guard} spanning trees")
-            return
+            continue
         if idx == len(edges) or len(chosen) + (len(edges) - idx) < n - 1:
-            return
+            continue
         s, t = edges[idx]
         rs, rt = root_find(parent, s), root_find(parent, t)
+        stack.append((idx + 1, chosen, parent))
         if rs != rt:
             child = list(parent)
             child[rs] = rt
-            recurse(idx + 1, chosen + [edges[idx]], child)
-        recurse(idx + 1, chosen, parent)
-
-    recurse(0, [], list(range(n)))
+            stack.append((idx + 1, chosen + [edges[idx]], child))
     return found
 
 
@@ -220,6 +225,13 @@ def save_tree_distribution(dist: TreeDistribution) -> bytes:
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise ModelFormatError(f"{field}: expected a number, got {value!r}") from err
+
+
 def load_tree_distribution(data: bytes | str, node_count: int | None = None):
     """Load a tree-distribution document.
 
@@ -234,13 +246,15 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"not valid JSON: {err}") from err
     if isinstance(doc, dict) and "rho_e" in doc:
+        if not isinstance(doc["rho_e"], dict):
+            raise ModelFormatError("rho_e: expected an object mapping 's,t' to a weight")
         rho = {}
         for key, val in doc["rho_e"].items():
             try:
                 s, t = (int(v) for v in key.split(","))
             except ValueError as err:
                 raise ModelFormatError(f"rho_e key {key!r}: expected 's,t'") from err
-            rho[(min(s, t), max(s, t))] = float(val)
+            rho[(min(s, t), max(s, t))] = _number(val, f"rho_e[{key!r}]")
         return rho
     if not isinstance(doc, list):
         raise ModelFormatError("expected a list of tree records or a rho_e object")
@@ -248,8 +262,13 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
     for i, rec in enumerate(doc):
         if not isinstance(rec, dict) or "edges" not in rec or "weight" not in rec:
             raise ModelFormatError(f"tree record {i}: expected edges and weight")
-        trees.append(SpanningTree(tuple(tuple(e) for e in rec["edges"])))
-        weights.append(float(rec["weight"]))
+        edges = rec["edges"]
+        if not (isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)
+                for e in edges)):
+            raise ModelFormatError(f"tree record {i}: edges: expected a list of integer pairs")
+        trees.append(SpanningTree(tuple(tuple(e) for e in edges)))
+        weights.append(_number(rec["weight"], f"tree record {i}: weight"))
     if node_count is None:
         node_count = 1 + max(max(max(e) for e in t.edges) for t in trees)
     return TreeDistribution(node_count, tuple(trees), np.asarray(weights))

@@ -247,12 +247,6 @@ class _FlatMrf(_Layout):
 
     # --- pseudo-max-marginals: node vector, then table stacks ---------------
 
-    def init_pseudo(self) -> tuple:
-        th = self.theta_node
-        return (self._normalized_nodes(th),
-                *(_normalized(b.table + th[b.idx_s][:, :, None] + th[b.idx_t][:, None, :])
-                  for b in self.buckets))
-
     def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
         node, tables = nu[0], nu[1:]
         rows = [m.max(axis=2) for m in tables]
@@ -284,7 +278,7 @@ def init_pseudo(mrf: PairwiseMrf, rho_e: Mapping[Edge, float]) -> PseudoMaxMargi
     """Starting pseudo-max-marginals: node tables from theta, edge tables from
     the edge table scaled by 1/rho plus both node tables, max-normalized."""
     flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
-    return flat.pseudo(flat.init_pseudo())
+    return flat.pseudo(flat.pseudo_from_messages(flat.unit_messages()))
 
 
 def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
@@ -557,7 +551,7 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     if variant == "reparam":
         # this update sums node corrections in sorted edge order
         flat = _FlatMrf(mrf.cardinalities, sorted(mrf.edges), rho_e, mrf)
-        state, step = flat.init_pseudo(), flat.reparameterization_step
+        state, step = flat.pseudo_from_messages(flat.unit_messages()), flat.reparameterization_step
 
         def tables(nu):
             return nu

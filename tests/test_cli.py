@@ -8,7 +8,7 @@ import pytest
 from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
                     uniform_tree_distribution)
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
-from trwmap.examples import diamond_mrf, triangle_mrf
+from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
 from trwmap.treedp import _Layout
 
 from conftest import random_graph_mrf
@@ -266,3 +266,57 @@ class TestExperiment:
                              "--verify-oracle"])
         assert code == 0
         assert out.splitlines()[0].startswith("gamma,")
+
+
+@pytest.mark.parametrize("model_fields, trees, message", [
+    ({"edges": 5}, None, "edges: expected a list"),
+    ({"theta_node": 5}, None, "theta_node: expected a list"),
+    ({"theta_edge": 7}, None, "theta_edge: expected a list"),
+    ({}, {"rho_e": [1, 2]}, "rho_e: expected an object mapping 's,t' to a weight"),
+    ({}, [{"edges": [5], "weight": 1.0}],
+     "tree record 0: edges: expected a list of integer pairs"),
+    ({}, [{"edges": [[0, 1]], "weight": None}],
+     "tree record 0: weight: expected a number, got None"),
+])
+def test_malformed_documents_are_format_errors(tmp_path, model_fields, trees, message):
+    doc = json.loads(save_model(triangle_mrf(1.0)))
+    doc.update(model_fields)
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(doc))
+    argv = ["solve", str(mpath), "--method", "trw-msg"]
+    if trees is not None:
+        tpath = tmp_path / "trees.json"
+        tpath.write_text(json.dumps(trees))
+        argv += ["--trees", str(tpath)]
+    assert run_cli(argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("method", ["trw-tree", "trw-msg"])
+@pytest.mark.parametrize("weights, message", [
+    ([float("nan")] * 4, "tree weight 0 is not finite: nan"),
+    ([0.25, 0.25, float("nan"), 0.25], "tree weight 2 is not finite: nan"),
+    ([float("inf"), 0.0, 0.0, 0.0], "tree weight 0 is not finite: inf"),
+])
+def test_non_finite_tree_weights_are_format_errors(tmp_path, method, weights, message):
+    mrf = cycle4_mrf()
+    mpath, tpath = tmp_path / "cycle4.json", tmp_path / "trees.json"
+    mpath.write_bytes(save_model(mrf))
+    trees = uniform_tree_distribution(mrf).trees
+    tpath.write_text(json.dumps([{"edges": [list(e) for e in t.edges], "weight": w}
+                                 for t, w in zip(trees, weights)]))
+    code, out = run_cli(["solve", str(mpath), "--method", method, "--trees", str(tpath)])
+    assert (code, out) == (1, f"error: {message}\n")
+
+
+def test_trw_tree_on_long_chain_certifies(tmp_path):
+    # the spanning-tree enumeration runs on an explicit stack, not one call per edge
+    n = 1200
+    rng = np.random.default_rng(1200)
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    mrf = PairwiseMrf((2,) * n, edges, tuple(rng.normal(size=2) for _ in range(n)),
+                      {e: rng.normal(size=(2, 2)) for e in edges})
+    path = tmp_path / "chain.json"
+    path.write_bytes(save_model(mrf))
+    code, out = run_cli(["solve", str(path), "--method", "trw-tree"])
+    assert code == 0
+    assert "converged: True" in out and "certificate: " in out

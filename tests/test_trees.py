@@ -7,7 +7,9 @@ from trwmap import (CapacityError, PairwiseMrf, SpanningTree, StructureError,
                     load_tree_distribution, save_tree_distribution,
                     uniform_tree_distribution)
 from trwmap.examples import cycle4_mrf, diamond_mrf, bridge_graph_trees, bridge_graph, triangle_mrf
+from trwmap.model import ModelFormatError
 
+import trees_reference
 from conftest import random_graph_mrf
 
 
@@ -164,3 +166,40 @@ class TestGridTwoTrees:
         rho = edge_appearance(dist, mrf)
         assert len(rho) == 24
         assert all(r > 0 for r in rho.values())
+
+
+class TestEnumerationOrder:
+    # the explicit-stack enumeration lists the recursive form's trees in its order
+
+    def test_random_graphs_match_recursive_form(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            mrf = random_graph_mrf(rng, n_nodes=int(rng.integers(2, 9)),
+                                   extra_edge_prob=float(rng.uniform(0.1, 0.7)))
+            assert enumerate_spanning_trees(mrf) == trees_reference.enumerate_spanning_trees(mrf)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 6), (2, 2), (2, 5), (3, 3), (3, 4)])
+    def test_grids_match_recursive_form(self, rows, cols):
+        mrf = zero_mrf(rows * cols, grid_edges(rows, cols))
+        trees = enumerate_spanning_trees(mrf)
+        assert trees == trees_reference.enumerate_spanning_trees(mrf)
+        assert len(trees) == kirchhoff_count(mrf.node_count, mrf.edges)
+
+    def test_guard_matches_recursive_form(self):
+        mrf = zero_mrf(9, grid_edges(3, 3))
+        for enumerate_ in (enumerate_spanning_trees, trees_reference.enumerate_spanning_trees):
+            with pytest.raises(CapacityError, match="more than 50 spanning trees"):
+                enumerate_(mrf, guard=50)
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 3000
+        trees = enumerate_spanning_trees(zero_mrf(n, [(i, i + 1) for i in range(n - 1)]))
+        assert len(trees) == 1 and len(trees[0].edges) == n - 1
+
+
+@pytest.mark.parametrize("weights", [[np.nan] * 4, [np.nan, 0.5, 0.25, 0.25],
+                                     [np.inf, 0.0, 0.0, 0.0], [0.5, -np.inf, 0.25, 0.25]])
+def test_non_finite_tree_weights_rejected(weights):
+    trees = tuple(enumerate_spanning_trees(cycle4_mrf()))
+    with pytest.raises(ModelFormatError, match="is not finite"):
+        TreeDistribution(4, trees, np.array(weights))
