@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, StructureError, check_assignment
+from .model import Edge, PairwiseMrf, StructureError, _all_finite, check_assignment
 from .trees import TreeDistribution
 from .treedp import MaxMarginals, _guard_states, _Layout
 
@@ -204,8 +204,11 @@ class Pseudomarginal:
 
 
 def in_local(tau: Pseudomarginal, tol: float = 1e-9) -> bool:
-    """Membership in the local polytope: non-negativity, unit node sums, and
-    edge tables whose row/column sums reproduce the node vectors."""
+    """Membership in the local polytope: finite entries, non-negativity,
+    unit node sums, and edge tables whose row/column sums reproduce the node
+    vectors."""
+    if not _all_finite((*tau.tau_node, *tau.tau_edge.values())):
+        return False
     for v in tau.tau_node:
         if v.min() < -tol or abs(v.sum() - 1.0) > tol:
             return False

@@ -5,12 +5,15 @@ every table is 1, i.e. 0 in logs); that pins down the free per-table constants
 and keeps all arithmetic overflow-safe.
 
 Tables compute on `_Layout`: node tables concatenated into one vector with
-per-node offsets, edges bucketed by table shape (m_s, m_t) so mixed
-cardinalities need no padding, each bucket's tables one stacked array.  The
-tree-reweighted schedules in `trw` build on the same layout.  A
-`MaxMarginals` keeps the layout it was computed on, with its node vector and
-table stacks; its per-node and per-edge tables are views of them, and
-`check_edge_consistency` tests every edge of a bucket at once on them.
+per-node offsets, edges bucketed by table shape (m_s, m_t), each bucket's
+tables one stacked array.  The tree DP and `MaxMarginals` use the buckets.
+The synchronous schedules in `trw` extend the layout with one padded
+(E, M, M) stack instead (M the largest cardinality, -inf on padded entries,
+only valid entries read), and `_Layout.bucket_tables` gathers it into the
+buckets.  A `MaxMarginals` keeps the layout it was computed on, with its
+node vector and table stacks; its per-node and per-edge tables are views of
+them, and `check_edge_consistency` tests every edge of a bucket at once on
+them.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
 tree of a collection at once, each rooted at node 0.  Its upward pass sends
@@ -193,6 +196,11 @@ class _Layout:
             tables.append(np.array([edge[e] if e in edge else zero for e in b.edges],
                                    dtype=float))
         return vec, tables
+
+    def bucket_tables(self, stack: np.ndarray) -> list:
+        """One table stack per bucket from a padded (E, M, M) stack in
+        `edges` order (one gather per bucket)."""
+        return [stack[b.pos, :b.idx_s.shape[1], :b.idx_t.shape[1]] for b in self.buckets]
 
     def unpack(self, node: np.ndarray, tables) -> tuple:
         """(per-node tables, {edge: table} in `edges` order): views of the arrays."""

@@ -270,5 +270,9 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
         trees.append(SpanningTree(tuple(tuple(e) for e in edges)))
         weights.append(_number(rec["weight"], f"tree record {i}: weight"))
     if node_count is None:
-        node_count = 1 + max(max(max(e) for e in t.edges) for t in trees)
+        ends = [v for t in trees for e in t.edges for v in e]
+        if not ends:
+            raise ModelFormatError("the node count cannot be inferred without edges; "
+                                   "give node_count")
+        node_count = 1 + max(ends)
     return TreeDistribution(node_count, tuple(trees), np.asarray(weights))

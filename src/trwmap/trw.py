@@ -7,27 +7,28 @@ and edge is updated from the previous iterate), optionally damped by linear
 combination of old and new logs, and re-normalized so the largest entry of
 every table is 0.
 
-The message and reparameterization schedules compute on `_FlatMrf`, the
-array layout of `treedp._Layout` built once per run from the model and rho.
-Node tables are concatenated into one vector with per-node offsets.  Edges
-are grouped into buckets by table shape (m_s, m_t), so mixed cardinalities
-need no padding.  Each bucket holds its endpoint index arrays, its tables
-theta_st / rho_st stacked into one (E_b, m_s, m_t) array, and, in a message
-state, one (E_b, m) array per direction.  A step maps one state (a tuple of
-such arrays) to the next, and `_iterate` is the one driver for both
-schedules: it applies a step, measures the max log change and decides when
-to stop.  The per-node sums over incident edges are accumulated with
-`np.add.at` in the schedule's edge order (`mrf.edges` for messages, sorted
-for reparameterization), so each entry sees the same floating-point
-operations in the same order as a per-edge loop.  `PseudoMaxMarginals` and
-`MessageSet` are the boundary types, built once at the end of a run; the
-former keeps the run's layout and arrays, which the certificate search and
-the checks read, so a run builds one layout.  With
-an explicit tree distribution, the per-iteration bound runs the tree DP of
-`treedp._TreeLayout`, built once per run, on the arrays.  The public
-`message_step`, `reparameterization_step`, `messages_to_pseudo`,
-`init_pseudo` and `unit_messages` convert to the layout, run one kernel and
-convert back.
+The message and reparameterization schedules compute on `_FlatMrf`, built
+once per run from the model and rho.  Node tables are concatenated into one
+vector with per-node offsets.  The edges form one padded stack in the
+schedule's edge order (`mrf.edges` for messages, sorted for
+reparameterization): with M the largest cardinality, the tables theta_st /
+rho_st are one (E, M, M) array and a message state one (E, 2, M) array.
+Padded table entries are -inf, so table, row and column maxima read the
+valid entries only; padded row and column maxima and message entries are 0,
+so no step subtracts -inf from -inf.  A step maps one state (a tuple of
+such arrays) to the next with no loop over edges, and `_iterate`, the one
+loop for both schedules, applies it and stops on the max log change of
+the valid entries.  The per-node sums over incident edges are one
+`np.add.at` of the valid entries, edge by edge (s side, then t side) in
+schedule order, so each entry sees the same floating-point operations in
+the same order as a per-edge loop.  `PseudoMaxMarginals` and `MessageSet`
+are the boundary types, built once at the end of a run; the former gets one
+table stack per `_Layout` bucket, gathered from the padded stack, and keeps
+the run's layout, which the certificate search and the checks read.  The
+per-iteration bound of an explicit tree distribution runs the tree DP of
+`treedp._TreeLayout`, built once per run, on the same gather.  The public
+functions `message_step`, `reparameterization_step`, `messages_to_pseudo`,
+`init_pseudo` and `unit_messages` convert, run one kernel, convert back.
 
 The tree-based schedule keeps its own loop, because its stopping rules (a
 configuration optimal in every tree, or agreement of the per-tree tables) are
@@ -44,9 +45,10 @@ experiment's unique-maximizer count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -141,132 +143,122 @@ def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
     return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
 
 
-class _RhoBucket(NamedTuple):
-    """A `_Bucket` with its edges' rho and, given the model, their tables."""
-
-    edges: tuple
-    pos: np.ndarray
-    idx_s: np.ndarray
-    idx_t: np.ndarray
-    rho: np.ndarray | None  # (E_b, 1)
-    table: np.ndarray | None  # (E_b, m_s, m_t): theta_st / rho_st
+def _top(a: np.ndarray, axis: int) -> np.ndarray:
+    """Max over one short axis as elementwise maxima of its slices: numpy
+    reduces over an axis of a few entries many times slower per entry."""
+    rest = (k for k in range(a.ndim) if k != axis)
+    return functools.reduce(np.maximum, a.transpose(axis, *rest))
 
 
 class _FlatMrf(_Layout):
     """A graph, its rho and optionally its model, laid out for array updates.
 
-    The node vector and the edge buckets are those of `_Layout`; each bucket
-    also holds rho (E_b, 1) and, given the model, theta_st / rho_st.  Two
-    state kinds are tuples of per-bucket arrays: messages are (to_s, to_t)
-    per bucket, to_s[i] being the log message t->s of the bucket's i-th
-    edge; pseudo-max-marginals are the node vector followed by one
-    (E_b, m_s, m_t) table stack per bucket.  Sums over the edges at a node
-    are taken in `edges` order, the order of the schedule.
+    Tables are (E, M, M) stacks in `edges` order; messages are one (E, 2, M)
+    array, msgs[k, 0] the log message t->s of the k-th edge and msgs[k, 1]
+    the one s->t.  idx[k, 0] and idx[k, 1] are the node entries of its s and
+    t states (0 where padded); `sides` and `entries` are the flat positions
+    of the valid entries of a message array and of a table stack.
     """
 
     def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
         super().__init__(cardinalities, edges)
         self.theta_node = None if mrf is None else np.concatenate(mrf.theta_node)
+        cards = np.diff(np.append(self.offsets, self.size))
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.edge_cards = cards[ends].tolist()
+        states = np.arange(cards.max())
+        valid = states < cards[ends][:, :, None]
+        self.pad = ~valid
+        self.idx = np.where(valid, self.offsets[ends][:, :, None] + states, 0)
+        self.sides = np.flatnonzero(valid)
+        self._target = self.idx.ravel()[self.sides]
+        self.entries = np.flatnonzero(valid[:, 0, :, None] & valid[:, 1, None, :])
+        if rho_e is not None:
+            self.rho = np.array([float(rho_e[e]) for e in self.edges])
         if mrf is not None:
-            for e in self.edges:
-                if rho_e[e] <= 0:
+            for e, r in zip(self.edges, self.rho):
+                if r <= 0:
                     raise StructureError(f"rho_e on edge {e} must be positive")
-        position, target = [], []
-        for bi, b in enumerate(self.buckets):
-            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in b.edges])[:, None]
-            table = None
-            if mrf is not None:
-                table = np.array([mrf.theta_edge[e] for e in b.edges]) / rho[:, :, None]
-            self.buckets[bi] = _RhoBucket(*b, rho, table)
-            position += [np.repeat(b.pos, b.idx_s.shape[1]), np.repeat(b.pos, b.idx_t.shape[1])]
-            target += [b.idx_s.ravel(), b.idx_t.ravel()]
-        # Entries of the concatenated per-bucket (to_s, to_t) contributions,
-        # reordered by edge position, and the node entries they add to.
-        if position:
-            self._gather = np.argsort(np.concatenate(position), kind="stable")
-            self._scatter = np.concatenate(target)[self._gather]
+            self.table = self.stack(mrf.theta_edge) / self.rho[:, None, None]
 
-    def _accumulate(self, acc: np.ndarray, to_s, to_t) -> np.ndarray:
-        """Add each bucket's to_s (E_b, m_s) and to_t (E_b, m_t) rows to the
-        endpoint tables in `acc`, edge by edge in schedule order."""
-        if self.edges:
-            parts = np.concatenate([a.ravel() for pair in zip(to_s, to_t) for a in pair])
-            np.add.at(acc, self._scatter, parts[self._gather])
+    def stack(self, tables: Mapping) -> np.ndarray:
+        """The padded (E, M, M) stack of a mapping of edge tables."""
+        width = self.pad.shape[2]
+        out = np.full((len(self.edges), width, width), -np.inf)
+        for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
+            out[k, :ms, :mt] = tables[e]
+        return out
+
+    def _accumulate(self, acc: np.ndarray, sides: np.ndarray) -> np.ndarray:
+        """Add the valid entries of an (E, 2, M) array to their node entries
+        in `acc`, edge by edge in schedule order, s side then t side."""
+        np.add.at(acc, self._target, sides.take(self.sides))
         return acc
 
     def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
         return v - self.node_max(v)
 
-    # --- messages: (to_s, to_t) per bucket ---------------------------------
+    # --- messages: one (E, 2, M) array --------------------------------------
 
     def unit_messages(self) -> tuple:
-        return tuple(np.zeros(idx.shape) for b in self.buckets for idx in (b.idx_s, b.idx_t))
+        return (np.zeros(self.idx.shape),)
 
-    def _belief_sums(self, msgs: tuple) -> np.ndarray:
-        """B_s = sum over neighbors v of rho_vs * log M_vs, as a node vector."""
-        return self._accumulate(np.zeros(self.size),
-                                [b.rho * m for b, m in zip(self.buckets, msgs[0::2])],
-                                [b.rho * m for b, m in zip(self.buckets, msgs[1::2])])
+    def _cavities(self, msgs: np.ndarray) -> tuple:
+        """(h, h[idx] - msgs): h is the node vector theta_s plus
+        sum over neighbors v of rho_vs * log M_vs."""
+        h = self.theta_node + self._accumulate(np.zeros(self.size),
+                                               self.rho[:, None, None] * msgs)
+        return h, h[self.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
-        h = self.theta_node + self._belief_sums(msgs)
-        new = []
-        for b, to_s, to_t in zip(self.buckets, msgs[0::2], msgs[1::2]):
-            # message t -> s (indexed by x_s): maximize over x_t
-            src = h[b.idx_t] - to_t
-            new.append(_normalized(np.max(b.table + src[:, None, :], axis=2)))
-            # message s -> t (indexed by x_t): maximize over x_s
-            src = h[b.idx_s] - to_s
-            new.append(_normalized(np.max(b.table + src[:, :, None], axis=1)))
+        _, cav = self._cavities(msgs[0])
+        # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s
+        new = np.stack((_top(self.table + cav[:, 1, None, :], 2),
+                        _top(self.table + cav[:, 0, :, None], 1)), axis=1)
+        new -= _top(new, 2)[..., None]
         if damping < 1.0:
-            new = [_normalized(_damp(m, old, damping)) for m, old in zip(new, msgs)]
-        return tuple(new)
+            new = _damp(new, msgs[0], damping)
+            new -= _top(new, 2)[..., None]
+        new[self.pad] = 0.0
+        return (new,)
 
     def pseudo_from_messages(self, msgs: tuple) -> tuple:
-        h = self.theta_node + self._belief_sums(msgs)
-        tables = []
-        for b, to_s, to_t in zip(self.buckets, msgs[0::2], msgs[1::2]):
-            left = h[b.idx_s] - to_s
-            right = h[b.idx_t] - to_t
-            tables.append(_normalized(b.table + left[:, :, None] + right[:, None, :]))
-        return (self._normalized_nodes(h), *tables)
+        h, cav = self._cavities(msgs[0])
+        return (self._normalized_nodes(h),
+                _normalized(self.table + cav[:, 0, :, None] + cav[:, 1, None, :]))
 
     def pack_messages(self, msgs: MessageSet) -> tuple:
-        out = []
-        for b in self.buckets:
-            out.append(np.array([msgs.log_m[(t, s)] for s, t in b.edges], dtype=float))
-            out.append(np.array([msgs.log_m[(s, t)] for s, t in b.edges], dtype=float))
-        return tuple(out)
+        out = np.zeros(self.idx.shape)
+        for k, ((s, t), (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
+            out[k, 0, :ms] = msgs.log_m[(t, s)]
+            out[k, 1, :mt] = msgs.log_m[(s, t)]
+        return (out,)
 
     def message_set(self, msgs: tuple) -> MessageSet:
         logs = {}
-        for (s, t), (bi, i) in zip(self.edges, self.slot):
-            logs[(t, s)] = msgs[2 * bi][i]
-            logs[(s, t)] = msgs[2 * bi + 1][i]
+        for (s, t), m, (ms, mt) in zip(self.edges, msgs[0], self.edge_cards):
+            logs[(t, s)] = m[0, :ms]
+            logs[(s, t)] = m[1, :mt]
         return MessageSet(logs)
 
-    # --- pseudo-max-marginals: node vector, then table stacks ---------------
+    # --- pseudo-max-marginals: node vector, then the table stack ------------
 
     def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
-        node, tables = nu[0], nu[1:]
-        rows = [m.max(axis=2) for m in tables]
-        cols = [m.max(axis=1) for m in tables]
+        node, tables = nu
+        marg = np.stack((_top(tables, 2), _top(tables, 1)), axis=1)
+        marg[self.pad] = 0.0
         new_node = self._normalized_nodes(self._accumulate(
-            node.copy(),
-            [b.rho * (r - node[b.idx_s]) for b, r in zip(self.buckets, rows)],
-            [b.rho * (c - node[b.idx_t]) for b, c in zip(self.buckets, cols)]))
-        new_tables = [_normalized(m - r[:, :, None] - c[:, None, :]
-                                  + new_node[b.idx_s][:, :, None]
-                                  + new_node[b.idx_t][:, None, :])
-                      for b, m, r, c in zip(self.buckets, tables, rows, cols)]
+            node.copy(), self.rho[:, None, None] * (marg - node[self.idx])))
+        near = new_node[self.idx]
+        new_tables = _normalized(tables - marg[:, 0, :, None] - marg[:, 1, None, :]
+                                 + near[:, 0, :, None] + near[:, 1, None, :])
         if damping < 1.0:
             new_node = self._normalized_nodes(_damp(new_node, node, damping))
-            new_tables = [_normalized(_damp(m, old, damping))
-                          for m, old in zip(new_tables, tables)]
-        return (new_node, *new_tables)
+            new_tables = _normalized(_damp(new_tables, tables, damping))
+        return new_node, new_tables
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        return PseudoMaxMarginals.on_layout(self, nu[0], nu[1:])
+        return PseudoMaxMarginals.on_layout(self, nu[0], self.bucket_tables(nu[1]))
 
 
 def unit_messages(mrf: PairwiseMrf) -> MessageSet:
@@ -292,8 +284,7 @@ def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
     then damped in the log domain and re-normalized.
     """
     flat = _FlatMrf([len(v) for v in nu.log_node], sorted(nu.log_edge), rho_e)
-    node, tables = flat.pack(nu.log_node, nu.log_edge)
-    return flat.pseudo(flat.reparameterization_step((node, *tables), damping))
+    return flat.pseudo(flat.reparameterization_step((nu.node, flat.stack(nu.log_edge)), damping))
 
 
 def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float],
@@ -316,11 +307,18 @@ def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
     return flat.pseudo(flat.pseudo_from_messages(flat.pack_messages(msgs)))
 
 
-def _iterate(step, state: tuple, config: TrwConfig, observe=None):
+def _max_change(new: tuple, old: tuple, valid=None) -> float:
+    """The largest absolute log change between two states, on the entries at
+    `valid`'s flat positions per array (None, or a None entry: all)."""
+    return max(float(np.max(np.abs(a - b if v is None else a.take(v) - b.take(v))))
+               for a, b, v in zip(new, old, valid or (None,) * len(new)))
+
+
+def _iterate(step, state: tuple, config: TrwConfig, observe=None, valid=None):
     """The iteration driver shared by the synchronous schedules.
 
-    Applies `step(state, damping)` until the largest absolute log change
-    between two iterates falls below the tolerance, or the iteration cap.
+    Applies `step(state, damping)` until the `_max_change` of two iterates
+    falls below the tolerance, or the iteration cap.
     `observe`, when given, sees the starting state and every iterate.
     Returns (final state, iterations, converged).
     """
@@ -328,7 +326,7 @@ def _iterate(step, state: tuple, config: TrwConfig, observe=None):
         observe(state)
     for iterations in range(1, config.max_iterations + 1):
         new = step(state, config.damping)
-        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(new, state))
+        delta = _max_change(new, state, valid)
         state = new
         if observe is not None:
             observe(state)
@@ -521,17 +519,17 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
 
 
 def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, rho, nu: tuple) -> float:
-    """Current upper bound from pseudo-max-marginals on `trees.graph` (node
-    vector, then table stacks): rho-weighted optimal values of the induced
-    tree problems, corrected by the additive constant separating their
-    combination from theta."""
-    node, graph = nu[0], trees.graph
-    theta = [(m - node[b.idx_s][:, :, None]) - node[b.idx_t][:, None, :]
-             for b, m in zip(graph.buckets, nu[1:])]
+    """Current upper bound from pseudo-max-marginals on the `_FlatMrf`
+    `trees.graph` (node vector, padded table stack): rho-weighted optimal
+    values of the induced tree problems, corrected by the additive constant
+    separating their combination from theta.  `rho` is split by bucket."""
+    (node, stack), graph = nu, trees.graph
+    near = node[graph.idx]
+    theta = graph.bucket_tables((stack - near[:, 0, :, None]) - near[:, 1, None, :])
     total = 0.0
     for w, value in zip(weights, trees.map_values(node, theta)):
         total += w * value
-    return total - offset(node[graph.offsets], [r[:, 0] * m[:, 0, 0] for r, m in zip(rho, theta)])
+    return total - offset(node[graph.offsets], [r * m[:, 0, 0] for r, m in zip(rho, theta)])
 
 
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
@@ -552,12 +550,14 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         # this update sums node corrections in sorted edge order
         flat = _FlatMrf(mrf.cardinalities, sorted(mrf.edges), rho_e, mrf)
         state, step = flat.pseudo_from_messages(flat.unit_messages()), flat.reparameterization_step
+        valid = (None, flat.entries)
 
         def tables(nu):
             return nu
     elif variant == "messages":
         flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
         state, step, tables = flat.unit_messages(), flat.message_step, flat.pseudo_from_messages
+        valid = None  # padded message entries are 0 in every iterate
     else:
         raise ValueError(f"unknown variant {variant!r}")
     bound_trace = []
@@ -567,11 +567,11 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         trees = _TreeLayout(flat, [tree for tree, _ in support])
         weights = [w for _, w in support]
         offset = _ZeroOffset(mrf, flat)
-        rho = [b.rho for b in flat.buckets]
+        rho = [flat.rho[b.pos] for b in flat.buckets]
 
         def observe(state):
             bound_trace.append(_bound_value(trees, weights, offset, rho, tables(state)))
-    state, iterations, converged = _iterate(step, state, config, observe)
+    state, iterations, converged = _iterate(step, state, config, observe, valid)
     nu = flat.pseudo(tables(state))
     cert = find_certificate(nu, mrf)
     return TrwResult(

@@ -137,6 +137,22 @@ class TestVertexClassification:
         with pytest.raises(ValueError, match="local polytope"):
             classify_vertex(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_entry_rejected(self, bad):
+        tau = Pseudomarginal((np.array([bad, bad]),), {})
+        assert not in_local(tau)
+        with pytest.raises(ValueError, match="not in the local polytope"):
+            classify_vertex(tau)
+
+    def test_non_finite_edge_entry_rejected(self):
+        tau = delta_pseudomarginal(triangle_mrf(1.0), [0, 0, 0])
+        table = tau.tau_edge[(0, 1)].copy()
+        table[1, 1] = np.nan
+        bad = Pseudomarginal(tau.tau_node, {**tau.tau_edge, (0, 1): table})
+        assert in_local(tau) and not in_local(bad)
+        with pytest.raises(ValueError, match="not in the local polytope"):
+            classify_vertex(bad)
+
 
 class TestMarginalPolytope:
     def test_gap_on_frustrated_triangle(self):

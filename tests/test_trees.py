@@ -139,6 +139,12 @@ class TestTreeDistribution:
         assert again.trees == dist.trees
         assert np.array_equal(again.weights, dist.weights)
 
+    @pytest.mark.parametrize("doc", [b'[]', b'[{"edges": [], "weight": 1}]'])
+    def test_node_count_not_inferred_without_edges(self, doc):
+        with pytest.raises(ModelFormatError, match="node count cannot be inferred without edges"):
+            load_tree_distribution(doc)
+        assert load_tree_distribution(b'[{"edges": [], "weight": 1}]', node_count=1).node_count == 1
+
     def test_rho_e_document_form(self):
         rho = load_tree_distribution(b'{"rho_e": {"0,1": 0.75, "1,2": 0.5}}')
         assert rho == {(0, 1): 0.75, (1, 2): 0.5}

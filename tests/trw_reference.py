@@ -10,14 +10,22 @@ only as a test oracle: the array code must reproduce them bit for bit, which
 holds because both perform the same floating-point operations per table
 entry in the same order (node sums accumulate in edge order, incoming tree
 messages in adjacency order, sums over trees in support order).
+
+The last section keeps the bucketed array kernels of the synchronous
+schedules (one loop over table-shape buckets per step), the oracle of the
+padded edge stack that replaced them.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from trwmap import MessageSet, Potentials, PseudoMaxMarginals, TrwConfig, edge_appearance
+from trwmap import (MessageSet, PairwiseMrf, Potentials, PseudoMaxMarginals, StructureError,
+                    TrwConfig, edge_appearance)
 from trwmap.treedp import (EdgeConsistencyReport, MaxMarginals, _check_tree_potentials,
-                           _guard_states, assignment_scores)
-from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config
+                           _guard_states, _Layout, _normalized, _TreeLayout, assignment_scores)
+from trwmap.trw import (CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config, _ZeroOffset,
+                        resolve_rho)
 
 
 def _damp(new, old, lam):
@@ -468,3 +476,191 @@ def check_edge_consistency(nu):
         per_edge[(s, t)] = dev
     worst = max(per_edge.values()) if per_edge else 0.0
     return EdgeConsistencyReport(per_edge, worst)
+
+
+# --- the bucketed synchronous kernels ----------------------------------------
+#
+# `trw._FlatMrf` as it was before its edges moved to one padded stack: edges
+# grouped into buckets by table shape (m_s, m_t), every step a loop over the
+# buckets, node sums scattered through `_gather` / `_scatter`, and the
+# iteration loop with its change measure.  The padded kernels must
+# reproduce these bit for bit.
+
+class _RhoBucket(NamedTuple):
+    """A `_Bucket` with its edges' rho and, given the model, their tables."""
+
+    edges: tuple
+    pos: np.ndarray
+    idx_s: np.ndarray
+    idx_t: np.ndarray
+    rho: np.ndarray | None  # (E_b, 1)
+    table: np.ndarray | None  # (E_b, m_s, m_t): theta_st / rho_st
+
+
+class BucketedFlatMrf(_Layout):
+    """A graph, its rho and optionally its model, laid out for array updates.
+
+    The node vector and the edge buckets are those of `_Layout`; each bucket
+    also holds rho (E_b, 1) and, given the model, theta_st / rho_st.  Two
+    state kinds are tuples of per-bucket arrays: messages are (to_s, to_t)
+    per bucket, to_s[i] being the log message t->s of the bucket's i-th
+    edge; pseudo-max-marginals are the node vector followed by one
+    (E_b, m_s, m_t) table stack per bucket.  Sums over the edges at a node
+    are taken in `edges` order, the order of the schedule.
+    """
+
+    def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
+        super().__init__(cardinalities, edges)
+        self.theta_node = None if mrf is None else np.concatenate(mrf.theta_node)
+        if mrf is not None:
+            for e in self.edges:
+                if rho_e[e] <= 0:
+                    raise StructureError(f"rho_e on edge {e} must be positive")
+        position, target = [], []
+        for bi, b in enumerate(self.buckets):
+            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in b.edges])[:, None]
+            table = None
+            if mrf is not None:
+                table = np.array([mrf.theta_edge[e] for e in b.edges]) / rho[:, :, None]
+            self.buckets[bi] = _RhoBucket(*b, rho, table)
+            position += [np.repeat(b.pos, b.idx_s.shape[1]), np.repeat(b.pos, b.idx_t.shape[1])]
+            target += [b.idx_s.ravel(), b.idx_t.ravel()]
+        # Entries of the concatenated per-bucket (to_s, to_t) contributions,
+        # reordered by edge position, and the node entries they add to.
+        if position:
+            self._gather = np.argsort(np.concatenate(position), kind="stable")
+            self._scatter = np.concatenate(target)[self._gather]
+
+    def _accumulate(self, acc: np.ndarray, to_s, to_t) -> np.ndarray:
+        """Add each bucket's to_s (E_b, m_s) and to_t (E_b, m_t) rows to the
+        endpoint tables in `acc`, edge by edge in schedule order."""
+        if self.edges:
+            parts = np.concatenate([a.ravel() for pair in zip(to_s, to_t) for a in pair])
+            np.add.at(acc, self._scatter, parts[self._gather])
+        return acc
+
+    def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
+        return v - self.node_max(v)
+
+    # --- messages: (to_s, to_t) per bucket ---------------------------------
+
+    def unit_messages(self) -> tuple:
+        return tuple(np.zeros(idx.shape) for b in self.buckets for idx in (b.idx_s, b.idx_t))
+
+    def _belief_sums(self, msgs: tuple) -> np.ndarray:
+        """B_s = sum over neighbors v of rho_vs * log M_vs, as a node vector."""
+        return self._accumulate(np.zeros(self.size),
+                                [b.rho * m for b, m in zip(self.buckets, msgs[0::2])],
+                                [b.rho * m for b, m in zip(self.buckets, msgs[1::2])])
+
+    def message_step(self, msgs: tuple, damping: float) -> tuple:
+        h = self.theta_node + self._belief_sums(msgs)
+        new = []
+        for b, to_s, to_t in zip(self.buckets, msgs[0::2], msgs[1::2]):
+            # message t -> s (indexed by x_s): maximize over x_t
+            src = h[b.idx_t] - to_t
+            new.append(_normalized(np.max(b.table + src[:, None, :], axis=2)))
+            # message s -> t (indexed by x_t): maximize over x_s
+            src = h[b.idx_s] - to_s
+            new.append(_normalized(np.max(b.table + src[:, :, None], axis=1)))
+        if damping < 1.0:
+            new = [_normalized(_damp(m, old, damping)) for m, old in zip(new, msgs)]
+        return tuple(new)
+
+    def pseudo_from_messages(self, msgs: tuple) -> tuple:
+        h = self.theta_node + self._belief_sums(msgs)
+        tables = []
+        for b, to_s, to_t in zip(self.buckets, msgs[0::2], msgs[1::2]):
+            left = h[b.idx_s] - to_s
+            right = h[b.idx_t] - to_t
+            tables.append(_normalized(b.table + left[:, :, None] + right[:, None, :]))
+        return (self._normalized_nodes(h), *tables)
+
+    def pack_messages(self, msgs: MessageSet) -> tuple:
+        out = []
+        for b in self.buckets:
+            out.append(np.array([msgs.log_m[(t, s)] for s, t in b.edges], dtype=float))
+            out.append(np.array([msgs.log_m[(s, t)] for s, t in b.edges], dtype=float))
+        return tuple(out)
+
+    def message_set(self, msgs: tuple) -> MessageSet:
+        logs = {}
+        for (s, t), (bi, i) in zip(self.edges, self.slot):
+            logs[(t, s)] = msgs[2 * bi][i]
+            logs[(s, t)] = msgs[2 * bi + 1][i]
+        return MessageSet(logs)
+
+    # --- pseudo-max-marginals: node vector, then table stacks ---------------
+
+    def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
+        node, tables = nu[0], nu[1:]
+        rows = [m.max(axis=2) for m in tables]
+        cols = [m.max(axis=1) for m in tables]
+        new_node = self._normalized_nodes(self._accumulate(
+            node.copy(),
+            [b.rho * (r - node[b.idx_s]) for b, r in zip(self.buckets, rows)],
+            [b.rho * (c - node[b.idx_t]) for b, c in zip(self.buckets, cols)]))
+        new_tables = [_normalized(m - r[:, :, None] - c[:, None, :]
+                                  + new_node[b.idx_s][:, :, None]
+                                  + new_node[b.idx_t][:, None, :])
+                      for b, m, r, c in zip(self.buckets, tables, rows, cols)]
+        if damping < 1.0:
+            new_node = self._normalized_nodes(_damp(new_node, node, damping))
+            new_tables = [_normalized(_damp(m, old, damping))
+                          for m, old in zip(new_tables, tables)]
+        return (new_node, *new_tables)
+
+    def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
+        return PseudoMaxMarginals.on_layout(self, nu[0], nu[1:])
+
+
+def bucketed_change(new: tuple, old: tuple) -> float:
+    """The bucketed iteration loop's change measure: the largest absolute
+    log change over every array of two states."""
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(new, old))
+
+
+def _bucketed_bound_value(trees, weights, offset, rho, nu: tuple) -> float:
+    node, graph = nu[0], trees.graph
+    theta = [(m - node[b.idx_s][:, :, None]) - node[b.idx_t][:, None, :]
+             for b, m in zip(graph.buckets, nu[1:])]
+    total = 0.0
+    for w, value in zip(weights, trees.map_values(node, theta)):
+        total += w * value
+    return total - offset(node[graph.offsets], [r[:, 0] * m[:, 0, 0] for r, m in zip(rho, theta)])
+
+
+def run_bucketed(mrf, dist_or_rho, config, variant):
+    """`run_trw`'s iteration on the bucketed kernels: (pseudo-max-marginals,
+    iterations, converged, bound trace, final messages or None)."""
+    dist, rho_e = resolve_rho(mrf, dist_or_rho)
+    if variant == "reparam":
+        flat = BucketedFlatMrf(mrf.cardinalities, sorted(mrf.edges), rho_e, mrf)
+        state, step = flat.pseudo_from_messages(flat.unit_messages()), flat.reparameterization_step
+
+        def tables(nu):
+            return nu
+    else:
+        flat = BucketedFlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+        state, step, tables = flat.unit_messages(), flat.message_step, flat.pseudo_from_messages
+    bound_trace = []
+    if dist is not None:
+        support = dist.support_items()
+        bound = (_TreeLayout(flat, [tree for tree, _ in support]), [w for _, w in support],
+                 _ZeroOffset(mrf, flat), [b.rho for b in flat.buckets])
+
+    def observe(state):
+        if dist is not None:
+            bound_trace.append(_bucketed_bound_value(*bound, tables(state)))
+    observe(state)
+    converged = False
+    for iterations in range(1, config.max_iterations + 1):
+        new = step(state, config.damping)
+        delta = bucketed_change(new, state)
+        state = new
+        observe(state)
+        if delta < config.tol:
+            converged = True
+            break
+    messages = flat.message_set(state) if variant == "messages" else None
+    return flat.pseudo(tables(state)), iterations, converged, tuple(bound_trace), messages
