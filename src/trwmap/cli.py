@@ -92,7 +92,7 @@ def _unique_correct_fraction(result: TrwResult, opt_set) -> float:
     """Of the nodes whose table has a unique maximizer, the fraction whose
     maximizing state occurs in some oracle-optimal configuration."""
     layout = result.nu.layout
-    ties, _ = _tie_masks(layout, result.nu.node, (), CERT_TIE_TOL)
+    ties, _ = _tie_masks(layout, result.nu.node, result.nu.tables, CERT_TIE_TOL)
     unique = np.add.reduceat(ties, layout.offsets) == 1
     pos = np.flatnonzero(ties & unique[layout.node_of])
     nodes = layout.node_of[pos]

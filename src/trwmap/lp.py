@@ -4,9 +4,11 @@
 `_indicator_index` the positions of a configuration's indicator vector phi(x)
 in it: the local LP, the decoding of a solution, phi(x) as a pseudomarginal
 and the exact marginal-polytope oracle read these two.  The Lagrangian dual,
-with multipliers from message fixed points, is evaluated on the `_Layout`
-buckets of `treedp`.  Message sets are read only through their `log_m`
-tables, so the LP layer does not import the solver at run time.
+with multipliers from message fixed points, is evaluated on the padded edge
+stack of `treedp._Layout`: the multipliers are one (E, 2, M) array, 0 on
+padded states, so subtracting them leaves the -inf padding in place.
+Message sets are read only through their `log_m` tables, so the LP layer
+does not import the solver at run time.
 
 The dense two-phase simplex uses Bland's anti-cycling rule.  Its tableau
 carries the reduced-cost row c_B T - c as its last row, which each pivot
@@ -372,16 +374,12 @@ def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
     maximizes its table plus its rho-weighted incoming multipliers; each edge
     maximizes its table minus the rho-weighted multipliers of both endpoints.
     Always an upper bound on the relaxed-LP optimum.  Computed on the
-    `_Layout` buckets: one max per table stack, node maxima by `reduceat`.
+    `_Layout` table stack: one max per table, node maxima by `reduceat`.
     """
     layout = _Layout(mrf.cardinalities, mrf.edges)
     node, tables = layout.pack(mrf.theta_node, mrf.theta_edge)
-    total = 0.0
-    for b, table in zip(layout.buckets, tables):
-        rho = np.array([float(rho_e[e]) for e in b.edges])[:, None]
-        to_s = rho * np.array([lam.lam[(t, s)] for s, t in b.edges], dtype=float)
-        to_t = rho * np.array([lam.lam[(s, t)] for s, t in b.edges], dtype=float)
-        np.add.at(node, b.idx_s, to_s)
-        np.add.at(node, b.idx_t, to_t)
-        total += (table - to_s[:, :, None] - to_t[:, None, :]).max(axis=(1, 2)).sum()
+    rho = np.array([float(rho_e[e]) for e in layout.edges])[:, None, None]
+    to = rho * layout.directed(lam.lam)
+    layout.accumulate(node, to)
+    total = (tables - to[:, 0, :, None] - to[:, 1, None, :]).max(axis=(1, 2)).sum()
     return float(np.maximum.reduceat(node, layout.offsets).sum() + total)

@@ -4,31 +4,34 @@ Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
 and keeps all arithmetic overflow-safe.
 
-Tables compute on `_Layout`: node tables concatenated into one vector with
-per-node offsets, edges bucketed by table shape (m_s, m_t), each bucket's
-tables one stacked array.  The tree DP and `MaxMarginals` use the buckets.
-The synchronous schedules in `trw` extend the layout with one padded
-(E, M, M) stack instead (M the largest cardinality, -inf on padded entries,
-only valid entries read), and `_Layout.bucket_tables` gathers it into the
-buckets.  A `MaxMarginals` keeps the layout it was computed on, with its
-node vector and table stacks; its per-node and per-edge tables are views of
-them, and `check_edge_consistency` tests every edge of a bucket at once on
-them.
+`_Layout` is the one array layout of the package, and this module the only
+one that knows it.  Node tables are concatenated into one vector with
+per-node offsets.  Edge tables are one padded (E, M, M) stack in the
+layout's edge order, M the largest cardinality: edge k's table is
+[k, :m_s, :m_t] and the padded entries are -inf, so a table's max and its
+row and column maxima read the valid entries only.  Per-edge vectors over
+the states of either endpoint are (E, 2, M) arrays, s side first.  Where a
+step subtracts tables or compares them, it reads the valid entries or
+subtracts a 0-padded stack, so no -inf - -inf is ever formed.  A
+`MaxMarginals` keeps the layout it was computed on, with its node vector and
+table stack; its per-node and per-edge tables are views of them, and
+`check_edge_consistency` tests every edge at once on them.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
 tree of a collection at once, each rooted at node 0.  Its upward pass sends
 one batch of messages per node height, its downward pass one per node depth,
-and each batch covers all the trees.  The upward pass max-normalizes every
-message and keeps the constants it removed, so a tree's optimal value is its
-root belief's max plus their sum; `map_values` runs that pass alone and
-`solve` both, which also gives the max-marginals.  `tree_max_marginals` and
-`tree_map_value` run it on a single tree.
+and each batch covers all the trees and every edge cardinality.  The upward
+pass max-normalizes every message and keeps the constants it removed, so a
+tree's optimal value is its root belief's max plus their sum; `map_values`
+runs that pass alone and `solve` both, which also gives the max-marginals.
+`tree_max_marginals` and `tree_map_value` run it on a single tree.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,16 +47,23 @@ OFF_TREE_TOL = 0.0
 class MaxMarginals:
     """Per-node vectors and per-edge matrices, stored as logs, on the
     `_Layout` they were computed on: `node` is its node vector and `tables`
-    holds one table stack per bucket.  `log_node` and `log_edge` are views
+    its padded (E, M, M) table stack.  `log_node` and `log_edge` are views
     of these arrays, with the edges in the layout's order."""
 
     layout: _Layout
     node: np.ndarray
-    tables: tuple
+    tables: np.ndarray
     log_node: tuple
     log_edge: Mapping[Edge, np.ndarray]
 
     def __init__(self, log_node, log_edge):
+        if not len(log_node):
+            raise StructureError("max-marginals have no nodes")
+        for s, v in enumerate(log_node):
+            if np.ndim(v) != 1:
+                raise StructureError(f"node {s} table has shape {np.shape(v)}, expected a vector")
+            if not len(v):
+                raise StructureError(f"node {s} table has no states")
         cards = [len(v) for v in log_node]
         for (s, t), m in log_edge.items():
             if not (0 <= s < len(cards) and 0 <= t < len(cards)):
@@ -61,18 +71,22 @@ class MaxMarginals:
             if np.shape(m) != (cards[s], cards[t]):
                 raise StructureError(f"edge {(s, t)} table has shape {np.shape(m)}, "
                                      f"expected {(cards[s], cards[t])}")
+            if s == t:
+                raise StructureError(f"edge {(s, t)} is a self-loop")
+            if s > t:
+                raise StructureError(f"edge {(s, t)} must be ordered (s, t) with s < t")
         layout = _Layout(cards, tuple(log_edge))
         self._place(layout, *layout.pack(log_node, log_edge))
 
     @classmethod
-    def on_layout(cls, layout: _Layout, node: np.ndarray, tables) -> MaxMarginals:
-        """From a node vector of `layout` and one table stack per bucket."""
+    def on_layout(cls, layout: _Layout, node: np.ndarray, tables: np.ndarray) -> MaxMarginals:
+        """From a node vector and a table stack of `layout`."""
         self = cls.__new__(cls)
-        self._place(layout, node, tuple(tables))
+        self._place(layout, node, tables)
         return self
 
     def _place(self, layout, node, tables):
-        if not _all_finite((node, *tables)):
+        if not _all_finite((node, tables.take(layout.entries))):
             raise ValueError("non-finite log max-marginal")
         for name, value in zip(("layout", "node", "tables", "log_node", "log_edge"),
                                (layout, node, tables, *layout.unpack(node, tables))):
@@ -137,28 +151,29 @@ def brute_force_map(mrf: PairwiseMrf, max_states: int = BRUTE_FORCE_GUARD,
                                        max_states=max_states, atol=atol)
 
 
+def _top(a: np.ndarray, axis: int) -> np.ndarray:
+    """Max over one short axis as elementwise maxima of its slices: numpy
+    reduces over an axis of a few entries many times slower per entry."""
+    rest = (k for k in range(a.ndim) if k != axis)
+    return functools.reduce(np.maximum, a.transpose(axis, *rest))
+
+
 def _normalized(a: np.ndarray) -> np.ndarray:
     """Shift every table of a stack (axis 0) so its largest entry is 0."""
     return a - a.max(axis=tuple(range(1, a.ndim)), keepdims=True)
-
-
-class _Bucket(NamedTuple):
-    """The edges of one table shape (m_s, m_t), in layout order."""
-
-    edges: tuple
-    pos: np.ndarray  # (E_b,): positions of the edges in the layout's `edges`
-    idx_s: np.ndarray  # (E_b, m_s): positions of the s tables in the node vector
-    idx_t: np.ndarray  # (E_b, m_t)
 
 
 class _Layout:
     """Node and edge tables of a graph laid out as arrays.
 
     Node tables live in one vector; node s owns entries offsets[s] to
-    offsets[s] + m_s.  Edges are grouped into buckets by table shape
-    (m_s, m_t), so mixed cardinalities need no padding, and keep `edges`
-    order within a bucket; slot[k] is the (bucket, row) of the k-th edge.
-    A bucket's tables are one (E_b, m_s, m_t) stack.
+    offsets[s] + m_s.  Edge tables are one (E, M, M) stack in `edges` order,
+    M the largest cardinality, with -inf on padded entries; `edge_cards`
+    holds each edge's (m_s, m_t).  Per-edge vectors over the states of either
+    endpoint are (E, 2, M) arrays, the s side first: idx[k, 0] and idx[k, 1]
+    are the node entries of the k-th edge's s and t states, 0 where `pad`
+    marks a padded state.  `sides` and `entries` are the flat positions of
+    the valid entries of such an array and of a table stack.
     """
 
     def __init__(self, cardinalities, edges):
@@ -168,57 +183,57 @@ class _Layout:
         self.node_of = np.repeat(np.arange(len(cards)), cards)
         self.size = int(ends[-1])
         self.edges = tuple(edges)
-        groups = {}
-        for k, (s, t) in enumerate(self.edges):
-            groups.setdefault((int(cards[s]), int(cards[t])), []).append(k)
-        self.buckets = []
-        self.slot = [None] * len(self.edges)
-        for bi, ((ms, mt), ks) in enumerate(groups.items()):
-            es = tuple(self.edges[k] for k in ks)
-            idx_s = self.offsets[[s for s, _ in es]][:, None] + np.arange(ms)
-            idx_t = self.offsets[[t for _, t in es]][:, None] + np.arange(mt)
-            self.buckets.append(_Bucket(es, np.array(ks), idx_s, idx_t))
-            for i, k in enumerate(ks):
-                self.slot[k] = (bi, i)
+        pairs = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.edge_cards = cards[pairs].tolist()
+        states = np.arange(cards.max())
+        valid = states < cards[pairs][:, :, None]
+        self.pad = ~valid
+        self.idx = np.where(valid, self.offsets[pairs][:, :, None] + states, 0)
+        self.sides = np.flatnonzero(valid)
+        self._target = self.idx.ravel()[self.sides]
+        self.entries = np.flatnonzero(valid[:, 0, :, None] & valid[:, 1, None, :])
 
     def node_max(self, v: np.ndarray) -> np.ndarray:
         """Every entry's node-table max, for a node vector or a stack of them
         (last axis)."""
         return np.maximum.reduceat(v, self.offsets, axis=-1)[..., self.node_of]
 
-    def pack(self, node, edge) -> tuple:
-        """(node vector, one table stack per bucket) from per-node tables and
-        a mapping of edge tables; an edge the mapping lacks counts as zero."""
-        vec = np.concatenate([np.asarray(v, dtype=float) for v in node])
-        tables = []
-        for b in self.buckets:
-            zero = np.zeros((b.idx_s.shape[1], b.idx_t.shape[1]))
-            tables.append(np.array([edge[e] if e in edge else zero for e in b.edges],
-                                   dtype=float))
-        return vec, tables
+    def stack(self, tables: Mapping, fill: float = -np.inf) -> np.ndarray:
+        """The (E, M, M) stack of a mapping of edge tables, `fill` on the
+        padded entries; an edge the mapping lacks counts as zero."""
+        width = self.pad.shape[2]
+        out = np.full((len(self.edges), width, width), fill)
+        for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
+            out[k, :ms, :mt] = tables[e] if e in tables else 0.0
+        return out
 
-    def bucket_tables(self, stack: np.ndarray) -> list:
-        """One table stack per bucket from a padded (E, M, M) stack in
-        `edges` order (one gather per bucket)."""
-        return [stack[b.pos, :b.idx_s.shape[1], :b.idx_t.shape[1]] for b in self.buckets]
+    def pack(self, node, edge: Mapping) -> tuple:
+        """(node vector, table stack) from per-node tables and a mapping of
+        edge tables."""
+        return np.concatenate([np.asarray(v, dtype=float) for v in node]), self.stack(edge)
 
-    def unpack(self, node: np.ndarray, tables) -> tuple:
+    def unpack(self, node: np.ndarray, tables: np.ndarray) -> tuple:
         """(per-node tables, {edge: table} in `edges` order): views of the arrays."""
         return (tuple(np.split(node, self.offsets[1:])),
-                {e: tables[bi][i] for e, (bi, i) in zip(self.edges, self.slot)})
+                {e: tables[k, :ms, :mt]
+                 for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards))})
 
+    def directed(self, vectors: Mapping) -> np.ndarray:
+        """The (E, 2, M) array of per-direction vectors keyed (sender,
+        receiver) over the receiver's states: [k, 0] is t -> s of the k-th
+        edge (s, t), [k, 1] is s -> t; 0 on padded states."""
+        out = np.zeros(self.idx.shape)
+        for k, ((s, t), (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
+            out[k, 0, :ms] = vectors[(t, s)]
+            out[k, 1, :mt] = vectors[(s, t)]
+        return out
 
-class _Slots(NamedTuple):
-    """The tree edges of one bucket, ordered by tree, then by edge."""
-
-    tree: np.ndarray  # (S_b,): the tree of each slot
-    row: np.ndarray  # (S_b,): the bucket row of its edge
-    side_s: slice  # its s-side vectors in the message/cavity vectors
-    side_t: slice
-    node_s: np.ndarray  # (S_b, m_s): its tree's s table in a raveled (T, N) stack
-    node_t: np.ndarray  # (S_b, m_t)
-    by_edge: np.ndarray  # the slots stably sorted by row
-    starts: np.ndarray  # the first of each row's slots in that order
+    def accumulate(self, acc: np.ndarray, sides: np.ndarray) -> np.ndarray:
+        """Add the valid entries of an (E, 2, M) array to their node entries
+        in the node vector `acc`, edge by edge in `edges` order, s side then
+        t side."""
+        np.add.at(acc, self._target, sides.take(self.sides))
+        return acc
 
 
 class _TreeLayout:
@@ -227,63 +242,49 @@ class _TreeLayout:
 
     `graph` lays out the node and edge tables, which the trees share: tree k
     uses every node table and its own edges' tables.  Each tree is rooted at
-    node 0.  A slot is one edge of one tree.  Every slot has two sides, one
-    per endpoint x: the message into x, and x's cavity vector (x's node
-    table plus its other incoming messages), from which x's message to the
-    other endpoint is computed.  Messages and cavities live in two flat
-    vectors with the same layout: per bucket, the s sides of its slots, then
-    the t sides.
+    node 0.  A slot is one edge of one tree; the slots are ordered by tree,
+    then by the tree's edge order, and `tree` and `edge` hold each slot's
+    tree and its edge's position in `graph.edges`.  Every slot has two
+    sides, one per endpoint x: the message into x, and x's cavity vector
+    (x's node table plus its other incoming messages), from which x's
+    message to the other endpoint is computed.  Messages and cavities are
+    flat vectors of 2S rows of M entries: row 2j is the s side of slot j,
+    row 2j + 1 its t side.
 
     The upward pass sends the messages toward the root, one batch per node
     height; the downward pass the messages away from it, one batch per node
-    depth.  Each batch covers every tree and one (receiver, sender)
-    cardinality pair, whose edge tables, oriented receiver by sender, are
-    one stack.  A node's incoming messages are added in its tree's adjacency
-    order, one add per rank, so every entry sees the same floating-point
-    operations in the same order as a per-edge recursion over each tree.
+    depth.  Each batch covers every tree and edge; its edge tables, oriented
+    receiver by sender, are rows of the table stack followed by its
+    transpose.  Padded message and cavity entries are -inf like the padded
+    table entries, and every max-normalization is a max over the valid
+    entries, so no batch needs a mask.  A node's incoming messages are added
+    in its tree's adjacency order, one add per rank, so every valid entry
+    sees the same floating-point operations in the same order as a per-edge
+    recursion over each tree.  The downward plan is built on the first
+    `solve`: `map_values` needs the upward pass only.
     """
 
     def __init__(self, graph: _Layout, trees):
         self.graph = graph
         self.count = len(trees)
         n, N = len(graph.offsets), graph.size
-        self.cards = cards = np.diff(np.append(graph.offsets, N)).tolist()
-        where = {e: k for k, e in enumerate(graph.edges)}
-        slots = [[] for _ in graph.buckets]
-        for k, tree in enumerate(trees):
-            for e in tree.edges:
-                bi, i = graph.slot[where[e]]
-                slots[bi].append((k, i))
-        # side[k][(x, y)]: first entry of the x side of tree k's slot of edge {x, y}
+        self._where = {e: k for k, e in enumerate(graph.edges)}
+        slots = [(k, self._where[e]) for k, tree in enumerate(trees) for e in tree.edges]
+        self.tree = np.array([k for k, _ in slots], dtype=np.intp)
+        self.edge = np.array([i for _, i in slots], dtype=np.intp)
+        # side[k][(x, y)]: the row of the x side of tree k's slot of edge {x, y}
         self.side = [{} for _ in trees]
-        self.slots = []
-        end = 0
-        for b, bslots in zip(graph.buckets, slots):
-            ms, mt = b.idx_s.shape[1], b.idx_t.shape[1]
-            s0, t0 = end, end + len(bslots) * ms
-            end = t0 + len(bslots) * mt
-            for j, (k, i) in enumerate(bslots):
-                s, t = b.edges[i]
-                self.side[k][(s, t)] = s0 + j * ms
-                self.side[k][(t, s)] = t0 + j * mt
-            tree = np.array([k for k, _ in bslots], dtype=np.intp)
-            row = np.array([i for _, i in bslots], dtype=np.intp)
-            by_edge = np.argsort(row, kind="stable")
-            self.slots.append(_Slots(tree, row, slice(s0, t0), slice(t0, end),
-                                     (tree * N)[:, None] + b.idx_s[row],
-                                     (tree * N)[:, None] + b.idx_t[row], by_edge,
-                                     np.searchsorted(row[by_edge], np.arange(len(b.edges)))))
-        self.length = end
-        # per (receiver, sender) shape: the (bucket, transposed) parts of its
-        # stack of oriented tables, and each part's first row in it
-        self.stacks, first = {}, {}
-        for bi, b in enumerate(graph.buckets):
-            ms, mt = b.idx_s.shape[1], b.idx_t.shape[1]
-            for shape, flip in (((ms, mt), False), ((mt, ms), True)):
-                parts = self.stacks.setdefault(shape, [])
-                first[(bi, flip)] = sum(len(graph.buckets[p].edges) for p, _ in parts)
-                parts.append((bi, flip))
-        self.adj, up, down, rev = [], [], [], []
+        for j, (k, i) in enumerate(slots):
+            s, t = graph.edges[i]
+            self.side[k][(s, t)] = 2 * j
+            self.side[k][(t, s)] = 2 * j + 1
+        # per node, its M states' entries in the node vector extended by one
+        # -inf entry, N, which the padded states read
+        cards = np.diff(np.append(graph.offsets, N))
+        self._span = np.arange(graph.pad.shape[2])
+        self._node_rows = np.where(self._span < cards[:, None],
+                                   graph.offsets[:, None] + self._span, N)
+        self.adj, self._visits, up, rev = [], [], [], []
         for k, tree in enumerate(trees):
             adj = tree.neighbors(n)
             parent = tree.parent_map(n, 0)
@@ -293,78 +294,92 @@ class _TreeLayout:
                 u = stack.pop()
                 order.append(u)
                 stack.extend(v for v in adj[u] if v != parent[u])
-            depth, height = [0] * n, [0] * n
-            for u in order[1:]:
-                depth[u] = depth[parent[u]] + 1
+            height = [0] * n
             for u in reversed(order[1:]):
                 height[parent[u]] = max(height[parent[u]], height[u] + 1)
             self.adj.append(adj)
+            self._visits.append((order, parent))
             up += [(height[u], k, u, parent[u]) for u in order[1:]]
-            down += [(depth[u], k, u, v) for u in order for v in adj[u] if v != parent[u]]
             rev += [k * n + u for u in reversed(order[1:])]
         self.rev = np.array(rev, dtype=np.intp)
-
-        def orient(k, u, v):
-            # the stack and row of edge {u, v}'s table oriented v by u
-            bi, i = graph.slot[where[(min(u, v), max(u, v))]]
-            flip = u < v
-            shape = (cards[v], cards[u])
-            return shape, first[(bi, flip)] + i
-
-        def batches(arcs):
-            groups = {}
-            for level, k, u, v in arcs:
-                shape, row = orient(k, u, v)
-                groups.setdefault((level, shape), []).append((k, u, v, row))
-            out = []
-            for (_, (mv, mu)), group in sorted(groups.items()):
-                cav = [self.side[k][(u, v)] for k, u, v, _ in group]
-                msg = [self.side[k][(v, u)] for k, u, v, _ in group]
-                out.append(((mv, mu), np.array([g[3] for g in group]),
-                            self._sum_plan([(k, u, v) for k, u, v, _ in group]),
-                            (np.array(cav)[:, None] + np.arange(mu)).ravel(),
-                            np.array(msg)[:, None] + np.arange(mv),
-                            np.array([k * n + u for k, u, _, _ in group])))
-            return out
-
-        self.up, self.down = batches(up), batches(down)
+        self.up = self._batches(up)
         self.roots = self._sum_plan([(k, 0, None) for k in range(self.count)])
-        # A node's belief adds its last incoming message to the cavity
-        # vector that leaves that one out: both are on the node's side of
-        # the edge to its last neighbor.
+
+    @functools.cached_property
+    def down(self) -> list:
+        arcs = []
+        for k, (order, parent) in enumerate(self._visits):
+            depth = [0] * len(order)
+            for u in order[1:]:
+                depth[u] = depth[parent[u]] + 1
+            arcs += [(depth[u], k, u, v) for u in order for v in self.adj[k][u] if v != parent[u]]
+        return self._batches(arcs)
+
+    @functools.cached_property
+    def last(self) -> np.ndarray:
+        """A node's belief adds its last incoming message to the cavity
+        vector that leaves that one out: both are on the node's side of the
+        edge to its last neighbor.  These are the flat positions of those
+        sides' valid entries, tree by tree and node by node."""
+        cards = np.diff(np.append(self.graph.offsets, self.graph.size))
         last = []
         for k, adj in enumerate(self.adj):
-            for u in range(n):
-                if adj[u]:
-                    first = self.side[k][(u, adj[u][-1])]
+            for u, nbrs in enumerate(adj):
+                if nbrs:
+                    first = self.side[k][(u, nbrs[-1])] * len(self._span)
                     last.extend(range(first, first + cards[u]))
-        self.last = np.array(last, dtype=np.intp)
+        return np.array(last, dtype=np.intp)
+
+    @functools.cached_property
+    def by_edge(self) -> tuple:
+        """(the slots stably sorted by edge, the first of each edge's slots
+        in that order)."""
+        order = np.argsort(self.edge, kind="stable")
+        return order, np.searchsorted(self.edge[order], np.arange(len(self.graph.edges)))
+
+    def _entries(self, rows) -> np.ndarray:
+        """The flat positions of the entries of M-wide rows, row by row."""
+        width = len(self._span)
+        return np.array([r * width + j for r in rows for j in range(width)], dtype=np.intp)
+
+    def _batches(self, arcs) -> list:
+        """One batch per level for arcs (level, tree, sender, receiver): the
+        rows of the oriented tables, the plan of the senders' cavity sums,
+        the cavity and message entries it writes and the senders' entries
+        in a (T, n) stack."""
+        n, E = len(self.graph.offsets), len(self.graph.edges)
+        levels = {}
+        for level, k, u, v in arcs:
+            levels.setdefault(level, []).append((k, u, v))
+        out = []
+        for _, group in sorted(levels.items()):
+            out.append((np.array([self._where[(min(u, v), max(u, v))] + (E if u < v else 0)
+                                  for _, u, v in group], dtype=np.intp),
+                        self._sum_plan(group),
+                        self._entries([self.side[k][(u, v)] for k, u, v in group]),
+                        self._entries([self.side[k][(v, u)] for k, u, v in group]).reshape(
+                            len(group), -1),
+                        np.array([k * n + u for k, u, _ in group], dtype=np.intp)))
+        return out
 
     def _sum_plan(self, rows):
         """Index plan for the sums node[u] + the messages into u in tree k,
         in adjacency order, leaving out the one from `skip`, for rows
-        (k, u, skip): the node entries of the sums, concatenated, and per
-        rank the positions of the sums that add a message and its entries."""
-        offsets = self.graph.offsets.tolist()
-        node, ranks = [], []
-        pos = 0
-        for k, u, skip in rows:
-            m = self.cards[u]
-            node.extend(range(offsets[u], offsets[u] + m))
-            side = self.side[k]
+        (k, u, skip): u's entries of the padded node vector, concatenated,
+        and per rank the entries of the sums that add a message and of the
+        messages they add."""
+        ranks = []
+        for b, (k, u, skip) in enumerate(rows):
             r = 0
             for c in self.adj[k][u]:
                 if c != skip:
                     if r == len(ranks):
                         ranks.append(([], []))
-                    first = side[(u, c)]
-                    ranks[r][0].extend(range(pos, pos + m))
-                    ranks[r][1].extend(range(first, first + m))
+                    ranks[r][0].append(b)
+                    ranks[r][1].append(self.side[k][(u, c)])
                     r += 1
-            pos += m
-        return (np.array(node, dtype=np.intp),
-                [(np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp))
-                 for dst, src in ranks])
+        return (self._node_rows[[u for _, u, _ in rows]].ravel(),
+                [(self._entries(dst), self._entries(src)) for dst, src in ranks])
 
     @staticmethod
     def _sums(plan, node, msg) -> np.ndarray:
@@ -373,24 +388,24 @@ class _TreeLayout:
             sums[dst] += msg[src]
         return sums
 
-    def _pass(self, batches, node, stacks, msg, cav, tops=None):
-        for shape, rows, plan, at_cav, at_msg, at_top in batches:
+    def _pass(self, batches, node, oriented, msg, cav, tops=None):
+        for rows, plan, at_cav, at_msg, at_top in batches:
             c = self._sums(plan, node, msg)
             cav[at_cav] = c
-            out = (stacks[shape][rows] + c.reshape(len(rows), 1, -1)).max(axis=2)
+            out = (oriented[rows] + c.reshape(len(rows), 1, -1)).max(axis=2)
             top = out.max(axis=1)
             msg[at_msg] = out - top[:, None]
             if tops is not None:
                 tops[at_top] = top
 
     def _upward(self, node, tables):
-        stacks = {shape: np.concatenate([tables[bi].transpose(0, 2, 1) if flip else tables[bi]
-                                         for bi, flip in parts])
-                  for shape, parts in self.stacks.items()}
-        msg, cav = np.zeros(self.length), np.zeros(self.length)
+        node = np.append(node, -np.inf)
+        oriented = np.concatenate((tables, tables.transpose(0, 2, 1)))
+        msg = np.zeros(2 * len(self.edge) * len(self._span))
+        cav = np.zeros_like(msg)
         tops = np.zeros(self.count * len(self.graph.offsets))
-        self._pass(self.up, node, stacks, msg, cav, tops)
-        return stacks, msg, cav, tops
+        self._pass(self.up, node, oriented, msg, cav, tops)
+        return node, oriented, msg, cav, tops
 
     def _values(self, root_max, tops) -> list:
         """Each tree's optimal value: its root belief's max plus the constants
@@ -404,27 +419,25 @@ class _TreeLayout:
             values.append(top + removed)
         return values
 
-    def map_values(self, node: np.ndarray, tables) -> list:
-        """Each tree's optimal value (the upward pass only).  `node` is the
-        node vector and `tables` holds one stack per bucket of the graph."""
-        _, msg, _, tops = self._upward(node, tables)
+    def map_values(self, node: np.ndarray, tables: np.ndarray) -> list:
+        """Each tree's optimal value (the upward pass only), from a node
+        vector and a table stack of the graph."""
+        node, _, msg, _, tops = self._upward(node, tables)
         roots = self._sums(self.roots, node, msg).reshape(self.count, -1)
         return self._values(roots.max(axis=1), tops)
 
-    def solve(self, node: np.ndarray, tables) -> tuple:
-        """Both passes: (node max-marginals as a (T, N) stack, per bucket the
-        edge max-marginals of its slots, each tree's optimal value)."""
-        stacks, msg, cav, tops = self._upward(node, tables)
-        self._pass(self.down, node, stacks, msg, cav)
+    def solve(self, node: np.ndarray, tables: np.ndarray) -> tuple:
+        """Both passes: (node max-marginals as a (T, N) stack, the edge
+        max-marginals of the slots as an (S, M, M) stack, each tree's
+        optimal value)."""
+        node, oriented, msg, cav, tops = self._upward(node, tables)
+        self._pass(self.down, node, oriented, msg, cav)
         # a one-node tree has no edges: its belief is the root's node table
-        beliefs = (cav[self.last] + msg[self.last] if self.length
+        beliefs = (cav[self.last] + msg[self.last] if len(self.edge)
                    else self._sums(self.roots, node, msg)).reshape(self.count, -1)
         top = self.graph.node_max(beliefs)
-        edge = []
-        for sl, table in zip(self.slots, tables):
-            left = cav[sl.side_s].reshape(len(sl.row), -1)
-            right = cav[sl.side_t].reshape(len(sl.row), -1)
-            edge.append(_normalized(table[sl.row] + left[:, :, None] + right[:, None, :]))
+        sides = cav.reshape(len(self.edge), 2, len(self._span))
+        edge = _normalized(tables[self.edge] + sides[:, 0, :, None] + sides[:, 1, None, :])
         return beliefs - top, edge, self._values(top[:, 0], tops)
 
 
@@ -478,13 +491,13 @@ def check_edge_consistency(nu: MaxMarginals) -> EdgeConsistencyReport:
     spread of the implied constants over both directions (relative scale).
     Edges are reported in sorted order.
     """
-    dev = np.empty(len(nu.layout.edges))
-    for b, m in zip(nu.layout.buckets, nu.tables):
-        d_s = m.max(axis=2) - nu.node[b.idx_s]
-        d_t = m.max(axis=1) - nu.node[b.idx_t]
-        dev[b.pos] = np.maximum(d_s.max(axis=1) - d_s.min(axis=1),
-                                d_t.max(axis=1) - d_t.min(axis=1))
-    per_edge = dict(sorted(zip(nu.layout.edges, dev.tolist())))
+    layout = nu.layout
+    # the implied constants per side; -inf on padded states, which the
+    # max skips and the min is kept off
+    d = np.stack((_top(nu.tables, 2), _top(nu.tables, 1)), axis=1) - nu.node[layout.idx]
+    spread = _top(d, 2) - np.where(layout.pad, np.inf, d).min(axis=2)
+    dev = np.maximum(spread[:, 0], spread[:, 1])
+    per_edge = dict(sorted(zip(layout.edges, dev.tolist())))
     return EdgeConsistencyReport(per_edge, max(per_edge.values(), default=0.0))
 
 

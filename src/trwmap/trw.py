@@ -8,44 +8,42 @@ combination of old and new logs, and re-normalized so the largest entry of
 every table is 0.
 
 The message and reparameterization schedules compute on `_FlatMrf`, built
-once per run from the model and rho.  Node tables are concatenated into one
-vector with per-node offsets.  The edges form one padded stack in the
-schedule's edge order (`mrf.edges` for messages, sorted for
-reparameterization): with M the largest cardinality, the tables theta_st /
-rho_st are one (E, M, M) array and a message state one (E, 2, M) array.
-Padded table entries are -inf, so table, row and column maxima read the
-valid entries only; padded row and column maxima and message entries are 0,
-so no step subtracts -inf from -inf.  A step maps one state (a tuple of
-such arrays) to the next with no loop over edges, and `_iterate`, the one
-loop for both schedules, applies it and stops on the max log change of
-the valid entries.  The per-node sums over incident edges are one
-`np.add.at` of the valid entries, edge by edge (s side, then t side) in
-schedule order, so each entry sees the same floating-point operations in
-the same order as a per-edge loop.  `PseudoMaxMarginals` and `MessageSet`
-are the boundary types, built once at the end of a run; the former gets one
-table stack per `_Layout` bucket, gathered from the padded stack, and keeps
-the run's layout, which the certificate search and the checks read.  The
-per-iteration bound of an explicit tree distribution runs the tree DP of
-`treedp._TreeLayout`, built once per run, on the same gather.  The public
-functions `message_step`, `reparameterization_step`, `messages_to_pseudo`,
-`init_pseudo` and `unit_messages` convert, run one kernel, convert back.
+once per run from the model and rho: the `treedp._Layout` of the model in
+the schedule's edge order (`mrf.edges` for messages, sorted for
+reparameterization), whose edge tables theta_st / rho_st are one padded
+(E, M, M) stack, M the largest cardinality, plus a message state as one
+(E, 2, M) array.  Padded table entries are -inf, so table, row and column
+maxima read the valid entries only; padded row and column maxima and
+message entries are 0, so no step subtracts -inf from -inf.  A step maps
+one state (a tuple of such arrays) to the next with no loop over edges, and
+`_iterate`, the one loop for both schedules, applies it and stops on the
+max log change of the valid entries.  The per-node sums over incident edges
+are one `np.add.at` of the valid entries, edge by edge (s side, then t
+side) in schedule order, so each entry sees the same floating-point
+operations in the same order as a per-edge loop.  `PseudoMaxMarginals` and
+`MessageSet` are the boundary types, built once at the end of a run; the
+former takes the padded stack as it is and keeps the run's layout, which
+the certificate search and the checks read.  The per-iteration bound of an
+explicit tree distribution runs the tree DP of `treedp._TreeLayout`, built
+once per run, on the same stack.  The public functions `message_step`,
+`reparameterization_step`, `messages_to_pseudo`, `init_pseudo` and
+`unit_messages` convert, run one kernel, convert back.
 
 The tree-based schedule keeps its own loop, because its stopping rules (a
 configuration optimal in every tree, or agreement of the per-tree tables) are
 checked between the tree DP and the merge.  It runs on the same layout: the
-shared parameter is a node vector and one table stack per bucket, each
-iteration runs one `_TreeLayout.solve` for all trees, which gives both the
-max-marginals and the tree values of the bound, and the split, the merge,
-the damping, the tie masks and the agreement test are array operations.
-Sums over trees run in support order (`_tree_sum`).  The certificate's tie
-rule, the entries within `CERT_TIE_TOL` of their table's max, is
-`_tie_masks`, shared by `find_certificate`, the tree schedule and the
-experiment's unique-maximizer count.
+shared parameter is a node vector and a table stack, each iteration runs one
+`_TreeLayout.solve` for all trees, which gives both the max-marginals (a
+stack over the (tree, edge) slots) and the tree values of the bound, and the
+split, the merge, the damping, the tie masks and the agreement test are
+array operations.  Sums over trees run in support order (`_tree_sum`).  The
+certificate's tie rule, the entries within `CERT_TIE_TOL` of their table's
+max, is `_tie_masks`, shared by `find_certificate`, the tree schedule and
+the experiment's unique-maximizer count; padded entries are never ties.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -54,7 +52,7 @@ import numpy as np
 
 from .model import Edge, PairwiseMrf, Potentials, StructureError
 from .trees import TreeDistribution, edge_appearance
-from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _TreeLayout,
+from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _top, _TreeLayout,
                      assignment_scores)
 
 CERT_TIE_TOL = 1e-9
@@ -143,36 +141,17 @@ def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
     return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
 
 
-def _top(a: np.ndarray, axis: int) -> np.ndarray:
-    """Max over one short axis as elementwise maxima of its slices: numpy
-    reduces over an axis of a few entries many times slower per entry."""
-    rest = (k for k in range(a.ndim) if k != axis)
-    return functools.reduce(np.maximum, a.transpose(axis, *rest))
-
-
 class _FlatMrf(_Layout):
     """A graph, its rho and optionally its model, laid out for array updates.
 
-    Tables are (E, M, M) stacks in `edges` order; messages are one (E, 2, M)
+    Tables are the layout's (E, M, M) stacks; messages are one (E, 2, M)
     array, msgs[k, 0] the log message t->s of the k-th edge and msgs[k, 1]
-    the one s->t.  idx[k, 0] and idx[k, 1] are the node entries of its s and
-    t states (0 where padded); `sides` and `entries` are the flat positions
-    of the valid entries of a message array and of a table stack.
+    the one s->t, 0 on padded states.
     """
 
     def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
         super().__init__(cardinalities, edges)
         self.theta_node = None if mrf is None else np.concatenate(mrf.theta_node)
-        cards = np.diff(np.append(self.offsets, self.size))
-        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        self.edge_cards = cards[ends].tolist()
-        states = np.arange(cards.max())
-        valid = states < cards[ends][:, :, None]
-        self.pad = ~valid
-        self.idx = np.where(valid, self.offsets[ends][:, :, None] + states, 0)
-        self.sides = np.flatnonzero(valid)
-        self._target = self.idx.ravel()[self.sides]
-        self.entries = np.flatnonzero(valid[:, 0, :, None] & valid[:, 1, None, :])
         if rho_e is not None:
             self.rho = np.array([float(rho_e[e]) for e in self.edges])
         if mrf is not None:
@@ -180,20 +159,6 @@ class _FlatMrf(_Layout):
                 if r <= 0:
                     raise StructureError(f"rho_e on edge {e} must be positive")
             self.table = self.stack(mrf.theta_edge) / self.rho[:, None, None]
-
-    def stack(self, tables: Mapping) -> np.ndarray:
-        """The padded (E, M, M) stack of a mapping of edge tables."""
-        width = self.pad.shape[2]
-        out = np.full((len(self.edges), width, width), -np.inf)
-        for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
-            out[k, :ms, :mt] = tables[e]
-        return out
-
-    def _accumulate(self, acc: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        """Add the valid entries of an (E, 2, M) array to their node entries
-        in `acc`, edge by edge in schedule order, s side then t side."""
-        np.add.at(acc, self._target, sides.take(self.sides))
-        return acc
 
     def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
         return v - self.node_max(v)
@@ -206,8 +171,8 @@ class _FlatMrf(_Layout):
     def _cavities(self, msgs: np.ndarray) -> tuple:
         """(h, h[idx] - msgs): h is the node vector theta_s plus
         sum over neighbors v of rho_vs * log M_vs."""
-        h = self.theta_node + self._accumulate(np.zeros(self.size),
-                                               self.rho[:, None, None] * msgs)
+        h = self.theta_node + self.accumulate(np.zeros(self.size),
+                                              self.rho[:, None, None] * msgs)
         return h, h[self.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
@@ -228,11 +193,7 @@ class _FlatMrf(_Layout):
                 _normalized(self.table + cav[:, 0, :, None] + cav[:, 1, None, :]))
 
     def pack_messages(self, msgs: MessageSet) -> tuple:
-        out = np.zeros(self.idx.shape)
-        for k, ((s, t), (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
-            out[k, 0, :ms] = msgs.log_m[(t, s)]
-            out[k, 1, :mt] = msgs.log_m[(s, t)]
-        return (out,)
+        return (self.directed(msgs.log_m),)
 
     def message_set(self, msgs: tuple) -> MessageSet:
         logs = {}
@@ -247,7 +208,7 @@ class _FlatMrf(_Layout):
         node, tables = nu
         marg = np.stack((_top(tables, 2), _top(tables, 1)), axis=1)
         marg[self.pad] = 0.0
-        new_node = self._normalized_nodes(self._accumulate(
+        new_node = self._normalized_nodes(self.accumulate(
             node.copy(), self.rho[:, None, None] * (marg - node[self.idx])))
         near = new_node[self.idx]
         new_tables = _normalized(tables - marg[:, 0, :, None] - marg[:, 1, None, :]
@@ -258,7 +219,7 @@ class _FlatMrf(_Layout):
         return new_node, new_tables
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        return PseudoMaxMarginals.on_layout(self, nu[0], self.bucket_tables(nu[1]))
+        return PseudoMaxMarginals.on_layout(self, nu[0], nu[1])
 
 
 def unit_messages(mrf: PairwiseMrf) -> MessageSet:
@@ -402,25 +363,24 @@ def _search_common_config(candidates, edges, allowed, guard):
     return None, False
 
 
-def _tie_masks(layout: _Layout, node: np.ndarray, tables, tie_tol: float):
+def _tie_masks(layout: _Layout, node: np.ndarray, tables: np.ndarray, tie_tol: float):
     """The certificate's tie rule: the entries within `tie_tol` of their
     table's max, on a node vector of `layout` (or a stack of them) and on
-    every table of a list of table stacks."""
+    every table of a stack (padded entries, -inf, are never ties)."""
     return (node >= layout.node_max(node) - tie_tol,
-            [m >= m.max(axis=(1, 2), keepdims=True) - tie_tol for m in tables])
+            tables >= tables.max(axis=(1, 2), keepdims=True) - tie_tol)
 
 
-def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks, guard: int):
+def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks: np.ndarray,
+                      guard: int):
     """`_search_common_config` on tie masks laid out on `layout`: a node
-    vector of candidate states and one stack of allowed pairs per bucket."""
+    vector of candidate states and a stack of allowed pairs."""
     pos = np.flatnonzero(node_mask)
     node = layout.node_of[pos]
     candidates = [[] for _ in layout.offsets]
     for s, j in zip(node.tolist(), (pos - layout.offsets[node]).tolist()):
         candidates[s].append(j)
-    rows = [m.tolist() for m in edge_masks]
-    return _search_common_config(candidates, layout.edges,
-                                 [rows[bi][i] for bi, i in layout.slot], guard)
+    return _search_common_config(candidates, layout.edges, edge_masks.tolist(), guard)
 
 
 def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
@@ -455,24 +415,21 @@ class _ZeroOffset:
     """<combined - theta, phi(x)> at the all-zeros configuration x.
 
     Called with the combined parameter's first entries: one per node, in
-    node order, and one array per bucket of `layout` for the edges.  The
-    terms are summed node by node, then edge by edge in model order.
+    node order, and one per edge, in the order of `layout`.  The terms are
+    summed node by node, then edge by edge in model order.
     """
 
     def __init__(self, mrf: PairwiseMrf, layout: _Layout):
         where = {e: k for k, e in enumerate(layout.edges)}
-        first = np.cumsum([0] + [len(b.edges) for b in layout.buckets])
-        self.order = np.array([first[bi] + i for bi, i in (layout.slot[where[e]]
-                                                           for e in mrf.edges)], dtype=np.intp)
+        self.order = np.array([where[e] for e in mrf.edges], dtype=np.intp)
         self.theta_node = [float(v[0]) for v in mrf.theta_node]
         self.theta_edge = [float(mrf.theta_edge[e][0, 0]) for e in mrf.edges]
 
-    def __call__(self, node: np.ndarray, edge) -> float:
+    def __call__(self, node: np.ndarray, edge: np.ndarray) -> float:
         total = 0.0
         for c, th in zip(node.tolist(), self.theta_node):
             total += c - th
-        edge = np.concatenate([*edge, np.zeros(0)])[self.order]
-        for c, th in zip(edge.tolist(), self.theta_edge):
+        for c, th in zip(edge[self.order].tolist(), self.theta_edge):
             total += c
             total -= th
         return total
@@ -493,9 +450,9 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         _check_graph(nu_or_thetas, mrf)
         layout, node = nu_or_thetas.layout, nu_or_thetas.node
         rho_e = edge_appearance(dist, mrf)
-        tables = [np.array([rho_e[e] for e in b.edges])[:, None, None]
-                  * (m - node[b.idx_s][:, :, None] - node[b.idx_t][:, None, :])
-                  for b, m in zip(layout.buckets, nu_or_thetas.tables)]
+        near = node[layout.idx]
+        tables = (np.array([rho_e[e] for e in layout.edges])[:, None, None]
+                  * (nu_or_thetas.tables - near[:, 0, :, None] - near[:, 1, None, :]))
     else:
         thetas = list(nu_or_thetas)
         support = dist.support_items()
@@ -506,30 +463,30 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
             raise StructureError(f"parameter given on {stray[0]}, which is not a graph edge")
         layout = _Layout(mrf.cardinalities, mrf.edges)
         w = [wk for _, wk in support]
-        nodes, per_tree = zip(*(layout.pack(th.node, th.edge) for th in thetas))
+        nodes, stacks = zip(*(layout.pack(th.node, th.edge) for th in thetas))
         node = _sum_in_order(w, np.array(nodes))
-        tables = [_sum_in_order(w, np.array(stack)) for stack in zip(*per_tree)]
-    theta_node, theta_tables = layout.pack(mrf.theta_node, mrf.theta_edge)
+        tables = _sum_in_order(w, np.array(stacks))
     _guard_states(mrf.cardinalities, max_states)
-    diff_node, diff_edge = layout.unpack(node - theta_node,
-                                         [c - th for c, th in zip(tables, theta_tables)])
+    # theta is 0-padded, so the padded differences stay -inf, never NaN
+    diff_node, diff_edge = layout.unpack(node - np.concatenate(mrf.theta_node),
+                                         tables - layout.stack(mrf.theta_edge, 0.0))
     d = assignment_scores(mrf.cardinalities,
                           Potentials(diff_node, {e: diff_edge[e] for e in mrf.edges}))
     return float(np.max(np.abs(d - d.mean())))
 
 
-def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, rho, nu: tuple) -> float:
+def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, nu: tuple) -> float:
     """Current upper bound from pseudo-max-marginals on the `_FlatMrf`
-    `trees.graph` (node vector, padded table stack): rho-weighted optimal
-    values of the induced tree problems, corrected by the additive constant
-    separating their combination from theta.  `rho` is split by bucket."""
+    `trees.graph` (node vector, table stack): rho-weighted optimal values of
+    the induced tree problems, corrected by the additive constant
+    separating their combination from theta."""
     (node, stack), graph = nu, trees.graph
     near = node[graph.idx]
-    theta = graph.bucket_tables((stack - near[:, 0, :, None]) - near[:, 1, None, :])
+    theta = (stack - near[:, 0, :, None]) - near[:, 1, None, :]
     total = 0.0
     for w, value in zip(weights, trees.map_values(node, theta)):
         total += w * value
-    return total - offset(node[graph.offsets], [r * m[:, 0, 0] for r, m in zip(rho, theta)])
+    return total - offset(node[graph.offsets], graph.rho * theta[:, 0, 0])
 
 
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
@@ -567,10 +524,9 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         trees = _TreeLayout(flat, [tree for tree, _ in support])
         weights = [w for _, w in support]
         offset = _ZeroOffset(mrf, flat)
-        rho = [flat.rho[b.pos] for b in flat.buckets]
 
         def observe(state):
-            bound_trace.append(_bound_value(trees, weights, offset, rho, tables(state)))
+            bound_trace.append(_bound_value(trees, weights, offset, tables(state)))
     state, iterations, converged = _iterate(step, state, config, observe, valid)
     nu = flat.pseudo(tables(state))
     cert = find_certificate(nu, mrf)
@@ -600,11 +556,11 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     the rho-weighted log tables are merged into a new shared parameter (damped
     against the previous one) and re-split onto the trees.
 
-    The shared parameter is a node vector and one edge-table stack per
-    bucket of the model's layout.  Tree k's parameter is its node tables and
-    its edges' tables scaled by 1/rho, so one `_TreeLayout.solve` runs the DP
-    on every tree at once, and the per-tree results are slot stacks that the
-    merge sums onto the edges in support order.
+    The shared parameter is a node vector and a table stack of the model's
+    layout.  Tree k's parameter is its node tables and its edges' tables
+    scaled by 1/rho, so one `_TreeLayout.solve` runs the DP on every tree at
+    once, and the per-tree results are slot stacks that the merge sums onto
+    the edges in support order.
     """
     if not isinstance(dist, TreeDistribution):
         raise TypeError("tree updates require an explicit tree distribution")
@@ -617,7 +573,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     trees = _TreeLayout(graph, [tree for tree, _ in support])
     weights = [w for _, w in support]
     w = np.array(weights)
-    rho = [np.array([rho_e[e] for e in b.edges])[:, None, None] for b in graph.buckets]
+    rho = np.array([rho_e[e] for e in graph.edges])[:, None, None]
     offset = _ZeroOffset(mrf, graph)
     node, edge = graph.pack(mrf.theta_node, mrf.theta_edge)
     bound_trace = []
@@ -627,14 +583,14 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     indeterminate = False
     units_per_iter = sum(len(t.edges) for t, _ in support) / len(mrf.edges)
     for iterations in range(1, config.max_iterations + 1):
-        split = [m / r for m, r in zip(edge, rho)]
+        split = edge / rho
         node_mm, edge_mm, values = trees.solve(node, split)
         # the offset sums the tree parameters over the trees, as the bound
         # is defined; taking `node` and `edge` as their sum instead would
         # move the bound in the last ulps
         firsts = node[graph.offsets]
         combined = _tree_sum(trees, w, np.broadcast_to(firsts, (len(w), len(firsts))),
-                             [m[sl.row, 0, 0] for sl, m in zip(trees.slots, split)])
+                             split[trees.edge, 0, 0])
         bound_trace.append(sum(wk * v for wk, v in zip(weights, values)) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
             trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
@@ -646,15 +602,14 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
             converged = True
             terminated_by = "max_marginal_agreement"
             break
-        stacked = node_mm.ravel()
-        theta = [(m - stacked[sl.node_s][:, :, None]) - stacked[sl.node_t][:, None, :]
-                 for sl, m in zip(trees.slots, edge_mm)]
+        near = node_mm.ravel()[trees.tree[:, None, None] * graph.size + graph.idx[trees.edge]]
+        theta = (edge_mm - near[:, 0, :, None]) - near[:, 1, None, :]
         merged_node, merged_edge = _tree_sum(trees, w, node_mm, theta)
         node = _damp(merged_node, node, config.damping)
-        edge = [_damp(m, old, config.damping) for m, old in zip(merged_edge, edge)]
+        edge = _damp(merged_edge, edge, config.damping)
     total_node, total_edge = _tree_sum(trees, w, node_mm, edge_mm)
     nu = PseudoMaxMarginals.on_layout(graph, total_node - graph.node_max(total_node),
-                                      [_normalized(m / r) for m, r in zip(total_edge, rho)])
+                                      _normalized(total_edge / rho))
     return TrwResult(
         nu=nu,
         iterations=iterations,
@@ -669,16 +624,15 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     )
 
 
-def _tree_sum(trees: _TreeLayout, w: np.ndarray, node: np.ndarray, slot_tables) -> tuple:
+def _tree_sum(trees: _TreeLayout, w: np.ndarray, node: np.ndarray,
+              slot_tables: np.ndarray) -> tuple:
     """Sum over the trees of w_k times tree k's tables, in tree order: node
-    tables from a stack over the trees (first axis), edge tables from one
-    stack per bucket over its slots, each slot added onto its edge's row.
-    An edge sums over the trees that hold it."""
-    edge = []
-    for b, sl, tables in zip(trees.graph.buckets, trees.slots, slot_tables):
-        acc = np.zeros((len(b.edges),) + tables.shape[1:])
-        np.add.at(acc, sl.row, w[sl.tree].reshape((-1,) + (1,) * (tables.ndim - 1)) * tables)
-        edge.append(acc)
+    tables from a stack over the trees (first axis), edge tables from a
+    stack over the slots, each slot added onto its edge's row.  An edge sums
+    over the trees that hold it."""
+    edge = np.zeros((len(trees.graph.edges),) + slot_tables.shape[1:])
+    np.add.at(edge, trees.edge,
+              w[trees.tree].reshape((-1,) + (1,) * (slot_tables.ndim - 1)) * slot_tables)
     return _sum_in_order(w, node), edge
 
 
@@ -692,7 +646,7 @@ def _sum_in_order(w, stack: np.ndarray) -> np.ndarray:
 
 def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks):
     """Configuration optimal for every tree, if one exists, from per-tree tie
-    masks: a (T, N) node stack and per bucket one mask per slot.
+    masks: a (T, N) node stack and a stack of one mask per slot.
 
     Node candidates are the intersection of per-tree nodewise argmax sets;
     edge pairs must be argmax pairs in every tree containing the edge.  Local
@@ -700,10 +654,10 @@ def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks)
     decides non-emptiness of the intersection of the tree optima.
     """
     node = node_masks.all(axis=0)
-    allowed = [np.logical_and.reduceat(m[sl.by_edge], sl.starts, axis=0)
-               for sl, m in zip(trees.slots, edge_masks)]
+    order, starts = trees.by_edge
+    allowed = np.logical_and.reduceat(edge_masks[order], starts, axis=0)
     if not (np.logical_or.reduceat(node, trees.graph.offsets).all()
-            and all(a.any(axis=(1, 2)).all() for a in allowed)):
+            and allowed.any(axis=(1, 2)).all()):
         return None, False
     return _search_tie_masks(trees.graph, node, allowed, CERT_SEARCH_GUARD)
 
@@ -711,11 +665,12 @@ def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks)
 def _tree_tables_agree(trees: _TreeLayout, node_mm: np.ndarray, edge_mm, tol: float) -> bool:
     """Whether the per-tree max-marginals agree within tol: each tree's node
     tables with the first tree's, and on every edge the tables of all trees
-    holding it (their spread, max minus min, is the largest pairwise gap)."""
+    holding it (their spread, max minus min, is the largest pairwise gap),
+    read on the valid entries."""
     if not np.all(np.abs(node_mm[1:] - node_mm[0]) < tol):
         return False
-    for sl, m in zip(trees.slots, edge_mm):
-        m = m[sl.by_edge]
-        if not np.all(np.maximum.reduceat(m, sl.starts) - np.minimum.reduceat(m, sl.starts) < tol):
-            return False
-    return True
+    order, starts = trees.by_edge
+    m = edge_mm[order]
+    valid = trees.graph.entries
+    return bool(np.all(np.maximum.reduceat(m, starts).take(valid)
+                       - np.minimum.reduceat(m, starts).take(valid) < tol))

@@ -10,8 +10,9 @@ are `==` to these.
 Also kept: the per-row and per-state builds of the local LP, of a
 configuration's indicator pseudomarginal and of the marginal-polytope
 feasibility LP, and the node-by-node Lagrangian dual, as the library had them
-before they read one index map of the LP vector and the `_Layout` buckets.
-The LP data must be `np.array_equal` to these, and the dual within rounding.
+before they read one index map of the LP vector and the padded edge stack of
+`_Layout`.  The LP data must be `np.array_equal` to these, and the dual
+within rounding, since it sums the same terms in another order.
 """
 
 import numpy as np

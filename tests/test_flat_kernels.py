@@ -1,5 +1,5 @@
-"""The bucketed array kernels and the level-batched tree DP reproduce the
-per-edge dict kernels bit for bit."""
+"""The array kernels on the padded edge stack and the level-batched tree DP
+reproduce the per-edge dict kernels bit for bit."""
 
 import io
 import sys
@@ -172,8 +172,10 @@ def tree_cases():
     """(model, tree distribution) pairs: random graphs with 2 or 3 states
     under all their spanning trees, grids under the two-tree distribution,
     a distribution holding a zero-weight tree, one listing its trees out of
-    sorted order, a model whose edges are not sorted and a frustrated
-    triangle, whose trees agree on max-marginals but share no optimum."""
+    sorted order, a model whose edges are not sorted, a frustrated
+    triangle, whose trees agree on max-marginals but share no optimum, and
+    `penalized_triangle`, which stops on that agreement with padded
+    slots."""
     cases = []
     for seed in (9400, 9402, 9403, 9407):
         mrf = random_graph_mrf(np.random.default_rng(seed), n_nodes=5)
@@ -193,7 +195,22 @@ def tree_cases():
     cases.append((PairwiseMrf(mrf.cardinalities, edges, mrf.theta_node, mrf.theta_edge), dist))
     triangle = triangle_mrf(-1.0)
     cases.append((triangle, uniform_tree_distribution(triangle)))
+    mixed = penalized_triangle()
+    cases.append((mixed, uniform_tree_distribution(mixed)))
     return cases
+
+
+def penalized_triangle():
+    """The frustrated triangle with a third state on node 0, penalized by
+    -10 and with edge rows of 1 like the off-diagonal entries: every tree
+    still gives the same max-marginals, so the tree schedule stops on
+    their agreement, now on a (3, 3, 3) stack with padded 2x2 tables."""
+    triangle = triangle_mrf(-1.0)
+    edge = dict(triangle.theta_edge)
+    for e in ((0, 1), (0, 2)):
+        edge[e] = np.vstack([edge[e], [1.0, 1.0]])
+    return PairwiseMrf((3, 2, 2), triangle.edges,
+                       (np.array([0.0, 0.0, -10.0]), np.zeros(2), np.zeros(2)), edge)
 
 
 TREE_CASES = tree_cases()
@@ -222,6 +239,17 @@ def test_tree_cases_reach_every_stopping_rule():
     assert reasons == {"tree_agreement", "max_marginal_agreement", "max_iterations"}
 
 
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+def test_mixed_cardinality_case_stops_on_max_marginal_agreement(damping):
+    # the edge half of the agreement test runs on padded slot tables, whose
+    # padded entries are -inf in every tree
+    mrf, dist = TREE_CASES[-1]
+    assert len(set(mrf.cardinalities)) > 1
+    result = run_tree_updates(mrf, dist, TrwConfig(damping=damping, max_iterations=25))
+    assert result.terminated_by == "max_marginal_agreement"
+    assert result.certificate is None
+
+
 @pytest.mark.parametrize("index", range(len(TREE_CASES)))
 def test_tree_dp_matches_reference(index):
     mrf, dist = TREE_CASES[index]
@@ -236,6 +264,14 @@ def test_tree_dp_matches_reference(index):
     assert_pseudo_equal(tree_max_marginals(tree_model, tree),
                         ref.tree_max_marginals(tree_model, tree))
     assert tree_map_value(tree_model, tree) == ref.tree_map_value(tree_model, tree)
+
+
+def test_tree_dp_on_one_node_matches_reference():
+    # no edges: the stack is (0, M, M) and the belief is the root's node table
+    mrf = PairwiseMrf((3,), (), (np.array([0.0, 1.0, 2.0]),), {})
+    tree = SpanningTree(())
+    assert_pseudo_equal(tree_max_marginals(mrf, tree), ref.tree_max_marginals(mrf, tree))
+    assert tree_map_value(mrf, tree) == ref.tree_map_value(mrf, tree)
 
 
 @pytest.mark.parametrize("variant", ["messages", "reparam"])
@@ -366,9 +402,8 @@ def test_tree_agreement_compares_every_pair_of_trees_on_an_edge():
     tol, shift = 1e-8, (0.0, 0.6e-8, -0.6e-8)
     layout = _TreeLayout(_Layout(cards, edges), trees)
     node_mm = np.zeros((len(trees), layout.graph.size))
-    edge_mm = [np.array([np.full((2, 2), shift[k] if b.edges[i] == (0, 1) else 0.0)
-                         for k, i in zip(sl.tree, sl.row)])
-               for b, sl in zip(layout.graph.buckets, layout.slots)]
+    edge_mm = np.array([np.full((2, 2), shift[k] if edges[i] == (0, 1) else 0.0)
+                        for k, i in zip(layout.tree, layout.edge)])
     nus = {tree: MaxMarginals((np.zeros(2),) * 4,
                               {e: np.full((2, 2), shift[k] if e == (0, 1) else 0.0)
                                for e in tree.edges})

@@ -3,8 +3,8 @@
 `build_local_lp` must hand the simplex the same `A`, `b` and `c`
 (`np.array_equal`), `delta_pseudomarginal` the same tables and
 `in_marginal_polytope` the same feasibility LP and answer; `evaluate_dual`,
-which sums in bucket order instead of node by node, agrees within 1e-12
-relative.  The models are the corpus of `test_simplex_reference.py`.
+which sums in edge order on the padded edge stack instead of node by node,
+agrees within 1e-12 relative.  The models are the corpus of `test_simplex_reference.py`.
 """
 
 import numpy as np

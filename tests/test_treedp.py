@@ -164,10 +164,24 @@ class TestMaxMarginalsValidation:
         ({(0, 1): np.zeros(4)}, "edge (0, 1) table has shape (4,), expected (2, 2)"),
         ({(0, 1): np.zeros((2, 2)), (1, 0): np.zeros((2, 1))},
          "edge (1, 0) table has shape (2, 1), expected (2, 2)"),
+        ({(1, 0): np.zeros((2, 2))}, "edge (1, 0) must be ordered (s, t) with s < t"),
+        ({(0, 0): np.zeros((2, 2))}, "edge (0, 0) is a self-loop"),
     ])
     def test_malformed_edge_table_rejected(self, cls, edge, message):
         with pytest.raises(StructureError) as info:
             cls((np.zeros(2), np.zeros(2)), edge)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cls", [MaxMarginals, PseudoMaxMarginals])
+    @pytest.mark.parametrize("node, message", [
+        ((), "max-marginals have no nodes"),
+        ((np.zeros(2), np.zeros((2, 2))), "node 1 table has shape (2, 2), expected a vector"),
+        ((np.zeros(2), np.float64(0.0)), "node 1 table has shape (), expected a vector"),
+        ((np.zeros(2), np.zeros(0)), "node 1 table has no states"),
+    ])
+    def test_malformed_node_table_rejected(self, cls, node, message):
+        with pytest.raises(StructureError) as info:
+            cls(node, {})
         assert str(info.value) == message
 
 
@@ -189,14 +203,20 @@ class TestMaxMarginalsLayout:
             for s, v in enumerate(nu.log_node):
                 assert np.shares_memory(v, nu.node)
                 assert np.array_equal(v, nu.node[layout.offsets[s]:layout.offsets[s] + len(v)])
-            for e, (bi, i) in zip(layout.edges, layout.slot):
-                assert np.shares_memory(nu.log_edge[e], nu.tables[bi])
-                assert np.array_equal(nu.log_edge[e], nu.tables[bi][i])
+            for k, (e, (ms, mt)) in enumerate(zip(layout.edges, layout.edge_cards)):
+                assert np.shares_memory(nu.log_edge[e], nu.tables)
+                assert np.array_equal(nu.log_edge[e], nu.tables[k, :ms, :mt])
+            # the rest of the stack is padding, -inf
+            pad = layout.pad[:, 0, :, None] | layout.pad[:, 1, None, :]
+            assert np.all(nu.tables[pad] == -np.inf)
+            assert nu.tables[~pad].size == sum(m.size for m in nu.log_edge.values())
 
     def test_dict_order_is_the_layout_order(self):
         nu = self.results()[0]
         assert nu.layout.edges == ((1, 2), (0, 2), (0, 1))
-        assert [len(b.edges) for b in nu.layout.buckets] == [1, 1, 1]
+        # three table shapes, one stack in the dict's order
+        assert nu.layout.edge_cards == [[3, 2], [2, 2], [2, 3]]
+        assert nu.tables.shape == (3, 3, 3)
 
     def test_attributes_cannot_be_set(self):
         nu = self.results()[0]

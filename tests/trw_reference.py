@@ -2,18 +2,20 @@
 layer.
 
 These are the per-edge loops the library used before its compute moved to
-the bucketed array layouts in `trwmap.trw` and `trwmap.treedp`: the
-synchronous steps, the two-pass tree DP, the tree-based update on
-`Potentials` (split, merge, rho-weighted sum), the tree-based update loop,
-the reparameterization check and the edge-consistency check.  They are kept
-only as a test oracle: the array code must reproduce them bit for bit, which
-holds because both perform the same floating-point operations per table
-entry in the same order (node sums accumulate in edge order, incoming tree
-messages in adjacency order, sums over trees in support order).
+array layouts, today the one padded (E, M, M) edge stack of
+`trwmap.treedp._Layout`: the synchronous steps, the two-pass tree DP, the
+tree-based update on `Potentials` (split, merge, rho-weighted sum), the
+tree-based update loop, the reparameterization check and the
+edge-consistency check.  They are kept only as a test oracle: the array
+code must reproduce them bit for bit on every valid table entry, which
+holds because both perform the same floating-point operations per entry in
+the same order (node sums accumulate in edge order, incoming tree messages
+in adjacency order, sums over trees in support order).
 
 The last section keeps the bucketed array kernels of the synchronous
-schedules (one loop over table-shape buckets per step), the oracle of the
-padded edge stack that replaced them.
+schedules (edges grouped by table shape, one loop over the groups per
+step), the oracle of the padded edge stack that replaced them.  This module
+is the only place left with table-shape buckets.
 """
 
 from typing import NamedTuple
@@ -23,9 +25,8 @@ import numpy as np
 from trwmap import (MessageSet, PairwiseMrf, Potentials, PseudoMaxMarginals, StructureError,
                     TrwConfig, edge_appearance)
 from trwmap.treedp import (EdgeConsistencyReport, MaxMarginals, _check_tree_potentials,
-                           _guard_states, _Layout, _normalized, _TreeLayout, assignment_scores)
-from trwmap.trw import (CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config, _ZeroOffset,
-                        resolve_rho)
+                           _guard_states, _Layout, _normalized, assignment_scores)
+from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config, resolve_rho
 
 
 def _damp(new, old, lam):
@@ -483,16 +484,20 @@ def check_edge_consistency(nu):
 # `trw._FlatMrf` as it was before its edges moved to one padded stack: edges
 # grouped into buckets by table shape (m_s, m_t), every step a loop over the
 # buckets, node sums scattered through `_gather` / `_scatter`, and the
-# iteration loop with its change measure.  The padded kernels must
-# reproduce these bit for bit.
+# iteration loop with its change measure.  The grouping is kept here only:
+# the library has no buckets.  Results leave through `log_node` and
+# `log_edge` (`pseudo`), and the bound trace is the dict oracle's
+# `bound_value`, which the bucketed bound matched bit for bit.  The padded
+# kernels must reproduce these bit for bit.
 
 class _RhoBucket(NamedTuple):
-    """A `_Bucket` with its edges' rho and, given the model, their tables."""
+    """The edges of one table shape (m_s, m_t), in layout order, with their
+    rho and, given the model, their tables."""
 
     edges: tuple
-    pos: np.ndarray
-    idx_s: np.ndarray
-    idx_t: np.ndarray
+    pos: np.ndarray  # (E_b,): positions of the edges in the layout's `edges`
+    idx_s: np.ndarray  # (E_b, m_s): positions of the s tables in the node vector
+    idx_t: np.ndarray  # (E_b, m_t)
     rho: np.ndarray | None  # (E_b, 1)
     table: np.ndarray | None  # (E_b, m_s, m_t): theta_st / rho_st
 
@@ -500,11 +505,13 @@ class _RhoBucket(NamedTuple):
 class BucketedFlatMrf(_Layout):
     """A graph, its rho and optionally its model, laid out for array updates.
 
-    The node vector and the edge buckets are those of `_Layout`; each bucket
-    also holds rho (E_b, 1) and, given the model, theta_st / rho_st.  Two
-    state kinds are tuples of per-bucket arrays: messages are (to_s, to_t)
-    per bucket, to_s[i] being the log message t->s of the bucket's i-th
-    edge; pseudo-max-marginals are the node vector followed by one
+    The node vector is that of `_Layout`.  The edges are grouped into
+    buckets by table shape (m_s, m_t), keeping `edges` order within a
+    bucket; slot[k] is the (bucket, row) of the k-th edge.  Each bucket also
+    holds rho (E_b, 1) and, given the model, theta_st / rho_st.  Two state
+    kinds are tuples of per-bucket arrays: messages are (to_s, to_t) per
+    bucket, to_s[i] being the log message t->s of the bucket's i-th edge;
+    pseudo-max-marginals are the node vector followed by one
     (E_b, m_s, m_t) table stack per bucket.  Sums over the edges at a node
     are taken in `edges` order, the order of the schedule.
     """
@@ -516,15 +523,26 @@ class BucketedFlatMrf(_Layout):
             for e in self.edges:
                 if rho_e[e] <= 0:
                     raise StructureError(f"rho_e on edge {e} must be positive")
+        groups = {}
+        for k, (s, t) in enumerate(self.edges):
+            groups.setdefault((int(cardinalities[s]), int(cardinalities[t])), []).append(k)
+        self.buckets = []
+        self.slot = [None] * len(self.edges)
         position, target = [], []
-        for bi, b in enumerate(self.buckets):
-            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in b.edges])[:, None]
+        for bi, ((ms, mt), ks) in enumerate(groups.items()):
+            es = tuple(self.edges[k] for k in ks)
+            pos = np.array(ks)
+            idx_s = self.offsets[[s for s, _ in es]][:, None] + np.arange(ms)
+            idx_t = self.offsets[[t for _, t in es]][:, None] + np.arange(mt)
+            rho = None if rho_e is None else np.array([float(rho_e[e]) for e in es])[:, None]
             table = None
             if mrf is not None:
-                table = np.array([mrf.theta_edge[e] for e in b.edges]) / rho[:, :, None]
-            self.buckets[bi] = _RhoBucket(*b, rho, table)
-            position += [np.repeat(b.pos, b.idx_s.shape[1]), np.repeat(b.pos, b.idx_t.shape[1])]
-            target += [b.idx_s.ravel(), b.idx_t.ravel()]
+                table = np.array([mrf.theta_edge[e] for e in es]) / rho[:, :, None]
+            self.buckets.append(_RhoBucket(es, pos, idx_s, idx_t, rho, table))
+            for i, k in enumerate(ks):
+                self.slot[k] = (bi, i)
+            position += [np.repeat(pos, ms), np.repeat(pos, mt)]
+            target += [idx_s.ravel(), idx_t.ravel()]
         # Entries of the concatenated per-bucket (to_s, to_t) contributions,
         # reordered by edge position, and the node entries they add to.
         if position:
@@ -611,23 +629,14 @@ class BucketedFlatMrf(_Layout):
         return (new_node, *new_tables)
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        return PseudoMaxMarginals.on_layout(self, nu[0], nu[1:])
+        return PseudoMaxMarginals(tuple(np.split(nu[0], self.offsets[1:])),
+                                  {e: nu[1 + bi][i] for e, (bi, i) in zip(self.edges, self.slot)})
 
 
 def bucketed_change(new: tuple, old: tuple) -> float:
     """The bucketed iteration loop's change measure: the largest absolute
     log change over every array of two states."""
     return max(float(np.max(np.abs(a - b))) for a, b in zip(new, old))
-
-
-def _bucketed_bound_value(trees, weights, offset, rho, nu: tuple) -> float:
-    node, graph = nu[0], trees.graph
-    theta = [(m - node[b.idx_s][:, :, None]) - node[b.idx_t][:, None, :]
-             for b, m in zip(graph.buckets, nu[1:])]
-    total = 0.0
-    for w, value in zip(weights, trees.map_values(node, theta)):
-        total += w * value
-    return total - offset(node[graph.offsets], [r[:, 0] * m[:, 0, 0] for r, m in zip(rho, theta)])
 
 
 def run_bucketed(mrf, dist_or_rho, config, variant):
@@ -644,14 +653,10 @@ def run_bucketed(mrf, dist_or_rho, config, variant):
         flat = BucketedFlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
         state, step, tables = flat.unit_messages(), flat.message_step, flat.pseudo_from_messages
     bound_trace = []
-    if dist is not None:
-        support = dist.support_items()
-        bound = (_TreeLayout(flat, [tree for tree, _ in support]), [w for _, w in support],
-                 _ZeroOffset(mrf, flat), [b.rho for b in flat.buckets])
 
     def observe(state):
         if dist is not None:
-            bound_trace.append(_bucketed_bound_value(*bound, tables(state)))
+            bound_trace.append(bound_value(mrf, flat.pseudo(tables(state)), dist, rho_e))
     observe(state)
     converged = False
     for iterations in range(1, config.max_iterations + 1):
