@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -231,7 +232,7 @@ def _solve_report(args, mrf, out) -> int:
                   + (" (search guard exceeded)\n" if result.certificate_indeterminate else "\n"))
         return 2
     cert = result.certificate
-    out.write("certificate: " + "".join(str(v) for v in cert) + "\n")
+    out.write("certificate: " + "".join(map(str, cert.tolist())) + "\n")
     out.write(f"value: {score(mrf, cert)!r}\n")
     if args.verify_oracle:
         if math.prod(mrf.cardinalities) <= GRID_VERIFY_LIMIT:
@@ -304,10 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
             return cmd_solve(args, out)

@@ -1,9 +1,11 @@
 """The tree-based linear-programming relaxation over the local polytope.
 
-`_offsets` is the one statement of the LP vector's order and
-`_indicator_index` the positions of a configuration's indicator vector phi(x)
-in it: the local LP, the decoding of a solution, phi(x) as a pseudomarginal
-and the exact marginal-polytope oracle read these two.  The Lagrangian dual,
+The LP vector is a model's packed tables, `PairwiseMrf.node_vector` then
+`.edge_vector`: `PairwiseMrf.offsets` (from `model._offsets`, the one
+statement of its order) and `model._indicator_index`, the positions of a
+configuration's indicator vector phi(x) in it, are all the local LP, the
+decoding of a solution, phi(x) as a pseudomarginal and the exact
+marginal-polytope oracle read.  The Lagrangian dual,
 with multipliers from message fixed points, is evaluated on the padded edge
 stack of `treedp._Layout`: the multipliers are one (E, 2, M) array, 0 on
 padded states, so subtracting them leaves the -inf padding in place.
@@ -25,7 +27,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, StructureError, _all_finite, check_assignment
+from .model import (Edge, PairwiseMrf, StructureError, _all_finite, _indicator_index,
+                    check_assignment)
 from .trees import TreeDistribution
 from .treedp import MaxMarginals, _guard_states, _Layout
 
@@ -224,38 +227,20 @@ def in_local(tau: Pseudomarginal, tol: float = 1e-9) -> bool:
     return True
 
 
-def _offsets(mrf: PairwiseMrf) -> tuple:
-    """(node offsets, edge offsets) of the LP vector: every node table, then
-    every edge table row-major in `mrf.edges` order; the last is its length."""
-    cards = mrf.cardinalities
-    off = np.cumsum([0, *cards, *(cards[s] * cards[t] for s, t in mrf.edges)])
-    return off[:len(cards)], off[len(cards):]
-
-
 def _to_vector(mrf: PairwiseMrf, node, edge) -> np.ndarray:
     """Per-node tables and a mapping of edge tables as one LP vector."""
     return np.concatenate([*node, *(np.ravel(edge[e]) for e in mrf.edges)])
 
 
-def _indicator_index(mrf: PairwiseMrf, states: np.ndarray) -> np.ndarray:
-    """The positions of the ones of phi(x) in the LP vector, for each
-    configuration x (a row of `states`): one per node, then one per edge."""
-    node_off, edge_off = _offsets(mrf)
-    s, t = np.array(mrf.edges, dtype=np.intp).reshape(-1, 2).T
-    mt = np.array(mrf.cardinalities)[t]
-    return np.concatenate([node_off + states,
-                           edge_off[:-1] + states[:, s] * mt + states[:, t]], axis=1)
-
-
 def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     """Relaxed MAP linear program: maximize theta.tau over the local polytope.
 
-    Variables are the LP vector of `_offsets`.  Constraints are one
+    Variables are the LP vector of `PairwiseMrf.offsets`.  Constraints are one
     normalization row per node and both-direction marginalization rows per
     edge; edge normalization is implied and omitted.
     """
     cards, n = mrf.cardinalities, mrf.node_count
-    node_off, edge_off = (a.tolist() for a in _offsets(mrf))
+    node_off, edge_off = (a.tolist() for a in mrf.offsets)
     A = np.zeros((n + sum(cards[s] + cards[t] for s, t in mrf.edges), edge_off[-1]))
     A[np.repeat(np.arange(n), cards), np.arange(edge_off[0])] = 1.0
     row = n
@@ -270,11 +255,11 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
             A[row, node_off[t] + k] = -1.0
             row += 1
     b = np.concatenate([np.ones(n), np.zeros(A.shape[0] - n)])
-    return LinearProgram(_to_vector(mrf, mrf.theta_node, mrf.theta_edge), A, b)
+    return LinearProgram(np.concatenate((mrf.node_vector, mrf.edge_vector)), A, b)
 
 
 def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> Pseudomarginal:
-    node_off, edge_off = _offsets(mrf)
+    node_off, edge_off = mrf.offsets
     if x.shape != (edge_off[-1],):
         raise ValueError("solution vector has the wrong length")
     x, cards = x.copy(), mrf.cardinalities
@@ -286,7 +271,7 @@ def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> Pseudomarginal:
 def delta_pseudomarginal(mrf: PairwiseMrf, x: Sequence[int]) -> Pseudomarginal:
     """Indicator vector phi(x) of a configuration as a pseudomarginal."""
     x = check_assignment(mrf, x)
-    v = np.zeros(_offsets(mrf)[1][-1])
+    v = np.zeros(mrf.offsets[1][-1])
     v[_indicator_index(mrf, x[None, :])] = 1.0
     return vector_to_pseudomarginal(mrf, v)
 
@@ -377,7 +362,7 @@ def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
     `_Layout` table stack: one max per table, node maxima by `reduceat`.
     """
     layout = _Layout(mrf.cardinalities, mrf.edges)
-    node, tables = layout.pack(mrf.theta_node, mrf.theta_edge)
+    node, tables = mrf.node_vector.copy(), layout.model_tables(mrf)
     rho = np.array([float(rho_e[e]) for e in layout.edges])[:, None, None]
     to = rho * layout.directed(lam.lam)
     layout.accumulate(node, to)

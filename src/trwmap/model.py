@@ -4,13 +4,24 @@ A model stores one weight table per node (one entry per state) and one weight
 table per edge (one entry per state pair).  The objective of an assignment is
 the sum of the selected entries.  Edges are kept with the lower node index
 first, and the lower-index node always indexes the rows of the edge table.
+
+A `PairwiseMrf` keeps its tables packed in two frozen vectors: `node_vector`,
+every node table in node order, and `edge_vector`, every edge table
+row-major in `edges` order.  Together they are the LP vector, whose order
+`_offsets` states once and in which `_indicator_index` finds the entries
+phi(x) selects.  `theta_node` and `theta_edge` are read-only views of these
+vectors.  The tables are validated and converted all at once, whatever the
+cardinalities: `load_model` flattens a document's nested lists into the two
+vectors in one pass, and checks the shapes, the edges and the finiteness on
+whole arrays; a loop over the tables runs only to name the first bad one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,6 +60,24 @@ def _all_finite(tables) -> bool:
     return not tables or bool(np.isfinite(np.concatenate(tables, axis=None)).all())
 
 
+def _offsets(cardinalities, ends: np.ndarray) -> tuple:
+    """(node offsets, edge offsets) of the LP vector: every node table, then
+    every edge table row-major in edge order, for the edges' (E, 2) array of
+    end nodes; the last edge offset is the vector's length."""
+    cards = np.asarray(cardinalities, dtype=np.intp)
+    off = np.cumsum(np.concatenate(([0], cards, cards[ends[:, 0]] * cards[ends[:, 1]])))
+    return off[:len(cards)], off[len(cards):]
+
+
+def _views(vector: np.ndarray, offsets: np.ndarray, shapes: list) -> list:
+    """Each table's read-only view in a packed vector, from the tables'
+    offsets and shapes; tables of one shape are the rows of one reshape."""
+    if len(set(shapes)) == 1:
+        return list(vector.reshape(len(shapes), *shapes[0]))
+    ends = offsets.tolist()[1:] + [vector.size]
+    return [vector[a:b].reshape(shape) for a, b, shape in zip(offsets.tolist(), ends, shapes)]
+
+
 @dataclass(frozen=True)
 class Potentials:
     """Node and edge weight tables; edges missing from the dict are zero."""
@@ -59,7 +88,12 @@ class Potentials:
 
 @dataclass(frozen=True)
 class PairwiseMrf:
-    """A pairwise MRF: cardinalities, undirected edges and weight tables."""
+    """A pairwise MRF: cardinalities, undirected edges and weight tables.
+
+    Construction packs the tables: `node_vector` and `edge_vector` hold them
+    (frozen), `offsets` is their `_offsets`, and `theta_node` and
+    `theta_edge` become read-only views of them.
+    """
 
     cardinalities: tuple
     edges: tuple
@@ -67,60 +101,106 @@ class PairwiseMrf:
     theta_edge: Mapping[Edge, np.ndarray]
 
     def __post_init__(self):
+        self._check_graph()
+        if len(self.theta_node) != self.node_count:
+            raise ModelFormatError("theta_node: one table per node required")
+        self._check_shapes("theta_node", list(map(np.shape, self.theta_node)))
+        if set(self.theta_edge) != set(self.edges):
+            raise ModelFormatError("theta_edge: one table per edge required")
+        tables = list(map(self.theta_edge.__getitem__, self.edges))
+        self._check_shapes("theta_edge", list(map(np.shape, tables)))
+        self._place(np.concatenate(self.theta_node, axis=None),
+                    np.concatenate(tables, axis=None) if tables else np.zeros(0))
+
+    @classmethod
+    def _packed(cls, cardinalities: tuple, edges: tuple, ends: np.ndarray, node: np.ndarray,
+                node_shapes: list, edge: np.ndarray, edge_shapes: list) -> PairwiseMrf:
+        """A model from int tuples, the edges' (E, 2) array of end nodes,
+        packed vectors and the shapes of the tables they hold, validated as
+        the constructor validates its tables."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "cardinalities", cardinalities)
+        object.__setattr__(self, "edges", edges)
+        self._check_graph(ends)
+        self._check_shapes("theta_node", node_shapes)
+        self._check_shapes("theta_edge", edge_shapes)
+        self._place(node, edge)
+        return self
+
+    def _check_graph(self, ends: np.ndarray | None = None):
+        """Positive cardinalities, and edges (s, t) with s < t, in range and
+        distinct; an error names the first bad edge.  Without `ends`, the
+        edges become a tuple of int pairs."""
         n = len(self.cardinalities)
         if n == 0:
             raise ModelFormatError("model has no nodes")
-        if any(int(m) <= 0 for m in self.cardinalities):
+        object.__setattr__(self, "cardinalities", tuple(map(int, self.cardinalities)))
+        if min(self.cardinalities) <= 0:
             raise ModelFormatError("cardinalities must be positive")
-        object.__setattr__(self, "cardinalities", tuple(int(m) for m in self.cardinalities))
-        object.__setattr__(self, "edges", tuple((int(s), int(t)) for s, t in self.edges))
+        if ends is None:
+            ends = np.array(self.edges, dtype=np.intp)
+            if ends.size and ends.shape[1:] != (2,):
+                raise ModelFormatError("edges: expected pairs of node indices")
+            ends = ends.reshape(-1, 2)
+            object.__setattr__(self, "edges", tuple(map(tuple, ends.tolist())))
+        s, t = ends.T
+        order = np.lexsort((t, s))
+        repeat = np.zeros(len(ends), dtype=bool)  # an edge equal to an earlier one
+        repeat[order[1:]] = (s[order][1:] == s[order][:-1]) & (t[order][1:] == t[order][:-1])
+        # in the order an edge's problems are reported
+        checks = ((s == t, "self-loop"), ((s < 0) | (s >= n) | (t < 0) | (t >= n),
+                                          "node index out of range"),
+                  (s > t, "must be ordered (s, t) with s < t"), (repeat, "duplicate"))
+        bad = functools.reduce(np.logical_or, (flags for flags, _ in checks))
+        if bad.any():
+            i = int(bad.argmax())
+            problem = next(problem for flags, problem in checks if flags[i])
+            raise ModelFormatError(f"edge {self.edges[i]}: {problem}")
+        ends.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
+
+    def _check_shapes(self, field: str, shapes: list):
+        """Each node table a vector of its node's states, each edge table
+        (m_s, m_t); an error names the first table of another shape."""
+        want = list(zip(self.cardinalities)) if field == "theta_node" else self._edge_shapes
+        if shapes == want:
+            return
+        k, shape = next((k, a) for k, (a, b) in enumerate(zip(shapes, want)) if a != b)
+        if field == "theta_node":
+            raise ModelFormatError(f"theta_node[{k}]: shape {shape} does not match cardinality")
+        raise ModelFormatError(f"theta_edge[{self.edges[k]}]: shape {shape}, expected {want[k]}")
+
+    @functools.cached_property
+    def _edge_shapes(self) -> list:
+        """Each edge's (m_s, m_t), in `edges` order."""
+        cards = np.array(self.cardinalities)
+        return list(zip(cards[self._ends[:, 0]].tolist(), cards[self._ends[:, 1]].tolist()))
+
+    def _place(self, node: np.ndarray, edge: np.ndarray):
+        """Keep the packed vectors, frozen, after one finiteness test on
+        each, and their tables' views as `theta_node` and `theta_edge`."""
+        node, edge = _freeze(node), _freeze(edge)
+        node_off, edge_off = _offsets(self.cardinalities, self._ends)
+        edge_starts = edge_off[:-1] - edge_off[0]
+        for vector, starts, field, keys in ((node, node_off, "theta_node", range(len(node_off))),
+                                            (edge, edge_starts, "theta_edge", self.edges)):
+            bad = np.flatnonzero(~np.isfinite(vector))
+            if bad.size:
+                k = int(np.searchsorted(starts, bad[0], side="right")) - 1
+                raise ModelFormatError(f"{field}[{keys[k]}]: non-finite entry")
+        object.__setattr__(self, "node_vector", node)
+        object.__setattr__(self, "edge_vector", edge)
+        object.__setattr__(self, "offsets", (node_off, edge_off))
+        object.__setattr__(self, "theta_node",
+                           tuple(_views(node, node_off, list(zip(self.cardinalities)))))
         object.__setattr__(self, "theta_edge",
-                           {(int(s), int(t)): m for (s, t), m in self.theta_edge.items()})
-        seen = set()
-        for e in self.edges:
-            s, t = e
-            if s == t:
-                raise ModelFormatError(f"edge {e}: self-loop")
-            if not (0 <= s < n and 0 <= t < n):
-                raise ModelFormatError(f"edge {e}: node index out of range")
-            if s > t:
-                raise ModelFormatError(f"edge {e}: must be ordered (s, t) with s < t")
-            if e in seen:
-                raise ModelFormatError(f"edge {e}: duplicate")
-            seen.add(e)
-        if len(self.theta_node) != n:
-            raise ModelFormatError("theta_node: one table per node required")
-        node = []
-        for s, v in enumerate(self.theta_node):
-            v = _freeze(v)
-            if v.shape != (self.cardinalities[s],):
-                raise ModelFormatError(f"theta_node[{s}]: shape {v.shape} does not match cardinality")
-            node.append(v)
-        object.__setattr__(self, "theta_node", tuple(node))
-        if set(self.theta_edge) != set(self.edges):
-            raise ModelFormatError("theta_edge: one table per edge required")
-        etab = {}
-        for (s, t) in self.edges:
-            m = _freeze(self.theta_edge[(s, t)])
-            want = (self.cardinalities[s], self.cardinalities[t])
-            if m.shape != want:
-                raise ModelFormatError(f"theta_edge[{(s, t)}]: shape {m.shape}, expected {want}")
-            etab[(s, t)] = m
-        object.__setattr__(self, "theta_edge", etab)
-        # one test on all the tables; the loops only name the first bad one
-        if not _all_finite((*node, *etab.values())):
-            for s, v in enumerate(node):
-                if not np.all(np.isfinite(v)):
-                    raise ModelFormatError(f"theta_node[{s}]: non-finite entry")
-            for e, m in etab.items():
-                if not np.all(np.isfinite(m)):
-                    raise ModelFormatError(f"theta_edge[{e}]: non-finite entry")
+                           dict(zip(self.edges, _views(edge, edge_starts, self._edge_shapes))))
 
     @property
     def node_count(self) -> int:
         return len(self.cardinalities)
 
-    @cached_property
+    @functools.cached_property
     def neighbors(self) -> tuple:
         adj = [[] for _ in range(self.node_count)]
         for s, t in self.edges:
@@ -149,21 +229,29 @@ def check_assignment(mrf: PairwiseMrf, x: Sequence[int]) -> np.ndarray:
         if not np.all(x == x.astype(int)):
             raise ValueError("invalid assignment: non-integer entries")
         x = x.astype(int)
-    for s, v in enumerate(x):
-        if not 0 <= v < mrf.cardinalities[s]:
-            raise ValueError(f"invalid assignment: x[{s}]={v} outside cardinality {mrf.cardinalities[s]}")
+    bad = np.flatnonzero((x < 0) | (x >= np.array(mrf.cardinalities)))
+    if bad.size:
+        s = bad[0]
+        raise ValueError(f"invalid assignment: x[{s}]={x[s]} outside cardinality {mrf.cardinalities[s]}")
     return x
 
 
+def _indicator_index(mrf: PairwiseMrf, states: np.ndarray) -> np.ndarray:
+    """The positions of the ones of phi(x) in the LP vector, for each
+    configuration x (a row of `states`): one per node, then one per edge."""
+    node_off, edge_off = mrf.offsets
+    s, t = mrf._ends.T
+    mt = np.array(mrf.cardinalities)[t]
+    return np.concatenate([node_off + states,
+                           edge_off[:-1] + states[:, s] * mt + states[:, t]], axis=1)
+
+
 def score(mrf: PairwiseMrf, x: Sequence[int]) -> float:
-    """Objective value of an assignment: sum of selected node and edge entries."""
+    """Objective value of an assignment: the entries phi(x) selects, added
+    left to right, node by node and then edge by edge in `edges` order."""
     x = check_assignment(mrf, x)
-    total = 0.0
-    for s in range(mrf.node_count):
-        total += mrf.theta_node[s][x[s]]
-    for (s, t) in mrf.edges:
-        total += mrf.theta_edge[(s, t)][x[s], x[t]]
-    return float(total)
+    picked = np.concatenate((mrf.node_vector, mrf.edge_vector))[_indicator_index(mrf, x[None])[0]]
+    return float(np.add.accumulate(np.append(0.0, picked))[-1])
 
 
 def ising_to_overcomplete(node_weights: Sequence[float],
@@ -178,12 +266,15 @@ def ising_to_overcomplete(node_weights: Sequence[float],
     edges = tuple(sorted((s, t) if s < t else (t, s) for (s, t) in edge_weights))
     if len(edges) != len(edge_weights):
         raise ModelFormatError("duplicate edge in edge_weights")
-    theta_node = [np.array([-w, w]) for w in node_weights]
-    theta_edge = {}
-    for (s, t) in edges:
-        w = float(edge_weights[(s, t)] if (s, t) in edge_weights else edge_weights[(t, s)])
-        theta_edge[(s, t)] = np.array([[w, -w], [-w, w]])
-    return PairwiseMrf(tuple([2] * n), edges, tuple(theta_node), theta_edge)
+    node = np.array(node_weights)
+    w = np.array([float(edge_weights[(s, t)] if (s, t) in edge_weights else edge_weights[(t, s)])
+                  for (s, t) in edges])
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    # node tables [-w, w], edge tables [[w, -w], [-w, w]], packed
+    return PairwiseMrf._packed((2,) * n, tuple(map(tuple, ends.tolist())), ends,
+                               np.stack((-node, node), axis=1).ravel(), [(2,)] * n,
+                               (w[:, None] * np.array([1.0, -1.0, -1.0, 1.0])).ravel(),
+                               [(2, 2)] * len(edges))
 
 
 @dataclass(frozen=True)
@@ -275,7 +366,55 @@ def save_model(mrf: PairwiseMrf) -> bytes:
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
+def _entries(tables: list, depth: int):
+    """The numbers of a list of tables nested `depth` lists deep, in order,
+    and the list lengths of every level; None unless every table is lists
+    of that depth holding JSON numbers (int or float, not bool)."""
+    lengths = []
+    for _ in range(depth):
+        if not set(map(type, tables)) <= {list}:
+            return None
+        lengths.append(list(map(len, tables)))
+        tables = list(chain.from_iterable(tables))
+    if not set(map(type, tables)) <= {int, float}:
+        return None
+    return tables, lengths
+
+
+def _flatten(tables: list, field: str, depth: int) -> tuple:
+    """(one float vector of all the entries, each table's shape) for a
+    document's list of node tables (depth 1) or edge tables (depth 2, a
+    list of rows); a `ModelFormatError` names the first table that is not a
+    list of numbers, or of equal-length rows of numbers."""
+    found = _entries(tables, depth)
+    if found is None:
+        k = next(k for k, table in enumerate(tables) if _entries([table], depth) is None)
+        what = "numbers" if depth == 1 else "rows of numbers"
+        raise ModelFormatError(f"{field}[{k}]: expected a list of {what}")
+    values, lengths = found
+    if depth == 1:
+        shapes = list(zip(lengths[0]))
+    else:
+        rows, widths = (np.array(v, dtype=np.intp) for v in lengths)
+        first = np.cumsum(rows) - rows  # each table's first row
+        table_of = np.repeat(np.arange(len(rows)), rows)
+        odd = widths != widths[first[table_of]]
+        if odd.any():
+            raise ModelFormatError(f"{field}[{table_of[odd.argmax()]}]: rows of unequal length")
+        # a table without rows reads as numpy's shape (0,)
+        shapes = [(r, w) if r else (0,) for r, w in
+                  zip(lengths[0], np.append(widths, 0)[first].tolist())]
+    try:
+        return np.array(values, dtype=float), shapes
+    except OverflowError:
+        raise ModelFormatError(f"{field}: a number is too large for a float") from None
+
+
 def load_model(data: bytes | str) -> PairwiseMrf:
+    """Read a model document: `nodes` (the cardinalities), `edges` (pairs of
+    node indices) and one table per node and per edge, as nested lists of
+    numbers.  A malformed document raises `ModelFormatError` naming the
+    field."""
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
@@ -286,23 +425,27 @@ def load_model(data: bytes | str) -> PairwiseMrf:
         if key not in doc:
             raise ModelFormatError(f"missing field {key!r}")
     cards = doc["nodes"]
-    if not isinstance(cards, list) or not all(isinstance(m, int) for m in cards):
+    if not isinstance(cards, list) or not set(map(type, cards)) <= {int}:
         raise ModelFormatError("nodes: expected a list of integers")
     for key in ("edges", "theta_node", "theta_edge"):
         if not isinstance(doc[key], list):
             raise ModelFormatError(f"{key}: expected a list")
-    edges = []
-    for i, e in enumerate(doc["edges"]):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
-            raise ModelFormatError(f"edges[{i}]: expected a pair of integers")
-        edges.append((e[0], e[1]))
+    edges = doc["edges"]
+    found = _entries(edges, 1)
+    if found is None or not set(found[1][0]) <= {2} or not set(map(type, found[0])) <= {int}:
+        for i, e in enumerate(edges):
+            if not (type(e) is list and len(e) == 2 and set(map(type, e)) == {int}):
+                raise ModelFormatError(f"edges[{i}]: expected a pair of integers")
     if len(doc["theta_node"]) != len(cards):
         raise ModelFormatError("theta_node: length must match nodes")
     if len(doc["theta_edge"]) != len(edges):
         raise ModelFormatError("theta_edge: length must match edges")
+    node, node_shapes = _flatten(doc["theta_node"], "theta_node", 1)
+    edge, edge_shapes = _flatten(doc["theta_edge"], "theta_edge", 2)
     try:
-        theta_node = tuple(np.asarray(v, dtype=float) for v in doc["theta_node"])
-        theta_edge = {e: np.asarray(m, dtype=float) for e, m in zip(edges, doc["theta_edge"])}
-    except (TypeError, ValueError) as err:
-        raise ModelFormatError(f"ragged or non-numeric table: {err}") from err
-    return PairwiseMrf(tuple(cards), tuple(edges), theta_node, theta_edge)
+        ends = np.array(found[0], dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        i = next(i for i, e in enumerate(edges) if max(map(abs, e)) >= 2 ** 62)
+        raise ModelFormatError(f"edges[{i}]: node index out of range") from None
+    return PairwiseMrf._packed(tuple(cards), tuple(map(tuple, edges)), ends,
+                               node, node_shapes, edge, edge_shapes)

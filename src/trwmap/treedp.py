@@ -12,10 +12,12 @@ layout's edge order, M the largest cardinality: edge k's table is
 row and column maxima read the valid entries only.  Per-edge vectors over
 the states of either endpoint are (E, 2, M) arrays, s side first.  Where a
 step subtracts tables or compares them, it reads the valid entries or
-subtracts a 0-padded stack, so no -inf - -inf is ever formed.  A
-`MaxMarginals` keeps the layout it was computed on, with its node vector and
-table stack; its per-node and per-edge tables are views of them, and
-`check_edge_consistency` tests every edge at once on them.
+subtracts a 0-padded stack, so no -inf - -inf is ever formed.  A model's
+tables enter a layout by one scatter of its packed edge vector
+(`_Layout.model_tables`).  A `MaxMarginals` keeps the layout it was computed
+on, with its node vector and table stack; its per-node and per-edge tables
+are views of them, built on first read, and `check_edge_consistency` tests
+every edge at once on them.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
 tree of a collection at once, each rooted at node 0.  Its upward pass sends
@@ -48,13 +50,12 @@ class MaxMarginals:
     """Per-node vectors and per-edge matrices, stored as logs, on the
     `_Layout` they were computed on: `node` is its node vector and `tables`
     its padded (E, M, M) table stack.  `log_node` and `log_edge` are views
-    of these arrays, with the edges in the layout's order."""
+    of these arrays, with the edges in the layout's order, built on first
+    read."""
 
     layout: _Layout
     node: np.ndarray
     tables: np.ndarray
-    log_node: tuple
-    log_edge: Mapping[Edge, np.ndarray]
 
     def __init__(self, log_node, log_edge):
         if not len(log_node):
@@ -88,9 +89,16 @@ class MaxMarginals:
     def _place(self, layout, node, tables):
         if not _all_finite((node, tables.take(layout.entries))):
             raise ValueError("non-finite log max-marginal")
-        for name, value in zip(("layout", "node", "tables", "log_node", "log_edge"),
-                               (layout, node, tables, *layout.unpack(node, tables))):
+        for name, value in zip(("layout", "node", "tables"), (layout, node, tables)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def log_node(self) -> tuple:
+        return self.layout.node_views(self.node)
+
+    @functools.cached_property
+    def log_edge(self) -> Mapping[Edge, np.ndarray]:
+        return self.layout.edge_views(self.tables)
 
 
 @dataclass(frozen=True)
@@ -177,13 +185,13 @@ class _Layout:
     """
 
     def __init__(self, cardinalities, edges):
-        cards = np.array(cardinalities, dtype=np.intp)
+        self.cards = cards = np.array(cardinalities, dtype=np.intp)
         ends = np.cumsum(cards)
         self.offsets = ends - cards
         self.node_of = np.repeat(np.arange(len(cards)), cards)
         self.size = int(ends[-1])
         self.edges = tuple(edges)
-        pairs = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.ends = pairs = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
         self.edge_cards = cards[pairs].tolist()
         states = np.arange(cards.max())
         valid = states < cards[pairs][:, :, None]
@@ -197,6 +205,24 @@ class _Layout:
         """Every entry's node-table max, for a node vector or a stack of them
         (last axis)."""
         return np.maximum.reduceat(v, self.offsets, axis=-1)[..., self.node_of]
+
+    def model_tables(self, mrf: PairwiseMrf, fill: float = -np.inf) -> np.ndarray:
+        """The (E, M, M) stack of a model's edge tables, `fill` on the
+        padded entries: one scatter of its packed edge vector.  The layout's
+        edges are the model's, in any order."""
+        values = mrf.edge_vector
+        if self.edges != mrf.edges:
+            # each layout edge's entries, in the model's edge vector
+            where = {e: k for k, e in enumerate(mrf.edges)}
+            k = np.array([where[e] for e in self.edges], dtype=np.intp)
+            start = mrf.offsets[1][k] - mrf.offsets[1][0]
+            size = np.diff(mrf.offsets[1])[k]
+            values = values[np.repeat(start - (np.cumsum(size) - size), size)
+                            + np.arange(len(values))]
+        width = self.pad.shape[2]
+        out = np.full((len(self.edges), width, width), fill)
+        out.reshape(-1)[self.entries] = values
+        return out
 
     def stack(self, tables: Mapping, fill: float = -np.inf) -> np.ndarray:
         """The (E, M, M) stack of a mapping of edge tables, `fill` on the
@@ -212,11 +238,14 @@ class _Layout:
         edge tables."""
         return np.concatenate([np.asarray(v, dtype=float) for v in node]), self.stack(edge)
 
-    def unpack(self, node: np.ndarray, tables: np.ndarray) -> tuple:
-        """(per-node tables, {edge: table} in `edges` order): views of the arrays."""
-        return (tuple(np.split(node, self.offsets[1:])),
-                {e: tables[k, :ms, :mt]
-                 for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards))})
+    def node_views(self, node: np.ndarray) -> tuple:
+        """The per-node tables of a node vector, as views."""
+        return tuple(np.split(node, self.offsets[1:]))
+
+    def edge_views(self, tables: np.ndarray) -> dict:
+        """{edge: table} in `edges` order, views of a table stack."""
+        return {e: tables[k, :ms, :mt]
+                for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards))}
 
     def directed(self, vectors: Mapping) -> np.ndarray:
         """The (E, 2, M) array of per-direction vectors keyed (sender,
@@ -497,7 +526,8 @@ def check_edge_consistency(nu: MaxMarginals) -> EdgeConsistencyReport:
     d = np.stack((_top(nu.tables, 2), _top(nu.tables, 1)), axis=1) - nu.node[layout.idx]
     spread = _top(d, 2) - np.where(layout.pad, np.inf, d).min(axis=2)
     dev = np.maximum(spread[:, 0], spread[:, 1])
-    per_edge = dict(sorted(zip(layout.edges, dev.tolist())))
+    order = np.lexsort(layout.ends.T[::-1]).tolist()
+    per_edge = dict(zip(map(layout.edges.__getitem__, order), dev[order].tolist()))
     return EdgeConsistencyReport(per_edge, max(per_edge.values(), default=0.0))
 
 

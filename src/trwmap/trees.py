@@ -226,9 +226,12 @@ def save_tree_distribution(dist: TreeDistribution) -> bytes:
 
 
 def _number(value, field: str) -> float:
+    """A JSON number (int or float; not a bool or a string) as a float."""
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"{field}: expected a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as err:
+    except OverflowError as err:
         raise ModelFormatError(f"{field}: expected a number, got {value!r}") from err
 
 
@@ -264,7 +267,7 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
             raise ModelFormatError(f"tree record {i}: expected edges and weight")
         edges = rec["edges"]
         if not (isinstance(edges, list) and all(
-                isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)
+                type(e) is list and len(e) == 2 and all(type(v) is int for v in e)
                 for e in edges)):
             raise ModelFormatError(f"tree record {i}: edges: expected a list of integer pairs")
         trees.append(SpanningTree(tuple(tuple(e) for e in edges)))

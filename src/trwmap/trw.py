@@ -36,14 +36,28 @@ shared parameter is a node vector and a table stack, each iteration runs one
 `_TreeLayout.solve` for all trees, which gives both the max-marginals (a
 stack over the (tree, edge) slots) and the tree values of the bound, and the
 split, the merge, the damping, the tie masks and the agreement test are
-array operations.  Sums over trees run in support order (`_tree_sum`).  The
-certificate's tie rule, the entries within `CERT_TIE_TOL` of their table's
-max, is `_tie_masks`, shared by `find_certificate`, the tree schedule and
-the experiment's unique-maximizer count; padded entries are never ties.
+array operations.  Sums over trees run in support order (`_tree_sum`), and
+a bound's weighted tree values are added left to right (`_weighted_total`).
+The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
+table's max, is `_tie_masks`, shared by `find_certificate`, the tree
+schedule and the experiment's unique-maximizer count; padded entries are
+never ties.  The search for a configuration within the ties first prunes
+the candidate states by arc consistency on the whole layout
+(`_arc_consistent`); a depth-first search runs only on the nodes left with
+more than one candidate, in the order of their unpruned counts, so it finds
+the assignment a search over all nodes finds.  When every node has a
+single tie, as on the large grids timed for this package, no node is left
+to search.
+
+A run's models and results are read through arrays: `_FlatMrf` fills its
+table stack with one scatter of the model's packed edge vector, the graph
+check compares layouts, and the per-edge dicts of a result (`log_node`,
+`log_edge`, `MessageSet.log_m`) are built only when read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -63,14 +77,34 @@ class PseudoMaxMarginals(MaxMarginals):
     """Max-marginal-shaped tables on every edge of a graph with cycles."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MessageSet:
     """Directed positive messages, one vector per edge direction, as logs.
 
     log_m[(t, s)] is the log message sent from t to s, indexed by states of s.
+    A run's message set keeps its (E, 2, M) array and builds `log_m`, views
+    of it, on first read.
     """
 
-    log_m: Mapping[tuple, np.ndarray]
+    def __init__(self, log_m: Mapping[tuple, np.ndarray]):
+        object.__setattr__(self, "log_m", log_m)
+
+    @classmethod
+    def on_layout(cls, layout: _Layout, msgs: np.ndarray) -> MessageSet:
+        """From an (E, 2, M) message array of `layout`: [k, 0] is t -> s of
+        the k-th edge (s, t), [k, 1] is s -> t."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_msgs", msgs)
+        return self
+
+    @functools.cached_property
+    def log_m(self) -> Mapping[tuple, np.ndarray]:
+        logs = {}
+        for (s, t), m, (ms, mt) in zip(self._layout.edges, self._msgs, self._layout.edge_cards):
+            logs[(t, s)] = m[0, :ms]
+            logs[(s, t)] = m[1, :mt]
+        return logs
 
 
 @dataclass(frozen=True)
@@ -151,14 +185,14 @@ class _FlatMrf(_Layout):
 
     def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
         super().__init__(cardinalities, edges)
-        self.theta_node = None if mrf is None else np.concatenate(mrf.theta_node)
         if rho_e is not None:
-            self.rho = np.array([float(rho_e[e]) for e in self.edges])
+            self.rho = np.fromiter(map(rho_e.__getitem__, self.edges), float, len(self.edges))
         if mrf is not None:
-            for e, r in zip(self.edges, self.rho):
-                if r <= 0:
-                    raise StructureError(f"rho_e on edge {e} must be positive")
-            self.table = self.stack(mrf.theta_edge) / self.rho[:, None, None]
+            bad = np.flatnonzero(self.rho <= 0)
+            if bad.size:
+                raise StructureError(f"rho_e on edge {self.edges[bad[0]]} must be positive")
+            self.theta_node = mrf.node_vector
+            self.table = self.model_tables(mrf) / self.rho[:, None, None]
 
     def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
         return v - self.node_max(v)
@@ -196,11 +230,7 @@ class _FlatMrf(_Layout):
         return (self.directed(msgs.log_m),)
 
     def message_set(self, msgs: tuple) -> MessageSet:
-        logs = {}
-        for (s, t), m, (ms, mt) in zip(self.edges, msgs[0], self.edge_cards):
-            logs[(t, s)] = m[0, :ms]
-            logs[(s, t)] = m[1, :mt]
-        return MessageSet(logs)
+        return MessageSet.on_layout(self, msgs[0])
 
     # --- pseudo-max-marginals: node vector, then the table stack ------------
 
@@ -302,17 +332,17 @@ class CertificateResult:
     indeterminate: bool = False
 
 
-def _search_common_config(candidates, edges, allowed, guard):
+def _search_common_config(candidates, sizes, edges, allowed, guard):
     """Depth-first search with forward pruning for a configuration whose node
     states all lie in `candidates` and whose pairs on every edge (s, t) of
     `edges` are allowed: allowed[i][js][jt], one nested list per edge.
 
-    Nodes are fixed in order of increasing candidate count; fixing one prunes
-    the domains of its later neighbors.  The replaced domains go on an undo
-    trail, so backtracking restores them without copying, and the search
-    keeps an explicit stack instead of recursing once per node.  Returns
-    (assignment or None, indeterminate).  Complete unless the node guard
-    trips, which is reported as indeterminate rather than absence.
+    Nodes are fixed in order of increasing `sizes` (then index); fixing one
+    prunes the domains of its later neighbors.  The replaced domains go on
+    an undo trail, so backtracking restores them without copying, and the
+    search keeps an explicit stack instead of recursing once per node.
+    Returns (assignment or None, indeterminate).  Complete unless the node
+    guard trips, which is reported as indeterminate rather than absence.
     """
     n = len(candidates)
     adj = {s: [] for s in range(n)}
@@ -322,7 +352,7 @@ def _search_common_config(candidates, edges, allowed, guard):
         adj[t].append(s)
         pairs[(s, t)] = m
         pairs[(t, s)] = list(zip(*m))
-    order = sorted(range(n), key=lambda s: (len(candidates[s]), s))
+    order = sorted(range(n), key=lambda s: (sizes[s], s))
     rank = {s: i for i, s in enumerate(order)}
     later = [[t for t in adj[s] if rank[t] > pos] for pos, s in enumerate(order)]
     domains = [list(candidates[s]) for s in range(n)]
@@ -363,6 +393,25 @@ def _search_common_config(candidates, edges, allowed, guard):
     return None, False
 
 
+def _arc_consistent(layout: _Layout, node_mask: np.ndarray, edge_masks: np.ndarray):
+    """The candidate states that arc consistency leaves: a state stays while
+    every incident edge allows it together with some candidate state of the
+    other end.  Prunes the node vector `node_mask` (a copy) on the stack of
+    allowed pairs `edge_masks`, all edges at once, until nothing changes;
+    None once a node has no candidate left.  A state it removes is in no
+    common configuration, so the set of those is unchanged."""
+    domain = node_mask.copy()
+    while np.logical_or.reduceat(domain, layout.offsets).all():
+        near = domain[layout.idx] & ~layout.pad
+        supported = np.stack((_top(edge_masks & near[:, 1, None, :], 2),
+                              _top(edge_masks & near[:, 0, :, None], 1)), axis=1)
+        lost = near & ~supported
+        if not lost.any():
+            return domain
+        domain[layout.idx[lost]] = False
+    return None
+
+
 def _tie_masks(layout: _Layout, node: np.ndarray, tables: np.ndarray, tie_tol: float):
     """The certificate's tie rule: the entries within `tie_tol` of their
     table's max, on a node vector of `layout` (or a stack of them) and on
@@ -373,14 +422,34 @@ def _tie_masks(layout: _Layout, node: np.ndarray, tables: np.ndarray, tie_tol: f
 
 def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks: np.ndarray,
                       guard: int):
-    """`_search_common_config` on tie masks laid out on `layout`: a node
-    vector of candidate states and a stack of allowed pairs."""
-    pos = np.flatnonzero(node_mask)
+    """A configuration of candidate states (node vector `node_mask`) whose
+    pairs are allowed on every edge (stack `edge_masks`), laid out on
+    `layout`.  Arc consistency prunes the candidates first; a node left with
+    one takes it, and `_search_common_config` runs on the nodes left with
+    more, in the order of their unpruned candidate counts.  So it returns
+    the assignment the search on the unpruned candidates returns, and
+    expands no more nodes toward the guard."""
+    domain = _arc_consistent(layout, node_mask, edge_masks)
+    if domain is None:
+        return None, False
+    pos = np.flatnonzero(domain)
+    x = pos[np.searchsorted(pos, layout.offsets)] - layout.offsets  # first candidates
+    free = np.flatnonzero(np.add.reduceat(domain, layout.offsets) > 1)
+    if not free.size:
+        return x, False
+    pos = np.flatnonzero(domain & np.isin(layout.node_of, free))
     node = layout.node_of[pos]
-    candidates = [[] for _ in layout.offsets]
-    for s, j in zip(node.tolist(), (pos - layout.offsets[node]).tolist()):
+    candidates = [[] for _ in free]
+    for s, j in zip(np.searchsorted(free, node).tolist(), (pos - layout.offsets[node]).tolist()):
         candidates[s].append(j)
-    return _search_common_config(candidates, layout.edges, edge_masks.tolist(), guard)
+    inner = np.flatnonzero(np.isin(layout.ends, free).all(axis=1))
+    found, indeterminate = _search_common_config(
+        candidates, np.add.reduceat(node_mask, layout.offsets)[free].tolist(),
+        np.searchsorted(free, layout.ends[inner]).tolist(), edge_masks[inner].tolist(), guard)
+    if found is None:
+        return None, indeterminate
+    x[free] = found
+    return x, False
 
 
 def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
@@ -399,14 +468,19 @@ def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
 
 
 def _check_graph(nu: MaxMarginals, mrf: PairwiseMrf):
-    """Raise unless `nu` has tables on exactly the nodes and edges of `mrf`."""
-    cards, want = [len(v) for v in nu.log_node], list(mrf.cardinalities)
-    if cards != want:
-        raise StructureError(f"pseudo-max-marginals have cardinalities {cards}, the model {want}")
-    missing = [e for e in mrf.edges if e not in nu.log_edge]
+    """Raise unless `nu` has tables on exactly the nodes and edges of `mrf`:
+    its layout has the model's cardinalities and edges, in any order."""
+    layout = nu.layout
+    if not np.array_equal(layout.cards, mrf.cardinalities):
+        raise StructureError(f"pseudo-max-marginals have cardinalities {layout.cards.tolist()}, "
+                             f"the model {list(mrf.cardinalities)}")
+    if layout.edges == mrf.edges:
+        return
+    have = set(layout.edges)
+    missing = [e for e in mrf.edges if e not in have]
     if missing:
         raise StructureError(f"pseudo-max-marginals missing on edges {missing}")
-    extra = [e for e in nu.log_edge if e not in mrf.theta_edge]
+    extra = [e for e in layout.edges if e not in mrf.theta_edge]
     if extra:
         raise StructureError(f"pseudo-max-marginals given on edges {extra}, not graph edges")
 
@@ -422,8 +496,9 @@ class _ZeroOffset:
     def __init__(self, mrf: PairwiseMrf, layout: _Layout):
         where = {e: k for k, e in enumerate(layout.edges)}
         self.order = np.array([where[e] for e in mrf.edges], dtype=np.intp)
-        self.theta_node = [float(v[0]) for v in mrf.theta_node]
-        self.theta_edge = [float(mrf.theta_edge[e][0, 0]) for e in mrf.edges]
+        node_off, edge_off = mrf.offsets
+        self.theta_node = mrf.node_vector[node_off].tolist()
+        self.theta_edge = mrf.edge_vector[edge_off[:-1] - edge_off[0]].tolist()
 
     def __call__(self, node: np.ndarray, edge: np.ndarray) -> float:
         total = 0.0
@@ -468,10 +543,10 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         tables = _sum_in_order(w, np.array(stacks))
     _guard_states(mrf.cardinalities, max_states)
     # theta is 0-padded, so the padded differences stay -inf, never NaN
-    diff_node, diff_edge = layout.unpack(node - np.concatenate(mrf.theta_node),
-                                         tables - layout.stack(mrf.theta_edge, 0.0))
+    diff_edge = layout.edge_views(tables - layout.model_tables(mrf, 0.0))
     d = assignment_scores(mrf.cardinalities,
-                          Potentials(diff_node, {e: diff_edge[e] for e in mrf.edges}))
+                          Potentials(layout.node_views(node - mrf.node_vector),
+                                     {e: diff_edge[e] for e in mrf.edges}))
     return float(np.max(np.abs(d - d.mean())))
 
 
@@ -483,10 +558,18 @@ def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, nu: tuple) ->
     (node, stack), graph = nu, trees.graph
     near = node[graph.idx]
     theta = (stack - near[:, 0, :, None]) - near[:, 1, None, :]
+    return (_weighted_total(weights, trees.map_values(node, theta))
+            - offset(node[graph.offsets], graph.rho * theta[:, 0, 0]))
+
+
+def _weighted_total(weights, values) -> float:
+    """0.0 + w_0 v_0 + w_1 v_1 + ..., added left to right: builtin `sum` is
+    compensated from Python 3.12 on, which would make the bound depend on
+    the interpreter."""
     total = 0.0
-    for w, value in zip(weights, trees.map_values(node, theta)):
+    for w, value in zip(weights, values):
         total += w * value
-    return total - offset(node[graph.offsets], graph.rho * theta[:, 0, 0])
+    return total
 
 
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
@@ -575,7 +658,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     w = np.array(weights)
     rho = np.array([rho_e[e] for e in graph.edges])[:, None, None]
     offset = _ZeroOffset(mrf, graph)
-    node, edge = graph.pack(mrf.theta_node, mrf.theta_edge)
+    node, edge = mrf.node_vector, graph.model_tables(mrf)
     bound_trace = []
     converged = False
     terminated_by = "max_iterations"
@@ -591,7 +674,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
         firsts = node[graph.offsets]
         combined = _tree_sum(trees, w, np.broadcast_to(firsts, (len(w), len(firsts))),
                              split[trees.edge, 0, 0])
-        bound_trace.append(sum(wk * v for wk, v in zip(weights, values)) - offset(*combined))
+        bound_trace.append(_weighted_total(weights, values) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
             trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
         if certificate is not None:

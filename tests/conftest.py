@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trwmap import PairwiseMrf
+from trwmap import PairwiseMrf, grid_edges
 
 
 def random_graph_mrf(rng, n_nodes=None, card_choices=(2, 3), extra_edge_prob=0.4,
@@ -22,6 +22,18 @@ def random_graph_mrf(rng, n_nodes=None, card_choices=(2, 3), extra_edge_prob=0.4
     theta_node = tuple(scale * rng.normal(size=cards[s]) for s in range(n))
     theta_edge = {(s, t): scale * rng.normal(size=(cards[s], cards[t])) for (s, t) in edges}
     return PairwiseMrf(cards, edges, theta_node, theta_edge)
+
+
+def potts_grid_mrf(side, states, gamma, rng):
+    """Square grid: node fields uniform in [-1, 1] per state, then Potts
+    couplings w * [x_s == x_t] with w uniform in [-gamma/2, gamma/2], drawn
+    in grid-edge order."""
+    n = side * side
+    node = tuple(2.0 * rng.random(states) - 1.0 for _ in range(n))
+    edges = grid_edges(side, side)
+    weights = gamma * rng.random(len(edges)) - gamma / 2.0
+    edge = {e: w * np.eye(states) for e, w in zip(edges, weights)}
+    return PairwiseMrf((states,) * n, tuple(edges), node, edge)
 
 
 def random_tree_mrf(rng, n_nodes=None, card_choices=(2, 3), scale=1.0):

@@ -11,7 +11,7 @@ from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
 from trwmap.treedp import _Layout
 
-from conftest import random_graph_mrf
+from conftest import potts_grid_mrf, random_graph_mrf
 
 
 def run_cli(argv):
@@ -193,6 +193,16 @@ def test_solve_stdout_is_byte_identical_to_golden(case):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("side, code", [(16, 0), (24, 2)])
+def test_large_potts_grid_stdout_is_golden(tmp_path, side, code):
+    # 3-state Potts grids built here from seed 0: the 16x16 one prints a
+    # certificate, the 24x24 one none
+    path = tmp_path / f"potts{side}.json"
+    path.write_bytes(save_model(potts_grid_mrf(side, 3, 0.5, np.random.default_rng(0))))
+    got = run_cli(["solve", str(path), "--method", "trw-msg", "--max-iters", "20"])
+    assert got == (code, (GOLDEN / f"potts{side}x{side}_seed0_trw-msg.stdout").read_text())
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "model.json", "--method", "brute", "--seed", "1"],
     ["experiment", "--rho", "uniform"],
@@ -320,3 +330,43 @@ def test_trw_tree_on_long_chain_certifies(tmp_path):
     code, out = run_cli(["solve", str(path), "--method", "trw-tree"])
     assert code == 0
     assert "converged: True" in out and "certificate: " in out
+
+
+@pytest.mark.parametrize("model, trees", [
+    ('{"nodes": [2, 2], "edges": [[0, 1]], "theta_node": [["0.5", "1"], [0, 0]],'
+     ' "theta_edge": [[[0, 0], [0, 0]]]}', None),
+    ('{"nodes": [true, 2], "edges": [[0, 1]], "theta_node": [[0], [0, 0]],'
+     ' "theta_edge": [[[0, 0]]]}', None),
+    (None, '[{"edges": [[0, 1], [1, 2]], "weight": true}, {"edges": [[0, 1], [0, 2]], "weight": 0}]'),
+])
+def test_booleans_and_strings_in_documents_are_errors(tmp_path, triangle_file, model, trees):
+    mpath = tmp_path / "model.json"
+    if model is None:
+        mpath = Path(triangle_file(1.0))
+    else:
+        mpath.write_text(model)
+    argv = ["solve", str(mpath), "--method", "trw-msg"]
+    if trees is not None:
+        (tmp_path / "trees.json").write_text(trees)
+        argv += ["--trees", str(tmp_path / "trees.json")]
+    code, out = run_cli(argv)
+    assert code == 1 and out.startswith("error: ") and "expected" in out
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    from trwmap import cli
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        for _ in range(3):
+            assert run_cli(["solve", "/nonexistent.json", "--method", "brute"])[0] == 1
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

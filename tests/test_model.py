@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,25 @@ class TestSerialization:
     def test_not_json_rejected(self):
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(b"not json at all")
+
+    @pytest.mark.parametrize("field, value, message", [
+        # JSON booleans are ints to isinstance and strings convert to floats
+        ("theta_node", [["0.5", "1"], [0, 0]], "theta_node[0]: expected a list of numbers"),
+        ("theta_node", [[0, 0], [0, True]], "theta_node[1]: expected a list of numbers"),
+        ("theta_node", [[0, 0], [None, 0]], "theta_node[1]: expected a list of numbers"),
+        ("theta_edge", [[[0, 0], [False, 0]]], "theta_edge[0]: expected a list of rows of numbers"),
+        ("theta_edge", [[[0, 0], "00"]], "theta_edge[0]: expected a list of rows of numbers"),
+        ("theta_edge", [[[0, 0], [0, 0, 0]]], "theta_edge[0]: rows of unequal length"),
+        ("nodes", [True, 2], "nodes: expected a list of integers"),
+        ("edges", [[False, True]], "edges[0]: expected a pair of integers"),
+        ("edges", [[0, True]], "edges[0]: expected a pair of integers"),
+    ])
+    def test_booleans_and_strings_are_not_numbers(self, field, value, message):
+        doc = {"nodes": [2, 2], "edges": [[0, 1]], "theta_node": [[0, 0], [0, 0]],
+               "theta_edge": [[[0, 0], [0, 0]]], field: value}
+        with pytest.raises(ModelFormatError) as info:
+            load_model(json.dumps(doc))
+        assert str(info.value) == message
 
 
 class TestNonFiniteTables:

@@ -145,6 +145,20 @@ class TestTreeDistribution:
             load_tree_distribution(doc)
         assert load_tree_distribution(b'[{"edges": [], "weight": 1}]', node_count=1).node_count == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        (b'[{"edges": [[0, 1], [1, 2]], "weight": true}]',
+         "tree record 0: weight: expected a number, got True"),
+        (b'[{"edges": [[0, 1], [1, 2]], "weight": "0.5"}]',
+         "tree record 0: weight: expected a number, got '0.5'"),
+        (b'[{"edges": [[false, true], [1, 2]], "weight": 1}]',
+         "tree record 0: edges: expected a list of integer pairs"),
+        (b'{"rho_e": {"0,1": true}}', "rho_e['0,1']: expected a number, got True"),
+    ])
+    def test_booleans_and_strings_are_not_numbers(self, doc, message):
+        with pytest.raises(ModelFormatError) as info:
+            load_tree_distribution(doc, node_count=3)
+        assert str(info.value) == message
+
     def test_rho_e_document_form(self):
         rho = load_tree_distribution(b'{"rho_e": {"0,1": 0.75, "1,2": 0.5}}')
         assert rho == {(0, 1): 0.75, (1, 2): 0.5}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -450,3 +451,33 @@ class TestTreeUpdates:
                 thetas = _split_parameter(mrf, merged, dist, rho)
                 collection = [thetas[tree] for tree, _w in support]
                 assert check_reparameterization(collection, dist, mrf) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 4, 8])
+def test_tree_update_bound_is_added_left_to_right(monkeypatch, seed):
+    # builtin sum is compensated from Python 3.12 on, as math.fsum is; the
+    # bound must not depend on which one the interpreter has
+    import trwmap.trw as trw_module
+
+    mrf = random_graph_mrf(np.random.default_rng(seed), n_nodes=5, extra_edge_prob=0.6)
+    dist = uniform_tree_distribution(mrf)
+    assert len(dist.support_items()) >= 3
+    config = TrwConfig(max_iterations=30)
+    want = run_tree_updates(mrf, dist, config).bound_trace
+    monkeypatch.setattr(trw_module, "sum", math.fsum, raising=False)
+    assert run_tree_updates(mrf, dist, config).bound_trace == want
+
+
+def test_per_edge_views_are_built_on_first_read():
+    mrf = random_graph_mrf(np.random.default_rng(3), n_nodes=6, card_choices=(2, 3))
+    res = run_trw(mrf, None, TrwConfig(max_iterations=5))
+    assert not {"log_node", "log_edge"} & set(vars(res.nu))
+    assert "log_m" not in vars(res.messages)
+    layout = res.nu.layout
+    for k, (e, (ms, mt)) in enumerate(zip(layout.edges, layout.edge_cards)):
+        assert np.shares_memory(res.nu.log_edge[e], res.nu.tables)
+        assert np.array_equal(res.nu.log_edge[e], res.nu.tables[k, :ms, :mt])
+    for s, v in enumerate(res.nu.log_node):
+        assert np.array_equal(v, res.nu.node[layout.offsets[s]:layout.offsets[s] + len(v)])
+    assert set(res.messages.log_m) == {(s, t) for e in mrf.edges for s, t in (e, e[::-1])}
+    assert {"log_node", "log_edge"} <= set(vars(res.nu))

@@ -12,10 +12,14 @@ holds because both perform the same floating-point operations per entry in
 the same order (node sums accumulate in edge order, incoming tree messages
 in adjacency order, sums over trees in support order).
 
-The last section keeps the bucketed array kernels of the synchronous
-schedules (edges grouped by table shape, one loop over the groups per
-step), the oracle of the padded edge stack that replaced them.  This module
-is the only place left with table-shape buckets.
+The bucketed section keeps the array kernels of the synchronous schedules
+with edges grouped by table shape (one loop over the groups per step), the
+oracle of the padded edge stack that replaced them.  This module is the only
+place left with table-shape buckets.
+
+The last section keeps the certificate search as it ran before arc
+consistency pruned its candidates: a depth-first search over every node,
+the oracle of the pruned search.
 """
 
 from typing import NamedTuple
@@ -26,7 +30,7 @@ from trwmap import (MessageSet, PairwiseMrf, Potentials, PseudoMaxMarginals, Str
                     TrwConfig, edge_appearance)
 from trwmap.treedp import (EdgeConsistencyReport, MaxMarginals, _check_tree_potentials,
                            _guard_states, _Layout, _normalized, assignment_scores)
-from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, _search_common_config, resolve_rho
+from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, resolve_rho
 
 
 def _damp(new, old, lam):
@@ -367,8 +371,8 @@ def _tie_masks(nu, edges, tie_tol):
 
 def _search(mrf, node, allowed, guard):
     candidates = [np.flatnonzero(a).tolist() for a in node]
-    return _search_common_config(candidates, mrf.edges,
-                                 [np.asarray(allowed[e]).tolist() for e in mrf.edges], guard)
+    return search_common_config(candidates, mrf.edges,
+                                [np.asarray(allowed[e]).tolist() for e in mrf.edges], guard)
 
 
 def find_certificate(nu, mrf, tie_tol):
@@ -669,3 +673,77 @@ def run_bucketed(mrf, dist_or_rho, config, variant):
             break
     messages = flat.message_set(state) if variant == "messages" else None
     return flat.pseudo(tables(state)), iterations, converged, tuple(bound_trace), messages
+
+
+# --- the certificate search on unpruned candidates ------------------------
+
+def search_common_config(candidates, edges, allowed, guard):
+    """Depth-first search with forward pruning for a configuration whose node
+    states all lie in `candidates` and whose pairs on every edge (s, t) of
+    `edges` are allowed: allowed[i][js][jt], one nested list per edge.
+
+    Nodes are fixed in order of increasing candidate count; fixing one prunes
+    the domains of its later neighbors.  The replaced domains go on an undo
+    trail, so backtracking restores them without copying, and the search
+    keeps an explicit stack instead of recursing once per node.  Returns
+    (assignment or None, indeterminate).  Complete unless the node guard
+    trips, which is reported as indeterminate rather than absence.
+    """
+    n = len(candidates)
+    adj = {s: [] for s in range(n)}
+    pairs = {}  # pairs[(s, t)][js][jt], for both orientations
+    for (s, t), m in zip(edges, allowed):
+        adj[s].append(t)
+        adj[t].append(s)
+        pairs[(s, t)] = m
+        pairs[(t, s)] = list(zip(*m))
+    order = sorted(range(n), key=lambda s: (len(candidates[s]), s))
+    rank = {s: i for i, s in enumerate(order)}
+    later = [[t for t in adj[s] if rank[t] > pos] for pos, s in enumerate(order)]
+    domains = [list(candidates[s]) for s in range(n)]
+    x = [-1] * n
+    tried = [0] * n  # per position: values of its domain tried so far
+    marks = [0] * n  # per position: trail length before its current value
+    trail = []
+    expanded = 0
+    pos = 0
+    while 0 <= pos < n:
+        s = order[pos]
+        while len(trail) > marks[pos]:
+            t, dom = trail.pop()
+            domains[t] = dom
+        if tried[pos] == len(domains[s]):
+            pos -= 1
+            continue
+        j = domains[s][tried[pos]]
+        tried[pos] += 1
+        expanded += 1
+        if expanded > guard:
+            return None, True
+        x[s] = j
+        for t in later[pos]:
+            ok = pairs[(s, t)][j]
+            keep = [k for k in domains[t] if ok[k]]
+            if not keep:
+                break
+            trail.append((t, domains[t]))
+            domains[t] = keep
+        else:
+            pos += 1
+            if pos < n:
+                tried[pos] = 0
+                marks[pos] = len(trail)
+    if pos == n:
+        return np.array(x, dtype=int), False
+    return None, False
+
+
+def search_tie_masks(layout, node_mask, edge_masks, guard):
+    """`search_common_config` on tie masks laid out on `layout`: a node
+    vector of candidate states and a stack of allowed pairs."""
+    pos = np.flatnonzero(node_mask)
+    node = layout.node_of[pos]
+    candidates = [[] for _ in layout.offsets]
+    for s, j in zip(node.tolist(), (pos - layout.offsets[node]).tolist()):
+        candidates[s].append(j)
+    return search_common_config(candidates, layout.edges, edge_masks.tolist(), guard)
