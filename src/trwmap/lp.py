@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .model import (Edge, PairwiseMrf, StructureError, _all_finite, _indicator_index,
-                    check_assignment)
+from .model import (Edge, PairwiseMrf, StructureError, _all_finite, _checked_rho,
+                    _indicator_index, check_assignment)
 from .trees import TreeDistribution
 from .treedp import MaxMarginals, _guard_states, _Layout
 
@@ -361,9 +361,10 @@ def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
     Always an upper bound on the relaxed-LP optimum.  Computed on the
     `_Layout` table stack: one max per table, node maxima by `reduceat`.
     """
+    rho_e = _checked_rho(mrf.edges, rho_e)
     layout = _Layout(mrf.cardinalities, mrf.edges)
     node, tables = mrf.node_vector.copy(), layout.model_tables(mrf)
-    rho = np.array([float(rho_e[e]) for e in layout.edges])[:, None, None]
+    rho = np.array([rho_e[e] for e in layout.edges])[:, None, None]
     to = rho * layout.directed(lam.lam)
     layout.accumulate(node, to)
     total = (tables - to[:, 0, :, None] - to[:, 1, None, :]).max(axis=(1, 2)).sum()

@@ -60,6 +60,17 @@ def _all_finite(tables) -> bool:
     return not tables or bool(np.isfinite(np.concatenate(tables, axis=None)).all())
 
 
+def _sum_in_order(terms) -> np.ndarray:
+    """0 + terms[0] + terms[1] + ..., added left to right along the first
+    axis.  `np.sum` adds pairwise and builtin `sum` is compensated from
+    Python 3.12 on, either of which would move results in the last ulps.
+    It keeps every partial sum, so a stack of T terms takes about T + 1 times
+    the memory of one; the largest stacks summed here are
+    `check_reparameterization`'s, one table stack per tree."""
+    terms = np.asarray(terms, dtype=float)
+    return np.add.accumulate(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)))[-1]
+
+
 def _offsets(cardinalities, ends: np.ndarray) -> tuple:
     """(node offsets, edge offsets) of the LP vector: every node table, then
     every edge table row-major in edge order, for the edges' (E, 2) array of
@@ -236,6 +247,23 @@ def check_assignment(mrf: PairwiseMrf, x: Sequence[int]) -> np.ndarray:
     return x
 
 
+def _checked_rho(edges: Sequence[Edge], rho_e: Mapping) -> dict:
+    """Edge appearance weights rho_e as {(s, t): float} with s < t, checked
+    against a graph's `edges`: every key a graph edge and every value finite,
+    every edge given a positive one; a StructureError names the edge."""
+    rho = {((a, b) if a < b else (b, a)): float(r) for (a, b), r in dict(rho_e).items()}
+    known = set(edges)
+    for e, r in rho.items():
+        if e not in known:
+            raise StructureError(f"rho_e given on {e}, which is not a graph edge")
+        if not np.isfinite(r):
+            raise StructureError(f"rho_e on edge {e} is not finite: {r!r}")
+    missing = [e for e in edges if e not in rho or rho[e] <= 0]
+    if missing:
+        raise StructureError(f"rho_e missing or non-positive on edges {missing}")
+    return rho
+
+
 def _indicator_index(mrf: PairwiseMrf, states: np.ndarray) -> np.ndarray:
     """The positions of the ones of phi(x) in the LP vector, for each
     configuration x (a row of `states`): one per node, then one per edge."""
@@ -251,7 +279,7 @@ def score(mrf: PairwiseMrf, x: Sequence[int]) -> float:
     left to right, node by node and then edge by edge in `edges` order."""
     x = check_assignment(mrf, x)
     picked = np.concatenate((mrf.node_vector, mrf.edge_vector))[_indicator_index(mrf, x[None])[0]]
-    return float(np.add.accumulate(np.append(0.0, picked))[-1])
+    return float(_sum_in_order(picked))
 
 
 def ising_to_overcomplete(node_weights: Sequence[float],

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import (CapacityError, Edge, PairwiseMrf, Potentials, StructureError,
-                    _all_finite)
+                    _all_finite, _sum_in_order)
 from .trees import SpanningTree
 
 BRUTE_FORCE_GUARD = 2 ** 24
@@ -439,14 +439,7 @@ class _TreeLayout:
     def _values(self, root_max, tops) -> list:
         """Each tree's optimal value: its root belief's max plus the constants
         the upward pass removed, summed in reverse visit order."""
-        values = []
-        rest = tops[self.rev].reshape(self.count, -1).tolist()
-        for top, removed_tops in zip(root_max.tolist(), rest):
-            removed = 0.0
-            for r in removed_tops:
-                removed += r
-            values.append(top + removed)
-        return values
+        return (root_max + _sum_in_order(tops[self.rev].reshape(self.count, -1).T)).tolist()
 
     def map_values(self, node: np.ndarray, tables: np.ndarray) -> list:
         """Each tree's optimal value (the upward pass only), from a node

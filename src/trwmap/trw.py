@@ -37,7 +37,8 @@ shared parameter is a node vector and a table stack, each iteration runs one
 stack over the (tree, edge) slots) and the tree values of the bound, and the
 split, the merge, the damping, the tie masks and the agreement test are
 array operations.  Sums over trees run in support order (`_tree_sum`), and
-a bound's weighted tree values are added left to right (`_weighted_total`).
+every ordered sum, such as a bound's weighted tree values, is added left to
+right (`model._sum_in_order`).
 The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
 table's max, is `_tie_masks`, shared by `find_certificate`, the tree
 schedule and the experiment's unique-maximizer count; padded entries are
@@ -58,13 +59,12 @@ check compares layouts, and the per-edge dicts of a result (`log_node`,
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, Potentials, StructureError
+from .model import Edge, PairwiseMrf, Potentials, StructureError, _checked_rho, _sum_in_order
 from .trees import TreeDistribution, edge_appearance
 from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _top, _TreeLayout,
                      assignment_scores)
@@ -158,17 +158,7 @@ def resolve_rho(mrf: PairwiseMrf, dist_or_rho=None):
         return None, uniform_rho(mrf)
     if isinstance(dist_or_rho, TreeDistribution):
         return dist_or_rho, edge_appearance(dist_or_rho, mrf)
-    rho = {mrf.edge_key(*e): float(r) for e, r in dict(dist_or_rho).items()}
-    edges = set(mrf.edges)
-    for e, r in rho.items():
-        if e not in edges:
-            raise StructureError(f"rho_e given on {e}, which is not a graph edge")
-        if not math.isfinite(r):
-            raise StructureError(f"rho_e on edge {e} is not finite: {r!r}")
-    missing = [e for e in mrf.edges if e not in rho or rho[e] <= 0]
-    if missing:
-        raise StructureError(f"rho_e missing or non-positive on edges {missing}")
-    return None, rho
+    return None, _checked_rho(mrf.edges, dist_or_rho)
 
 
 def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
@@ -180,7 +170,7 @@ class _FlatMrf(_Layout):
 
     Tables are the layout's (E, M, M) stacks; messages are one (E, 2, M)
     array, msgs[k, 0] the log message t->s of the k-th edge and msgs[k, 1]
-    the one s->t, 0 on padded states.
+    the one s->t, 0 on padded states.  `rho_e` comes checked (`_checked_rho`).
     """
 
     def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
@@ -188,9 +178,6 @@ class _FlatMrf(_Layout):
         if rho_e is not None:
             self.rho = np.fromiter(map(rho_e.__getitem__, self.edges), float, len(self.edges))
         if mrf is not None:
-            bad = np.flatnonzero(self.rho <= 0)
-            if bad.size:
-                raise StructureError(f"rho_e on edge {self.edges[bad[0]]} must be positive")
             self.theta_node = mrf.node_vector
             self.table = self.model_tables(mrf) / self.rho[:, None, None]
 
@@ -260,7 +247,7 @@ def unit_messages(mrf: PairwiseMrf) -> MessageSet:
 def init_pseudo(mrf: PairwiseMrf, rho_e: Mapping[Edge, float]) -> PseudoMaxMarginals:
     """Starting pseudo-max-marginals: node tables from theta, edge tables from
     the edge table scaled by 1/rho plus both node tables, max-normalized."""
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, _checked_rho(mrf.edges, rho_e), mrf)
     return flat.pseudo(flat.pseudo_from_messages(flat.unit_messages()))
 
 
@@ -274,7 +261,8 @@ def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
     tables.  The update is computed from the previous iterate throughout,
     then damped in the log domain and re-normalized.
     """
-    flat = _FlatMrf([len(v) for v in nu.log_node], sorted(nu.log_edge), rho_e)
+    edges = sorted(nu.log_edge)
+    flat = _FlatMrf([len(v) for v in nu.log_node], edges, _checked_rho(edges, rho_e))
     return flat.pseudo(flat.reparameterization_step((nu.node, flat.stack(nu.log_edge)), damping))
 
 
@@ -287,14 +275,14 @@ def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float]
     incoming messages, with the reverse-direction message subtracted at full
     weight.  With rho identically 1 this is the ordinary max-product update.
     """
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, _checked_rho(mrf.edges, rho_e), mrf)
     return flat.message_set(flat.message_step(flat.pack_messages(msgs), damping))
 
 
 def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
                        rho_e: Mapping[Edge, float]) -> PseudoMaxMarginals:
     """Pseudo-max-marginals induced by a message set, max-normalized."""
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, _checked_rho(mrf.edges, rho_e), mrf)
     return flat.pseudo(flat.pseudo_from_messages(flat.pack_messages(msgs)))
 
 
@@ -490,24 +478,20 @@ class _ZeroOffset:
 
     Called with the combined parameter's first entries: one per node, in
     node order, and one per edge, in the order of `layout`.  The terms are
-    summed node by node, then edge by edge in model order.
+    summed in order: c - theta node by node, then +c and -theta edge by
+    edge in model order.
     """
 
     def __init__(self, mrf: PairwiseMrf, layout: _Layout):
         where = {e: k for k, e in enumerate(layout.edges)}
         self.order = np.array([where[e] for e in mrf.edges], dtype=np.intp)
         node_off, edge_off = mrf.offsets
-        self.theta_node = mrf.node_vector[node_off].tolist()
-        self.theta_edge = mrf.edge_vector[edge_off[:-1] - edge_off[0]].tolist()
+        self.theta_node = mrf.node_vector[node_off]
+        self.minus_theta_edge = -mrf.edge_vector[edge_off[:-1] - edge_off[0]]
 
     def __call__(self, node: np.ndarray, edge: np.ndarray) -> float:
-        total = 0.0
-        for c, th in zip(node.tolist(), self.theta_node):
-            total += c - th
-        for c, th in zip(edge[self.order].tolist(), self.theta_edge):
-            total += c
-            total -= th
-        return total
+        edge_terms = np.stack((edge[self.order], self.minus_theta_edge), axis=1)
+        return float(_sum_in_order(np.concatenate((node - self.theta_node, edge_terms.ravel()))))
 
 
 def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: PairwiseMrf,
@@ -537,10 +521,10 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         if stray:
             raise StructureError(f"parameter given on {stray[0]}, which is not a graph edge")
         layout = _Layout(mrf.cardinalities, mrf.edges)
-        w = [wk for _, wk in support]
+        w = np.array([wk for _, wk in support])
         nodes, stacks = zip(*(layout.pack(th.node, th.edge) for th in thetas))
-        node = _sum_in_order(w, np.array(nodes))
-        tables = _sum_in_order(w, np.array(stacks))
+        node = _sum_in_order(w[:, None] * np.array(nodes))
+        tables = _sum_in_order(w[:, None, None, None] * np.array(stacks))
     _guard_states(mrf.cardinalities, max_states)
     # theta is 0-padded, so the padded differences stay -inf, never NaN
     diff_edge = layout.edge_views(tables - layout.model_tables(mrf, 0.0))
@@ -558,18 +542,8 @@ def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, nu: tuple) ->
     (node, stack), graph = nu, trees.graph
     near = node[graph.idx]
     theta = (stack - near[:, 0, :, None]) - near[:, 1, None, :]
-    return (_weighted_total(weights, trees.map_values(node, theta))
+    return (float(_sum_in_order(weights * trees.map_values(node, theta)))
             - offset(node[graph.offsets], graph.rho * theta[:, 0, 0]))
-
-
-def _weighted_total(weights, values) -> float:
-    """0.0 + w_0 v_0 + w_1 v_1 + ..., added left to right: builtin `sum` is
-    compensated from Python 3.12 on, which would make the bound depend on
-    the interpreter."""
-    total = 0.0
-    for w, value in zip(weights, values):
-        total += w * value
-    return total
 
 
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
@@ -605,7 +579,7 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     if dist is not None:
         support = dist.support_items()
         trees = _TreeLayout(flat, [tree for tree, _ in support])
-        weights = [w for _, w in support]
+        weights = np.array([w for _, w in support])
         offset = _ZeroOffset(mrf, flat)
 
         def observe(state):
@@ -654,8 +628,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     support = dist.support_items()
     graph = _Layout(mrf.cardinalities, mrf.edges)
     trees = _TreeLayout(graph, [tree for tree, _ in support])
-    weights = [w for _, w in support]
-    w = np.array(weights)
+    w = np.array([wk for _, wk in support])
     rho = np.array([rho_e[e] for e in graph.edges])[:, None, None]
     offset = _ZeroOffset(mrf, graph)
     node, edge = mrf.node_vector, graph.model_tables(mrf)
@@ -674,7 +647,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
         firsts = node[graph.offsets]
         combined = _tree_sum(trees, w, np.broadcast_to(firsts, (len(w), len(firsts))),
                              split[trees.edge, 0, 0])
-        bound_trace.append(_weighted_total(weights, values) - offset(*combined))
+        bound_trace.append(float(_sum_in_order(w * values)) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
             trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
         if certificate is not None:
@@ -716,15 +689,7 @@ def _tree_sum(trees: _TreeLayout, w: np.ndarray, node: np.ndarray,
     edge = np.zeros((len(trees.graph.edges),) + slot_tables.shape[1:])
     np.add.at(edge, trees.edge,
               w[trees.tree].reshape((-1,) + (1,) * (slot_tables.ndim - 1)) * slot_tables)
-    return _sum_in_order(w, node), edge
-
-
-def _sum_in_order(w, stack: np.ndarray) -> np.ndarray:
-    """0 + w[0] * stack[0] + w[1] * stack[1] + ..., added in that order."""
-    total = np.zeros(stack.shape[1:])
-    for wk, v in zip(w, stack):
-        total = total + wk * v
-    return total
+    return _sum_in_order(w[:, None] * node), edge
 
 
 def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks):

@@ -481,3 +481,59 @@ def test_per_edge_views_are_built_on_first_read():
         assert np.array_equal(v, res.nu.node[layout.offsets[s]:layout.offsets[s] + len(v)])
     assert set(res.messages.log_m) == {(s, t) for e in mrf.edges for s, t in (e, e[::-1])}
     assert {"log_node", "log_edge"} <= set(vars(res.nu))
+
+
+def _entry_points():
+    """Each public function that takes rho_e, as a call on the triangle."""
+    from trwmap.lp import DualVector, evaluate_dual
+
+    mrf = triangle_mrf(1.0)
+    good = uniform_rho(mrf)
+    msgs, nu = unit_messages(mrf), init_pseudo(mrf, good)
+    return good, {
+        "init_pseudo": lambda rho: init_pseudo(mrf, rho),
+        "message_step": lambda rho: message_step(msgs, mrf, rho),
+        "reparameterization_step": lambda rho: reparameterization_step(nu, rho),
+        "messages_to_pseudo": lambda rho: messages_to_pseudo(msgs, mrf, rho),
+        "evaluate_dual": lambda rho: evaluate_dual(DualVector(msgs.log_m), mrf, rho),
+    }
+
+
+@pytest.mark.parametrize("name", ["init_pseudo", "message_step", "reparameterization_step",
+                                  "messages_to_pseudo", "evaluate_dual"])
+@pytest.mark.parametrize("value, message", [
+    (0.0, "rho_e missing or non-positive on edges [(0, 1)]"),
+    (-1.0, "rho_e missing or non-positive on edges [(0, 1)]"),
+    (float("nan"), "rho_e on edge (0, 1) is not finite: nan"),
+    (None, "rho_e missing or non-positive on edges [(0, 1)]"),
+])
+def test_every_entry_point_checks_rho(name, value, message):
+    # the one check `resolve_rho` makes: a graph edge, finite and positive
+    good, call = _entry_points()
+    call[name](good)
+    bad = dict(good)
+    if value is None:
+        del bad[(0, 1)]
+    else:
+        bad[(0, 1)] = value
+    with pytest.raises(StructureError) as err:
+        call[name](bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sum_in_order_adds_left_to_right(seed):
+    # terms of very different sizes, where pairwise or compensated sums differ
+    from trwmap.model import _sum_in_order
+
+    rng = np.random.default_rng(seed)
+    terms = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-8, 9, size=(40, 3))
+    want = np.zeros(3)
+    for row in terms:
+        want = want + row
+    assert np.array_equal(_sum_in_order(terms), want)
+    total = 0.0
+    for v in terms[:, 0].tolist():
+        total += v
+    assert _sum_in_order(terms[:, 0]) == total
+    assert _sum_in_order(np.zeros((0, 2))).tolist() == [0.0, 0.0]
