@@ -5,15 +5,17 @@ table per edge (one entry per state pair).  The objective of an assignment is
 the sum of the selected entries.  Edges are kept with the lower node index
 first, and the lower-index node always indexes the rows of the edge table.
 
-A `PairwiseMrf` keeps its tables packed in two frozen vectors: `node_vector`,
+A `PairwiseMrf` is its tables packed in two frozen vectors: `node_vector`,
 every node table in node order, and `edge_vector`, every edge table
 row-major in `edges` order.  Together they are the LP vector, whose order
 `_offsets` states once and in which `_indicator_index` finds the entries
-phi(x) selects.  `theta_node` and `theta_edge` are read-only views of these
-vectors.  The tables are validated and converted all at once, whatever the
-cardinalities: `load_model` flattens a document's nested lists into the two
-vectors in one pass, and checks the shapes, the edges and the finiteness on
-whole arrays; a loop over the tables runs only to name the first bad one.
+phi(x) selects.  Every solver reads these vectors; `theta_node` and
+`theta_edge`, read-only views of them per table, are built on first read.
+A model is checked by one sequence, whatever it is built from: the graph,
+then the tables' shapes, then their finiteness, each on whole arrays; a
+loop over the tables runs only to name the first bad one.  The constructor
+packs per-table arrays, and `load_model` flattens a document's nested lists
+into the two vectors in one pass.
 """
 
 from __future__ import annotations
@@ -80,15 +82,6 @@ def _offsets(cardinalities, ends: np.ndarray) -> tuple:
     return off[:len(cards)], off[len(cards):]
 
 
-def _views(vector: np.ndarray, offsets: np.ndarray, shapes: list) -> list:
-    """Each table's read-only view in a packed vector, from the tables'
-    offsets and shapes; tables of one shape are the rows of one reshape."""
-    if len(set(shapes)) == 1:
-        return list(vector.reshape(len(shapes), *shapes[0]))
-    ends = offsets.tolist()[1:] + [vector.size]
-    return [vector[a:b].reshape(shape) for a, b, shape in zip(offsets.tolist(), ends, shapes)]
-
-
 @dataclass(frozen=True)
 class Potentials:
     """Node and edge weight tables; edges missing from the dict are zero."""
@@ -97,70 +90,62 @@ class Potentials:
     edge: Mapping[Edge, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PairwiseMrf:
     """A pairwise MRF: cardinalities, undirected edges and weight tables.
 
-    Construction packs the tables: `node_vector` and `edge_vector` hold them
-    (frozen), `offsets` is their `_offsets`, and `theta_node` and
-    `theta_edge` become read-only views of them.
+    The model is its two packed vectors, frozen: `node_vector` and
+    `edge_vector`, with `offsets` their `_offsets`.  `theta_node` and
+    `theta_edge` are read-only views of them, built on first read.  The
+    constructor and `_packed` run one check sequence, `_check_graph` and
+    then `_check_tables`.  Models compare and hash by identity.
     """
 
     cardinalities: tuple
     edges: tuple
-    theta_node: tuple
-    theta_edge: Mapping[Edge, np.ndarray]
+    node_vector: np.ndarray
+    edge_vector: np.ndarray
+    offsets: tuple
 
-    def __post_init__(self):
-        self._check_graph()
-        if len(self.theta_node) != self.node_count:
-            raise ModelFormatError("theta_node: one table per node required")
-        self._check_shapes("theta_node", list(map(np.shape, self.theta_node)))
-        if set(self.theta_edge) != set(self.edges):
-            raise ModelFormatError("theta_edge: one table per edge required")
-        tables = list(map(self.theta_edge.__getitem__, self.edges))
-        self._check_shapes("theta_edge", list(map(np.shape, tables)))
-        self._place(np.concatenate(self.theta_node, axis=None),
-                    np.concatenate(tables, axis=None) if tables else np.zeros(0))
+    def __init__(self, cardinalities, edges, theta_node, theta_edge: Mapping[Edge, np.ndarray]):
+        """From per-node tables and a mapping {edge: table}."""
+        self._check_graph(cardinalities, edges)
+        edge = [theta_edge[e] for e in self.edges if e in theta_edge]
+        one_node, one_edge = len(theta_node) == self.node_count, set(theta_edge) == set(self.edges)
+        self._check_tables(theta_node, map(np.shape, theta_node) if one_node else None,
+                           edge, map(np.shape, edge) if one_edge else None)
 
     @classmethod
-    def _packed(cls, cardinalities: tuple, edges: tuple, ends: np.ndarray, node: np.ndarray,
+    def _packed(cls, cardinalities, edges, node: np.ndarray,
                 node_shapes: list, edge: np.ndarray, edge_shapes: list) -> PairwiseMrf:
-        """A model from int tuples, the edges' (E, 2) array of end nodes,
-        packed vectors and the shapes of the tables they hold, validated as
-        the constructor validates its tables."""
+        """A model from its edges, packed vectors and their tables' shapes."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "cardinalities", cardinalities)
-        object.__setattr__(self, "edges", edges)
-        self._check_graph(ends)
-        self._check_shapes("theta_node", node_shapes)
-        self._check_shapes("theta_edge", edge_shapes)
-        self._place(node, edge)
+        self._check_graph(cardinalities, edges)
+        self._check_tables((node,), node_shapes, (edge,), edge_shapes)
         return self
 
-    def _check_graph(self, ends: np.ndarray | None = None):
+    def _check_graph(self, cardinalities, edges):
         """Positive cardinalities, and edges (s, t) with s < t, in range and
-        distinct; an error names the first bad edge.  Without `ends`, the
-        edges become a tuple of int pairs."""
-        n = len(self.cardinalities)
-        if n == 0:
+        distinct, from pairs of node indices or their (E, 2) array; an error
+        names the first bad edge.  Keeps the cardinalities and the edges as
+        int tuples, and the edges' (E, 2) array of end nodes as `_ends`."""
+        if len(cardinalities) == 0:
             raise ModelFormatError("model has no nodes")
-        object.__setattr__(self, "cardinalities", tuple(map(int, self.cardinalities)))
+        object.__setattr__(self, "cardinalities", tuple(map(int, cardinalities)))
         if min(self.cardinalities) <= 0:
             raise ModelFormatError("cardinalities must be positive")
-        if ends is None:
-            ends = np.array(self.edges, dtype=np.intp)
-            if ends.size and ends.shape[1:] != (2,):
-                raise ModelFormatError("edges: expected pairs of node indices")
-            ends = ends.reshape(-1, 2)
-            object.__setattr__(self, "edges", tuple(map(tuple, ends.tolist())))
+        ends = np.array(edges, dtype=np.intp)
+        if ends.size and ends.shape[1:] != (2,):
+            raise ModelFormatError("edges: expected pairs of node indices")
+        ends = ends.reshape(-1, 2)
+        object.__setattr__(self, "edges", tuple(map(tuple, ends.tolist())))
         s, t = ends.T
         order = np.lexsort((t, s))
         repeat = np.zeros(len(ends), dtype=bool)  # an edge equal to an earlier one
         repeat[order[1:]] = (s[order][1:] == s[order][:-1]) & (t[order][1:] == t[order][:-1])
+        outside = ((ends < 0) | (ends >= self.node_count)).any(axis=1)
         # in the order an edge's problems are reported
-        checks = ((s == t, "self-loop"), ((s < 0) | (s >= n) | (t < 0) | (t >= n),
-                                          "node index out of range"),
+        checks = ((s == t, "self-loop"), (outside, "node index out of range"),
                   (s > t, "must be ordered (s, t) with s < t"), (repeat, "duplicate"))
         bad = functools.reduce(np.logical_or, (flags for flags, _ in checks))
         if bad.any():
@@ -170,16 +155,34 @@ class PairwiseMrf:
         ends.setflags(write=False)
         object.__setattr__(self, "_ends", ends)
 
-    def _check_shapes(self, field: str, shapes: list):
-        """Each node table a vector of its node's states, each edge table
-        (m_s, m_t); an error names the first table of another shape."""
-        want = list(zip(self.cardinalities)) if field == "theta_node" else self._edge_shapes
-        if shapes == want:
-            return
-        k, shape = next((k, a) for k, (a, b) in enumerate(zip(shapes, want)) if a != b)
-        if field == "theta_node":
-            raise ModelFormatError(f"theta_node[{k}]: shape {shape} does not match cardinality")
-        raise ModelFormatError(f"theta_edge[{self.edges[k]}]: shape {shape}, expected {want[k]}")
+    def _check_tables(self, node, node_shapes, edge, edge_shapes):
+        """Check the node and then the edge tables, each given as arrays whose
+        entries, concatenated, are the packed vector, and an iterable of the
+        tables' shapes (None: not one table per node, or per edge): each
+        table (m_s,) or (m_s, m_t), then every entry finite; an error names
+        the first bad table.  Keeps the vectors, frozen, and their `_offsets`."""
+        for field, shapes, want in (("theta_node", node_shapes, list(zip(self.cardinalities))),
+                                    ("theta_edge", edge_shapes, self._edge_shapes)):
+            if shapes is None:
+                raise ModelFormatError(f"{field}: one table per {field[6:]} required")
+            shapes = list(shapes)
+            if shapes != want:
+                k, shape = next((k, a) for k, (a, b) in enumerate(zip(shapes, want)) if a != b)
+                raise ModelFormatError(
+                    f"theta_node[{k}]: shape {shape} does not match cardinality"
+                    if field == "theta_node" else
+                    f"theta_edge[{self.edges[k]}]: shape {shape}, expected {want[k]}")
+        node_off, edge_off = _offsets(self.cardinalities, self._ends)
+        for name, tables, starts, field, keys in (
+                ("node_vector", node, node_off, "theta_node", range(self.node_count)),
+                ("edge_vector", edge, edge_off[:-1] - edge_off[0], "theta_edge", self.edges)):
+            vector = _freeze(np.concatenate([[], *tables], axis=None))
+            bad = np.flatnonzero(~np.isfinite(vector))
+            if bad.size:
+                k = int(np.searchsorted(starts, bad[0], side="right")) - 1
+                raise ModelFormatError(f"{field}[{keys[k]}]: non-finite entry")
+            object.__setattr__(self, name, vector)
+        object.__setattr__(self, "offsets", (node_off, edge_off))
 
     @functools.cached_property
     def _edge_shapes(self) -> list:
@@ -187,25 +190,16 @@ class PairwiseMrf:
         cards = np.array(self.cardinalities)
         return list(zip(cards[self._ends[:, 0]].tolist(), cards[self._ends[:, 1]].tolist()))
 
-    def _place(self, node: np.ndarray, edge: np.ndarray):
-        """Keep the packed vectors, frozen, after one finiteness test on
-        each, and their tables' views as `theta_node` and `theta_edge`."""
-        node, edge = _freeze(node), _freeze(edge)
-        node_off, edge_off = _offsets(self.cardinalities, self._ends)
-        edge_starts = edge_off[:-1] - edge_off[0]
-        for vector, starts, field, keys in ((node, node_off, "theta_node", range(len(node_off))),
-                                            (edge, edge_starts, "theta_edge", self.edges)):
-            bad = np.flatnonzero(~np.isfinite(vector))
-            if bad.size:
-                k = int(np.searchsorted(starts, bad[0], side="right")) - 1
-                raise ModelFormatError(f"{field}[{keys[k]}]: non-finite entry")
-        object.__setattr__(self, "node_vector", node)
-        object.__setattr__(self, "edge_vector", edge)
-        object.__setattr__(self, "offsets", (node_off, edge_off))
-        object.__setattr__(self, "theta_node",
-                           tuple(_views(node, node_off, list(zip(self.cardinalities)))))
-        object.__setattr__(self, "theta_edge",
-                           dict(zip(self.edges, _views(edge, edge_starts, self._edge_shapes))))
+    @functools.cached_property
+    def theta_node(self) -> tuple:
+        """Each node's table, a read-only view of `node_vector`."""
+        return tuple(np.split(self.node_vector, self.offsets[0][1:]))
+
+    @functools.cached_property
+    def theta_edge(self) -> Mapping[Edge, np.ndarray]:
+        """{edge: table} in `edges` order, read-only views of `edge_vector`."""
+        tables = np.split(self.edge_vector, self.offsets[1][1:-1] - self.offsets[1][0])
+        return dict(zip(self.edges, map(np.reshape, tables, self._edge_shapes)))
 
     @property
     def node_count(self) -> int:
@@ -297,10 +291,8 @@ def ising_to_overcomplete(node_weights: Sequence[float],
     node = np.array(node_weights)
     w = np.array([float(edge_weights[(s, t)] if (s, t) in edge_weights else edge_weights[(t, s)])
                   for (s, t) in edges])
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     # node tables [-w, w], edge tables [[w, -w], [-w, w]], packed
-    return PairwiseMrf._packed((2,) * n, tuple(map(tuple, ends.tolist())), ends,
-                               np.stack((-node, node), axis=1).ravel(), [(2,)] * n,
+    return PairwiseMrf._packed((2,) * n, edges, np.stack((-node, node), axis=1).ravel(), [(2,)] * n,
                                (w[:, None] * np.array([1.0, -1.0, -1.0, 1.0])).ravel(),
                                [(2, 2)] * len(edges))
 
@@ -475,5 +467,4 @@ def load_model(data: bytes | str) -> PairwiseMrf:
     except OverflowError:
         i = next(i for i, e in enumerate(edges) if max(map(abs, e)) >= 2 ** 62)
         raise ModelFormatError(f"edges[{i}]: node index out of range") from None
-    return PairwiseMrf._packed(tuple(cards), tuple(map(tuple, edges)), ends,
-                               node, node_shapes, edge, edge_shapes)
+    return PairwiseMrf._packed(cards, ends, node, node_shapes, edge, edge_shapes)

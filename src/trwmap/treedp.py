@@ -4,28 +4,28 @@ Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
 and keeps all arithmetic overflow-safe.
 
-`_Layout` is the one array layout of the package, and this module the only
-one that knows it.  Node tables are concatenated into one vector with
-per-node offsets.  Edge tables are one padded (E, M, M) stack in the
-layout's edge order, M the largest cardinality: edge k's table is
-[k, :m_s, :m_t] and the padded entries are -inf, so a table's max and its
-row and column maxima read the valid entries only.  Per-edge vectors over
-the states of either endpoint are (E, 2, M) arrays, s side first.  Where a
-step subtracts tables or compares them, it reads the valid entries or
-subtracts a 0-padded stack, so no -inf - -inf is ever formed.  A model's
-tables enter a layout by one scatter of its packed edge vector
-(`_Layout.model_tables`).  A `MaxMarginals` keeps the layout it was computed
-on, with its node vector and table stack; its per-node and per-edge tables
-are views of them, built on first read, and `check_edge_consistency` tests
-every edge at once on them.
+`_Layout` is the one array layout of the package; `trw`, `lp` and `cli` read
+its arrays too.  Node tables are one vector with per-node offsets.  Edge
+tables are one padded (E, M, M) stack in the layout's edge order, M the
+largest cardinality: edge k's table is [k, :m_s, :m_t] and the padded entries
+are -inf, so a table's max and its row and column maxima read the valid
+entries only.  Per-edge vectors over the states of either endpoint are
+(E, 2, M) arrays, s side first.  Where a step subtracts tables or compares
+them, it reads the valid entries or subtracts a 0-padded stack, so no
+-inf - -inf is ever formed.  A model's tables enter a layout by one scatter
+of its packed edge vector (`_Layout.model_tables`).  A `MaxMarginals` keeps
+the layout it was computed on, with its node vector and table stack; its
+per-node and per-edge tables are views of them, built on first read, and
+`check_edge_consistency` tests every edge at once on them.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
-tree of a collection at once, each rooted at node 0.  Its upward pass sends
-one batch of messages per node height, its downward pass one per node depth,
-and each batch covers all the trees and every edge cardinality.  The upward
-pass max-normalizes every message and keeps the constants it removed, so a
-tree's optimal value is its root belief's max plus their sum; `map_values`
-runs that pass alone and `solve` both, which also gives the max-marginals.
+tree of a collection at once, each rooted at node 0.  Both passes send one
+batch of messages per sender height, upward lowest first and downward (the
+upward arcs reversed) highest first, and each batch covers all the trees and
+every edge cardinality.  The upward pass max-normalizes every message and
+keeps the constants it removed, so a tree's optimal value is its root
+belief's max plus their sum; `map_values` runs that pass alone and `solve`
+both, which also gives the max-marginals.
 `tree_max_marginals` and `tree_map_value` run it on a single tree.
 """
 
@@ -224,11 +224,11 @@ class _Layout:
         out.reshape(-1)[self.entries] = values
         return out
 
-    def stack(self, tables: Mapping, fill: float = -np.inf) -> np.ndarray:
-        """The (E, M, M) stack of a mapping of edge tables, `fill` on the
+    def stack(self, tables: Mapping) -> np.ndarray:
+        """The (E, M, M) stack of a mapping of edge tables, -inf on the
         padded entries; an edge the mapping lacks counts as zero."""
         width = self.pad.shape[2]
-        out = np.full((len(self.edges), width, width), fill)
+        out = np.full((len(self.edges), width, width), -np.inf)
         for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
             out[k, :ms, :mt] = tables[e] if e in tables else 0.0
         return out
@@ -280,13 +280,14 @@ class _TreeLayout:
     flat vectors of 2S rows of M entries: row 2j is the s side of slot j,
     row 2j + 1 its t side.
 
-    The upward pass sends the messages toward the root, one batch per node
-    height; the downward pass the messages away from it, one batch per node
-    depth.  Each batch covers every tree and edge; its edge tables, oriented
-    receiver by sender, are rows of the table stack followed by its
-    transpose.  Padded message and cavity entries are -inf like the padded
-    table entries, and every max-normalization is a max over the valid
-    entries, so no batch needs a mask.  A node's incoming messages are added
+    The upward pass sends the messages toward the root, one batch per
+    sender height, lowest first; the downward pass reverses the upward arcs
+    and sends them highest sender first.  Each batch covers every tree and
+    edge; its edge tables, oriented receiver by sender, are rows of the
+    table stack followed by its transpose.  Padded message and cavity
+    entries are -inf like the padded table entries, and every
+    max-normalization is a max over the valid entries, so no batch needs a
+    mask.  A node's incoming messages are added
     in its tree's adjacency order, one add per rank, so every valid entry
     sees the same floating-point operations in the same order as a per-edge
     recursion over each tree.  The downward plan is built on the first
@@ -313,7 +314,7 @@ class _TreeLayout:
         self._span = np.arange(graph.pad.shape[2])
         self._node_rows = np.where(self._span < cards[:, None],
                                    graph.offsets[:, None] + self._span, N)
-        self.adj, self._visits, up, rev = [], [], [], []
+        self.adj, up, self._down_arcs, rev = [], [], [], []
         for k, tree in enumerate(trees):
             adj = tree.neighbors(n)
             parent = tree.parent_map(n, 0)
@@ -327,8 +328,9 @@ class _TreeLayout:
             for u in reversed(order[1:]):
                 height[parent[u]] = max(height[parent[u]], height[u] + 1)
             self.adj.append(adj)
-            self._visits.append((order, parent))
             up += [(height[u], k, u, parent[u]) for u in order[1:]]
+            # parent to child needs the message into the parent, sent from higher up
+            self._down_arcs += [(-height[parent[u]], k, parent[u], u) for u in order[1:]]
             rev += [k * n + u for u in reversed(order[1:])]
         self.rev = np.array(rev, dtype=np.intp)
         self.up = self._batches(up)
@@ -336,13 +338,7 @@ class _TreeLayout:
 
     @functools.cached_property
     def down(self) -> list:
-        arcs = []
-        for k, (order, parent) in enumerate(self._visits):
-            depth = [0] * len(order)
-            for u in order[1:]:
-                depth[u] = depth[parent[u]] + 1
-            arcs += [(depth[u], k, u, v) for u in order for v in self.adj[k][u] if v != parent[u]]
-        return self._batches(arcs)
+        return self._batches(self._down_arcs)
 
     @functools.cached_property
     def last(self) -> np.ndarray:

@@ -44,16 +44,16 @@ table's max, is `_tie_masks`, shared by `find_certificate`, the tree
 schedule and the experiment's unique-maximizer count; padded entries are
 never ties.  The search for a configuration within the ties first prunes
 the candidate states by arc consistency on the whole layout
-(`_arc_consistent`); a depth-first search runs only on the nodes left with
-more than one candidate, in the order of their unpruned counts, so it finds
-the assignment a search over all nodes finds.  When every node has a
-single tie, as on the large grids timed for this package, no node is left
-to search.
+(`_arc_consistent`); a depth-first search runs only on the ends of the
+edges that still forbid a pair of candidates, in the order of their
+unpruned counts, so it finds the assignment a search over all nodes finds.
+When every node has a single tie, as on the large grids timed for this
+package, no node is left to search.
 
-A run's models and results are read through arrays: `_FlatMrf` fills its
-table stack with one scatter of the model's packed edge vector, the graph
-check compares layouts, and the per-edge dicts of a result (`log_node`,
-`log_edge`, `MessageSet.log_m`) are built only when read.
+A run reads a model's packed vectors only: `_FlatMrf` fills its table
+stack with one scatter of the edge vector.  The per-table views of a model
+(`theta_node`, `theta_edge`) and of a result (`log_node`, `log_edge`,
+`MessageSet.log_m`) are built only when read.
 """
 
 from __future__ import annotations
@@ -412,28 +412,32 @@ def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks: np.nda
                       guard: int):
     """A configuration of candidate states (node vector `node_mask`) whose
     pairs are allowed on every edge (stack `edge_masks`), laid out on
-    `layout`.  Arc consistency prunes the candidates first; a node left with
-    one takes it, and `_search_common_config` runs on the nodes left with
-    more, in the order of their unpruned candidate counts.  So it returns
-    the assignment the search on the unpruned candidates returns, and
-    expands no more nodes toward the guard."""
+    `layout`.  Arc consistency prunes the candidates first.  Only the tight
+    edges, which forbid a pair of the candidates left, then constrain:
+    `_search_common_config` runs on their ends, in the order of their
+    unpruned candidate counts, and every other node takes its first
+    candidate.  The solutions left are a product, so it returns the
+    assignment the search on the unpruned candidates returns, and expands
+    no more nodes toward the guard."""
     domain = _arc_consistent(layout, node_mask, edge_masks)
     if domain is None:
         return None, False
     pos = np.flatnonzero(domain)
     x = pos[np.searchsorted(pos, layout.offsets)] - layout.offsets  # first candidates
-    free = np.flatnonzero(np.add.reduceat(domain, layout.offsets) > 1)
-    if not free.size:
+    if not (np.add.reduceat(domain, layout.offsets) > 1).any():
         return x, False
+    near = domain[layout.idx] & ~layout.pad
+    tight = np.flatnonzero((near[:, 0, :, None] & near[:, 1, None, :] & ~edge_masks).any((1, 2)))
+    # `np.unique` would import `numpy.ma`, a megabyte, on its first call
+    free = np.flatnonzero(np.bincount(layout.ends[tight].ravel(), minlength=len(layout.cards)))
     pos = np.flatnonzero(domain & np.isin(layout.node_of, free))
     node = layout.node_of[pos]
     candidates = [[] for _ in free]
     for s, j in zip(np.searchsorted(free, node).tolist(), (pos - layout.offsets[node]).tolist()):
         candidates[s].append(j)
-    inner = np.flatnonzero(np.isin(layout.ends, free).all(axis=1))
     found, indeterminate = _search_common_config(
         candidates, np.add.reduceat(node_mask, layout.offsets)[free].tolist(),
-        np.searchsorted(free, layout.ends[inner]).tolist(), edge_masks[inner].tolist(), guard)
+        np.searchsorted(free, layout.ends[tight]).tolist(), edge_masks[tight].tolist(), guard)
     if found is None:
         return None, indeterminate
     x[free] = found
@@ -464,11 +468,11 @@ def _check_graph(nu: MaxMarginals, mrf: PairwiseMrf):
                              f"the model {list(mrf.cardinalities)}")
     if layout.edges == mrf.edges:
         return
-    have = set(layout.edges)
+    have, known = set(layout.edges), set(mrf.edges)
     missing = [e for e in mrf.edges if e not in have]
     if missing:
         raise StructureError(f"pseudo-max-marginals missing on edges {missing}")
-    extra = [e for e in layout.edges if e not in mrf.theta_edge]
+    extra = [e for e in layout.edges if e not in known]
     if extra:
         raise StructureError(f"pseudo-max-marginals given on edges {extra}, not graph edges")
 
@@ -517,7 +521,8 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         support = dist.support_items()
         if len(thetas) != len(support):
             raise ValueError("one Potentials per supported tree required")
-        stray = [e for th in thetas for e in th.edge if e not in mrf.theta_edge]
+        known = set(mrf.edges)
+        stray = [e for th in thetas for e in th.edge if e not in known]
         if stray:
             raise StructureError(f"parameter given on {stray[0]}, which is not a graph edge")
         layout = _Layout(mrf.cardinalities, mrf.edges)

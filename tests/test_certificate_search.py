@@ -203,3 +203,17 @@ def test_guard_counts_each_state_tried_and_each_forced_node():
     for guard, want in ((2, (None, True)), (3, (np.array([0, 1, 2]), False))):
         assert_same(ref.search_tie_masks(layout, node, edge, guard), want)
         assert_same(_search_tie_masks(layout, node, edge, guard), want)
+
+
+def test_edges_that_allow_every_candidate_pair_are_not_searched():
+    # K4 with 3 states and x_s != x_t has no configuration; a path of p
+    # binary nodes hung on it allows every pair, so a search through the
+    # path's 2^p states would only repeat the failure and trip the guard
+    p = 14
+    k4 = [(s, t) for s in range(4) for t in range(s + 1, 4)]
+    layout = _Layout((3,) * 4 + (2,) * p, k4 + [(t - 1, t) for t in range(4, 4 + p)])
+    node = np.ones(layout.size, dtype=bool)
+    edge = np.zeros((len(layout.edges), 3, 3), dtype=bool)
+    edge.reshape(-1)[layout.entries] = True
+    edge[:len(k4)] &= ~np.eye(3, dtype=bool)
+    assert_same(_search_tie_masks(layout, node, edge, 10 ** 5), (None, False))

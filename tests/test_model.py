@@ -293,3 +293,9 @@ class TestImmutability:
             mrf.theta_node[0][0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             mrf.theta_edge[(0, 1)][0, 0] = 5.0
+
+    def test_models_compare_and_hash_by_identity(self):
+        # comparing the table arrays elementwise has no single truth value
+        a, b = triangle_mrf(1.0), triangle_mrf(1.0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2

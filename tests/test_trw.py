@@ -8,8 +8,8 @@ from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
                     SpanningTree, StructureError, TreeDistribution, TrwConfig,
                     brute_force_map, check_edge_consistency, check_reparameterization,
                     edge_appearance, find_certificate, init_pseudo,
-                    ising_to_overcomplete, message_step, messages_to_pseudo,
-                    reparameterization_step, run_tree_updates, run_trw, score,
+                    ising_to_overcomplete, load_model, message_step, messages_to_pseudo,
+                    reparameterization_step, run_tree_updates, run_trw, save_model, score,
                     tree_max_marginals, tree_opt_set, uniform_rho,
                     uniform_tree_distribution, unit_messages)
 from trwmap.examples import (DIAMOND_NU_BOUNDARY_EDGE, DIAMOND_NU_MIDDLE_EDGE,
@@ -469,8 +469,19 @@ def test_tree_update_bound_is_added_left_to_right(monkeypatch, seed):
 
 
 def test_per_edge_views_are_built_on_first_read():
-    mrf = random_graph_mrf(np.random.default_rng(3), n_nodes=6, card_choices=(2, 3))
+    mrf = load_model(save_model(random_graph_mrf(np.random.default_rng(3), n_nodes=6,
+                                                 card_choices=(2, 3))))
     res = run_trw(mrf, None, TrwConfig(max_iterations=5))
+    find_certificate(res.nu, mrf)
+    check_edge_consistency(res.nu)
+    score(mrf, [0] * mrf.node_count)
+    # a solve reads the model's packed vectors only
+    assert not {"theta_node", "theta_edge"} & set(vars(mrf))
+    for views, vector in ((mrf.theta_node, mrf.node_vector),
+                          (mrf.theta_edge.values(), mrf.edge_vector)):
+        assert all(np.shares_memory(v, vector) and not v.flags.writeable for v in views)
+    assert list(mrf.theta_edge) == list(mrf.edges)
+    assert {"theta_node", "theta_edge"} <= set(vars(mrf))
     assert not {"log_node", "log_edge"} & set(vars(res.nu))
     assert "log_m" not in vars(res.messages)
     layout = res.nu.layout
