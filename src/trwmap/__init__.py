@@ -10,7 +10,7 @@ from .trees import (SpanningTree, TreeDistribution, edge_appearance,
                     kirchhoff_count, load_tree_distribution, save_tree_distribution,
                     uniform_tree_distribution)
 from .treedp import (MaxMarginals, OptSet, backtrack_optimum, brute_force_map,
-                     check_edge_consistency, tree_map_value, tree_max_marginals,
+                     check_edge_consistency, grid_map, tree_map_value, tree_max_marginals,
                      tree_opt_set)
 from .trw import (MessageSet, PseudoMaxMarginals, TrwConfig, TrwResult,
                   check_reparameterization, find_certificate, init_pseudo,

@@ -51,8 +51,10 @@ class StructureError(MrfError):
     """Graph-structure problem: disconnected graph, uncovered edge, bad tree."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    """`a` as a read-only array of `dtype` (None: its own), in place when it
+    is an array of that dtype already."""
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -204,22 +206,6 @@ class PairwiseMrf:
     @property
     def node_count(self) -> int:
         return len(self.cardinalities)
-
-    @functools.cached_property
-    def neighbors(self) -> tuple:
-        adj = [[] for _ in range(self.node_count)]
-        for s, t in self.edges:
-            adj[s].append(t)
-            adj[t].append(s)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    def edge_key(self, a: int, b: int) -> Edge:
-        return (a, b) if a < b else (b, a)
-
-    def edge_table(self, a: int, b: int) -> np.ndarray:
-        """Edge table oriented so rows are states of `a` and columns of `b`."""
-        m = self.theta_edge[self.edge_key(a, b)]
-        return m if a < b else m.T
 
     @property
     def potentials(self) -> Potentials:

@@ -1,4 +1,15 @@
-"""Exact computations: brute-force MAP, tree max-marginals, consistency checks.
+"""Exact computations: MAP oracles, tree max-marginals, consistency checks.
+
+Two oracles return a model's MAP value and its complete optimal set, equal
+(`==`) on every model both take.  `brute_force_map` scores the whole joint
+state space, guarded at 2^24 states.  `grid_map` takes models whose edges are
+`grid_edges(rows, cols)`: a max-sum DP over the grid's rows, or its columns
+when those have fewer joint states, guarded by the size of a line-pair
+table, (joint states of a line)^2.  It backtracks every configuration near
+the DP value and rescores each in `score`'s left-to-right order, which is
+the order brute force sums in, so its value and optimal set are brute
+force's to the bit.  `grid_shape` finds a model's grid shape.  The CLI uses
+`grid_map` on grids and brute force elsewhere, and on grids past its guards.
 
 Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
@@ -32,16 +43,18 @@ both, which also gives the max-marginals.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .model import (CapacityError, Edge, PairwiseMrf, Potentials, StructureError,
-                    _all_finite, _sum_in_order)
-from .trees import SpanningTree
+                    _all_finite, _indicator_index, _sum_in_order)
+from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
+GRID_OPTIMA_GUARD = 2 ** 16
 OFF_TREE_TOL = 0.0
 
 
@@ -157,6 +170,116 @@ def brute_force_map(mrf: PairwiseMrf, max_states: int = BRUTE_FORCE_GUARD,
     """Exact MAP value and the complete set of optimal assignments."""
     return brute_force_over_potentials(mrf.cardinalities, mrf.potentials,
                                        max_states=max_states, atol=atol)
+
+
+def grid_shape(mrf: PairwiseMrf):
+    """(rows, cols) with `grid_edges(rows, cols)` the model's edges, in any
+    order, or None when its graph is no grid: the shape `grid_map` takes."""
+    n = mrf.node_count
+    for cols in range(1, n + 1):
+        if n % cols == 0 and _is_grid(mrf, n // cols, cols):
+            return n // cols, cols
+    return None
+
+
+def _is_grid(mrf: PairwiseMrf, rows: int, cols: int) -> bool:
+    return (mrf.node_count == rows * cols
+            and len(mrf.edges) == rows * (cols - 1) + (rows - 1) * cols
+            and sorted(mrf.edges) == grid_edges(rows, cols))
+
+
+def _grid_lines(cardinalities: Sequence[int], rows: int, cols: int) -> list:
+    """The lines `grid_map`'s DP runs over, as lists of nodes: the grid's
+    rows, or its columns when a column has fewer joint states.  A
+    CapacityError when a line-pair table, (joint states of a line)^2,
+    exceeds `BRUTE_FORCE_GUARD`."""
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    sizes = [max(math.prod(cardinalities[s] for s in line) for line in g)
+             for g in (grid, grid.T)]
+    if min(sizes) ** 2 > BRUTE_FORCE_GUARD:
+        raise CapacityError(f"grid line-pair table exceeds guard of {BRUTE_FORCE_GUARD}")
+    return (grid.T if sizes[1] < sizes[0] else grid).tolist()
+
+
+def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
+    """Exact MAP value and the complete set of optimal assignments of a model
+    whose edges are `grid_edges(rows, cols)`, equal to `brute_force_map`'s.
+
+    A max-sum DP runs over the grid's lines (`_grid_lines`).  Backtracking
+    collects every configuration whose DP score lies within 1e-9 of the DP
+    value, relative to the model's total absolute weight (which bounds any
+    configuration's terms, so rounding never drops an optimum).  Each is
+    rescored in `score`'s order, the order in which brute force sums too,
+    and those equal to the maximum are returned in lexicographic order.  A
+    CapacityError is raised when a line-pair table exceeds
+    `BRUTE_FORCE_GUARD`, or when more than `GRID_OPTIMA_GUARD`
+    configurations are collected.
+    """
+    if not _is_grid(mrf, rows, cols):
+        raise StructureError(f"the model's graph is not the {rows}x{cols} grid")
+    lines = _grid_lines(mrf.cardinalities, rows, cols)
+    theta = np.concatenate((mrf.node_vector, mrf.edge_vector))
+    cards = np.array(mrf.cardinalities)
+    node_off, edge_off = mrf.offsets
+    where = {e: k for k, e in enumerate(mrf.edges)}
+    starts = edge_off.tolist()
+    # each line's joint states in lexicographic order, one node per column
+    states = [np.indices(cards[line]).reshape(len(line), -1).T for line in lines]
+
+    def within(line, x):
+        """Scores of a line's node tables and the edges along it."""
+        e = edge_off[[where[(s, t)] for s, t in zip(line[:-1], line[1:])]]
+        pos = np.concatenate((node_off[line] + x, e + x[:, :-1] * cards[line[1:]] + x[:, 1:]), 1)
+        return theta[pos].sum(axis=1)
+
+    def between(r, next_states):
+        """The pair table of lines r and r + 1: rows the states of line r,
+        columns the states `next_states` of line r + 1."""
+        x, y = states[r], states[r + 1][next_states]
+        out = np.zeros((len(x), len(y)))
+        for c, (s, t) in enumerate(zip(lines[r], lines[r + 1])):
+            k = where[(s, t)]
+            table = theta[starts[k]:starts[k + 1]].reshape(cards[s], cards[t])
+            out += table[x[:, c]][:, y[:, c]]
+        return out
+
+    unary = [within(line, x) for line, x in zip(lines, states)]
+    best = [unary[0]]
+    for r in range(1, len(lines)):
+        pair = between(r - 1, slice(None))
+        pair += best[-1][:, None]
+        best.append(unary[r] + pair.max(axis=0))
+    floor = best[-1].max() - 1e-9 * (1.0 + np.abs(theta).sum())
+    # backtrack from the last line: a partial configuration of lines r + 1
+    # onward (`paths`, its score `tail`) extends by a state k of line r when
+    # the best prefix ending in k completes it above the floor, so each
+    # level's partial configurations are at most the complete ones
+    too_many = CapacityError(f"more than {GRID_OPTIMA_GUARD} near-optimal grid configurations")
+    paths = np.flatnonzero(best[-1] >= floor)[:, None]
+    if len(paths) > GRID_OPTIMA_GUARD:
+        raise too_many
+    tail = unary[-1][paths[:, 0]]
+    for r in range(len(lines) - 2, -1, -1):
+        step = max(1, 2 ** 20 // len(best[r]))  # bounds the (states, items) block
+        grown, count = [], 0
+        for lo in range(0, len(paths), step):
+            p, t = paths[lo:lo + step], tail[lo:lo + step]
+            pair = between(r, p[:, 0])
+            k, i = np.nonzero(best[r][:, None] + pair + t >= floor)
+            count += len(k)
+            if count > GRID_OPTIMA_GUARD:
+                raise too_many
+            grown.append((np.concatenate((k[:, None], p[i]), 1), t[i] + pair[k, i] + unary[r][k]))
+        paths, tail = (np.concatenate(part) for part in zip(*grown))
+    x = np.empty((len(paths), mrf.node_count), dtype=np.intp)
+    for r, line in enumerate(lines):
+        x[:, line] = states[r][paths[:, r]]
+    scores = np.concatenate([_sum_in_order(theta[_indicator_index(mrf, part)].T)
+                             for part in np.split(x, range(4096, len(x), 4096))])
+    top = scores.max()
+    x = x[scores == top]
+    x = x[np.lexsort(x.T[::-1])]
+    return float(top), OptSet(tuple(map(tuple, x.tolist())))
 
 
 def _top(a: np.ndarray, axis: int) -> np.ndarray:
@@ -495,10 +618,24 @@ def tree_map_value(mrf: PairwiseMrf, tree: SpanningTree,
     return layout.map_values(node, tables)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeConsistencyReport:
-    per_edge: Mapping[Edge, float]
-    max_deviation: float
+    """Each edge's deviation from max-consistency, a read-only vector in the
+    order of `layout`'s edges.  `per_edge` (a dict in sorted edge order) and
+    `max_deviation` are built from it on first read."""
+
+    layout: _Layout
+    deviation: np.ndarray
+
+    @functools.cached_property
+    def max_deviation(self) -> float:
+        return float(self.deviation.max()) if len(self.deviation) else 0.0
+
+    @functools.cached_property
+    def per_edge(self) -> Mapping[Edge, float]:
+        order = np.lexsort(self.layout.ends.T[::-1]).tolist()
+        return dict(zip(map(self.layout.edges.__getitem__, order),
+                        self.deviation[order].tolist()))
 
 
 def check_edge_consistency(nu: MaxMarginals) -> EdgeConsistencyReport:
@@ -515,9 +652,8 @@ def check_edge_consistency(nu: MaxMarginals) -> EdgeConsistencyReport:
     d = np.stack((_top(nu.tables, 2), _top(nu.tables, 1)), axis=1) - nu.node[layout.idx]
     spread = _top(d, 2) - np.where(layout.pad, np.inf, d).min(axis=2)
     dev = np.maximum(spread[:, 0], spread[:, 1])
-    order = np.lexsort(layout.ends.T[::-1]).tolist()
-    per_edge = dict(zip(map(layout.edges.__getitem__, order), dev[order].tolist()))
-    return EdgeConsistencyReport(per_edge, max(per_edge.values(), default=0.0))
+    dev.setflags(write=False)
+    return EdgeConsistencyReport(layout, dev)
 
 
 def backtrack_optimum(nu: MaxMarginals, tree: SpanningTree, root: int = 0) -> np.ndarray:

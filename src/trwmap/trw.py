@@ -36,7 +36,11 @@ shared parameter is a node vector and a table stack, each iteration runs one
 `_TreeLayout.solve` for all trees, which gives both the max-marginals (a
 stack over the (tree, edge) slots) and the tree values of the bound, and the
 split, the merge, the damping, the tie masks and the agreement test are
-array operations.  Sums over trees run in support order (`_tree_sum`), and
+array operations.  Its layouts come from `_tree_plan`, a small cache keyed
+on (cardinalities, edges, trees): every run on one graph and tree set, such
+as every cell of the grid experiment, shares one plan, built whole on the
+first run with every array read-only, so results that keep its layout stay
+immutable.  Sums over trees run in support order (`_tree_sum`), and
 every ordered sum, such as a bound's weighted tree values, is added left to
 right (`model._sum_in_order`).
 The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
@@ -64,7 +68,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, Potentials, StructureError, _checked_rho, _sum_in_order
+from .model import (Edge, PairwiseMrf, Potentials, StructureError, _checked_rho, _freeze,
+                    _sum_in_order)
 from .trees import TreeDistribution, edge_appearance
 from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _top, _TreeLayout,
                      assignment_scores)
@@ -606,6 +611,25 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _tree_plan(cardinalities: tuple, edges: tuple, trees: tuple) -> _TreeLayout:
+    """The `_TreeLayout` of `trees` on the `_Layout` of a graph, built once
+    per (cardinalities, edges, trees) and shared by every run on that
+    shape: all of it, the downward plan too, is built here, and every array
+    in it is read-only."""
+    plan = _TreeLayout(_Layout(cardinalities, edges), trees)
+    parts = [vars(plan), vars(plan.graph), plan.down, plan.last, plan.by_edge]
+    while parts:
+        part = parts.pop()
+        if isinstance(part, np.ndarray):
+            _freeze(part, None)
+        elif isinstance(part, (tuple, list)):
+            parts.extend(part)
+        elif isinstance(part, dict):
+            parts.extend(part.values())
+    return plan
+
+
 def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
                      config: TrwConfig | None = None) -> TrwResult:
     """Tree-based updates: exact max-marginals per supported tree, early exit
@@ -631,8 +655,8 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     config = config or TrwConfig()
     rho_e = edge_appearance(dist, mrf)
     support = dist.support_items()
-    graph = _Layout(mrf.cardinalities, mrf.edges)
-    trees = _TreeLayout(graph, [tree for tree, _ in support])
+    trees = _tree_plan(mrf.cardinalities, mrf.edges, tuple(tree for tree, _ in support))
+    graph = trees.graph
     w = np.array([wk for _, wk in support])
     rho = np.array([rho_e[e] for e in graph.edges])[:, None, None]
     offset = _ZeroOffset(mrf, graph)

@@ -20,6 +20,8 @@ import numpy as np
 from trwmap.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, Pseudomarginal, SimplexResult
 from trwmap.treedp import _guard_states, _Layout
 
+from model_reference import edge_key, neighbors
+
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
@@ -165,12 +167,13 @@ def marginal_polytope_lp(tau, mrf, max_states) -> LinearProgram:
 
 
 def evaluate_dual(lam, mrf, rho_e) -> float:
-    """The Lagrangian dual, node by node over `mrf.neighbors`, then edge by edge."""
+    """The Lagrangian dual, node by node over `neighbors(mrf)`, then edge by edge."""
     total = 0.0
+    adj = neighbors(mrf)
     for s in range(mrf.node_count):
         v = np.asarray(mrf.theta_node[s], dtype=float).copy()
-        for t in mrf.neighbors[s]:
-            key = mrf.edge_key(s, t)
+        for t in adj[s]:
+            key = edge_key(s, t)
             v = v + rho_e[key] * lam.lam[(t, s)]
         total += float(v.max())
     for (s, t) in mrf.edges:

@@ -8,6 +8,9 @@ packed loader must build the same model (`==` tables, same cardinalities and
 edges, in the same order) and raise the same error text on the malformed
 documents the tests use.  `score` is the loop that summed an assignment's
 table entries one by one; the packed `score` must return the same float.
+
+`neighbors`, `edge_key` and `edge_table` are the per-table accessors the
+model had, which only the tests' loop-form references read.
 """
 
 import json
@@ -123,3 +126,22 @@ def score(mrf, x) -> float:
     for (s, t) in mrf.edges:
         total += mrf.theta_edge[(s, t)][x[s], x[t]]
     return float(total)
+
+
+def neighbors(mrf) -> tuple:
+    """Each node's neighbors, sorted."""
+    adj = [[] for _ in range(mrf.node_count)]
+    for s, t in mrf.edges:
+        adj[s].append(t)
+        adj[t].append(s)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def edge_key(a: int, b: int) -> Edge:
+    return (a, b) if a < b else (b, a)
+
+
+def edge_table(mrf, a: int, b: int) -> np.ndarray:
+    """Edge table oriented so rows are states of `a` and columns of `b`."""
+    m = mrf.theta_edge[edge_key(a, b)]
+    return m if a < b else m.T

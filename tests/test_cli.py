@@ -10,6 +10,7 @@ from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
 from trwmap.treedp import _Layout
+from trwmap.trw import _tree_plan
 
 from conftest import potts_grid_mrf, random_graph_mrf
 
@@ -162,7 +163,8 @@ class TestSolve:
 @pytest.mark.parametrize("method", ["trw-msg", "trw-edge", "trw-tree", "maxprod"])
 def test_trw_solve_builds_one_layout(method, with_trees, tmp_path, monkeypatch):
     # the run, the certificate search and the invariant checks share the
-    # run's layout (a `_FlatMrf` is one)
+    # run's layout (a `_FlatMrf` is one); the tree schedule takes its layout
+    # from the plan cache, emptied here, so a cold solve builds one
     mrf = random_graph_mrf(np.random.default_rng(7000), n_nodes=6)
     path, tpath = tmp_path / "model.json", tmp_path / "trees.json"
     path.write_bytes(save_model(mrf))
@@ -175,6 +177,7 @@ def test_trw_solve_builds_one_layout(method, with_trees, tmp_path, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(_Layout, "__init__", counted)
+    _tree_plan.cache_clear()
     code, out = run_cli(["solve", str(path), "--method", method, "--max-iters", "50"]
                         + (["--trees", str(tpath)] if with_trees else []))
     assert code in (0, 2) and "edge-consistency" in out

@@ -392,6 +392,15 @@ def test_check_edge_consistency_without_edges():
     assert_report_equal(report, ref.check_edge_consistency(nu))
 
 
+def test_edge_consistency_per_edge_is_built_on_first_read():
+    # a solve prints only the maximum: the sorted dict waits for a reader
+    mrf = MODELS[-1]
+    report = check_edge_consistency(run_trw(mrf, None, TrwConfig(max_iterations=5)).nu)
+    assert "per_edge" not in vars(report)
+    assert report.max_deviation == max(report.per_edge.values())
+    assert list(report.per_edge) == sorted(mrf.edges)
+
+
 def test_tree_agreement_compares_every_pair_of_trees_on_an_edge():
     # three trees hold edge (0, 1); the first lies within tol of the other
     # two, which are 1.2 tol apart, so the trees do not agree

@@ -18,6 +18,7 @@ from trwmap.examples import (DIAMOND_NU_BOUNDARY_EDGE, DIAMOND_NU_MIDDLE_EDGE,
 from trwmap.trees import grid_edges, grid_two_tree_distribution
 
 from conftest import random_graph_mrf, random_tree_mrf
+from model_reference import edge_table, neighbors
 from trw_reference import (_merge_tree_potentials, _split_parameter, _theta_from_nu,
                            max_log_change)
 
@@ -91,10 +92,10 @@ class TestMessageStep:
         for (s, t) in mrf.edges:
             # ordinary max-product update computed directly
             vec = mrf.theta_node[t].copy()
-            for v in mrf.neighbors[t]:
+            for v in neighbors(mrf)[t]:
                 if v != s:
                     vec = vec + msgs.log_m[(v, t)]
-            want = np.max(mrf.edge_table(s, t) + vec[None, :], axis=1)
+            want = np.max(edge_table(mrf, s, t) + vec[None, :], axis=1)
             want -= want.max()
             assert np.allclose(stepped.log_m[(t, s)], want, atol=1e-12)
 

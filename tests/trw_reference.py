@@ -28,7 +28,7 @@ import numpy as np
 
 from trwmap import (MessageSet, PairwiseMrf, Potentials, PseudoMaxMarginals, StructureError,
                     TrwConfig, edge_appearance)
-from trwmap.treedp import (EdgeConsistencyReport, MaxMarginals, _check_tree_potentials,
+from trwmap.treedp import (MaxMarginals, _check_tree_potentials,
                            _guard_states, _Layout, _normalized, assignment_scores)
 from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, resolve_rho
 
@@ -469,6 +469,11 @@ def run_tree_updates(mrf, dist, config=None):
 
 
 # --- result checks ------------------------------------------------------------
+
+class EdgeConsistencyReport(NamedTuple):
+    per_edge: dict
+    max_deviation: float
+
 
 def check_edge_consistency(nu):
     edges = sorted(nu.log_edge)
