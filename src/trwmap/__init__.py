@@ -2,7 +2,7 @@
 the tree-based LP relaxation, and exact desk-scale oracles."""
 
 from .model import (BIG, CapacityError, Factor, FactorGraph, ModelFormatError,
-                    MrfError, PairwiseMrf, Potentials, StructureError,
+                    MrfError, PairwiseMrf, StructureError,
                     factor_to_pairwise, ising_to_overcomplete, load_model,
                     save_model, score)
 from .trees import (SpanningTree, TreeDistribution, edge_appearance,

@@ -23,14 +23,13 @@ from .model import (CapacityError, MrfError, PairwiseMrf, ising_to_overcomplete,
                     score)
 from .trees import (TreeDistribution, grid_edges, grid_two_tree_distribution,
                     load_tree_distribution, uniform_tree_distribution)
-from .treedp import (_grid_lines, brute_force_map, check_edge_consistency, grid_map,
-                     grid_shape)
+from .treedp import (BRUTE_FORCE_GUARD, _grid_lines, brute_force_map, check_edge_consistency,
+                     grid_map, grid_shape)
 from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _tie_masks, check_reparameterization,
                   resolve_rho, run_trw, run_tree_updates, uniform_rho)
 from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
-GRID_VERIFY_LIMIT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,9 @@ def _oracle(mrf: PairwiseMrf):
             return grid_map(mrf, *shape)
         except CapacityError:
             pass
-    if math.prod(mrf.cardinalities) > GRID_VERIFY_LIMIT:
-        raise CapacityError(f"joint state space exceeds 2^{GRID_VERIFY_LIMIT.bit_length() - 1}")
-    return brute_force_map(mrf, GRID_VERIFY_LIMIT)
+    if math.prod(mrf.cardinalities) > BRUTE_FORCE_GUARD:
+        raise CapacityError(f"joint state space exceeds 2^{BRUTE_FORCE_GUARD.bit_length() - 1}")
+    return brute_force_map(mrf)
 
 
 def cmd_example(args, out) -> int:

@@ -1,12 +1,14 @@
 """Built-in worked instances: the frustrated triangle, the ferromagnetic
 4-cycle, the diamond graph that defeats ordinary max-product, and the
-bridge-plus-diamond graph illustrating edge appearance probabilities."""
+bridge-plus-diamond graph illustrating edge appearance probabilities.  The
+4-cycle also comes split into one tree parameter per spanning tree, each a
+`PairwiseMrf` on the tree's edges (`cycle4_tree_parameters`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import PairwiseMrf, Potentials, ising_to_overcomplete, score
+from .model import PairwiseMrf, ising_to_overcomplete, score
 from .trees import SpanningTree, TreeDistribution, edge_appearance, uniform_tree_distribution
 from .treedp import brute_force_map
 from .trw import TrwConfig, run_tree_updates, run_trw
@@ -29,14 +31,15 @@ def cycle4_mrf(coupling: float = 1.0) -> PairwiseMrf:
 
 
 def cycle4_tree_parameters(coupling: float = 1.0):
-    """The standard uniform-weight decomposition of the 4-cycle: each of the
-    four spanning trees drops one edge and scales the rest by 4/3."""
+    """The standard uniform-weight decomposition of the 4-cycle: (model,
+    uniform tree distribution, one tree parameter per tree).  Each tree
+    parameter is a model on the tree's edges, with zero node tables and the
+    4-cycle's edge tables scaled by 4/3."""
     mrf = cycle4_mrf(coupling)
     dist = uniform_tree_distribution(mrf)
-    thetas = []
-    for tree in dist.trees:
-        edge = {e: (4.0 / 3.0) * mrf.theta_edge[e] for e in tree.edges}
-        thetas.append(Potentials(tuple(np.zeros(2) for _ in range(4)), edge))
+    thetas = [PairwiseMrf(mrf.cardinalities, tree.edges, (np.zeros(2),) * 4,
+                          {e: (4.0 / 3.0) * mrf.theta_edge[e] for e in tree.edges})
+              for tree in dist.trees]
     return mrf, dist, thetas
 
 

@@ -16,6 +16,11 @@ then the tables' shapes, then their finiteness, each on whole arrays; a
 loop over the tables runs only to name the first bad one.  The constructor
 packs per-table arrays, and `load_model` flattens a document's nested lists
 into the two vectors in one pass.
+
+A tree parameter theta(T), one term of the split theta = sum_T rho(T)
+theta(T), is a `PairwiseMrf` too: on the model's nodes, with some of the
+model's edges.  `treedp._tree_parameter` checks it against its model and
+tree.
 """
 
 from __future__ import annotations
@@ -82,14 +87,6 @@ def _offsets(cardinalities, ends: np.ndarray) -> tuple:
     cards = np.asarray(cardinalities, dtype=np.intp)
     off = np.cumsum(np.concatenate(([0], cards, cards[ends[:, 0]] * cards[ends[:, 1]])))
     return off[:len(cards)], off[len(cards):]
-
-
-@dataclass(frozen=True)
-class Potentials:
-    """Node and edge weight tables; edges missing from the dict are zero."""
-
-    node: tuple
-    edge: Mapping[Edge, np.ndarray]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -206,10 +203,6 @@ class PairwiseMrf:
     @property
     def node_count(self) -> int:
         return len(self.cardinalities)
-
-    @property
-    def potentials(self) -> Potentials:
-        return Potentials(node=self.theta_node, edge=self.theta_edge)
 
 
 def check_assignment(mrf: PairwiseMrf, x: Sequence[int]) -> np.ndarray:

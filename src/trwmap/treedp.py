@@ -37,7 +37,11 @@ every edge cardinality.  The upward pass max-normalizes every message and
 keeps the constants it removed, so a tree's optimal value is its root
 belief's max plus their sum; `map_values` runs that pass alone and `solve`
 both, which also gives the max-marginals.
-`tree_max_marginals` and `tree_map_value` run it on a single tree.
+`tree_max_marginals` and `tree_map_value` run it on a single tree, for a
+tree parameter: a `PairwiseMrf` on the model's nodes and edges whose tables
+vanish off the tree, a tree edge it lacks counting as zero.  They,
+`tree_opt_set` and `trw.check_reparameterization` check it by one function,
+`_tree_parameter`.
 """
 
 from __future__ import annotations
@@ -49,13 +53,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import (CapacityError, Edge, PairwiseMrf, Potentials, StructureError,
+from .model import (CapacityError, Edge, PairwiseMrf, StructureError,
                     _all_finite, _indicator_index, _sum_in_order)
 from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
 GRID_OPTIMA_GUARD = 2 ** 16
-OFF_TREE_TOL = 0.0
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -90,7 +93,8 @@ class MaxMarginals:
             if s > t:
                 raise StructureError(f"edge {(s, t)} must be ordered (s, t) with s < t")
         layout = _Layout(cards, tuple(log_edge))
-        self._place(layout, *layout.pack(log_node, log_edge))
+        self._place(layout, np.concatenate([np.asarray(v, dtype=float) for v in log_node]),
+                    layout.stack(log_edge))
 
     @classmethod
     def on_layout(cls, layout: _Layout, node: np.ndarray, tables: np.ndarray) -> MaxMarginals:
@@ -130,16 +134,18 @@ class OptSet:
         return len(self.configurations)
 
 
-def assignment_scores(cardinalities: Sequence[int], pot: Potentials) -> np.ndarray:
-    """Dense array of objective values over the whole joint state space."""
+def assignment_scores(cardinalities: Sequence[int], node, edge: Mapping) -> np.ndarray:
+    """Dense array of objective values over the whole joint state space, for
+    per-node tables and a mapping {edge: table}: the node tables added in
+    node order, then the edge tables in the mapping's order."""
     cards = tuple(int(m) for m in cardinalities)
     n = len(cards)
     total = np.zeros(cards)
     for s in range(n):
         shape = [1] * n
         shape[s] = cards[s]
-        total += np.asarray(pot.node[s]).reshape(shape)
-    for (s, t), m in pot.edge.items():
+        total += np.asarray(node[s]).reshape(shape)
+    for (s, t), m in edge.items():
         shape = [1] * n
         shape[s], shape[t] = cards[s], cards[t]
         total += np.asarray(m).reshape(shape)
@@ -155,21 +161,14 @@ def _guard_states(cardinalities, max_states):
     return total
 
 
-def brute_force_over_potentials(cardinalities, pot: Potentials,
-                                max_states: int = BRUTE_FORCE_GUARD,
-                                atol: float = 0.0):
-    _guard_states(cardinalities, max_states)
-    scores = assignment_scores(cardinalities, pot)
-    value = float(scores.max())
-    where = np.argwhere(scores >= value - atol)
-    return value, OptSet(tuple(tuple(int(v) for v in row) for row in where))
-
-
 def brute_force_map(mrf: PairwiseMrf, max_states: int = BRUTE_FORCE_GUARD,
                     atol: float = 0.0):
-    """Exact MAP value and the complete set of optimal assignments."""
-    return brute_force_over_potentials(mrf.cardinalities, mrf.potentials,
-                                       max_states=max_states, atol=atol)
+    """Exact MAP value and the complete set of optimal assignments (those
+    within `atol` of the value)."""
+    _guard_states(mrf.cardinalities, max_states)
+    scores = assignment_scores(mrf.cardinalities, mrf.theta_node, mrf.theta_edge)
+    value = float(scores.max())
+    return value, OptSet(tuple(map(tuple, np.argwhere(scores >= value - atol).tolist())))
 
 
 def grid_shape(mrf: PairwiseMrf):
@@ -355,11 +354,6 @@ class _Layout:
         for k, (e, (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
             out[k, :ms, :mt] = tables[e] if e in tables else 0.0
         return out
-
-    def pack(self, node, edge: Mapping) -> tuple:
-        """(node vector, table stack) from per-node tables and a mapping of
-        edge tables."""
-        return np.concatenate([np.asarray(v, dtype=float) for v in node]), self.stack(edge)
 
     def node_views(self, node: np.ndarray) -> tuple:
         """The per-node tables of a node vector, as views."""
@@ -582,39 +576,49 @@ class _TreeLayout:
         return beliefs - top, edge, self._values(top[:, 0], tops)
 
 
-def _check_tree_potentials(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials):
+def _tree_parameter(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):
+    """`theta` (the model itself when None) checked as a tree parameter of
+    `mrf` on `tree`, the one check of every entry point that takes one: a
+    model with `mrf`'s cardinalities whose edges are `mrf`'s edges and whose
+    tables vanish off the tree.  A tree edge it lacks counts as zero."""
+    theta = mrf if theta is None else theta
+    if not isinstance(theta, PairwiseMrf):
+        raise TypeError(f"a tree parameter is a PairwiseMrf, not {type(theta).__name__}")
     tree.validate(mrf.node_count)
-    tree_edges = set(tree.edges)
-    for e in theta.edge:
-        if e not in tree_edges:
-            m = np.asarray(theta.edge[e])
-            if np.max(np.abs(m)) > OFF_TREE_TOL:
-                raise StructureError(f"parameter on off-tree edge {e} must vanish")
+    if theta.cardinalities != mrf.cardinalities:
+        raise StructureError(f"tree parameter has cardinalities {list(theta.cardinalities)}, "
+                             f"the model {list(mrf.cardinalities)}")
+    known, on_tree = set(mrf.edges), set(tree.edges)
+    for e, table in theta.theta_edge.items():
+        if e not in known:
+            raise StructureError(f"parameter given on {e}, which is not a graph edge")
+        if e not in on_tree and table.any():
+            raise StructureError(f"parameter on off-tree edge {e} must vanish")
+    return theta
 
 
-def _one_tree(mrf: PairwiseMrf, tree: SpanningTree, theta: Potentials | None):
-    theta = theta if theta is not None else mrf.potentials
-    _check_tree_potentials(mrf, tree, theta)
+def _one_tree(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):
+    theta = _tree_parameter(mrf, tree, theta)
     layout = _TreeLayout(_Layout(mrf.cardinalities, tree.edges), [tree])
-    return layout, layout.graph.pack(theta.node, theta.edge)
+    return layout, theta.node_vector, layout.graph.stack(theta.theta_edge)
 
 
 def tree_max_marginals(mrf: PairwiseMrf, tree: SpanningTree,
-                       theta: Potentials | None = None) -> MaxMarginals:
-    """Exact max-marginals of the tree-structured distribution given by theta.
-
-    theta must vanish off the tree; it defaults to the model's own tables
-    (valid only when the model itself is tree-structured).
+                       theta: PairwiseMrf | None = None) -> MaxMarginals:
+    """Exact max-marginals of the tree-structured distribution given by the
+    tree parameter theta (`_tree_parameter`); it defaults to the model
+    itself, valid only when the model is tree-structured.
     """
-    layout, (node, tables) = _one_tree(mrf, tree, theta)
+    layout, node, tables = _one_tree(mrf, tree, theta)
     node_mm, edge_mm, _ = layout.solve(node, tables)
     return MaxMarginals.on_layout(layout.graph, node_mm[0], edge_mm)
 
 
 def tree_map_value(mrf: PairwiseMrf, tree: SpanningTree,
-                   theta: Potentials | None = None) -> float:
-    """Exact optimal value of a tree-structured objective (single upward pass)."""
-    layout, (node, tables) = _one_tree(mrf, tree, theta)
+                   theta: PairwiseMrf | None = None) -> float:
+    """Exact optimal value of a tree parameter's objective (single upward
+    pass)."""
+    layout, node, tables = _one_tree(mrf, tree, theta)
     return layout.map_values(node, tables)[0]
 
 
@@ -680,12 +684,8 @@ def backtrack_optimum(nu: MaxMarginals, tree: SpanningTree, root: int = 0) -> np
 
 
 def tree_opt_set(mrf: PairwiseMrf, tree: SpanningTree,
-                 theta: Potentials | None = None,
+                 theta: PairwiseMrf | None = None,
                  max_states: int = BRUTE_FORCE_GUARD,
                  atol: float = 0.0) -> OptSet:
-    """Complete optimal set of a tree-structured objective, by enumeration."""
-    theta = theta if theta is not None else mrf.potentials
-    _check_tree_potentials(mrf, tree, theta)
-    _, opt = brute_force_over_potentials(mrf.cardinalities, theta,
-                                         max_states=max_states, atol=atol)
-    return opt
+    """Complete optimal set of a tree parameter's objective, by enumeration."""
+    return brute_force_map(_tree_parameter(mrf, tree, theta), max_states, atol)[1]

@@ -43,6 +43,8 @@ first run with every array read-only, so results that keep its layout stay
 immutable.  Sums over trees run in support order (`_tree_sum`), and
 every ordered sum, such as a bound's weighted tree values, is added left to
 right (`model._sum_in_order`).
+`check_reparameterization` takes pseudo-max-marginals, or explicit tree
+parameters, one `PairwiseMrf` per tree checked by `treedp._tree_parameter`.
 The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
 table's max, is `_tie_masks`, shared by `find_certificate`, the tree
 schedule and the experiment's unique-maximizer count; padded entries are
@@ -68,11 +70,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import (Edge, PairwiseMrf, Potentials, StructureError, _checked_rho, _freeze,
-                    _sum_in_order)
+from .model import Edge, PairwiseMrf, StructureError, _checked_rho, _freeze, _sum_in_order
 from .trees import TreeDistribution, edge_appearance
-from .treedp import (MaxMarginals, _guard_states, _Layout, _normalized, _top, _TreeLayout,
-                     assignment_scores)
+from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, _guard_states, _Layout, _normalized, _top,
+                     _tree_parameter, _TreeLayout, assignment_scores)
 
 CERT_TIE_TOL = 1e-9
 CERT_SEARCH_GUARD = 1_000_000
@@ -503,16 +504,16 @@ class _ZeroOffset:
         return float(_sum_in_order(np.concatenate((node - self.theta_node, edge_terms.ravel()))))
 
 
-def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: PairwiseMrf,
-                             max_states: int = 2 ** 24) -> float:
+def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: PairwiseMrf) -> float:
     """How far the rho-weighted tree parameters are from reproducing theta.
 
     Accepts either pseudo-max-marginals (tree parameters induced per edge) or
-    an explicit list of Potentials aligned with the distribution's trees,
-    where an edge a tree parameter has no table for counts as zero.
-    Evaluates the difference of objectives over every configuration and
-    returns the maximum deviation from its mean: zero means the combination
-    equals theta up to an additive constant.
+    an explicit list of tree parameters aligned with the distribution's
+    trees, each a model checked by `treedp._tree_parameter`, where an edge a
+    tree parameter lacks counts as zero.  Evaluates the difference of
+    objectives over every configuration, guarded at `BRUTE_FORCE_GUARD`
+    states, and returns the maximum deviation from its mean: zero means the
+    combination equals theta up to an additive constant.
     """
     if isinstance(nu_or_thetas, MaxMarginals):
         _check_graph(nu_or_thetas, mrf)
@@ -525,22 +526,18 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         thetas = list(nu_or_thetas)
         support = dist.support_items()
         if len(thetas) != len(support):
-            raise ValueError("one Potentials per supported tree required")
-        known = set(mrf.edges)
-        stray = [e for th in thetas for e in th.edge if e not in known]
-        if stray:
-            raise StructureError(f"parameter given on {stray[0]}, which is not a graph edge")
+            raise ValueError("one tree parameter per supported tree required")
+        thetas = [_tree_parameter(mrf, tree, th) for (tree, _), th in zip(support, thetas)]
         layout = _Layout(mrf.cardinalities, mrf.edges)
         w = np.array([wk for _, wk in support])
-        nodes, stacks = zip(*(layout.pack(th.node, th.edge) for th in thetas))
-        node = _sum_in_order(w[:, None] * np.array(nodes))
-        tables = _sum_in_order(w[:, None, None, None] * np.array(stacks))
-    _guard_states(mrf.cardinalities, max_states)
+        node = _sum_in_order(w[:, None] * np.array([th.node_vector for th in thetas]))
+        tables = _sum_in_order(w[:, None, None, None]
+                               * np.array([layout.stack(th.theta_edge) for th in thetas]))
+    _guard_states(mrf.cardinalities, BRUTE_FORCE_GUARD)
     # theta is 0-padded, so the padded differences stay -inf, never NaN
     diff_edge = layout.edge_views(tables - layout.model_tables(mrf, 0.0))
-    d = assignment_scores(mrf.cardinalities,
-                          Potentials(layout.node_views(node - mrf.node_vector),
-                                     {e: diff_edge[e] for e in mrf.edges}))
+    d = assignment_scores(mrf.cardinalities, layout.node_views(node - mrf.node_vector),
+                          {e: diff_edge[e] for e in mrf.edges})
     return float(np.max(np.abs(d - d.mean())))
 
 

@@ -26,7 +26,7 @@ from trwmap.examples import (DIAMOND_NU_BOUNDARY_EDGE, DIAMOND_NU_MIDDLE_EDGE,
 
 from conftest import random_graph_mrf, random_tree_mrf
 from trw_reference import (_merge_tree_potentials, _split_parameter, _theta_from_nu,
-                           max_log_change)
+                           max_log_change, potentials, tree_parameter)
 
 
 @contextmanager
@@ -176,14 +176,14 @@ def test_criterion_6a_reparameterization_every_iteration():
                 assert check_reparameterization(
                     messages_to_pseudo(msgs, mrf, rho), dist, mrf) < 1e-8
             support = dist.support_items()
-            thetas = _split_parameter(mrf, mrf.potentials, dist, rho)
+            thetas = _split_parameter(mrf, potentials(mrf), dist, rho)
             for _ in range(3):
-                nus = {tree: tree_max_marginals(mrf, tree, thetas[tree])
+                nus = {tree: tree_max_marginals(mrf, tree, tree_parameter(mrf, thetas[tree]))
                        for tree, _w in support}
                 merged = _merge_tree_potentials(mrf, nus, support)
                 thetas = _split_parameter(mrf, merged, dist, rho)
                 assert check_reparameterization(
-                    [thetas[t] for t, _w in support], dist, mrf) < 1e-8
+                    [tree_parameter(mrf, thetas[t]) for t, _w in support], dist, mrf) < 1e-8
 
 
 def test_criterion_6b_fixed_point_edge_consistency():
@@ -209,7 +209,7 @@ def test_criterion_6c_jensen_bound():
             assert all(b >= value - 1e-8 for b in result.bound_trace)
             if not result.converged:
                 continue
-            sets = [tree_opt_set(mrf, tree, _theta_from_nu(result.nu, tree),
+            sets = [tree_opt_set(mrf, tree, tree_parameter(mrf, _theta_from_nu(result.nu, tree)),
                                  atol=1e-9).as_set()
                     for tree, _w in dist.support_items()]
             shared = set.intersection(*sets)

@@ -196,6 +196,21 @@ def test_solve_stdout_is_byte_identical_to_golden(case):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("method", ["trw-msg", "trw-edge"])
+def test_oracle_rejects_the_assignment_of_a_non_converged_run(method):
+    # K5 on nodes 0-4 plus a 9-edge path from node 4, 14 binary nodes: trial
+    # 177 of default_rng(25) drawing K_k plus a p-edge path from node k - 1,
+    # k in [5, 8), p in [6, 12), edge scale c in {1, 2, 4}.  The default rho,
+    # 13/19 on every edge, lies outside the spanning-tree polytope (K5
+    # carries 6.84 > 4); the run stops at the iteration cap on an assignment
+    # worth 21.94, and brute force finds 22.16
+    path = GOLDEN / "k5path_wrong_certificate.json"
+    code, out = run_cli(["solve", str(path), "--method", method, "--verify-oracle"])
+    assert "converged: False\n" in out
+    assert out.endswith("oracle-match: false\n")
+    assert code == 1
+
+
 @pytest.mark.parametrize("side, code", [(16, 0), (24, 2)])
 def test_large_potts_grid_stdout_is_golden(tmp_path, side, code):
     # 3-state Potts grids built here from seed 0: the 16x16 one prints a

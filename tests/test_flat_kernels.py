@@ -254,11 +254,12 @@ def test_mixed_cardinality_case_stops_on_max_marginal_agreement(damping):
 def test_tree_dp_matches_reference(index):
     mrf, dist = TREE_CASES[index]
     rho = edge_appearance(dist, mrf)
-    thetas = ref._split_parameter(mrf, mrf.potentials, dist, rho)
+    thetas = ref._split_parameter(mrf, ref.potentials(mrf), dist, rho)
     for tree, theta in thetas.items():
-        assert_pseudo_equal(tree_max_marginals(mrf, tree, theta),
+        model = ref.tree_parameter(mrf, theta)
+        assert_pseudo_equal(tree_max_marginals(mrf, tree, model),
                             ref.tree_max_marginals(mrf, tree, theta))
-        assert tree_map_value(mrf, tree, theta) == ref.tree_map_value(mrf, tree, theta)
+        assert tree_map_value(mrf, tree, model) == ref.tree_map_value(mrf, tree, theta)
     tree_model = random_tree_mrf(np.random.default_rng(index), n_nodes=6)
     tree = SpanningTree(tree_model.edges)
     assert_pseudo_equal(tree_max_marginals(tree_model, tree),
@@ -295,27 +296,30 @@ def test_run_trw_bound_trace_and_certificate_match_reference(variant):
 def test_check_reparameterization_matches_reference(index):
     # both input forms: pseudo-max-marginals of the three schedules, and
     # explicit tree parameters (tables on tree edges only) before and after
-    # one merge of their max-marginals
+    # one merge of their max-marginals, which the library takes as models
     mrf, dist = TREE_CASES[index]
     rho = edge_appearance(dist, mrf)
     support = dist.support_items()
     config = TrwConfig(max_iterations=15)
-    thetas = ref._split_parameter(mrf, mrf.potentials, dist, rho)
+    thetas = ref._split_parameter(mrf, ref.potentials(mrf), dist, rho)
     nus = {tree: ref.tree_max_marginals(mrf, tree, thetas[tree]) for tree, _ in support}
     merged = ref._split_parameter(mrf, ref._merge_tree_potentials(mrf, nus, support), dist, rho)
-    inputs = [run_trw(mrf, dist, config, variant="messages").nu,
-              run_trw(mrf, dist, config, variant="reparam").nu,
-              run_tree_updates(mrf, dist, config).nu,
-              [thetas[tree] for tree, _ in support],
-              [merged[tree] for tree, _ in support]]
-    for x in inputs:
-        assert check_reparameterization(x, dist, mrf) == ref.check_reparameterization(x, dist, mrf)
+    for nu in (run_trw(mrf, dist, config, variant="messages").nu,
+               run_trw(mrf, dist, config, variant="reparam").nu,
+               run_tree_updates(mrf, dist, config).nu):
+        assert check_reparameterization(nu, dist, mrf) == ref.check_reparameterization(
+            nu, dist, mrf)
+    for split in (thetas, merged):
+        pots = [split[tree] for tree, _ in support]
+        models = [ref.tree_parameter(mrf, theta) for theta in pots]
+        assert check_reparameterization(models, dist, mrf) == ref.check_reparameterization(
+            pots, dist, mrf)
 
 
 def test_check_reparameterization_matches_reference_on_cycle4_parameters():
     mrf, dist, thetas = cycle4_tree_parameters()
     assert check_reparameterization(thetas, dist, mrf) == ref.check_reparameterization(
-        thetas, dist, mrf)
+        [ref.potentials(theta) for theta in thetas], dist, mrf)
 
 
 def assert_report_equal(got, want):

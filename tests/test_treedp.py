@@ -1,32 +1,24 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
+from trwmap import (MaxMarginals, PairwiseMrf, PseudoMaxMarginals,
                     SpanningTree, StructureError, TrwConfig, backtrack_optimum,
-                    brute_force_map, check_edge_consistency, run_trw, score,
-                    tree_map_value, tree_max_marginals, tree_opt_set)
+                    brute_force_map, check_edge_consistency, check_reparameterization,
+                    run_trw, score, tree_map_value, tree_max_marginals, tree_opt_set)
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
-from trwmap.model import CapacityError, StructureError
-from trwmap.treedp import brute_force_over_potentials
+from trwmap.model import CapacityError, ModelFormatError, StructureError
 
 from conftest import random_graph_mrf, random_tree_mrf
 
 
-def potentials_score(cards, pot, x):
-    total = 0.0
-    for s in range(len(cards)):
-        total += float(np.asarray(pot.node[s])[x[s]])
-    for (s, t), m in pot.edge.items():
-        total += float(np.asarray(m)[x[s], x[t]])
-    return total
-
-
-def max_marginals_by_enumeration(cards, pot, edges):
+def max_marginals_by_enumeration(mrf, edges):
     """Independent oracle: maximize the objective over all completions."""
+    cards = mrf.cardinalities
     states = list(itertools.product(*[range(m) for m in cards]))
-    values = {x: potentials_score(cards, pot, x) for x in states}
+    values = {x: score(mrf, x) for x in states}
     log_node = []
     for s, m in enumerate(cards):
         v = np.array([max(val for x, val in values.items() if x[s] == j) for j in range(m)])
@@ -88,7 +80,7 @@ class TestTreeMaxMarginals:
         mrf, dist, thetas = cycle4_tree_parameters()
         tree, theta = dist.trees[0], thetas[0]
         nu = tree_max_marginals(mrf, tree, theta)
-        want = max_marginals_by_enumeration(mrf.cardinalities, theta, tree.edges)
+        want = max_marginals_by_enumeration(theta, tree.edges)
         for s in range(4):
             assert np.allclose(nu.log_node[s], want.log_node[s], rtol=0, atol=1e-10)
         for e in tree.edges:
@@ -99,7 +91,7 @@ class TestTreeMaxMarginals:
             mrf = random_tree_mrf(rng, n_nodes=int(rng.integers(2, 7)))
             tree = SpanningTree(mrf.edges)
             nu = tree_max_marginals(mrf, tree)
-            want = max_marginals_by_enumeration(mrf.cardinalities, mrf.potentials, tree.edges)
+            want = max_marginals_by_enumeration(mrf, tree.edges)
             for s in range(mrf.node_count):
                 assert np.allclose(nu.log_node[s], want.log_node[s], rtol=0, atol=1e-10)
             for e in tree.edges:
@@ -109,7 +101,7 @@ class TestTreeMaxMarginals:
         mrf = triangle_mrf(1.0)
         tree = SpanningTree(((0, 1), (0, 2)))
         with pytest.raises(StructureError, match="off-tree"):
-            tree_max_marginals(mrf, tree, mrf.potentials)
+            tree_max_marginals(mrf, tree, mrf)
 
     def test_factorization_reproduces_objective(self, rng):
         # product of node tables times edge/node-product ratios tracks the
@@ -135,10 +127,11 @@ class TestTreeMaxMarginals:
             assert tree_map_value(mrf, tree) == pytest.approx(value, rel=1e-12, abs=1e-12)
             # large constant shifts: every max-normalized upward message drops
             # one, and the value must add them all back
-            shifted = Potentials(
+            shifted = PairwiseMrf(
+                mrf.cardinalities, mrf.edges,
                 tuple(v + 1e3 * (s + 1) for s, v in enumerate(mrf.theta_node)),
                 {e: m - 5e2 * (k + 1) for k, (e, m) in enumerate(mrf.theta_edge.items())})
-            value, _ = brute_force_over_potentials(mrf.cardinalities, shifted)
+            value, _ = brute_force_map(shifted)
             assert tree_map_value(mrf, tree, shifted) == pytest.approx(value, rel=1e-12)
 
 
@@ -280,6 +273,84 @@ class TestBacktrack:
             assert score(mrf, x) == pytest.approx(value, rel=1e-10, abs=1e-10)
 
 
+class TestTreeParameterCheck:
+    """A tree parameter is a model: malformed tables fail when it is built,
+    and every entry point that takes one checks it against the model and
+    the tree by one rule."""
+
+    @staticmethod
+    def entry_points(mrf, dist, thetas, k):
+        """Each entry point called with `thetas[k]` as tree k's parameter."""
+        tree = dist.trees[k]
+        return [lambda: tree_max_marginals(mrf, tree, thetas[k]),
+                lambda: tree_map_value(mrf, tree, thetas[k]),
+                lambda: tree_opt_set(mrf, tree, thetas[k]),
+                lambda: check_reparameterization(thetas, dist, mrf)]
+
+    @pytest.mark.parametrize("node_table, edge_table, message", [
+        (np.zeros(3), None, r"theta_node\[0\]: shape \(3,\)"),
+        (None, 5.0, r"theta_edge\[\(0, 1\)\]: shape \(\)"),
+        (None, np.zeros(4), r"theta_edge\[\(0, 1\)\]: shape \(4,\)"),
+    ], ids=["3-entry node table", "scalar edge table", "flat edge table"])
+    def test_malformed_table_rejected_when_built(self, node_table, edge_table, message):
+        _, _, thetas = cycle4_tree_parameters()
+        theta = thetas[0]
+        node = list(theta.theta_node)
+        edge = dict(theta.theta_edge)
+        if node_table is not None:
+            node[0] = node_table
+        if edge_table is not None:
+            edge[(0, 1)] = edge_table
+        with pytest.raises(ModelFormatError, match=message):
+            PairwiseMrf(theta.cardinalities, theta.edges, node, edge)
+
+    def test_other_cardinalities_rejected_by_every_entry_point(self):
+        mrf, dist, thetas = cycle4_tree_parameters()
+        tree = dist.trees[0]
+        cards = (3, 2, 2, 2)
+        wide = PairwiseMrf(cards, tree.edges, tuple(np.zeros(m) for m in cards),
+                           {(s, t): np.ones((cards[s], cards[t])) for s, t in tree.edges})
+        thetas = [wide, *thetas[1:]]
+        for call in self.entry_points(mrf, dist, thetas, 0):
+            with pytest.raises(StructureError,
+                               match=r"cardinalities \[3, 2, 2, 2\], the model \[2, 2, 2, 2\]"):
+                call()
+
+    def test_off_tree_table_rejected_by_every_entry_point(self):
+        mrf, dist, thetas = cycle4_tree_parameters()
+        tree = dist.trees[0]
+        (off,) = set(mrf.edges) - set(tree.edges)
+        first = thetas[0]
+        thetas = [PairwiseMrf(mrf.cardinalities, first.edges + (off,), first.theta_node,
+                              {**first.theta_edge, off: np.eye(2)}), *thetas[1:]]
+        for call in self.entry_points(mrf, dist, thetas, 0):
+            with pytest.raises(StructureError, match=re.escape(f"off-tree edge {off} must vanish")):
+                call()
+
+    def test_a_missing_tree_edge_counts_as_zero(self):
+        mrf, dist, thetas = cycle4_tree_parameters()
+        first = thetas[0]
+        dropped = first.edges[0]
+        kept = first.edges[1:]
+        zeroed = PairwiseMrf(mrf.cardinalities, first.edges, first.theta_node,
+                             {**first.theta_edge, dropped: np.zeros((2, 2))})
+        missing = PairwiseMrf(mrf.cardinalities, kept, first.theta_node,
+                              {e: first.theta_edge[e] for e in kept})
+        got, want = (self.entry_points(mrf, dist, [theta, *thetas[1:]], 0)
+                     for theta in (missing, zeroed))
+        for a, b in zip(got, want):
+            a, b = a(), b()
+            if isinstance(a, MaxMarginals):
+                a, b = (a.node.tolist(), a.tables.tolist()), (b.node.tolist(), b.tables.tolist())
+            assert a == b
+
+    def test_dict_tables_are_not_a_tree_parameter(self):
+        mrf, dist, thetas = cycle4_tree_parameters()
+        tables = (thetas[0].theta_node, thetas[0].theta_edge)
+        with pytest.raises(TypeError, match="a tree parameter is a PairwiseMrf, not tuple"):
+            tree_map_value(mrf, dist.trees[0], tables)
+
+
 class TestTreeOptSet:
     def test_cycle4_tree_contains_all_ones(self):
         mrf, dist, thetas = cycle4_tree_parameters()
@@ -288,7 +359,7 @@ class TestTreeOptSet:
 
     def test_zero_parameters_all_configurations(self):
         mrf = chain2_mrf()
-        zero = Potentials((np.zeros(2), np.zeros(2)), {})
+        zero = PairwiseMrf((2, 2), (), (np.zeros(2), np.zeros(2)), {})
         opt = tree_opt_set(mrf, SpanningTree(((0, 1),)), zero)
         assert len(opt) == 4
 
@@ -302,8 +373,8 @@ class TestTreeOptSet:
                          for e in mrf.edges}
         sets = []
         for tree in trees:
-            theta = Potentials((np.zeros(2),) * 3,
-                               {e: log_edge_full[e] for e in tree.edges})
+            theta = PairwiseMrf((2, 2, 2), tree.edges, (np.zeros(2),) * 3,
+                                {e: log_edge_full[e] for e in tree.edges})
             sets.append(tree_opt_set(mrf, tree, theta, atol=1e-12).as_set())
         intersection = set.intersection(*sets)
         assert intersection == {(0, 0, 0), (1, 1, 1)}

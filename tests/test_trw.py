@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trwmap import (MaxMarginals, PairwiseMrf, Potentials, PseudoMaxMarginals,
+from trwmap import (MaxMarginals, PairwiseMrf, PseudoMaxMarginals,
                     SpanningTree, StructureError, TreeDistribution, TrwConfig,
                     brute_force_map, check_edge_consistency, check_reparameterization,
                     edge_appearance, find_certificate, init_pseudo,
@@ -20,7 +20,7 @@ from trwmap.trees import grid_edges, grid_two_tree_distribution
 from conftest import random_graph_mrf, random_tree_mrf
 from model_reference import edge_table, neighbors
 from trw_reference import (_merge_tree_potentials, _split_parameter, _theta_from_nu,
-                           max_log_change)
+                           max_log_change, potentials, tree_parameter)
 
 
 def triangle_fixed_point(beta):
@@ -291,7 +291,9 @@ class TestReparameterizationCheck:
 
     def test_parameter_on_a_non_edge_is_an_error(self):
         mrf, dist, thetas = cycle4_tree_parameters()
-        stray = Potentials(thetas[0].node, {**thetas[0].edge, (0, 2): np.zeros((2, 2))})
+        first = thetas[0]
+        stray = PairwiseMrf(first.cardinalities, first.edges + ((0, 2),), first.theta_node,
+                            {**first.theta_edge, (0, 2): np.zeros((2, 2))})
         with pytest.raises(StructureError, match=r"\(0, 2\), which is not a graph edge"):
             check_reparameterization([stray, *thetas[1:]], dist, mrf)
 
@@ -391,7 +393,7 @@ class TestJensenBound:
             assert bound >= value - 1e-8
             sets = []
             for tree, _w in dist.support_items():
-                theta = _theta_from_nu(result.nu, tree)
+                theta = tree_parameter(mrf, _theta_from_nu(result.nu, tree))
                 sets.append(tree_opt_set(mrf, tree, theta, atol=1e-9).as_set())
             shared = set.intersection(*sets)
             if shared:
@@ -443,14 +445,14 @@ class TestTreeUpdates:
             mrf = random_graph_mrf(rng, n_nodes=4)
             dist = uniform_tree_distribution(mrf)
             rho = edge_appearance(dist, mrf)
-            thetas = _split_parameter(mrf, mrf.potentials, dist, rho)
+            thetas = _split_parameter(mrf, potentials(mrf), dist, rho)
             support = dist.support_items()
             for _ in range(3):
-                nus = {tree: tree_max_marginals(mrf, tree, thetas[tree])
+                nus = {tree: tree_max_marginals(mrf, tree, tree_parameter(mrf, thetas[tree]))
                        for tree, _w in support}
                 merged = _merge_tree_potentials(mrf, nus, support)
                 thetas = _split_parameter(mrf, merged, dist, rho)
-                collection = [thetas[tree] for tree, _w in support]
+                collection = [tree_parameter(mrf, thetas[tree]) for tree, _w in support]
                 assert check_reparameterization(collection, dist, mrf) < 1e-8
 
 

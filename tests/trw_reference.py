@@ -12,6 +12,9 @@ holds because both perform the same floating-point operations per entry in
 the same order (node sums accumulate in edge order, incoming tree messages
 in adjacency order, sums over trees in support order).
 
+`Potentials` are this module's own node and edge tables.  The library takes
+a tree parameter as a model; `tree_parameter` builds one from them.
+
 The bucketed section keeps the array kernels of the synchronous schedules
 with edges grouped by table shape (one loop over the groups per step), the
 oracle of the padded edge stack that replaced them.  This module is the only
@@ -26,11 +29,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from trwmap import (MessageSet, PairwiseMrf, Potentials, PseudoMaxMarginals, StructureError,
+from trwmap import (MessageSet, PairwiseMrf, PseudoMaxMarginals, StructureError,
                     TrwConfig, edge_appearance)
-from trwmap.treedp import (MaxMarginals, _check_tree_potentials,
-                           _guard_states, _Layout, _normalized, assignment_scores)
+from trwmap.treedp import (BRUTE_FORCE_GUARD, MaxMarginals, _guard_states, _Layout, _normalized,
+                           assignment_scores)
 from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, resolve_rho
+
+
+class Potentials(NamedTuple):
+    """Node and edge tables; an edge missing from the dict is zero."""
+
+    node: tuple
+    edge: dict
+
+
+def potentials(mrf):
+    """A model's tables as `Potentials`."""
+    return Potentials(mrf.theta_node, mrf.theta_edge)
+
+
+def tree_parameter(mrf, theta):
+    """`Potentials` on some of `mrf`'s edges as a model on its nodes, the
+    form the library takes a tree parameter in."""
+    return PairwiseMrf(mrf.cardinalities, tuple(theta.edge), theta.node, theta.edge)
 
 
 def _damp(new, old, lam):
@@ -188,7 +209,7 @@ def _upward_pass(mrf, tree, theta):
     """Leaves-to-root half of the DP rooted at node 0: the max-normalized
     messages toward the root (msg[(u, v)] from u to v, indexed by states of
     v), the adjacency, parent map and visit order, and the optimal value."""
-    _check_tree_potentials(mrf, tree, theta)
+    tree.validate(mrf.node_count)
     n = mrf.node_count
     cards = mrf.cardinalities
     adj = tree.neighbors(n)
@@ -257,11 +278,11 @@ def _tree_dp(mrf, tree, theta):
 
 
 def tree_max_marginals(mrf, tree, theta=None):
-    return _tree_dp(mrf, tree, theta if theta is not None else mrf.potentials)[0]
+    return _tree_dp(mrf, tree, theta if theta is not None else potentials(mrf))[0]
 
 
 def tree_map_value(mrf, tree, theta=None):
-    return _upward_pass(mrf, tree, theta if theta is not None else mrf.potentials)[-1]
+    return _upward_pass(mrf, tree, theta if theta is not None else potentials(mrf))[-1]
 
 
 # --- the tree-based update on Potentials ---------------------------------------
@@ -321,7 +342,7 @@ def _merge_tree_potentials(mrf, nus, support):
     return _weighted_sum(mrf, ((w, _theta_from_nu(nus[tree], tree)) for tree, w in support))
 
 
-def check_reparameterization(nu_or_thetas, dist, mrf, max_states=2 ** 24):
+def check_reparameterization(nu_or_thetas, dist, mrf):
     """`trwmap.check_reparameterization` on dicts: the combination of the tree
     parameters is `_combined_potentials` for pseudo-max-marginals and
     `_weighted_sum` for an explicit list of Potentials."""
@@ -334,8 +355,8 @@ def check_reparameterization(nu_or_thetas, dist, mrf, max_states=2 ** 24):
                       for s in range(mrf.node_count))
     diff_edge = {e: _edge_or_zero(combined, e, mrf.theta_edge[e].shape) - mrf.theta_edge[e]
                  for e in mrf.edges}
-    _guard_states(mrf.cardinalities, max_states)
-    d = assignment_scores(mrf.cardinalities, Potentials(diff_node, diff_edge))
+    _guard_states(mrf.cardinalities, BRUTE_FORCE_GUARD)
+    d = assignment_scores(mrf.cardinalities, diff_node, diff_edge)
     return float(np.max(np.abs(d - d.mean())))
 
 
@@ -427,7 +448,7 @@ def run_tree_updates(mrf, dist, config=None):
     config = config or TrwConfig()
     rho_e = edge_appearance(dist, mrf)
     support = dist.support_items()
-    base = mrf.potentials
+    base = potentials(mrf)
     thetas = _split_parameter(mrf, base, dist, rho_e)
     bound_trace = []
     converged = False
