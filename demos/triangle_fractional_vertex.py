@@ -24,7 +24,7 @@ for b in (1.0, -1.0):
     cls = classify_vertex(tau)
     print(f"relaxed LP value {res.value} at a {cls.kind} vertex")
     if cls.kind == "fractional":
-        print(f"  node weights {tau.tau_node[0]}, edge table\n{tau.tau_edge[(0, 1)]}")
+        print(f"  node weights {tau.theta_node[0]}, edge table\n{tau.theta_edge[(0, 1)]}")
 
     result = run_trw(mrf, uniform_tree_distribution(mrf), TrwConfig(), variant="messages")
     print(f"reweighted max-product: converged={result.converged} "

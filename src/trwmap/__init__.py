@@ -16,7 +16,7 @@ from .trw import (MessageSet, PseudoMaxMarginals, TrwConfig, TrwResult,
                   check_reparameterization, find_certificate, init_pseudo,
                   message_step, messages_to_pseudo, reparameterization_step,
                   run_tree_updates, run_trw, uniform_rho, unit_messages)
-from .lp import (DualVector, LinearProgram, Pseudomarginal, SimplexResult,
+from .lp import (DualVector, LinearProgram, SimplexResult,
                  build_local_lp, classify_vertex, delta_pseudomarginal,
                  dual_from_messages, evaluate_dual, in_local, in_marginal_polytope,
                  simplex_solve, vector_to_pseudomarginal)

@@ -5,7 +5,12 @@ The LP vector is a model's packed tables, `PairwiseMrf.node_vector` then
 statement of its order) and `model._indicator_index`, the positions of a
 configuration's indicator vector phi(x) in it, are all the local LP, the
 decoding of a solution, phi(x) as a pseudomarginal and the exact
-marginal-polytope oracle read.  The Lagrangian dual,
+marginal-polytope oracle read.  theta and tau live in one space: a
+pseudomarginal tau is a `PairwiseMrf` on its model's graph whose packed
+vectors are the LP vector, checked by the one sequence every model goes
+through.  The local-polytope test and the vertex classification read those
+vectors and the `_Layout` table stack, and the marginal-polytope oracle
+takes tau alone, on tau's graph.  The Lagrangian dual,
 with multipliers from message fixed points, is evaluated on the padded edge
 stack of `treedp._Layout`: the multipliers are one (E, 2, M) array, 0 on
 padded states, so subtracting them leaves the -inf padding in place.
@@ -27,8 +32,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .model import (Edge, PairwiseMrf, StructureError, _all_finite, _checked_rho,
-                    _indicator_index, check_assignment)
+from .model import (Edge, PairwiseMrf, StructureError, _checked_rho, _indicator_index,
+                    check_assignment)
 from .trees import TreeDistribution
 from .treedp import MaxMarginals, _guard_states, _Layout
 
@@ -194,81 +199,56 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     return SimplexResult("optimal", float(c @ x), x)
 
 
-@dataclass(frozen=True)
-class Pseudomarginal:
-    """Per-node vectors and per-edge matrices of local marginal weights."""
-
-    tau_node: tuple
-    tau_edge: Mapping[Edge, np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau_node",
-                           tuple(np.asarray(v, dtype=float) for v in self.tau_node))
-        object.__setattr__(self, "tau_edge",
-                           {e: np.asarray(m, dtype=float) for e, m in self.tau_edge.items()})
-
-
-def in_local(tau: Pseudomarginal, tol: float = 1e-9) -> bool:
-    """Membership in the local polytope: finite entries, non-negativity,
-    unit node sums, and edge tables whose row/column sums reproduce the node
-    vectors."""
-    if not _all_finite((*tau.tau_node, *tau.tau_edge.values())):
+def in_local(tau: PairwiseMrf, tol: float = 1e-9) -> bool:
+    """Membership in the local polytope: non-negativity, unit node sums, and
+    edge tables whose row/column sums reproduce the node vectors.  The sums
+    are taken on tau's packed vectors and the `_Layout` table stack."""
+    node, layout = tau.node_vector, _Layout(tau.cardinalities, tau.edges)
+    if min(node.min(), tau.edge_vector.min(initial=0.0)) < -tol:
         return False
-    for v in tau.tau_node:
-        if v.min() < -tol or abs(v.sum() - 1.0) > tol:
-            return False
-    for (s, t), m in tau.tau_edge.items():
-        if m.min() < -tol:
-            return False
-        if np.max(np.abs(m.sum(axis=1) - tau.tau_node[s])) > tol:
-            return False
-        if np.max(np.abs(m.sum(axis=0) - tau.tau_node[t])) > tol:
-            return False
-    return True
-
-
-def _to_vector(mrf: PairwiseMrf, node, edge) -> np.ndarray:
-    """Per-node tables and a mapping of edge tables as one LP vector."""
-    return np.concatenate([*node, *(np.ravel(edge[e]) for e in mrf.edges)])
+    if np.abs(np.add.reduceat(node, layout.offsets) - 1.0).max() > tol:
+        return False
+    tables = layout.model_tables(tau, 0.0)
+    margins = np.stack((tables.sum(axis=2), tables.sum(axis=1)), axis=1)
+    gap = margins.take(layout.sides) - node[layout.idx.take(layout.sides)]
+    return bool(np.abs(gap).max(initial=0.0) <= tol)
 
 
 def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     """Relaxed MAP linear program: maximize theta.tau over the local polytope.
 
     Variables are the LP vector of `PairwiseMrf.offsets`.  Constraints are one
-    normalization row per node and both-direction marginalization rows per
-    edge; edge normalization is implied and omitted.
+    normalization row per node, then one marginalization row per state of
+    each edge's s and then its t, edge by edge: the order of `_Layout.sides`.
+    Edge normalization is implied and omitted.
     """
-    cards, n = mrf.cardinalities, mrf.node_count
-    node_off, edge_off = (a.tolist() for a in mrf.offsets)
-    A = np.zeros((n + sum(cards[s] + cards[t] for s, t in mrf.edges), edge_off[-1]))
-    A[np.repeat(np.arange(n), cards), np.arange(edge_off[0])] = 1.0
-    row = n
-    for (s, t), base in zip(mrf.edges, edge_off):
-        ms, mt = cards[s], cards[t]
-        for j in range(ms):
-            A[row, base + j * mt: base + (j + 1) * mt] = 1.0
-            A[row, node_off[s] + j] = -1.0
-            row += 1
-        for k in range(mt):
-            A[row, base + k: base + ms * mt: mt] = 1.0
-            A[row, node_off[t] + k] = -1.0
-            row += 1
-    b = np.concatenate([np.ones(n), np.zeros(A.shape[0] - n)])
+    n, edge_off = mrf.node_count, mrf.offsets[1]
+    layout = _Layout(mrf.cardinalities, mrf.edges)
+    E, _, M = layout.idx.shape
+    sides = layout.sides.size
+    e, j, k = np.unravel_index(layout.entries, (E, M, M))
+    # entry (e, j, k) of the edge vector is in the rows of side states (e, 0, j) and (e, 1, k)
+    rows = n + np.searchsorted(layout.sides, np.stack(((2 * e) * M + j, (2 * e + 1) * M + k)))
+    A = np.zeros((n + sides, edge_off[-1]))
+    A[layout.node_of, np.arange(edge_off[0])] = 1.0
+    A[np.arange(n, n + sides), layout.idx.take(layout.sides)] = -1.0
+    A[rows, np.arange(edge_off[0], edge_off[-1])] = 1.0
+    b = np.concatenate([np.ones(n), np.zeros(sides)])
     return LinearProgram(np.concatenate((mrf.node_vector, mrf.edge_vector)), A, b)
 
 
-def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> Pseudomarginal:
-    node_off, edge_off = mrf.offsets
+def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> PairwiseMrf:
+    """An LP vector as a pseudomarginal: the model on `mrf`'s graph whose
+    packed vectors are x's node and edge parts, checked like any model."""
+    edge_off = mrf.offsets[1]
+    x = np.asarray(x, dtype=float)
     if x.shape != (edge_off[-1],):
         raise ValueError("solution vector has the wrong length")
-    x, cards = x.copy(), mrf.cardinalities
-    tau_edge = {(s, t): x[a:b].reshape(cards[s], cards[t])
-                for (s, t), a, b in zip(mrf.edges, edge_off, edge_off[1:])}
-    return Pseudomarginal(np.split(x[:edge_off[0]], node_off[1:]), tau_edge)
+    return PairwiseMrf._packed(mrf.cardinalities, mrf._ends, x[:edge_off[0]],
+                               list(zip(mrf.cardinalities)), x[edge_off[0]:], mrf._edge_shapes)
 
 
-def delta_pseudomarginal(mrf: PairwiseMrf, x: Sequence[int]) -> Pseudomarginal:
+def delta_pseudomarginal(mrf: PairwiseMrf, x: Sequence[int]) -> PairwiseMrf:
     """Indicator vector phi(x) of a configuration as a pseudomarginal."""
     x = check_assignment(mrf, x)
     v = np.zeros(mrf.offsets[1][-1])
@@ -282,29 +262,33 @@ class VertexClassification:
     assignment: np.ndarray | None
 
 
-def classify_vertex(tau: Pseudomarginal, tol: float = INTEGRAL_TOL) -> VertexClassification:
+def classify_vertex(tau: PairwiseMrf, tol: float = INTEGRAL_TOL) -> VertexClassification:
     """Integral (all entries within tol of 0 or 1, decodes to an assignment)
-    or fractional.  The input must lie in the local polytope."""
+    or fractional.  The input must lie in the local polytope.  Each node's
+    state is the first entry of its table at the table's maximum."""
     if not in_local(tau, tol=max(tol, 1e-7)):
         raise ValueError("pseudomarginal is not in the local polytope")
-    flat = np.concatenate([*tau.tau_node, *(m.ravel() for m in tau.tau_edge.values())])
+    flat = np.concatenate((tau.node_vector, tau.edge_vector))
     if np.any(np.minimum(np.abs(flat), np.abs(flat - 1.0)) > tol):
         return VertexClassification("fractional", None)
-    return VertexClassification("integral", np.array([np.argmax(v) for v in tau.tau_node]))
+    node, off = tau.node_vector, tau.offsets[0]
+    top = np.repeat(np.maximum.reduceat(node, off), tau.cardinalities)
+    first = np.where(node == top, np.arange(node.size), node.size)
+    return VertexClassification("integral", np.minimum.reduceat(first, off) - off)
 
 
-def in_marginal_polytope(tau: Pseudomarginal, mrf: PairwiseMrf,
-                         max_states: int = MEMBERSHIP_GUARD) -> bool:
-    """Exact membership test: is there a distribution over configurations
-    whose node and edge expectations reproduce tau?  Solved as a phase-1
-    feasibility LP with one variable per configuration: a sum-to-one row,
-    then one row per LP-vector entry, which is 1 where phi(x) is."""
-    total = _guard_states(mrf.cardinalities, max_states)
-    states = np.stack(np.unravel_index(np.arange(total), mrf.cardinalities), axis=1)
-    b = np.concatenate([[1.0], _to_vector(mrf, tau.tau_node, tau.tau_edge)])
+def in_marginal_polytope(tau: PairwiseMrf) -> bool:
+    """Exact membership test: is there a distribution over configurations of
+    tau's graph whose node and edge expectations reproduce tau?  Solved as a
+    phase-1 feasibility LP with one variable per configuration: a sum-to-one
+    row, then one row per LP-vector entry, which is 1 where phi(x) is.  At
+    most `MEMBERSHIP_GUARD` configurations."""
+    total = _guard_states(tau.cardinalities, MEMBERSHIP_GUARD)
+    states = np.stack(np.unravel_index(np.arange(total), tau.cardinalities), axis=1)
+    b = np.concatenate([[1.0], tau.node_vector, tau.edge_vector])
     A = np.zeros((b.size, total))
     A[0] = 1.0
-    A[1 + _indicator_index(mrf, states), np.arange(total)[:, None]] = 1.0
+    A[1 + _indicator_index(tau, states), np.arange(total)[:, None]] = 1.0
     return simplex_solve(LinearProgram(np.zeros(total), A, b)).status == "optimal"
 
 

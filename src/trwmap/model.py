@@ -20,7 +20,9 @@ into the two vectors in one pass.
 A tree parameter theta(T), one term of the split theta = sum_T rho(T)
 theta(T), is a `PairwiseMrf` too: on the model's nodes, with some of the
 model's edges.  `treedp._tree_parameter` checks it against its model and
-tree.
+tree.  So is a pseudomarginal tau of the LP layer, on the model's graph: its
+packed vectors are an LP vector (`lp.vector_to_pseudomarginal`), indexed
+like theta's, so <theta, tau> is one dot product.
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -367,11 +368,23 @@ class _Layout:
     def directed(self, vectors: Mapping) -> np.ndarray:
         """The (E, 2, M) array of per-direction vectors keyed (sender,
         receiver) over the receiver's states: [k, 0] is t -> s of the k-th
-        edge (s, t), [k, 1] is s -> t; 0 on padded states."""
+        edge (s, t), [k, 1] is s -> t; 0 on padded states.  The mapping
+        holds exactly one vector of the receiver's cardinality per
+        direction; a StructureError names the first direction that breaks
+        this."""
+        keys = [key for s, t in self.edges for key in ((t, s), (s, t))]
+        known = set(keys)
+        for key in vectors:
+            if key not in known:
+                raise StructureError(f"direction {key} is not an edge direction of the graph")
+        for key, m in zip(keys, chain.from_iterable(self.edge_cards)):
+            if key not in vectors:
+                raise StructureError(f"direction {key}: no vector given")
+            if np.shape(vectors[key]) != (m,):
+                raise StructureError(f"direction {key}: shape {np.shape(vectors[key])}, "
+                                     f"expected {(m,)}")
         out = np.zeros(self.idx.shape)
-        for k, ((s, t), (ms, mt)) in enumerate(zip(self.edges, self.edge_cards)):
-            out[k, 0, :ms] = vectors[(t, s)]
-            out[k, 1, :mt] = vectors[(s, t)]
+        out.reshape(-1)[self.sides] = np.concatenate([[], *(vectors[key] for key in keys)])
         return out
 
     def accumulate(self, acc: np.ndarray, sides: np.ndarray) -> np.ndarray:

@@ -9,15 +9,18 @@ are `==` to these.
 
 Also kept: the per-row and per-state builds of the local LP, of a
 configuration's indicator pseudomarginal and of the marginal-polytope
-feasibility LP, and the node-by-node Lagrangian dual, as the library had them
-before they read one index map of the LP vector and the padded edge stack of
-`_Layout`.  The LP data must be `np.array_equal` to these, and the dual
-within rounding, since it sums the same terms in another order.
+feasibility LP, the edge-by-edge local-polytope test, and the node-by-node
+Lagrangian dual, as the library had them before they read one index map of
+the LP vector and the padded edge stack of `_Layout`.  The LP data must be
+`np.array_equal` to these, the local-polytope answers equal, and the dual
+within rounding, since it sums the same terms in another order.  A
+pseudomarginal is a `PairwiseMrf`; these forms read its per-table views.
 """
 
 import numpy as np
 
-from trwmap.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, Pseudomarginal, SimplexResult
+from trwmap.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, SimplexResult
+from trwmap.model import PairwiseMrf
 from trwmap.treedp import _guard_states, _Layout
 
 from model_reference import edge_key, neighbors
@@ -132,7 +135,23 @@ def build_local_lp(mrf) -> LinearProgram:
     return LinearProgram(c, np.array(rows), np.array(rhs))
 
 
-def delta_pseudomarginal(mrf, x) -> Pseudomarginal:
+def in_local(tau, tol: float = 1e-9) -> bool:
+    """Membership in the local polytope, one node table and then one edge
+    table at a time."""
+    for v in tau.theta_node:
+        if v.min() < -tol or abs(v.sum() - 1.0) > tol:
+            return False
+    for (s, t), m in tau.theta_edge.items():
+        if m.min() < -tol:
+            return False
+        if np.max(np.abs(m.sum(axis=1) - tau.theta_node[s])) > tol:
+            return False
+        if np.max(np.abs(m.sum(axis=0) - tau.theta_node[t])) > tol:
+            return False
+    return True
+
+
+def delta_pseudomarginal(mrf, x) -> PairwiseMrf:
     """Indicator vector of a configuration, one table per node and edge."""
     node = []
     for s, m in enumerate(mrf.cardinalities):
@@ -144,25 +163,25 @@ def delta_pseudomarginal(mrf, x) -> Pseudomarginal:
         m = np.zeros((mrf.cardinalities[s], mrf.cardinalities[t]))
         m[x[s], x[t]] = 1.0
         edge[(s, t)] = m
-    return Pseudomarginal(tuple(node), edge)
+    return PairwiseMrf(mrf.cardinalities, mrf.edges, tuple(node), edge)
 
 
-def marginal_polytope_lp(tau, mrf, max_states) -> LinearProgram:
+def marginal_polytope_lp(tau, max_states) -> LinearProgram:
     """The feasibility LP of `in_marginal_polytope`, one row per state."""
-    cards = mrf.cardinalities
+    cards = tau.cardinalities
     total = _guard_states(cards, max_states)
     states = np.stack(np.unravel_index(np.arange(total), cards), axis=1)
     rows = [np.ones(total)]
     rhs = [1.0]
-    for s in range(mrf.node_count):
+    for s in range(tau.node_count):
         for j in range(cards[s]):
             rows.append((states[:, s] == j).astype(float))
-            rhs.append(float(tau.tau_node[s][j]))
-    for (s, t) in mrf.edges:
+            rhs.append(float(tau.theta_node[s][j]))
+    for (s, t) in tau.edges:
         for j in range(cards[s]):
             for k in range(cards[t]):
                 rows.append(((states[:, s] == j) & (states[:, t] == k)).astype(float))
-                rhs.append(float(tau.tau_edge[(s, t)][j, k]))
+                rhs.append(float(tau.theta_edge[(s, t)][j, k]))
     return LinearProgram(np.zeros(total), np.array(rows), np.array(rhs))
 
 

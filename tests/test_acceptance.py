@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from trwmap import (Factor, FactorGraph, Pseudomarginal, SpanningTree,
+from trwmap import (Factor, FactorGraph, PairwiseMrf, SpanningTree,
                     TreeDistribution, TrwConfig, brute_force_map,
                     build_local_lp, check_edge_consistency,
                     check_reparameterization, classify_vertex,
@@ -51,9 +51,9 @@ def test_criterion_1_integrality_gap():
         assert classify_vertex(tau).kind == "fractional"
         # solution equality (expected; objective equality is the requirement)
         for s in range(3):
-            assert np.allclose(tau.tau_node[s], [0.5, 0.5], atol=1e-9)
+            assert np.allclose(tau.theta_node[s], [0.5, 0.5], atol=1e-9)
         for e in mrf.edges:
-            assert np.allclose(tau.tau_edge[e], [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
+            assert np.allclose(tau.theta_edge[e], [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
         assert time.perf_counter() - start < 1.0
 
 
@@ -262,11 +262,11 @@ def test_criterion_6e_strong_duality_at_certified_fixed_points():
 def test_criterion_6f_fractional_vertex_outside_marginal_polytope():
     with criterion("6f", "fractional vertex lies outside the marginal polytope"):
         mrf = triangle_mrf(-1.0)
-        tau = Pseudomarginal(
-            (np.array([0.5, 0.5]),) * 3,
+        tau = PairwiseMrf(
+            mrf.cardinalities, mrf.edges, (np.array([0.5, 0.5]),) * 3,
             {e: np.array([[0.0, 0.5], [0.5, 0.0]]) for e in mrf.edges})
-        assert not in_marginal_polytope(tau, mrf)
-        assert in_marginal_polytope(delta_pseudomarginal(mrf, [1, 0, 1]), mrf)
+        assert not in_marginal_polytope(tau)
+        assert in_marginal_polytope(delta_pseudomarginal(mrf, [1, 0, 1]))
 
 
 def test_criterion_7_grid_experiment():

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import trw_reference as ref
-from trwmap import (MessageSet, PairwiseMrf, SpanningTree, TreeDistribution, TrwConfig,
-                    check_edge_consistency, check_reparameterization, cli, edge_appearance,
+from trwmap import (DualVector, MessageSet, PairwiseMrf, SpanningTree, StructureError,
+                    TreeDistribution, TrwConfig, check_edge_consistency,
+                    check_reparameterization, cli, edge_appearance, evaluate_dual,
                     find_certificate, init_pseudo, message_step, messages_to_pseudo,
                     reparameterization_step, run_tree_updates, run_trw, tree_map_value,
                     tree_max_marginals, uniform_rho, uniform_tree_distribution, unit_messages)
@@ -425,3 +426,25 @@ def test_tree_agreement_compares_every_pair_of_trees_on_an_edge():
     assert not ref._max_marginals_agree(nus, support, tol)
     assert not _tree_tables_agree(layout, node_mm, edge_mm, tol)
     assert _tree_tables_agree(layout, node_mm, edge_mm, 2e-8)
+
+
+def broken_directions():
+    """The triangle's unit messages without (1, 0), with an extra (5, 0),
+    and with a 3-entry vector on binary node 1."""
+    full = dict(unit_messages(triangle_mrf(1.0)).log_m)
+    return [({k: v for k, v in full.items() if k != (1, 0)}, r"^direction \(1, 0\): no vector"),
+            ({**full, (5, 0): np.zeros(2)}, r"^direction \(5, 0\) is not an edge direction"),
+            ({**full, (0, 1): np.zeros(3)}, r"^direction \(0, 1\): shape \(3,\), expected \(2,\)$")]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_directed_vectors_name_a_bad_direction(case):
+    vectors, message = broken_directions()[case]
+    mrf = triangle_mrf(1.0)
+    rho = uniform_rho(mrf)
+    calls = [lambda: message_step(MessageSet(vectors), mrf, rho),
+             lambda: messages_to_pseudo(MessageSet(vectors), mrf, rho),
+             lambda: evaluate_dual(DualVector(vectors), mrf, rho)]
+    for call in calls:
+        with pytest.raises(StructureError, match=message):
+            call()

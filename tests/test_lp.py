@@ -1,38 +1,47 @@
 import numpy as np
 import pytest
 
-from trwmap import (DualVector, LinearProgram, Pseudomarginal, SpanningTree,
+from trwmap import (DualVector, LinearProgram, SpanningTree,
                     TrwConfig, brute_force_map, build_local_lp, classify_vertex,
                     delta_pseudomarginal, dual_from_messages, edge_appearance,
                     evaluate_dual, in_local, in_marginal_polytope, run_trw,
                     score, simplex_solve, uniform_tree_distribution,
                     vector_to_pseudomarginal)
 from trwmap.examples import diamond_mrf, triangle_mrf
-from trwmap.model import CapacityError, PairwiseMrf
+from trwmap.model import CapacityError, ModelFormatError, PairwiseMrf
 
 from conftest import random_graph_mrf, random_tree_mrf
 
 
-def fractional_triangle_tau():
+def fractional_triangle_tau(edges=((0, 1), (0, 2), (1, 2))):
     node = (np.array([0.5, 0.5]),) * 3
-    edge = {e: np.array([[0.0, 0.5], [0.5, 0.0]]) for e in ((0, 1), (0, 2), (1, 2))}
-    return Pseudomarginal(node, edge)
+    edge = {e: np.array([[0.0, 0.5], [0.5, 0.0]]) for e in edges}
+    return PairwiseMrf((2, 2, 2), edges, node, edge)
 
 
-def in_local_for_tree(tau: Pseudomarginal, tree: SpanningTree, tol: float = 1e-9) -> bool:
+def lp_vector(tau: PairwiseMrf) -> np.ndarray:
+    return np.concatenate((tau.node_vector, tau.edge_vector))
+
+
+def mixture(mrf: PairwiseMrf, a: PairwiseMrf, b: PairwiseMrf) -> PairwiseMrf:
+    """The midpoint of two pseudomarginals on `mrf`'s graph."""
+    return vector_to_pseudomarginal(mrf, 0.5 * lp_vector(a) + 0.5 * lp_vector(b))
+
+
+def in_local_for_tree(tau: PairwiseMrf, tree: SpanningTree, tol: float = 1e-9) -> bool:
     """Single-tree relaxation of the local polytope: non-negativity and node
     normalization everywhere, marginalization only on the tree's edges."""
-    for v in tau.tau_node:
+    for v in tau.theta_node:
         if v.min() < -tol or abs(v.sum() - 1.0) > tol:
             return False
     tree_edges = set(tree.edges)
-    for (s, t), m in tau.tau_edge.items():
+    for (s, t), m in tau.theta_edge.items():
         if m.min() < -tol:
             return False
         if (s, t) in tree_edges:
-            if np.max(np.abs(m.sum(axis=1) - tau.tau_node[s])) > tol:
+            if np.max(np.abs(m.sum(axis=1) - tau.theta_node[s])) > tol:
                 return False
-            if np.max(np.abs(m.sum(axis=0) - tau.tau_node[t])) > tol:
+            if np.max(np.abs(m.sum(axis=0) - tau.theta_node[t])) > tol:
                 return False
     return True
 
@@ -67,10 +76,11 @@ class TestSimplex:
         assert res.value == pytest.approx(3.0, abs=1e-7)
         tau = vector_to_pseudomarginal(mrf, res.x)
         want = fractional_triangle_tau()
+        assert tau.edges == want.edges
         for s in range(3):
-            assert np.allclose(tau.tau_node[s], want.tau_node[s], atol=1e-9)
-        for e in want.tau_edge:
-            assert np.allclose(tau.tau_edge[e], want.tau_edge[e], atol=1e-9)
+            assert np.allclose(tau.theta_node[s], want.theta_node[s], atol=1e-9)
+        for e in want.edges:
+            assert np.allclose(tau.theta_edge[e], want.theta_edge[e], atol=1e-9)
 
     def test_triangle_agreeing_integral_value(self):
         res = simplex_solve(build_local_lp(triangle_mrf(1.0)))
@@ -127,31 +137,48 @@ class TestVertexClassification:
         mrf = triangle_mrf(1.0)
         a = delta_pseudomarginal(mrf, [0, 0, 0])
         b = delta_pseudomarginal(mrf, [1, 1, 1])
-        mid = Pseudomarginal(
-            tuple(0.5 * u + 0.5 * v for u, v in zip(a.tau_node, b.tau_node)),
-            {e: 0.5 * a.tau_edge[e] + 0.5 * b.tau_edge[e] for e in a.tau_edge})
-        assert classify_vertex(mid).kind == "fractional"
+        assert classify_vertex(mixture(mrf, a, b)).kind == "fractional"
 
     def test_infeasible_rejected(self):
-        bad = Pseudomarginal((np.array([0.9, 0.9]),), {})
+        bad = PairwiseMrf((2,), (), (np.array([0.9, 0.9]),), {})
         with pytest.raises(ValueError, match="local polytope"):
             classify_vertex(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_node_entry_rejected(self, bad):
-        tau = Pseudomarginal((np.array([bad, bad]),), {})
-        assert not in_local(tau)
-        with pytest.raises(ValueError, match="not in the local polytope"):
-            classify_vertex(tau)
+        # a pseudomarginal is checked like a model, so it is never non-finite
+        mrf = PairwiseMrf((2,), (), (np.zeros(2),), {})
+        with pytest.raises(ModelFormatError, match=r"^theta_node\[0\]: non-finite entry$"):
+            vector_to_pseudomarginal(mrf, np.array([bad, bad]))
 
     def test_non_finite_edge_entry_rejected(self):
-        tau = delta_pseudomarginal(triangle_mrf(1.0), [0, 0, 0])
-        table = tau.tau_edge[(0, 1)].copy()
-        table[1, 1] = np.nan
-        bad = Pseudomarginal(tau.tau_node, {**tau.tau_edge, (0, 1): table})
-        assert in_local(tau) and not in_local(bad)
-        with pytest.raises(ValueError, match="not in the local polytope"):
-            classify_vertex(bad)
+        mrf = triangle_mrf(1.0)
+        x = lp_vector(delta_pseudomarginal(mrf, [0, 0, 0]))
+        assert in_local(vector_to_pseudomarginal(mrf, x))
+        x[mrf.offsets[1][0] + 3] = np.nan  # entry [1, 1] of edge (0, 1)
+        with pytest.raises(ModelFormatError, match=r"^theta_edge\[\(0, 1\)\]: non-finite entry$"):
+            vector_to_pseudomarginal(mrf, x)
+
+    def test_nan_solution_vector_rejected(self):
+        mrf = triangle_mrf(-1.0)
+        x = simplex_solve(build_local_lp(mrf)).x.copy()
+        x[0] = np.nan  # [nan 0.5] at node 0
+        with pytest.raises(ModelFormatError, match=r"^theta_node\[0\]: non-finite entry$"):
+            vector_to_pseudomarginal(mrf, x)
+
+    def test_pseudomarginal_is_a_model_on_the_graph(self):
+        mrf = triangle_mrf(-1.0)
+        x = simplex_solve(build_local_lp(mrf)).x
+        tau = vector_to_pseudomarginal(mrf, x)
+        assert isinstance(tau, PairwiseMrf)
+        assert tau.cardinalities == mrf.cardinalities and tau.edges == mrf.edges
+        assert np.array_equal(lp_vector(tau), x)
+        assert not np.shares_memory(tau.node_vector, x)
+
+    def test_wrong_length_rejected(self):
+        mrf = triangle_mrf(1.0)
+        with pytest.raises(ValueError, match="wrong length"):
+            vector_to_pseudomarginal(mrf, np.zeros(17))
 
 
 class TestMarginalPolytope:
@@ -174,25 +201,37 @@ class TestMarginalPolytope:
             assert abs(gap) <= 1e-7
 
     def test_fractional_vertex_outside(self):
-        assert not in_marginal_polytope(fractional_triangle_tau(), triangle_mrf(-1.0))
+        assert not in_marginal_polytope(fractional_triangle_tau())
 
     def test_delta_vector_inside(self):
         mrf = triangle_mrf(-1.0)
-        assert in_marginal_polytope(delta_pseudomarginal(mrf, [1, 0, 1]), mrf)
+        assert in_marginal_polytope(delta_pseudomarginal(mrf, [1, 0, 1]))
 
     def test_two_point_mixture_inside(self):
         mrf = triangle_mrf(1.0)
         a = delta_pseudomarginal(mrf, [0, 0, 0])
         b = delta_pseudomarginal(mrf, [1, 1, 1])
-        mix = Pseudomarginal(
-            tuple(0.5 * u + 0.5 * v for u, v in zip(a.tau_node, b.tau_node)),
-            {e: 0.5 * a.tau_edge[e] + 0.5 * b.tau_edge[e] for e in a.tau_edge})
-        assert in_marginal_polytope(mix, mrf)
+        assert in_marginal_polytope(mixture(mrf, a, b))
 
-    def test_guard(self):
-        mrf = triangle_mrf(1.0)
-        with pytest.raises(CapacityError):
-            in_marginal_polytope(delta_pseudomarginal(mrf, [0, 0, 0]), mrf, max_states=4)
+    def test_graph_and_states_are_taus_own(self):
+        # tau carries its graph and cardinalities: a 3-state tau is judged on
+        # its 3-state triangle, and a tau without the edge (0, 2) on its path
+        three = PairwiseMrf((3, 3, 3), ((0, 1), (0, 2), (1, 2)),
+                            (np.zeros(3),) * 3, {e: np.zeros((3, 3)) for e in
+                                                 ((0, 1), (0, 2), (1, 2))})
+        assert in_marginal_polytope(delta_pseudomarginal(three, [2, 0, 1]))
+        assert in_marginal_polytope(fractional_triangle_tau(((0, 1), (1, 2))))
+        assert not in_marginal_polytope(fractional_triangle_tau())
+        with pytest.raises(TypeError):
+            in_marginal_polytope(fractional_triangle_tau(), triangle_mrf(-1.0))
+
+    def test_guard(self, monkeypatch):
+        # 13 binary nodes, 8192 joint states: refused before any enumeration
+        mrf = PairwiseMrf((2,) * 13, (), (np.zeros(2),) * 13, {})
+        tau = delta_pseudomarginal(mrf, [0] * 13)
+        monkeypatch.setattr(np, "unravel_index", None)
+        with pytest.raises(CapacityError, match="guard of 4096"):
+            in_marginal_polytope(tau)
 
     def test_sandwich_on_random_graphs(self, rng):
         for _ in range(8):
@@ -255,11 +294,8 @@ class TestLocalTreeIntersection:
                     res = simplex_solve(build_local_lp(mrf))
                     tau = vector_to_pseudomarginal(mrf, res.x)
                 else:
-                    tau = Pseudomarginal(
-                        tuple(np.abs(rng.normal(size=m)) for m in mrf.cardinalities),
-                        {e: np.abs(rng.normal(size=(mrf.cardinalities[e[0]],
-                                                    mrf.cardinalities[e[1]])))
-                         for e in mrf.edges})
+                    tau = vector_to_pseudomarginal(
+                        mrf, np.abs(rng.normal(size=mrf.offsets[1][-1])))
                 full = in_local(tau, tol=1e-8)
                 per_tree = all(in_local_for_tree(tau, t, tol=1e-8) for t in trees)
                 assert full == per_tree

@@ -1,11 +1,14 @@
 """The LP layer on one index map, against the per-row forms in `lp_reference`.
 
 `build_local_lp` must hand the simplex the same `A`, `b` and `c`
-(`np.array_equal`), `delta_pseudomarginal` the same tables and
-`in_marginal_polytope` the same feasibility LP and answer; `evaluate_dual`,
+(`np.array_equal`), `delta_pseudomarginal` the same tables,
+`in_marginal_polytope` the same feasibility LP and answer and `in_local` the
+same answer as its edge-by-edge form; `evaluate_dual`,
 which sums in edge order on the padded edge stack instead of node by node,
 agrees within 1e-12 relative.  The models are the corpus of `test_simplex_reference.py`.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -14,9 +17,9 @@ import lp_reference
 from conftest import random_graph_mrf
 from test_simplex_reference import MIXED_GRIDS, mixed_cardinality_grid, potts_grid
 from trwmap import (DualVector, PairwiseMrf, TrwConfig, build_local_lp, delta_pseudomarginal,
-                    dual_from_messages, edge_appearance, grid_edges, in_marginal_polytope,
-                    run_trw, score, simplex_solve, uniform_rho, uniform_tree_distribution,
-                    unit_messages, vector_to_pseudomarginal)
+                    dual_from_messages, edge_appearance, grid_edges, in_local,
+                    in_marginal_polytope, run_trw, score, simplex_solve, uniform_rho,
+                    uniform_tree_distribution, unit_messages, vector_to_pseudomarginal)
 from trwmap import lp as lp_module
 from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
 
@@ -63,10 +66,9 @@ def test_delta_tables_equal_reference(k):
     for _ in range(5):
         x = random_configuration(mrf, rng)
         got, want = delta_pseudomarginal(mrf, x), lp_reference.delta_pseudomarginal(mrf, x)
-        assert len(got.tau_node) == len(want.tau_node)
-        assert all(np.array_equal(a, b) for a, b in zip(got.tau_node, want.tau_node))
-        assert list(got.tau_edge) == list(want.tau_edge)
-        assert all(np.array_equal(got.tau_edge[e], want.tau_edge[e]) for e in mrf.edges)
+        assert got.cardinalities == want.cardinalities and got.edges == want.edges
+        assert np.array_equal(got.node_vector, want.node_vector)
+        assert np.array_equal(got.edge_vector, want.edge_vector)
 
 
 @pytest.mark.parametrize("k", range(len(CORPUS)))
@@ -87,16 +89,69 @@ def test_delta_rejects_invalid_assignments(x):
         delta_pseudomarginal(triangle_mrf(1.0), x)
 
 
-def membership_points(mrf, rng):
-    """A relaxed-LP vertex, two indicator vectors, their midpoint and a
-    perturbed point that leaves the local polytope."""
-    tau = vector_to_pseudomarginal(mrf, simplex_solve(build_local_lp(mrf)).x)
+def lp_vector(tau):
+    return np.concatenate((tau.node_vector, tau.edge_vector))
+
+
+@functools.cache
+def vertex(k):
+    """The relaxed LP's optimal vertex of `CORPUS[k]`."""
+    return simplex_solve(build_local_lp(CORPUS[k])).x
+
+
+def membership_points(mrf, rng, x=None):
+    """A relaxed-LP vertex (`x`, else solved), two indicator vectors, their
+    midpoint and a perturbed point that leaves the local polytope."""
+    if x is None:
+        x = simplex_solve(build_local_lp(mrf)).x
+    tau = vector_to_pseudomarginal(mrf, x)
     a = delta_pseudomarginal(mrf, random_configuration(mrf, rng))
     b = delta_pseudomarginal(mrf, random_configuration(mrf, rng))
-    mid = type(a)(tuple((u + v) / 2 for u, v in zip(a.tau_node, b.tau_node)),
-                  {e: (a.tau_edge[e] + b.tau_edge[e]) / 2 for e in mrf.edges})
-    off = type(a)(tuple(v + 0.1 for v in mid.tau_node), mid.tau_edge)
+    mid = vector_to_pseudomarginal(mrf, (lp_vector(a) + lp_vector(b)) / 2)
+    n = mrf.offsets[1][0]
+    off = vector_to_pseudomarginal(mrf, np.concatenate((mid.node_vector + 0.1,
+                                                        lp_vector(mid)[n:])))
     return [tau, a, b, mid, off]
+
+
+def perturbed(mrf, tau, rng):
+    """tau with noise of scale 1e-10 to 1e-6 on every entry, on one random
+    entry, and on one node's table (moved from one state to another)."""
+    x = lp_vector(tau)
+    points = []
+    for scale in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        points.append(x + rng.normal(scale=scale, size=x.size))
+        one = x.copy()
+        one[rng.integers(x.size)] += rng.choice([-1.0, 1.0]) * scale * rng.uniform(0.5, 2.0)
+        points.append(one)
+        s = int(rng.integers(mrf.node_count))
+        shift = x.copy()
+        start = mrf.offsets[0][s]
+        shift[start] += scale
+        shift[start + mrf.cardinalities[s] - 1] -= scale
+        points.append(shift)
+    return [vector_to_pseudomarginal(mrf, p) for p in points]
+
+
+@pytest.mark.parametrize("k", range(len(CORPUS)))
+def test_in_local_equals_reference(k):
+    mrf, rng = CORPUS[k], np.random.default_rng(400 + k)
+    points = membership_points(mrf, rng, vertex(k))
+    points += [q for p in points[:4] for q in perturbed(mrf, p, rng)]
+    for tol in (1e-9, 1e-8, 1e-7):
+        for tau in points:
+            assert in_local(tau, tol) == lp_reference.in_local(tau, tol)
+
+
+def test_in_local_answers_cover_both_outcomes():
+    answers = {tol: set() for tol in (1e-9, 1e-8, 1e-7)}
+    for k, mrf in enumerate(CORPUS):
+        rng = np.random.default_rng(400 + k)
+        points = membership_points(mrf, rng, vertex(k))
+        points += [q for p in points[:4] for q in perturbed(mrf, p, rng)]
+        for tol, seen in answers.items():
+            seen.update(in_local(tau, tol) for tau in points)
+    assert all(seen == {True, False} for seen in answers.values())
 
 
 @pytest.mark.parametrize("k", range(len(SMALL)))
@@ -110,8 +165,8 @@ def test_membership_lp_and_answer_equal_reference(k, monkeypatch):
 
     monkeypatch.setattr(lp_module, "simplex_solve", recording)
     for tau in membership_points(mrf, rng):
-        answer = in_marginal_polytope(tau, mrf)
-        want = lp_reference.marginal_polytope_lp(tau, mrf, lp_module.MEMBERSHIP_GUARD)
+        answer = in_marginal_polytope(tau)
+        want = lp_reference.marginal_polytope_lp(tau, lp_module.MEMBERSHIP_GUARD)
         got = solved[-1]
         assert np.array_equal(got.A, want.A)
         assert np.array_equal(got.b, want.b)
@@ -123,12 +178,11 @@ def test_membership_answers_cover_both_outcomes():
     answers = set()
     for k, mrf in enumerate(SMALL):
         for tau in membership_points(mrf, np.random.default_rng(200 + k)):
-            answers.add(in_marginal_polytope(tau, mrf))
+            answers.add(in_marginal_polytope(tau))
     assert answers == {True, False}
     assert not in_marginal_polytope(
         vector_to_pseudomarginal(triangle_mrf(-1.0),
-                                 simplex_solve(build_local_lp(triangle_mrf(-1.0))).x),
-        triangle_mrf(-1.0))
+                                 simplex_solve(build_local_lp(triangle_mrf(-1.0))).x))
 
 
 def assert_dual_close(lam, mrf, rho):
