@@ -21,12 +21,12 @@ import numpy as np
 from . import examples as ex
 from .model import (CapacityError, MrfError, PairwiseMrf, ising_to_overcomplete, load_model,
                     score)
-from .trees import (TreeDistribution, grid_edges, grid_two_tree_distribution,
-                    load_tree_distribution, uniform_tree_distribution)
+from .trees import (TreeDistribution, grid_edges, load_tree_distribution,
+                    uniform_tree_distribution)
 from .treedp import (BRUTE_FORCE_GUARD, _grid_lines, brute_force_map, check_edge_consistency,
                      grid_map, grid_shape)
-from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _tie_masks, check_reparameterization,
-                  resolve_rho, run_trw, run_tree_updates, uniform_rho)
+from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _grid_trees, _tie_masks,
+                  check_reparameterization, resolve_rho, run_trw, run_tree_updates, uniform_rho)
 from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
@@ -48,8 +48,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.regime not in ("attractive", "mixed"):
             raise ValueError("regime must be attractive or mixed")
-        if any(g < 0 for g in self.gammas):
-            raise ValueError("coupling strengths must be non-negative")
+        for g in self.gammas:
+            if not (math.isfinite(g) and g >= 0):
+                raise ValueError(f"gammas: coupling strengths must be finite and non-negative, "
+                                 f"got {g!r}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name}: expected a non-negative integer, got {value!r}")
         if self.verify_oracle:
             try:
                 _grid_lines((2,) * (self.rows * self.cols), self.rows, self.cols)
@@ -107,7 +113,7 @@ def _unique_correct_fraction(result: TrwResult, opt_set) -> float:
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """Deterministic records in (gamma, trial, method) order."""
-    dist = grid_two_tree_distribution(spec.rows, spec.cols)
+    dist = _grid_trees(spec.rows, spec.cols)
     config = TrwConfig(damping=spec.damping, tol=spec.eps,
                        max_iterations=spec.max_iters)
     records = []

@@ -33,7 +33,8 @@ Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
 tree of a collection at once, each rooted at node 0.  Both passes send one
 batch of messages per sender height, upward lowest first and downward (the
 upward arcs reversed) highest first, and each batch covers all the trees and
-every edge cardinality.  The upward pass max-normalizes every message and
+every edge cardinality.  Its buffers are in batch order, so a batch reads
+and writes contiguous slices.  The upward pass max-normalizes every message and
 keeps the constants it removed, so a tree's optimal value is its root
 belief's max plus their sum; `map_values` runs that pass alone and `solve`
 both, which also gives the max-marginals.
@@ -223,8 +224,11 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     node_off, edge_off = mrf.offsets
     where = {e: k for k, e in enumerate(mrf.edges)}
     starts = edge_off.tolist()
-    # each line's joint states in lexicographic order, one node per column
-    states = [np.indices(cards[line]).reshape(len(line), -1).T for line in lines]
+    # each line's joint states in lexicographic order, one node per column,
+    # built once per line cardinalities (and only read)
+    shapes = [tuple(cards[line].tolist()) for line in lines]
+    joint = {key: np.indices(key).reshape(len(key), -1).T for key in set(shapes)}
+    states = [joint[key] for key in shapes]
 
     def within(line, x):
         """Scores of a line's node tables and the edges along it."""
@@ -403,48 +407,52 @@ class _TreeLayout:
     uses every node table and its own edges' tables.  Each tree is rooted at
     node 0.  A slot is one edge of one tree; the slots are ordered by tree,
     then by the tree's edge order, and `tree` and `edge` hold each slot's
-    tree and its edge's position in `graph.edges`.  Every slot has two
-    sides, one per endpoint x: the message into x, and x's cavity vector
-    (x's node table plus its other incoming messages), from which x's
-    message to the other endpoint is computed.  Messages and cavities are
-    flat vectors of 2S rows of M entries: row 2j is the s side of slot j,
-    row 2j + 1 its t side.
+    tree and its edge's position in `graph.edges`.  An arc is one direction
+    of a slot: the message its sender u sends to its receiver v, computed
+    from u's cavity vector (u's node table plus its incoming messages but
+    v's).
 
     The upward pass sends the messages toward the root, one batch per
     sender height, lowest first; the downward pass reverses the upward arcs
     and sends them highest sender first.  Each batch covers every tree and
-    edge; its edge tables, oriented receiver by sender, are rows of the
-    table stack followed by its transpose.  Padded message and cavity
-    entries are -inf like the padded table entries, and every
-    max-normalization is a max over the valid entries, so no batch needs a
-    mask.  A node's incoming messages are added
-    in its tree's adjacency order, one add per rank, so every valid entry
-    sees the same floating-point operations in the same order as a per-edge
-    recursion over each tree.  The downward plan is built on the first
-    `solve`: `map_values` needs the upward pass only.
+    edge.  The arcs are numbered in batch order, upward batches then
+    downward ones, so a batch is a contiguous range of them, and every
+    buffer of the DP is in that order: the edge tables, oriented receiver
+    by sender and gathered once per call, and the cavities, the messages
+    and the constants the upward pass removes, all in one flat state
+    buffer.  A batch reads and writes slices of it.  A sender's cavity
+    starts from its node table, gathered for every arc at once, and adds
+    its incoming messages in its tree's adjacency order, one gather from
+    the state per rank; an arc with fewer messages reads a -0.0 entry
+    there, and x + -0.0 is x, bit for bit.  So every valid entry sees the
+    same floating-point operations in the same order as a per-edge
+    recursion over each tree.  Padded message and cavity entries are -inf
+    like the padded table entries, and every max-normalization is a max
+    over the valid entries, so no batch needs a mask.  One gather at the
+    end (`final`) reads the beliefs' two parts, the slots' cavities and the
+    removed constants out of the state.
+
+    The upward pass max-normalizes every message and keeps the constants it
+    removed, so a tree's optimal value is its root belief's max plus their
+    sum; `map_values` runs that pass alone and `solve` both, which also
+    gives the max-marginals.  `edge_sum` sums per-slot values onto the
+    edges, and `by_edge` groups the slots by edge.  What only `solve` and
+    the tree schedule read (`final`, `slot_nodes`, `slot_entries`,
+    `by_edge`) is built on first read, so the `map_values` callers never
+    build it.
     """
 
     def __init__(self, graph: _Layout, trees):
         self.graph = graph
         self.count = len(trees)
         n, N = len(graph.offsets), graph.size
-        self._where = {e: k for k, e in enumerate(graph.edges)}
-        slots = [(k, self._where[e]) for k, tree in enumerate(trees) for e in tree.edges]
+        width = graph.pad.shape[2]
+        where = {e: k for k, e in enumerate(graph.edges)}
+        slots = [(k, where[e]) for k, tree in enumerate(trees) for e in tree.edges]
         self.tree = np.array([k for k, _ in slots], dtype=np.intp)
         self.edge = np.array([i for _, i in slots], dtype=np.intp)
-        # side[k][(x, y)]: the row of the x side of tree k's slot of edge {x, y}
-        self.side = [{} for _ in trees]
-        for j, (k, i) in enumerate(slots):
-            s, t = graph.edges[i]
-            self.side[k][(s, t)] = 2 * j
-            self.side[k][(t, s)] = 2 * j + 1
-        # per node, its M states' entries in the node vector extended by one
-        # -inf entry, N, which the padded states read
-        cards = np.diff(np.append(graph.offsets, N))
-        self._span = np.arange(graph.pad.shape[2])
-        self._node_rows = np.where(self._span < cards[:, None],
-                                   graph.offsets[:, None] + self._span, N)
-        self.adj, up, self._down_arcs, rev = [], [], [], []
+        S = len(slots)
+        adjs, up, down, rev = [], [], [], []
         for k, tree in enumerate(trees):
             adj = tree.neighbors(n)
             parent = tree.parent_map(n, 0)
@@ -457,33 +465,92 @@ class _TreeLayout:
             height = [0] * n
             for u in reversed(order[1:]):
                 height[parent[u]] = max(height[parent[u]], height[u] + 1)
-            self.adj.append(adj)
-            up += [(height[u], k, u, parent[u]) for u in order[1:]]
+            adjs.append(adj)
+            rev += [(k, u, parent[u]) for u in reversed(order[1:])]
+            up += [(height[u], (k, u, parent[u])) for u in order[1:]]
             # parent to child needs the message into the parent, sent from higher up
-            self._down_arcs += [(-height[parent[u]], k, parent[u], u) for u in order[1:]]
-            rev += [k * n + u for u in reversed(order[1:])]
-        self.rev = np.array(rev, dtype=np.intp)
-        self.up = self._batches(up)
-        self.roots = self._sum_plan([(k, 0, None) for k in range(self.count)])
+            down += [(-height[parent[u]], (k, parent[u], u)) for u in order[1:]]
+        up_levels = _levels(up)
+        levels = up_levels + _levels(down)
+        arcs = [arc for level in levels for arc in level]
+        at = {arc: p for p, arc in enumerate(arcs)}
+        # the state buffer: messages (2S rows of M), one -0.0 entry, cavities
+        # (2S rows), each arc's removed constant (2S entries)
+        self._width = width
+        self._zero = 2 * S * width
+        self._cav = self._zero + 1
+        self._tops = self._cav + 2 * S * width
+        span = np.arange(width)
+        cards = graph.cards
+        # per node, its M states' entries in the node vector extended by one
+        # -inf entry, N, which the padded states read
+        node_rows = np.where(span < cards[:, None], graph.offsets[:, None] + span, N)
+
+        def ranks(group):
+            """Per rank r, the state entries of the r-th message each (k, u,
+            skip) of `group` adds to u's node table, an (R, len(group), M)
+            array: the messages into u in tree k's adjacency order but the
+            one from `skip`, or the -0.0 entry."""
+            into = [[at[(k, c, u)] for c in adjs[k][u] if c != skip] for k, u, skip in group]
+            most = max(map(len, into), default=0)
+            p = np.array([q + [-1] * (most - len(q)) for q in into], dtype=np.intp)
+            p = np.ascontiguousarray(p.reshape(len(group), most).T)[:, :, None]
+            return np.where(p < 0, self._zero, p * width + span), [len(q) for q in into]
+
+        # a batch adds as many ranks as its arcs' most incoming messages
+        plan, counts = ranks(arcs)
+        batches, lo = [], 0
+        for level in levels:
+            hi = lo + len(level)
+            batches.append((lo, hi, tuple(plan[:max(counts[lo:hi]), lo:hi])))
+            lo = hi
+        self.up, self.down = batches[:len(up_levels)], batches[len(up_levels):]
+        self._cav_node = node_rows[[u for _, u, _ in arcs]].reshape(-1, width)
+        # arc (k, u, v) reads its edge's table oriented v by u: the
+        # transpose when u is the edge's s end
+        a, b = span[:, None], span[None, :]
+        ends = np.array([(u, v, where[(min(u, v), max(u, v))]) for _, u, v in arcs],
+                        dtype=np.intp).reshape(-1, 3)
+        self._oriented_at = (ends[:, 2, None, None] * width * width + np.where(
+            (ends[:, 0] < ends[:, 1])[:, None, None], b * width + a, a * width + b))
+        self.roots = (node_rows[[0] * self.count],
+                      tuple(ranks([(k, 0, None) for k in range(self.count)])[0]))
+        self._rev_at = np.array([at[arc] for arc in rev], dtype=np.intp) + self._tops
+        # the parts only `solve` and the tree schedule read are built on first read
+        self._at, self._adjs = at, adjs
+        beliefs = int(sum(cards[u] for adj in adjs for u in range(n) if adj[u]))
+        self._splits = (beliefs, 2 * beliefs + 2 * S * width)
 
     @functools.cached_property
-    def down(self) -> list:
-        return self._batches(self._down_arcs)
+    def final(self) -> np.ndarray:
+        """The state entries `solve` reads at the end: a belief adds its last
+        incoming message to the cavity that leaves it out, the valid entries
+        of both, tree by tree and node by node; then each slot's cavities, s
+        side and t side; then each tree's removed constants in reverse visit
+        order.  `_splits` says where the second and the last part start."""
+        at, edges, width = self._at, self.graph.edges, self._width
+        last = [(at[(k, u, adj[u][-1])], at[(k, adj[u][-1], u)], u)
+                for k, adj in enumerate(self._adjs) for u in range(len(adj)) if adj[u]]
+        cav_arcs, msg_arcs, nodes = np.array(last, dtype=np.intp).reshape(-1, 3).T
+        valid = np.arange(width) < self.graph.cards[nodes][:, None]
+        slots = list(zip(self.tree.tolist(), self.edge.tolist()))
+        sides = ([at[(k, *edges[i])] for k, i in slots]
+                 + [at[(k, *edges[i][::-1])] for k, i in slots])
+        return np.concatenate((
+            self._rows(cav_arcs)[valid] + self._cav, self._rows(msg_arcs)[valid],
+            self._rows(sides).reshape(2, -1, width).transpose(1, 0, 2).reshape(-1) + self._cav,
+            self._rev_at))
 
     @functools.cached_property
-    def last(self) -> np.ndarray:
-        """A node's belief adds its last incoming message to the cavity
-        vector that leaves that one out: both are on the node's side of the
-        edge to its last neighbor.  These are the flat positions of those
-        sides' valid entries, tree by tree and node by node."""
-        cards = np.diff(np.append(self.graph.offsets, self.graph.size))
-        last = []
-        for k, adj in enumerate(self.adj):
-            for u, nbrs in enumerate(adj):
-                if nbrs:
-                    first = self.side[k][(u, nbrs[-1])] * len(self._span)
-                    last.extend(range(first, first + cards[u]))
-        return np.array(last, dtype=np.intp)
+    def slot_nodes(self) -> np.ndarray:
+        """Each slot's s and t side node entries in a (T, N) stack of node
+        vectors."""
+        return self.tree[:, None, None] * self.graph.size + self.graph.idx[self.edge]
+
+    @functools.cached_property
+    def slot_entries(self) -> np.ndarray:
+        """Each slot's table entries in an (E, M, M) stack, slot by slot."""
+        return (self.edge[:, None] * self._width ** 2 + np.arange(self._width ** 2)).reshape(-1)
 
     @functools.cached_property
     def by_edge(self) -> tuple:
@@ -492,101 +559,81 @@ class _TreeLayout:
         order = np.argsort(self.edge, kind="stable")
         return order, np.searchsorted(self.edge[order], np.arange(len(self.graph.edges)))
 
-    def _entries(self, rows) -> np.ndarray:
-        """The flat positions of the entries of M-wide rows, row by row."""
-        width = len(self._span)
-        return np.array([r * width + j for r in rows for j in range(width)], dtype=np.intp)
+    def _rows(self, ps) -> np.ndarray:
+        """The state entries of message rows `ps`, one row of M per p."""
+        return np.array(ps, dtype=np.intp).reshape(-1, 1) * self._width + np.arange(self._width)
 
-    def _batches(self, arcs) -> list:
-        """One batch per level for arcs (level, tree, sender, receiver): the
-        rows of the oriented tables, the plan of the senders' cavity sums,
-        the cavity and message entries it writes and the senders' entries
-        in a (T, n) stack."""
-        n, E = len(self.graph.offsets), len(self.graph.edges)
-        levels = {}
-        for level, k, u, v in arcs:
-            levels.setdefault(level, []).append((k, u, v))
-        out = []
-        for _, group in sorted(levels.items()):
-            out.append((np.array([self._where[(min(u, v), max(u, v))] + (E if u < v else 0)
-                                  for _, u, v in group], dtype=np.intp),
-                        self._sum_plan(group),
-                        self._entries([self.side[k][(u, v)] for k, u, v in group]),
-                        self._entries([self.side[k][(v, u)] for k, u, v in group]).reshape(
-                            len(group), -1),
-                        np.array([k * n + u for k, u, _ in group], dtype=np.intp)))
-        return out
+    def _run(self, node, tables, batches, arcs) -> np.ndarray:
+        """The state buffer after `batches`, which send the first `arcs` arcs."""
+        state = np.empty(self._tops + arcs)
+        state[self._zero] = -0.0
+        msg = state[:self._zero].reshape(-1, self._width)
+        cav = state[self._cav:self._tops].reshape(-1, self._width)
+        tops = state[self._tops:]
+        cav[:arcs] = np.append(node, -np.inf)[self._cav_node[:arcs]]
+        oriented = tables.take(self._oriented_at[:arcs])
+        for lo, hi, ranks in batches:
+            c, out, top = cav[lo:hi], msg[lo:hi], tops[lo:hi]
+            for src in ranks:
+                c += state[src]
+            (oriented[lo:hi] + c[:, None, :]).max(axis=2, out=out)
+            out.max(axis=1, out=top)
+            out -= top[:, None]
+        return state
 
-    def _sum_plan(self, rows):
-        """Index plan for the sums node[u] + the messages into u in tree k,
-        in adjacency order, leaving out the one from `skip`, for rows
-        (k, u, skip): u's entries of the padded node vector, concatenated,
-        and per rank the entries of the sums that add a message and of the
-        messages they add."""
-        ranks = []
-        for b, (k, u, skip) in enumerate(rows):
-            r = 0
-            for c in self.adj[k][u]:
-                if c != skip:
-                    if r == len(ranks):
-                        ranks.append(([], []))
-                    ranks[r][0].append(b)
-                    ranks[r][1].append(self.side[k][(u, c)])
-                    r += 1
-        return (self._node_rows[[u for _, u, _ in rows]].ravel(),
-                [(self._entries(dst), self._entries(src)) for dst, src in ranks])
-
-    @staticmethod
-    def _sums(plan, node, msg) -> np.ndarray:
-        sums = node[plan[0]]
-        for dst, src in plan[1]:
-            sums[dst] += msg[src]
-        return sums
-
-    def _pass(self, batches, node, oriented, msg, cav, tops=None):
-        for rows, plan, at_cav, at_msg, at_top in batches:
-            c = self._sums(plan, node, msg)
-            cav[at_cav] = c
-            out = (oriented[rows] + c.reshape(len(rows), 1, -1)).max(axis=2)
-            top = out.max(axis=1)
-            msg[at_msg] = out - top[:, None]
-            if tops is not None:
-                tops[at_top] = top
-
-    def _upward(self, node, tables):
-        node = np.append(node, -np.inf)
-        oriented = np.concatenate((tables, tables.transpose(0, 2, 1)))
-        msg = np.zeros(2 * len(self.edge) * len(self._span))
-        cav = np.zeros_like(msg)
-        tops = np.zeros(self.count * len(self.graph.offsets))
-        self._pass(self.up, node, oriented, msg, cav, tops)
-        return node, oriented, msg, cav, tops
+    def _root_beliefs(self, node, state) -> np.ndarray:
+        rows, ranks = self.roots
+        beliefs = np.append(node, -np.inf)[rows]
+        for src in ranks:
+            beliefs += state[src]
+        return beliefs
 
     def _values(self, root_max, tops) -> list:
         """Each tree's optimal value: its root belief's max plus the constants
         the upward pass removed, summed in reverse visit order."""
-        return (root_max + _sum_in_order(tops[self.rev].reshape(self.count, -1).T)).tolist()
+        return (root_max + _sum_in_order(tops.reshape(self.count, -1).T)).tolist()
 
     def map_values(self, node: np.ndarray, tables: np.ndarray) -> list:
         """Each tree's optimal value (the upward pass only), from a node
         vector and a table stack of the graph."""
-        node, _, msg, _, tops = self._upward(node, tables)
-        roots = self._sums(self.roots, node, msg).reshape(self.count, -1)
-        return self._values(roots.max(axis=1), tops)
+        state = self._run(node, tables, self.up, len(self.edge))
+        roots = self._root_beliefs(node, state)
+        return self._values(roots.max(axis=1), state.take(self._rev_at))
 
     def solve(self, node: np.ndarray, tables: np.ndarray) -> tuple:
         """Both passes: (node max-marginals as a (T, N) stack, the edge
         max-marginals of the slots as an (S, M, M) stack, each tree's
         optimal value)."""
-        node, oriented, msg, cav, tops = self._upward(node, tables)
-        self._pass(self.down, node, oriented, msg, cav)
+        state = self._run(node, tables, self.up + self.down, 2 * len(self.edge))
+        final = state.take(self.final)
+        b, s = self._splits
         # a one-node tree has no edges: its belief is the root's node table
-        beliefs = (cav[self.last] + msg[self.last] if len(self.edge)
-                   else self._sums(self.roots, node, msg)).reshape(self.count, -1)
+        beliefs = (final[:b] + final[b:2 * b] if len(self.edge)
+                   else self._root_beliefs(node, state)).reshape(self.count, -1)
         top = self.graph.node_max(beliefs)
-        sides = cav.reshape(len(self.edge), 2, len(self._span))
+        sides = final[2 * b:s].reshape(len(self.edge), 2, self._width)
         edge = _normalized(tables[self.edge] + sides[:, 0, :, None] + sides[:, 1, None, :])
-        return beliefs - top, edge, self._values(top[:, 0], tops)
+        return beliefs - top, edge, self._values(top[:, 0], final[s:])
+
+    def edge_sum(self, slot_values: np.ndarray) -> np.ndarray:
+        """Per-slot values, a vector or an (S, M, M) table stack, summed
+        onto their edges from 0 in slot order, which is tree order: one
+        `np.bincount`, which adds its weights in input order."""
+        E = len(self.graph.edges)
+        if slot_values.ndim == 1:
+            return np.bincount(self.edge, slot_values, E)
+        shape = (E,) + slot_values.shape[1:]
+        return np.bincount(self.slot_entries, slot_values.reshape(-1),
+                           math.prod(shape)).reshape(shape)
+
+
+def _levels(arcs) -> list:
+    """The arcs of (level, arc) pairs grouped by level, lowest first, each
+    group in the given order."""
+    levels = {}
+    for level, arc in arcs:
+        levels.setdefault(level, []).append(arc)
+    return [group for _, group in sorted(levels.items())]
 
 
 def _tree_parameter(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):

@@ -18,9 +18,15 @@ message entries are 0, so no step subtracts -inf from -inf.  A step maps
 one state (a tuple of such arrays) to the next with no loop over edges, and
 `_iterate`, the one loop for both schedules, applies it and stops on the
 max log change of the valid entries.  The per-node sums over incident edges
-are one `np.add.at` of the valid entries, edge by edge (s side, then t
-side) in schedule order, so each entry sees the same floating-point
-operations in the same order as a per-edge loop.  `PseudoMaxMarginals` and
+add the valid entries edge by edge (s side, then t side) in schedule order,
+so each entry sees the same floating-point operations in the same order as
+a per-edge loop: onto zeros, as the message step's are, that is one
+`np.bincount`, which adds its weights in input order; onto a node vector,
+as the reparameterization step's are, one `np.add.at`.  The message step
+adds the cavities to an oriented (E, 2, M, M) stack, each edge's table and
+its transpose, built on a run's first message step (never for the
+reparameterization schedule), so both directions of every edge are one add
+and one max over the trailing axis.  `PseudoMaxMarginals` and
 `MessageSet` are the boundary types, built once at the end of a run; the
 former takes the padded stack as it is and keeps the run's layout, which
 the certificate search and the checks read.  The per-iteration bound of an
@@ -40,9 +46,12 @@ array operations.  Its layouts come from `_tree_plan`, a small cache keyed
 on (cardinalities, edges, trees): every run on one graph and tree set, such
 as every cell of the grid experiment, shares one plan, built whole on the
 first run with every array read-only, so results that keep its layout stay
-immutable.  Sums over trees run in support order (`_tree_sum`), and
-every ordered sum, such as a bound's weighted tree values, is added left to
-right (`model._sum_in_order`).
+immutable.  The experiment's two-tree distribution is cached per grid shape
+too (`_grid_trees`).  Sums over trees run in support order (`_tree_sum`):
+the node tables by `model._sum_in_order`, and the slots onto their edges by
+one `np.bincount` (`_TreeLayout.edge_sum`), as are the bound's combined
+first entries; every ordered sum, such as a bound's weighted tree values,
+is added left to right (`model._sum_in_order`).
 `check_reparameterization` takes pseudo-max-marginals, or explicit tree
 parameters, one `PairwiseMrf` per tree checked by `treedp._tree_parameter`.
 The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
@@ -71,7 +80,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import Edge, PairwiseMrf, StructureError, _checked_rho, _freeze, _sum_in_order
-from .trees import TreeDistribution, edge_appearance
+from .trees import TreeDistribution, edge_appearance, grid_two_tree_distribution
 from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, _guard_states, _Layout, _normalized, _top,
                      _tree_parameter, _TreeLayout, assignment_scores)
 
@@ -192,26 +201,35 @@ class _FlatMrf(_Layout):
 
     # --- messages: one (E, 2, M) array --------------------------------------
 
+    @functools.cached_property
+    def _oriented(self) -> np.ndarray:
+        """(E, 2, M, M): [k, 0] the k-th table, rows x_s, and [k, 1] its
+        transpose, rows x_t, so both directions maximize over the last axis."""
+        return np.stack((self.table, self.table.transpose(0, 2, 1)), axis=1)
+
+    @functools.cached_property
+    def _pad_at(self) -> np.ndarray:
+        return np.flatnonzero(self.pad)
+
     def unit_messages(self) -> tuple:
         return (np.zeros(self.idx.shape),)
 
     def _cavities(self, msgs: np.ndarray) -> tuple:
         """(h, h[idx] - msgs): h is the node vector theta_s plus
         sum over neighbors v of rho_vs * log M_vs."""
-        h = self.theta_node + self.accumulate(np.zeros(self.size),
-                                              self.rho[:, None, None] * msgs)
+        weighted = (self.rho[:, None, None] * msgs).take(self.sides)
+        h = self.theta_node + np.bincount(self._target, weighted, self.size)
         return h, h[self.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
         _, cav = self._cavities(msgs[0])
         # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s
-        new = np.stack((_top(self.table + cav[:, 1, None, :], 2),
-                        _top(self.table + cav[:, 0, :, None], 1)), axis=1)
+        new = _top(self._oriented + cav[:, ::-1, None, :], 3)
         new -= _top(new, 2)[..., None]
         if damping < 1.0:
             new = _damp(new, msgs[0], damping)
             new -= _top(new, 2)[..., None]
-        new[self.pad] = 0.0
+        new.put(self._pad_at, 0.0)
         return (new,)
 
     def pseudo_from_messages(self, msgs: tuple) -> tuple:
@@ -489,7 +507,8 @@ class _ZeroOffset:
     Called with the combined parameter's first entries: one per node, in
     node order, and one per edge, in the order of `layout`.  The terms are
     summed in order: c - theta node by node, then +c and -theta edge by
-    edge in model order.
+    edge in model order.  They go into one buffer, filled in place on each
+    call, that starts with the 0 of `model._sum_in_order`.
     """
 
     def __init__(self, mrf: PairwiseMrf, layout: _Layout):
@@ -497,11 +516,15 @@ class _ZeroOffset:
         self.order = np.array([where[e] for e in mrf.edges], dtype=np.intp)
         node_off, edge_off = mrf.offsets
         self.theta_node = mrf.node_vector[node_off]
-        self.minus_theta_edge = -mrf.edge_vector[edge_off[:-1] - edge_off[0]]
+        n = len(node_off)
+        self.terms = np.zeros(1 + n + 2 * len(self.order))
+        self.terms[n + 2::2] = -mrf.edge_vector[edge_off[:-1] - edge_off[0]]
+        self.node_terms, self.edge_terms = self.terms[1:n + 1], self.terms[n + 1::2]
 
     def __call__(self, node: np.ndarray, edge: np.ndarray) -> float:
-        edge_terms = np.stack((edge[self.order], self.minus_theta_edge), axis=1)
-        return float(_sum_in_order(np.concatenate((node - self.theta_node, edge_terms.ravel()))))
+        np.subtract(node, self.theta_node, out=self.node_terms)
+        self.edge_terms[:] = edge[self.order]
+        return float(np.add.accumulate(self.terms)[-1])
 
 
 def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: PairwiseMrf) -> float:
@@ -612,10 +635,11 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
 def _tree_plan(cardinalities: tuple, edges: tuple, trees: tuple) -> _TreeLayout:
     """The `_TreeLayout` of `trees` on the `_Layout` of a graph, built once
     per (cardinalities, edges, trees) and shared by every run on that
-    shape: all of it, the downward plan too, is built here, and every array
-    in it is read-only."""
+    shape: all of it, the parts only `solve` and the tree schedule read
+    too, is built here, and every array in it is read-only."""
     plan = _TreeLayout(_Layout(cardinalities, edges), trees)
-    parts = [vars(plan), vars(plan.graph), plan.down, plan.last, plan.by_edge]
+    parts = [vars(plan), vars(plan.graph), plan.final, plan.slot_nodes, plan.slot_entries,
+             plan.by_edge]
     while parts:
         part = parts.pop()
         if isinstance(part, np.ndarray):
@@ -625,6 +649,14 @@ def _tree_plan(cardinalities: tuple, edges: tuple, trees: tuple) -> _TreeLayout:
         elif isinstance(part, dict):
             parts.extend(part.values())
     return plan
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_trees(rows: int, cols: int) -> TreeDistribution:
+    """`grid_two_tree_distribution(rows, cols)`, built and checked once per
+    shape and shared by every experiment cell of that shape: a frozen
+    dataclass whose weights are read-only."""
+    return grid_two_tree_distribution(rows, cols)
 
 
 def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
@@ -656,6 +688,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     graph = trees.graph
     w = np.array([wk for _, wk in support])
     rho = np.array([rho_e[e] for e in graph.edges])[:, None, None]
+    w_slot = w[trees.tree]
     offset = _ZeroOffset(mrf, graph)
     node, edge = mrf.node_vector, graph.model_tables(mrf)
     bound_trace = []
@@ -670,9 +703,8 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
         # the offset sums the tree parameters over the trees, as the bound
         # is defined; taking `node` and `edge` as their sum instead would
         # move the bound in the last ulps
-        firsts = node[graph.offsets]
-        combined = _tree_sum(trees, w, np.broadcast_to(firsts, (len(w), len(firsts))),
-                             split[trees.edge, 0, 0])
+        combined = (_sum_in_order(w[:, None] * node[graph.offsets]),
+                    trees.edge_sum(w_slot * split[trees.edge, 0, 0]))
         bound_trace.append(float(_sum_in_order(w * values)) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
             trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
@@ -684,7 +716,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
             converged = True
             terminated_by = "max_marginal_agreement"
             break
-        near = node_mm.ravel()[trees.tree[:, None, None] * graph.size + graph.idx[trees.edge]]
+        near = node_mm.take(trees.slot_nodes)
         theta = (edge_mm - near[:, 0, :, None]) - near[:, 1, None, :]
         merged_node, merged_edge = _tree_sum(trees, w, node_mm, theta)
         node = _damp(merged_node, node, config.damping)
@@ -710,12 +742,10 @@ def _tree_sum(trees: _TreeLayout, w: np.ndarray, node: np.ndarray,
               slot_tables: np.ndarray) -> tuple:
     """Sum over the trees of w_k times tree k's tables, in tree order: node
     tables from a stack over the trees (first axis), edge tables from a
-    stack over the slots, each slot added onto its edge's row.  An edge sums
-    over the trees that hold it."""
-    edge = np.zeros((len(trees.graph.edges),) + slot_tables.shape[1:])
-    np.add.at(edge, trees.edge,
-              w[trees.tree].reshape((-1,) + (1,) * (slot_tables.ndim - 1)) * slot_tables)
-    return _sum_in_order(w[:, None] * node), edge
+    stack over the slots, each slot added onto its edge (`edge_sum`).  An
+    edge sums over the trees that hold it."""
+    return (_sum_in_order(w[:, None] * node),
+            trees.edge_sum(w[trees.tree][:, None, None] * slot_tables))
 
 
 def _shared_tree_optimum(trees: _TreeLayout, node_masks: np.ndarray, edge_masks):

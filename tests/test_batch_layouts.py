@@ -1,0 +1,170 @@
+"""The batch-ordered layouts of the two schedules against the slot-ordered
+forms they replaced, kept in `slot_reference`.
+
+The message kernel computes both directions of an edge from one oriented
+table stack, and the tree DP keeps its cavities, messages and removed
+constants in batch order.  Both must perform the same floating-point
+operations on every entry in the same order as before, so every result is
+`np.array_equal` to the reference's and has the same sign bits, zeros
+included.  The models are the `grid4_paper` benchmark pools of seeds 1-3,
+the padded mixed-cardinality cases of `test_padded_kernels`, random trees
+with 2 to 4 states per node, and tables of signed zeros, on which the DP's
+buffers themselves are compared.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import slot_reference as ref
+from conftest import random_graph_mrf, random_tree_mrf
+from test_padded_kernels import CASES, random_rho
+from trwmap import (SpanningTree, TrwConfig, cli, grid_two_tree_distribution, run_tree_updates,
+                    run_trw, tree_map_value, tree_max_marginals, trw, uniform_rho,
+                    uniform_tree_distribution)
+from trwmap.treedp import _Layout, _TreeLayout
+from trwmap.trw import _FlatMrf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import Grid4Paper  # noqa: E402
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_same_result(got, want):
+    for field in ("iterations", "converged", "certificate_indeterminate", "variant",
+                  "terminated_by", "messages_per_edge"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert_same_bits(got.nu.node, want.nu.node)
+    assert_same_bits(got.nu.tables, want.nu.tables)
+    assert_same_bits(got.bound_trace, want.bound_trace)
+    assert (got.certificate is None) == (want.certificate is None)
+    if want.certificate is not None:
+        assert np.array_equal(got.certificate, want.certificate)
+    assert (got.messages is None) == (want.messages is None)
+    if want.messages is not None:
+        assert list(got.messages.log_m) == list(want.messages.log_m)
+        for key, m in want.messages.log_m.items():
+            assert_same_bits(got.messages.log_m[key], m)
+
+
+@pytest.fixture
+def reference_run_trw(monkeypatch):
+    """`run_trw` on the slot-ordered message kernel, tree DP and offset."""
+    def run(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(trw, "_FlatMrf", ref.SlotFlatMrf)
+            m.setattr(trw, "_TreeLayout", ref.SlotTreeLayout)
+            m.setattr(trw, "_ZeroOffset", ref.ZeroOffset)
+            return run_trw(*args, **kwargs)
+    return run
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paper_pool_runs_equal_slot_order(seed, reference_run_trw):
+    # each cell as `run_experiment` runs it: both schedules, 40 iterations at most
+    dist = grid_two_tree_distribution(4, 4)
+    outcomes = set()
+    for spec in Grid4Paper().setup(seed, None):
+        mrf = cli._draw_grid_model(spec, 0, 0)
+        config = TrwConfig(damping=spec.damping, tol=spec.eps, max_iterations=spec.max_iters)
+        assert_same_result(run_trw(mrf, uniform_rho(mrf), config),
+                           reference_run_trw(mrf, uniform_rho(mrf), config))
+        tree = run_tree_updates(mrf, dist, config)
+        assert_same_result(tree, ref.run_tree_updates(mrf, dist, config))
+        outcomes.add(tree.terminated_by)
+    assert outcomes == {"tree_agreement", "max_iterations"}
+
+
+def test_paper_pool_bound_traces_equal_slot_order(reference_run_trw):
+    dist = grid_two_tree_distribution(4, 4)
+    for spec in Grid4Paper().setup(1, None)[:20]:
+        mrf = cli._draw_grid_model(spec, 0, 0)
+        config = TrwConfig(max_iterations=spec.max_iters)
+        for variant in ("messages", "reparam"):
+            got = run_trw(mrf, dist, config, variant=variant)
+            assert len(got.bound_trace) == got.iterations + 1
+            assert_same_result(got, reference_run_trw(mrf, dist, config, variant=variant))
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_message_step_equals_slot_order(index, damping):
+    mrf, _ = CASES[index]
+    rho = random_rho(np.random.default_rng(index), mrf)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
+    old = ref.SlotFlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
+    got = want = flat.unit_messages()
+    for _ in range(100):
+        got, want = flat.message_step(got, damping), old.message_step(want, damping)
+        assert_same_bits(got[0], want[0])
+        for a, b in zip(flat._cavities(got[0]), old._cavities(want[0])):
+            assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("variant", ["messages", "reparam"])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_padded_runs_with_trees_equal_slot_order(index, variant, reference_run_trw):
+    # the bound observer runs the tree DP on padded stacks every iteration
+    mrf, dist = CASES[index]
+    config = TrwConfig(max_iterations=60)
+    assert_same_result(run_trw(mrf, dist, config, variant=variant),
+                       reference_run_trw(mrf, dist, config, variant=variant))
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_padded_tree_updates_equal_slot_order(index, damping):
+    mrf, dist = CASES[index]
+    config = TrwConfig(damping=damping, max_iterations=60)
+    assert_same_result(run_tree_updates(mrf, dist, config),
+                       ref.run_tree_updates(mrf, dist, config))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dp_buffers_equal_slot_order_on_signed_zeros(seed):
+    # tables of -0.0 and 0.0 only: a cavity's sign shows whether the ranks
+    # an arc lacks add -0.0, which the normalized results wash out
+    rng = np.random.default_rng(19_100 + seed)
+    mrf = random_graph_mrf(rng, n_nodes=5, card_choices=(2, 3))
+    trees = [tree for tree, _ in uniform_tree_distribution(mrf).support_items()]
+    graph = _Layout(mrf.cardinalities, mrf.edges)
+    width = graph.pad.shape[2]
+    node = np.where(rng.random(graph.size) < 0.5, -0.0, 0.0)
+    tables = np.where(rng.random((len(graph.edges), width, width)) < 0.5, -0.0, 0.0)
+    tables[graph.pad[:, 0, :, None] | graph.pad[:, 1, None, :]] = -np.inf
+    new, old = _TreeLayout(graph, trees), ref.SlotTreeLayout(graph, trees)
+    state = new._run(node, tables, new.up + new.down, 2 * len(new.edge))
+    node_ext, oriented, msg, cav, tops = old._upward(node, tables)
+    old._pass(old.down, node_ext, oriented, msg, cav)
+    # the slots' cavities in slot order, and the messages into their sides:
+    # the side of x on {x, y} receives the message whose sender y's cavity
+    # is the other side
+    b, s = new._splits
+    sides = new.final[2 * b:s]
+    assert_same_bits(state.take(sides), cav)
+    into = (sides - new._cav).reshape(-1, 2, width)[:, ::-1]
+    assert_same_bits(state.take(into).reshape(-1), msg)
+    assert_same_bits(state.take(new.final[s:]), tops[old.rev])
+    for a, c in zip(new.solve(node, tables), old.solve(node, tables)):
+        assert_same_bits(a, c)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_tree_wrappers_equal_slot_order(seed):
+    rng = np.random.default_rng(19_000 + seed)
+    mrf = random_tree_mrf(rng, n_nodes=int(rng.integers(2, 12)), card_choices=(2, 3, 4))
+    tree = SpanningTree(mrf.edges)
+    node_mm, edge_mm, (value,) = ref.tree_max_marginals(mrf, tree)
+    got = tree_max_marginals(mrf, tree)
+    assert_same_bits(got.node, node_mm[0])
+    assert_same_bits(got.tables, edge_mm)
+    assert tree_map_value(mrf, tree) == ref.tree_map_value(mrf, tree) == value
+    assert np.signbit(tree_map_value(mrf, tree)) == np.signbit(value)

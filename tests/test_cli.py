@@ -288,6 +288,25 @@ class TestExperiment:
             if r.oracle_match:
                 assert r.certificate
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--gammas", "inf"], "gammas: coupling strengths must be finite and non-negative, got inf"),
+        (["--gammas", "1,nan"], "gammas: coupling strengths must be finite and non-negative, got nan"),
+        (["--gammas", "0.5,-1"], "gammas: coupling strengths must be finite and non-negative, "
+                                 "got -1.0"),
+        (["--trials", "-1"], "trials: expected a non-negative integer, got -1"),
+        (["--seed", "-1"], "seed: expected a non-negative integer, got -1"),
+    ])
+    def test_bad_spec_is_rejected_before_any_row(self, argv, message):
+        code, out = run_cli(["experiment", "--rows", "2", "--cols", "2", "--trials", "1",
+                             *argv])
+        assert code == 1
+        assert out == f"error: {message}\n"
+
+    def test_spec_takes_numpy_integers(self):
+        spec = ExperimentSpec(rows=2, cols=2, regime="mixed", gammas=(1.0,),
+                              trials=np.int64(2), seed=np.int64(3))
+        assert len(run_experiment(spec)) == 4
+
     def test_csv_via_stdout(self):
         code, out = run_cli(["experiment", "--rows", "2", "--cols", "2",
                              "--gammas", "0.3", "--trials", "1", "--seed", "1",

@@ -148,13 +148,26 @@ def test_certificate_search_on_1600_nodes_within_recursion_limit():
         assert m[cert.assignment[s], cert.assignment[t]] >= m.max() - 1e-9
 
 
-def test_experiment_csv_is_byte_identical_to_golden():
+def experiment_csv(regime):
     out = io.StringIO()
-    code = cli.main(["experiment", "--rows", "4", "--cols", "4", "--regime", "mixed",
+    code = cli.main(["experiment", "--rows", "4", "--cols", "4", "--regime", regime,
                      "--trials", "3", "--max-iters", "100", "--seed", "7",
                      "--verify-oracle"], out=out)
     assert code == 0
-    assert out.getvalue().encode("utf-8") == (DATA / "experiment_mixed_4x4_seed7.csv").read_bytes()
+    return out.getvalue().encode("utf-8")
+
+
+def test_experiment_csv_is_byte_identical_to_golden():
+    assert experiment_csv("mixed") == (DATA / "experiment_mixed_4x4_seed7.csv").read_bytes()
+
+
+def test_attractive_experiment_csv_is_byte_identical_to_golden():
+    # converged and capped runs of both schedules, two tree runs without a certificate
+    golden = (DATA / "experiment_attractive_4x4_seed7.csv").read_bytes()
+    assert experiment_csv("attractive") == golden
+    rows = [line.split(",") for line in golden.decode().splitlines()[1:]]
+    assert {(r[2], r[4]) for r in rows} == {(m, c) for m in ("edge", "tree")
+                                            for c in ("true", "false")}
 
 
 # --- tree layer ---------------------------------------------------------------

@@ -14,10 +14,10 @@ import pytest
 
 from trwmap import (CapacityError, PairwiseMrf, StructureError, TrwConfig, brute_force_map,
                     grid_edges, grid_map, ising_to_overcomplete, run_tree_updates, save_model)
-from trwmap.cli import ExperimentSpec, _draw_grid_model, main
+from trwmap.cli import ExperimentSpec, _draw_grid_model, main, run_experiment
 from trwmap.treedp import GRID_OPTIMA_GUARD, _Layout, grid_shape
 from trwmap.trees import grid_two_tree_distribution
-from trwmap.trw import _tree_plan
+from trwmap.trw import _grid_trees, _tree_plan
 
 PAPER_GAMMAS = (0.2, 0.5, 1.0, 1.5, 2.0)
 
@@ -233,11 +233,42 @@ def test_cached_plan_arrays_are_read_only():
     dist = grid_two_tree_distribution(4, 4)
     run_tree_updates(mrf, dist, TrwConfig(max_iterations=2))
     plan = _tree_plan(mrf.cardinalities, mrf.edges, dist.trees)
-    arrays = [plan.graph.idx, plan.graph.offsets, plan.graph.entries, plan.edge, plan.rev,
-              plan.last, plan.by_edge[0], plan.up[0][0], plan.roots[1][0][0], plan.down[-1][2]]
+    arrays = [plan.graph.idx, plan.graph.offsets, plan.graph.entries, plan.edge, plan.final,
+              plan.slot_nodes, plan.slot_entries, plan.by_edge[0], plan.up[-1][2][0],
+              plan.roots[0], plan.roots[1][0], plan.down[-1][2][0]]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.reshape(-1)[0] = 0
+    # and every other array the plan holds, in its batches too
+    parts, seen = [vars(plan), vars(plan.graph)], 0
+    while parts:
+        part = parts.pop()
+        if isinstance(part, np.ndarray):
+            assert not part.flags.writeable
+            seen += 1
+        elif isinstance(part, (tuple, list)):
+            parts.extend(part)
+        elif isinstance(part, dict):
+            parts.extend(part.values())
+    assert seen > len(arrays)
+
+
+def test_experiment_shares_one_two_tree_distribution_per_shape(monkeypatch):
+    built = []
+    monkeypatch.setattr("trwmap.trw.grid_two_tree_distribution",
+                        lambda rows, cols: built.append((rows, cols)) or
+                        grid_two_tree_distribution(rows, cols))
+    _grid_trees.cache_clear()
+    for seed in (1, 2):
+        run_experiment(ExperimentSpec(rows=3, cols=4, regime="mixed", gammas=(1.0,), trials=1,
+                                      seed=seed, max_iters=5))
+    assert built == [(3, 4)]
+    dist = _grid_trees(3, 4)
+    fresh = grid_two_tree_distribution(3, 4)
+    assert dist.trees == fresh.trees and np.array_equal(dist.weights, fresh.weights)
+    with pytest.raises(ValueError, match="read-only"):
+        dist.weights[0] = 1.0
+    _grid_trees.cache_clear()
 
 
 def test_results_are_equal_with_and_without_a_warm_cache():
