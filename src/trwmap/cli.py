@@ -26,7 +26,7 @@ from .trees import (TreeDistribution, grid_edges, load_tree_distribution,
 from .treedp import (BRUTE_FORCE_GUARD, _grid_lines, brute_force_map, check_edge_consistency,
                      grid_map, grid_shape)
 from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _grid_trees, _tie_masks,
-                  check_reparameterization, resolve_rho, run_trw, run_tree_updates, uniform_rho)
+                  check_reparameterization, resolve_rho, run_trw, run_tree_updates)
 from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
@@ -121,7 +121,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
         for trial in range(spec.trials):
             mrf = _draw_grid_model(spec, gi, trial)
             oracle = grid_map(mrf, spec.rows, spec.cols) if spec.verify_oracle else None
-            edge_res = run_trw(mrf, uniform_rho(mrf), config, variant="messages")
+            edge_res = run_trw(mrf, None, config, variant="messages")
             tree_res = run_tree_updates(mrf, dist, config)
             for method, res in (("edge", edge_res), ("tree", tree_res)):
                 cert = res.certificate

@@ -10,12 +10,14 @@ pseudomarginal tau is a `PairwiseMrf` on its model's graph whose packed
 vectors are the LP vector, checked by the one sequence every model goes
 through.  The local-polytope test and the vertex classification read those
 vectors and the `_Layout` table stack, and the marginal-polytope oracle
-takes tau alone, on tau's graph.  The Lagrangian dual,
-with multipliers from message fixed points, is evaluated on the padded edge
-stack of `treedp._Layout`: the multipliers are one (E, 2, M) array, 0 on
-padded states, so subtracting them leaves the -inf padding in place.
-Message sets are read only through their `log_m` tables, so the LP layer
-does not import the solver at run time.
+takes tau alone, on tau's graph.  The Lagrange multipliers lambda share the
+messages' index set, one vector per edge direction over the receiver's
+states, so lambda is a `treedp.MessageSet`: `dual_from_messages` builds it
+on nu's layout from the messages and one (E, 2) array of parent weights,
+and the dual is evaluated on the padded edge stack of `treedp._Layout`,
+where lambda is one (E, 2, M) array, 0 on padded states, so subtracting it
+leaves the -inf padding in place.  Message sets live in `treedp`, next to
+`MaxMarginals`, so the LP layer does not import the solver.
 
 The dense two-phase simplex uses Bland's anti-cycling rule.  Its tableau
 carries the reduced-cost row c_B T - c as its last row, which each pivot
@@ -28,17 +30,13 @@ they reproduce pivot for pivot is kept in `tests/lp_reference.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import (Edge, PairwiseMrf, StructureError, _checked_rho, _indicator_index,
-                    check_assignment)
-from .trees import TreeDistribution
-from .treedp import MaxMarginals, _guard_states, _Layout
-
-if TYPE_CHECKING:
-    from .trw import MessageSet
+from .model import Edge, PairwiseMrf, _checked_rho, _indicator_index, check_assignment
+from .trees import TreeDistribution, _appearance
+from .treedp import MaxMarginals, MessageSet, _guard_states, _Layout
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -292,50 +290,38 @@ def in_marginal_polytope(tau: PairwiseMrf) -> bool:
     return simplex_solve(LinearProgram(np.zeros(total), A, b)).status == "optimal"
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """One multiplier vector per edge direction; lam[(t, s)] is indexed by
-    states of s and prices the constraint tying tau_s to the edge table."""
-
-    lam: Mapping[tuple, np.ndarray]
-
-
 def dual_from_messages(msgs: MessageSet, nu: MaxMarginals,
-                       dist: TreeDistribution, root: int = 0) -> DualVector:
-    """Dual multipliers induced by a message fixed point.
+                       dist: TreeDistribution, root: int = 0) -> MessageSet:
+    """Dual multipliers induced by a message fixed point, on nu's layout.
 
     Root every supported tree at `root` and let w_ts be the total probability
-    of trees in which t is the parent of s.  The multiplier for the direction
-    t->s is the log message minus (w_ts / rho_st) times the node log table:
-    the node correction enters the Lagrangian through the rho-scaled
-    constraint terms, hence the division.  Requires an explicit tree
-    distribution; edge appearance weights alone do not determine parents.
+    of trees in which t is the parent of s: one (E, 2) array in the layout's
+    direction order.  The multiplier for the direction t->s is the log message
+    minus (w_ts / rho_st) times the node log table, 0 on padded states: the
+    node correction enters the Lagrangian through the rho-scaled constraint
+    terms, hence the division.  The messages enter by `_Layout.directed` and
+    rho by `trees.edge_appearance`'s check on nu's graph, so a message set,
+    max-marginals or distribution on another graph is a StructureError.
+    Requires an explicit tree distribution; edge appearance weights alone do
+    not determine parents.
     """
     if not isinstance(dist, TreeDistribution):
         raise TypeError("dual extraction requires explicit trees")
-    n = len(nu.log_node)
-    if not 0 <= root < n:
-        raise StructureError(f"root {root} out of range")
-    parent_weight: dict[tuple, float] = {}
-    rho_e: dict[Edge, float] = {}
-    for tree, w in dist.support_items():
-        parent = tree.parent_map(n, root)
-        for s in range(n):
-            t = parent[s]
-            if t >= 0:
-                parent_weight[(t, s)] = parent_weight.get((t, s), 0.0) + w
-        for e in tree.edges:
-            rho_e[e] = rho_e.get(e, 0.0) + w
-    lam = {}
-    for key, omega in msgs.log_m.items():
-        t, s = key
-        rho = rho_e.get((s, t) if s < t else (t, s), 0.0)
-        w = parent_weight.get(key, 0.0)
-        lam[key] = omega - (w / rho) * nu.log_node[s] if w else omega.copy()
-    return DualVector(lam)
+    layout = nu.layout
+    m, n = layout.directed(msgs.log_m), len(layout.cards)
+    rho = np.array(list(_appearance(dist, n, layout.edges).values()))
+    where = {e: k for k, e in enumerate(layout.edges)}
+    w = np.zeros((len(rho), 2))
+    for tree, weight in dist.support_items():
+        # parent t -> child s: column 0 of edge (s, t) when s < t, else column 1
+        arcs = [(s, t) for s, t in enumerate(tree.parent_map(n, root)) if t >= 0]
+        w[[where[min(a), max(a)] for a in arcs], [int(s > t) for s, t in arcs]] += weight
+    lam = m - (w / rho[:, None])[..., None] * nu.node[layout.idx]
+    lam[layout.pad] = 0.0
+    return MessageSet.on_layout(layout, lam)
 
 
-def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
+def evaluate_dual(lam: MessageSet, mrf: PairwiseMrf,
                   rho_e: Mapping[Edge, float]) -> float:
     """Value of the Lagrangian dual function at `lam`.
 
@@ -349,7 +335,7 @@ def evaluate_dual(lam: DualVector, mrf: PairwiseMrf,
     layout = _Layout(mrf.cardinalities, mrf.edges)
     node, tables = mrf.node_vector.copy(), layout.model_tables(mrf)
     rho = np.array([rho_e[e] for e in layout.edges])[:, None, None]
-    to = rho * layout.directed(lam.lam)
+    to = rho * layout.directed(lam.log_m)
     layout.accumulate(node, to)
     total = (tables - to[:, 0, :, None] - to[:, 1, None, :]).max(axis=(1, 2)).sum()
     return float(np.maximum.reduceat(node, layout.offsets).sum() + total)

@@ -27,7 +27,8 @@ them, it reads the valid entries or subtracts a 0-padded stack, so no
 of its packed edge vector (`_Layout.model_tables`).  A `MaxMarginals` keeps
 the layout it was computed on, with its node vector and table stack; its
 per-node and per-edge tables are views of them, built on first read, and
-`check_edge_consistency` tests every edge at once on them.
+`check_edge_consistency` tests every edge at once on them.  A `MessageSet`
+(messages, or the LP's multipliers) keeps its (E, 2, M) array the same way.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
 tree of a collection at once, each rooted at node 0.  Both passes send one
@@ -118,6 +119,37 @@ class MaxMarginals:
     @functools.cached_property
     def log_edge(self) -> Mapping[Edge, np.ndarray]:
         return self.layout.edge_views(self.tables)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class MessageSet:
+    """Directed positive messages, one vector per edge direction, as logs.
+
+    log_m[(t, s)] is the log message sent from t to s, indexed by states of s.
+    The Lagrange multipliers of `lp.dual_from_messages` share this index set
+    and are a message set too.  A message set built on a layout keeps its
+    (E, 2, M) array and builds `log_m`, views of it, on first read.
+    """
+
+    def __init__(self, log_m: Mapping[tuple, np.ndarray]):
+        object.__setattr__(self, "log_m", log_m)
+
+    @classmethod
+    def on_layout(cls, layout: _Layout, msgs: np.ndarray) -> MessageSet:
+        """From an (E, 2, M) message array of `layout`: [k, 0] is t -> s of
+        the k-th edge (s, t), [k, 1] is s -> t."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_msgs", msgs)
+        return self
+
+    @functools.cached_property
+    def log_m(self) -> Mapping[tuple, np.ndarray]:
+        logs = {}
+        for (s, t), m, (ms, mt) in zip(self._layout.edges, self._msgs, self._layout.edge_cards):
+            logs[(t, s)] = m[0, :ms]
+            logs[(s, t)] = m[1, :mt]
+        return logs
 
 
 @dataclass(frozen=True)
@@ -725,8 +757,13 @@ def backtrack_optimum(nu: MaxMarginals, tree: SpanningTree, root: int = 0) -> np
 
     Picks an optimal root state, then walks parent-to-child choosing a child
     state jointly optimal with the parent's.  Ties break to the lowest state.
+    The tree must span nu's nodes on edges that carry a table of nu.
     """
-    n = len(nu.log_node)
+    n = len(nu.layout.cards)
+    tree.validate(n)
+    lacking = set(tree.edges) - set(nu.layout.edges)
+    if lacking:
+        raise StructureError(f"tree edge {min(lacking)} has no table in the max-marginals")
     parent = tree.parent_map(n, root)
     adj = tree.neighbors(n)
     x = np.full(n, -1, dtype=int)

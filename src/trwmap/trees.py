@@ -171,9 +171,15 @@ def uniform_tree_distribution(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) 
 
 def edge_appearance(dist: TreeDistribution, mrf: PairwiseMrf) -> dict:
     """rho_e = total weight of support trees containing each graph edge."""
-    if dist.node_count != mrf.node_count:
-        raise StructureError("tree distribution is for a different node count")
-    rho = {e: 0.0 for e in mrf.edges}
+    return _appearance(dist, mrf.node_count, mrf.edges)
+
+
+def _appearance(dist: TreeDistribution, n: int, edges) -> dict:
+    """`edge_appearance` on the graph of n nodes and `edges`, in their order."""
+    if dist.node_count != n:
+        raise StructureError(f"tree distribution is for a different node count: "
+                             f"{dist.node_count}, the graph has {n}")
+    rho = {e: 0.0 for e in edges}
     for tree, w in zip(dist.trees, dist.weights):
         for e in tree.edges:
             if e not in rho:

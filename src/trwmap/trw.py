@@ -81,8 +81,8 @@ import numpy as np
 
 from .model import Edge, PairwiseMrf, StructureError, _checked_rho, _freeze, _sum_in_order
 from .trees import TreeDistribution, edge_appearance, grid_two_tree_distribution
-from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, _guard_states, _Layout, _normalized, _top,
-                     _tree_parameter, _TreeLayout, assignment_scores)
+from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, MessageSet, _guard_states, _Layout,
+                     _normalized, _top, _tree_parameter, _TreeLayout, assignment_scores)
 
 CERT_TIE_TOL = 1e-9
 CERT_SEARCH_GUARD = 1_000_000
@@ -90,36 +90,6 @@ CERT_SEARCH_GUARD = 1_000_000
 
 class PseudoMaxMarginals(MaxMarginals):
     """Max-marginal-shaped tables on every edge of a graph with cycles."""
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class MessageSet:
-    """Directed positive messages, one vector per edge direction, as logs.
-
-    log_m[(t, s)] is the log message sent from t to s, indexed by states of s.
-    A run's message set keeps its (E, 2, M) array and builds `log_m`, views
-    of it, on first read.
-    """
-
-    def __init__(self, log_m: Mapping[tuple, np.ndarray]):
-        object.__setattr__(self, "log_m", log_m)
-
-    @classmethod
-    def on_layout(cls, layout: _Layout, msgs: np.ndarray) -> MessageSet:
-        """From an (E, 2, M) message array of `layout`: [k, 0] is t -> s of
-        the k-th edge (s, t), [k, 1] is s -> t."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "_msgs", msgs)
-        return self
-
-    @functools.cached_property
-    def log_m(self) -> Mapping[tuple, np.ndarray]:
-        logs = {}
-        for (s, t), m, (ms, mt) in zip(self._layout.edges, self._msgs, self._layout.edge_cards):
-            logs[(t, s)] = m[0, :ms]
-            logs[(s, t)] = m[1, :mt]
-        return logs
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,19 @@ the LP vector and the padded edge stack of `_Layout`.  The LP data must be
 `np.array_equal` to these, the local-polytope answers equal, and the dual
 within rounding, since it sums the same terms in another order.  A
 pseudomarginal is a `PairwiseMrf`; these forms read its per-table views.
+
+Also kept: the dict walk of `dual_from_messages` over each supported tree's
+parent map, with its own sum of the edge appearances, as the library had it
+before the multipliers became one (E, 2, M) array on nu's layout.  The
+library's array must be `np.array_equal` to this dict's.
 """
 
 import numpy as np
 
 from trwmap.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, SimplexResult
-from trwmap.model import PairwiseMrf
-from trwmap.treedp import _guard_states, _Layout
+from trwmap.model import PairwiseMrf, StructureError
+from trwmap.trees import TreeDistribution
+from trwmap.treedp import MessageSet, _guard_states, _Layout
 
 from model_reference import edge_key, neighbors
 
@@ -193,12 +199,39 @@ def evaluate_dual(lam, mrf, rho_e) -> float:
         v = np.asarray(mrf.theta_node[s], dtype=float).copy()
         for t in adj[s]:
             key = edge_key(s, t)
-            v = v + rho_e[key] * lam.lam[(t, s)]
+            v = v + rho_e[key] * lam.log_m[(t, s)]
         total += float(v.max())
     for (s, t) in mrf.edges:
         r = rho_e[(s, t)]
         m = (mrf.theta_edge[(s, t)]
-             - r * lam.lam[(t, s)][:, None]
-             - r * lam.lam[(s, t)][None, :])
+             - r * lam.log_m[(t, s)][:, None]
+             - r * lam.log_m[(s, t)][None, :])
         total += float(m.max())
     return total
+
+
+def dual_from_messages(msgs, nu, dist, root=0) -> MessageSet:
+    """lam[(t, s)] = log M_ts - (w_ts / rho_st) * log nu_s, with w_ts the
+    weight of the trees rooted at `root` in which t is the parent of s."""
+    if not isinstance(dist, TreeDistribution):
+        raise TypeError("dual extraction requires explicit trees")
+    n = len(nu.log_node)
+    if not 0 <= root < n:
+        raise StructureError(f"root {root} out of range")
+    parent_weight = {}
+    rho_e = {}
+    for tree, w in dist.support_items():
+        parent = tree.parent_map(n, root)
+        for s in range(n):
+            t = parent[s]
+            if t >= 0:
+                parent_weight[(t, s)] = parent_weight.get((t, s), 0.0) + w
+        for e in tree.edges:
+            rho_e[e] = rho_e.get(e, 0.0) + w
+    lam = {}
+    for key, omega in msgs.log_m.items():
+        t, s = key
+        rho = rho_e.get((s, t) if s < t else (t, s), 0.0)
+        w = parent_weight.get(key, 0.0)
+        lam[key] = omega - (w / rho) * nu.log_node[s] if w else omega.copy()
+    return MessageSet(lam)

@@ -230,10 +230,10 @@ def test_criterion_6d_weak_duality():
             dist = uniform_tree_distribution(mrf)
             rho = edge_appearance(dist, mrf)
             lp_value = simplex_solve(build_local_lp(mrf)).value
-            from trwmap import DualVector, unit_messages
+            from trwmap import MessageSet, unit_messages
             shapes = {k: v.shape for k, v in unit_messages(mrf).log_m.items()}
             for _ in range(10):
-                lam = DualVector({k: rng.normal(size=sh) * 2 for k, sh in shapes.items()})
+                lam = MessageSet({k: rng.normal(size=sh) * 2 for k, sh in shapes.items()})
                 assert evaluate_dual(lam, mrf, rho) >= lp_value - 1e-8
                 trials += 1
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trw_reference as ref
-from trwmap import (DualVector, MessageSet, PairwiseMrf, SpanningTree, StructureError,
+from trwmap import (MessageSet, PairwiseMrf, SpanningTree, StructureError,
                     TreeDistribution, TrwConfig, check_edge_consistency,
                     check_reparameterization, cli, edge_appearance, evaluate_dual,
                     find_certificate, init_pseudo, message_step, messages_to_pseudo,
@@ -457,7 +457,7 @@ def test_directed_vectors_name_a_bad_direction(case):
     rho = uniform_rho(mrf)
     calls = [lambda: message_step(MessageSet(vectors), mrf, rho),
              lambda: messages_to_pseudo(MessageSet(vectors), mrf, rho),
-             lambda: evaluate_dual(DualVector(vectors), mrf, rho)]
+             lambda: evaluate_dual(MessageSet(vectors), mrf, rho)]
     for call in calls:
         with pytest.raises(StructureError, match=message):
             call()

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from trwmap import (DualVector, LinearProgram, SpanningTree,
-                    TrwConfig, brute_force_map, build_local_lp, classify_vertex,
-                    delta_pseudomarginal, dual_from_messages, edge_appearance,
+from trwmap import (LinearProgram, MessageSet, SpanningTree, StructureError,
+                    TreeDistribution, TrwConfig, brute_force_map, build_local_lp,
+                    classify_vertex, delta_pseudomarginal, dual_from_messages, edge_appearance,
                     evaluate_dual, in_local, in_marginal_polytope, run_trw,
-                    score, simplex_solve, uniform_tree_distribution,
+                    score, simplex_solve, uniform_tree_distribution, unit_messages,
                     vector_to_pseudomarginal)
-from trwmap.examples import diamond_mrf, triangle_mrf
+from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
 from trwmap.model import CapacityError, ModelFormatError, PairwiseMrf
 
 from conftest import random_graph_mrf, random_tree_mrf
@@ -310,13 +310,13 @@ class TestDual:
         dist = uniform_tree_distribution(mrf)
         result = run_trw(mrf, dist, TrwConfig(damping=1.0), variant="messages")
         lam = dual_from_messages(result.messages, result.nu, dist, root=0)
-        assert all(np.allclose(v, 0.0, atol=1e-12) for v in lam.lam.values())
+        assert all(np.allclose(v, 0.0, atol=1e-12) for v in lam.log_m.values())
         assert evaluate_dual(lam, mrf, edge_appearance(dist, mrf)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_multipliers_sum_table_maxima(self, rng):
         from trwmap import uniform_rho, unit_messages
         mrf = random_graph_mrf(rng, n_nodes=4)
-        lam = DualVector({k: np.zeros_like(v)
+        lam = MessageSet({k: np.zeros_like(v)
                           for k, v in unit_messages(mrf).log_m.items()})
         want = (sum(float(v.max()) for v in mrf.theta_node)
                 + sum(float(m.max()) for m in mrf.theta_edge.values()))
@@ -333,7 +333,7 @@ class TestDual:
             lp_value = simplex_solve(build_local_lp(mrf)).value
             shapes = {k: v.shape for k, v in unit_messages(mrf).log_m.items()}
             for _ in range(20):
-                lam = DualVector({k: rng.normal(size=sh) for k, sh in shapes.items()})
+                lam = MessageSet({k: rng.normal(size=sh) for k, sh in shapes.items()})
                 assert evaluate_dual(lam, mrf, rho) >= lp_value - 1e-8
                 count += 1
         assert count == 200
@@ -363,11 +363,37 @@ class TestDual:
         with pytest.raises(TypeError, match="explicit trees"):
             dual_from_messages(result.messages, result.nu, {e: 1.0 for e in mrf.edges})
 
+    def test_distribution_missing_a_graph_edge_is_rejected(self):
+        # edge_appearance rejects this distribution on the model too
+        mrf = triangle_mrf(1.0)
+        result = run_trw(mrf, None, TrwConfig(max_iterations=20), variant="messages")
+        path = TreeDistribution(3, (SpanningTree(((0, 1), (1, 2))),), np.array([1.0]))
+        for call in (lambda: edge_appearance(path, mrf),
+                     lambda: dual_from_messages(result.messages, result.nu, path)):
+            with pytest.raises(StructureError, match=r"edge \(0, 2\) appears in no supported tree"):
+                call()
+
+    def test_messages_of_another_graph_are_rejected(self):
+        mrf = triangle_mrf(1.0)
+        dist = uniform_tree_distribution(mrf)
+        nu = run_trw(mrf, dist, TrwConfig(max_iterations=20), variant="messages").nu
+        msgs = unit_messages(cycle4_mrf())
+        with pytest.raises(StructureError, match=r"direction \(3, 0\) is not an edge direction"):
+            dual_from_messages(msgs, nu, dist)
+
+    def test_distribution_on_another_node_count_is_rejected(self):
+        mrf = triangle_mrf(1.0)
+        result = run_trw(mrf, None, TrwConfig(max_iterations=20), variant="messages")
+        dist = uniform_tree_distribution(cycle4_mrf())
+        for call in (lambda: edge_appearance(dist, mrf),
+                     lambda: dual_from_messages(result.messages, result.nu, dist)):
+            with pytest.raises(StructureError, match="node count: 4, the graph has 3"):
+                call()
+
     def test_strong_duality_on_tree_instances(self, rng):
         for _ in range(5):
             mrf = random_tree_mrf(rng, n_nodes=5)
             tree = SpanningTree(mrf.edges)
-            from trwmap import TreeDistribution
             dist = TreeDistribution(5, (tree,), np.array([1.0]))
             result = run_trw(mrf, dist, TrwConfig(damping=1.0), variant="messages")
             assert result.certificate is not None

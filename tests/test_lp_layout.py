@@ -5,10 +5,13 @@
 `in_marginal_polytope` the same feasibility LP and answer and `in_local` the
 same answer as its edge-by-edge form; `evaluate_dual`,
 which sums in edge order on the padded edge stack instead of node by node,
-agrees within 1e-12 relative.  The models are the corpus of `test_simplex_reference.py`.
+agrees within 1e-12 relative.  `dual_from_messages` must give multipliers
+`np.array_equal` to its dict walk's.  The models are the corpus of
+`test_simplex_reference.py`.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -16,9 +19,10 @@ import pytest
 import lp_reference
 from conftest import random_graph_mrf
 from test_simplex_reference import MIXED_GRIDS, mixed_cardinality_grid, potts_grid
-from trwmap import (DualVector, PairwiseMrf, TrwConfig, build_local_lp, delta_pseudomarginal,
-                    dual_from_messages, edge_appearance, grid_edges, in_local,
-                    in_marginal_polytope, run_trw, score, simplex_solve, uniform_rho,
+from trwmap import (MaxMarginals, MessageSet, PairwiseMrf, SpanningTree, TreeDistribution,
+                    TrwConfig, build_local_lp, delta_pseudomarginal, dual_from_messages,
+                    edge_appearance, grid_edges, in_local, in_marginal_polytope, kirchhoff_count,
+                    run_trw, score, simplex_solve, uniform_rho,
                     uniform_tree_distribution, unit_messages, vector_to_pseudomarginal)
 from trwmap import lp as lp_module
 from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
@@ -194,12 +198,12 @@ def assert_dual_close(lam, mrf, rho):
 def test_dual_random_multipliers_close_to_reference(k):
     mrf, rng = CORPUS[k], np.random.default_rng(300 + k)
     if not mrf.edges:
-        lam = DualVector({})
+        lam = MessageSet({})
         assert lp_module.evaluate_dual(lam, mrf, {}) == lp_reference.evaluate_dual(lam, mrf, {})
         return
     shapes = {key: v.shape for key, v in unit_messages(mrf).log_m.items()}
     for _ in range(4):
-        lam = DualVector({key: rng.normal(scale=3.0, size=sh) for key, sh in shapes.items()})
+        lam = MessageSet({key: rng.normal(scale=3.0, size=sh) for key, sh in shapes.items()})
         rho = {e: float(r) for e, r in zip(mrf.edges, rng.uniform(0.1, 1.0, len(mrf.edges)))}
         assert_dual_close(lam, mrf, rho)
         assert_dual_close(lam, mrf, uniform_rho(mrf))
@@ -213,3 +217,50 @@ def test_dual_at_message_multipliers_close_to_reference(mrf):
     result = run_trw(mrf, dist, TrwConfig(max_iterations=200), variant="messages")
     for root in range(mrf.node_count):
         assert_dual_close(dual_from_messages(result.messages, result.nu, dist, root), mrf, rho)
+
+
+def covering_trees(mrf, rng):
+    """Random spanning trees with random weights: each tree is grown by
+    Kruskal's rule, the edges no earlier tree has first, until every edge is
+    in one."""
+    trees, left = [], set(mrf.edges)
+    while left:
+        root = list(range(mrf.node_count))
+
+        def find(u):
+            while root[u] != u:
+                u = root[u]
+            return u
+        chosen = []
+        for s, t in sorted(mrf.edges, key=lambda e: (e not in left, rng.random())):
+            if find(s) != find(t):
+                root[find(s)] = find(t)
+                chosen.append((s, t))
+        trees.append(SpanningTree(tuple(chosen)))
+        left -= set(chosen)
+    w = rng.uniform(0.5, 1.5, len(trees))
+    return TreeDistribution(mrf.node_count, tuple(trees), w / w.sum())
+
+
+@pytest.mark.parametrize("k", [k for k, mrf in enumerate(CORPUS) if mrf.edges])
+def test_dual_multipliers_equal_dict_walk(k):
+    """The multipliers on nu's layout are `==` to the dict walk's for every
+    root, on a layout in the model's edge order and in the reverse order,
+    for a run-built and a dict-built message set: 0 on padded states, and
+    the same dual value."""
+    mrf, rng = CORPUS[k], np.random.default_rng(400 + k)
+    dists = [covering_trees(mrf, rng)]
+    if kirchhoff_count(mrf.node_count, mrf.edges) <= 200:
+        dists.append(uniform_tree_distribution(mrf))
+    result = run_trw(mrf, None, TrwConfig(max_iterations=30), variant="messages")
+    turned = MaxMarginals(result.nu.log_node, dict(reversed(result.nu.log_edge.items())))
+    for dist in dists:
+        rho = edge_appearance(dist, mrf)
+        for nu, msgs, root in itertools.product(
+                (result.nu, turned), (result.messages, MessageSet(dict(result.messages.log_m))),
+                range(mrf.node_count)):
+            got = dual_from_messages(msgs, nu, dist, root)
+            want = lp_reference.dual_from_messages(msgs, nu, dist, root)
+            assert np.array_equal(got._msgs, nu.layout.directed(want.log_m))
+            assert not got._msgs[nu.layout.pad].any()
+            assert lp_module.evaluate_dual(got, mrf, rho) == lp_module.evaluate_dual(want, mrf, rho)

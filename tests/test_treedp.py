@@ -262,6 +262,18 @@ class TestBacktrack:
         x = backtrack_optimum(nu, tree)
         assert x.tolist() == [0, 0, 0]
 
+    def test_tree_edge_without_a_table_is_named(self):
+        nu = MaxMarginals((np.zeros(2),) * 3, {(0, 1): np.zeros((2, 2)), (1, 2): np.zeros((2, 2))})
+        with pytest.raises(StructureError, match=r"^tree edge \(0, 2\) has no table"):
+            backtrack_optimum(nu, SpanningTree(((0, 1), (0, 2))))
+
+    def test_tree_over_more_nodes_is_rejected(self):
+        nu = MaxMarginals((np.zeros(2),) * 3, {(0, 1): np.zeros((2, 2)), (1, 2): np.zeros((2, 2))})
+        with pytest.raises(StructureError, match="tree has 3 edges, expected 2"):
+            backtrack_optimum(nu, SpanningTree(((0, 1), (1, 2), (2, 3))))
+        with pytest.raises(StructureError, match=r"tree edge \(1, 3\) is invalid"):
+            backtrack_optimum(nu, SpanningTree(((0, 1), (1, 3))))
+
     def test_backtracked_score_is_optimal(self, rng):
         for seed in range(100):
             local = np.random.default_rng(seed)

@@ -499,7 +499,7 @@ def test_per_edge_views_are_built_on_first_read():
 
 def _entry_points():
     """Each public function that takes rho_e, as a call on the triangle."""
-    from trwmap.lp import DualVector, evaluate_dual
+    from trwmap.lp import MessageSet, evaluate_dual
 
     mrf = triangle_mrf(1.0)
     good = uniform_rho(mrf)
@@ -509,7 +509,7 @@ def _entry_points():
         "message_step": lambda rho: message_step(msgs, mrf, rho),
         "reparameterization_step": lambda rho: reparameterization_step(nu, rho),
         "messages_to_pseudo": lambda rho: messages_to_pseudo(msgs, mrf, rho),
-        "evaluate_dual": lambda rho: evaluate_dual(DualVector(msgs.log_m), mrf, rho),
+        "evaluate_dual": lambda rho: evaluate_dual(MessageSet(msgs.log_m), mrf, rho),
     }
 
 
