@@ -31,14 +31,15 @@ per-node and per-edge tables are views of them, built on first read, and
 (messages, or the LP's multipliers) keeps its (E, 2, M) array the same way.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
-tree of a collection at once, each rooted at node 0.  Both passes send one
-batch of messages per sender height, upward lowest first and downward (the
-upward arcs reversed) highest first, and each batch covers all the trees and
-every edge cardinality.  Its buffers are in batch order, so a batch reads
-and writes contiguous slices.  The upward pass max-normalizes every message and
-keeps the constants it removed, so a tree's optimal value is its root
-belief's max plus their sum; `map_values` runs that pass alone and `solve`
-both, which also gives the max-marginals.
+tree of a collection at once, each rooted at node 0.  It sends one batch of
+messages per arc dependency level, so a solve takes as many batches as the
+largest tree diameter, and each batch covers all the trees and every edge
+cardinality.  Its buffers are in batch order, so a batch reads and writes
+contiguous slices.  Every message is max-normalized, and the constants
+removed from the upward ones (toward the root) give a tree's optimal value:
+its root belief's max plus their sum.  `map_values` sends the upward
+messages alone, the up arcs of the leading levels, and `solve` every level,
+which also gives the max-marginals.
 `tree_max_marginals` and `tree_map_value` run it on a single tree, for a
 tree parameter: a `PairwiseMrf` on the model's nodes and edges whose tables
 vanish off the tree, a tree edge it lacks counting as zero.  They,
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
@@ -444,14 +446,16 @@ class _TreeLayout:
     from u's cavity vector (u's node table plus its incoming messages but
     v's).
 
-    The upward pass sends the messages toward the root, one batch per
-    sender height, lowest first; the downward pass reverses the upward arcs
-    and sends them highest sender first.  Each batch covers every tree and
-    edge.  The arcs are numbered in batch order, upward batches then
-    downward ones, so a batch is a contiguous range of them, and every
+    A message waits only for the messages into its sender from the other
+    side, so the arcs go in one batch per dependency level, a flooding
+    schedule: the up arc u -> parent(u) at level height(u), and the down arc
+    p -> u at 1 + the largest level of the other arcs into p (0 if none).
+    The levels run from 0 to the largest tree diameter less one, and each
+    covers every tree and edge, its up arcs first.  The arcs are numbered
+    in batch order, so a batch is a contiguous range of them, and every
     buffer of the DP is in that order: the edge tables, oriented receiver
     by sender and gathered once per call, and the cavities, the messages
-    and the constants the upward pass removes, all in one flat state
+    and the constants removed from them, all in one flat state
     buffer.  A batch reads and writes slices of it.  A sender's cavity
     starts from its node table, gathered for every arc at once, and adds
     its incoming messages in its tree's adjacency order, one gather from
@@ -464,9 +468,10 @@ class _TreeLayout:
     end (`final`) reads the beliefs' two parts, the slots' cavities and the
     removed constants out of the state.
 
-    The upward pass max-normalizes every message and keeps the constants it
-    removed, so a tree's optimal value is its root belief's max plus their
-    sum; `map_values` runs that pass alone and `solve` both, which also
+    Every message is max-normalized, and the constants removed from the up
+    arcs give a tree's optimal value: its root belief's max plus their sum.
+    `map_values` runs `upward`, the leading up arcs of each level below the
+    tallest tree's height, and `solve` runs `batches`, every arc, which also
     gives the max-marginals.  `edge_sum` sums per-slot values onto the
     edges, and `by_edge` groups the slots by edge.  What only `solve` and
     the tree schedule read (`final`, `slot_nodes`, `slot_entries`,
@@ -497,13 +502,24 @@ class _TreeLayout:
             height = [0] * n
             for u in reversed(order[1:]):
                 height[parent[u]] = max(height[parent[u]], height[u] + 1)
+            # the level of the down arc into each node, in preorder: p -> u
+            # waits for the other arcs into p, the up arcs of p's other
+            # children and the down arc into p (-1: no arc)
+            into = [-1] * n
+            for p in order:
+                kids = [c for c in adj[p] if c != parent[p]]
+                second, first = sorted([-1, into[p]] + [height[c] for c in kids])[-2:]
+                for u in kids:
+                    into[u] = 1 + (second if height[u] == first else first)
             adjs.append(adj)
             rev += [(k, u, parent[u]) for u in reversed(order[1:])]
             up += [(height[u], (k, u, parent[u])) for u in order[1:]]
-            # parent to child needs the message into the parent, sent from higher up
-            down += [(-height[parent[u]], (k, parent[u], u)) for u in order[1:]]
-        up_levels = _levels(up)
-        levels = up_levels + _levels(down)
+            down += [(into[u], (k, parent[u], u)) for u in order[1:]]
+        # one batch per level, its up arcs first; no level is empty
+        grouped = {}
+        for level, arc in up + down:
+            grouped.setdefault(level, []).append(arc)
+        levels = [grouped[level] for level in range(len(grouped))]
         arcs = [arc for level in levels for arc in level]
         at = {arc: p for p, arc in enumerate(arcs)}
         # the state buffer: messages (2S rows of M), one -0.0 entry, cavities
@@ -531,12 +547,16 @@ class _TreeLayout:
 
         # a batch adds as many ranks as its arcs' most incoming messages
         plan, counts = ranks(arcs)
-        batches, lo = [], 0
-        for level in levels:
-            hi = lo + len(level)
-            batches.append((lo, hi, tuple(plan[:max(counts[lo:hi]), lo:hi])))
-            lo = hi
-        self.up, self.down = batches[:len(up_levels)], batches[len(up_levels):]
+
+        def batch(lo, hi):
+            return lo, hi, tuple(plan[:max(counts[lo:hi]), lo:hi])
+        ups = Counter(level for level, _ in up)
+        self.batches, self.upward, lo = [], [], 0
+        for level, group in enumerate(levels):
+            self.batches.append(batch(lo, lo + len(group)))
+            if ups[level]:
+                self.upward.append(batch(lo, lo + ups[level]))
+            lo += len(group)
         self._cav_node = node_rows[[u for _, u, _ in arcs]].reshape(-1, width)
         # arc (k, u, v) reads its edge's table oriented v by u: the
         # transpose when u is the edge's s end
@@ -604,12 +624,19 @@ class _TreeLayout:
         tops = state[self._tops:]
         cav[:arcs] = np.append(node, -np.inf)[self._cav_node[:arcs]]
         oriented = tables.take(self._oriented_at[:arcs])
+        # a max over the last axis is `_top`'s: np.maximum of its slices in order
+        second, rest = min(1, self._width - 1), range(2, self._width)
         for lo, hi, ranks in batches:
             c, out, top = cav[lo:hi], msg[lo:hi], tops[lo:hi]
             for src in ranks:
                 c += state[src]
-            (oriented[lo:hi] + c[:, None, :]).max(axis=2, out=out)
-            out.max(axis=1, out=top)
+            t = oriented[lo:hi] + c[:, None, :]
+            np.maximum(t[..., 0], t[..., second], out=out)
+            for j in rest:
+                np.maximum(out, t[..., j], out=out)
+            np.maximum(out[:, 0], out[:, second], out=top)
+            for j in rest:
+                np.maximum(top, out[:, j], out=top)
             out -= top[:, None]
         return state
 
@@ -622,13 +649,14 @@ class _TreeLayout:
 
     def _values(self, root_max, tops) -> list:
         """Each tree's optimal value: its root belief's max plus the constants
-        the upward pass removed, summed in reverse visit order."""
+        the up arcs removed, summed in reverse visit order."""
         return (root_max + _sum_in_order(tops.reshape(self.count, -1).T)).tolist()
 
     def map_values(self, node: np.ndarray, tables: np.ndarray) -> list:
-        """Each tree's optimal value (the upward pass only), from a node
+        """Each tree's optimal value (the up arcs only), from a node
         vector and a table stack of the graph."""
-        state = self._run(node, tables, self.up, len(self.edge))
+        ups = self.upward
+        state = self._run(node, tables, ups, ups[-1][1] if ups else 0)
         roots = self._root_beliefs(node, state)
         return self._values(roots.max(axis=1), state.take(self._rev_at))
 
@@ -636,7 +664,7 @@ class _TreeLayout:
         """Both passes: (node max-marginals as a (T, N) stack, the edge
         max-marginals of the slots as an (S, M, M) stack, each tree's
         optimal value)."""
-        state = self._run(node, tables, self.up + self.down, 2 * len(self.edge))
+        state = self._run(node, tables, self.batches, 2 * len(self.edge))
         final = state.take(self.final)
         b, s = self._splits
         # a one-node tree has no edges: its belief is the root's node table
@@ -657,15 +685,6 @@ class _TreeLayout:
         shape = (E,) + slot_values.shape[1:]
         return np.bincount(self.slot_entries, slot_values.reshape(-1),
                            math.prod(shape)).reshape(shape)
-
-
-def _levels(arcs) -> list:
-    """The arcs of (level, arc) pairs grouped by level, lowest first, each
-    group in the given order."""
-    levels = {}
-    for level, arc in arcs:
-        levels.setdefault(level, []).append(arc)
-    return [group for _, group in sorted(levels.items())]
 
 
 def _tree_parameter(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):

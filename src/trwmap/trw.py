@@ -162,6 +162,8 @@ class _FlatMrf(_Layout):
         super().__init__(cardinalities, edges)
         if rho_e is not None:
             self.rho = np.fromiter(map(rho_e.__getitem__, self.edges), float, len(self.edges))
+            # rho of each valid side's edge, as the node sums weight them
+            self._rho_sides = np.repeat(self.rho, 2 * self.pad.shape[2]).take(self.sides)
         if mrf is not None:
             self.theta_node = mrf.node_vector
             self.table = self.model_tables(mrf) / self.rho[:, None, None]
@@ -187,19 +189,32 @@ class _FlatMrf(_Layout):
     def _cavities(self, msgs: np.ndarray) -> tuple:
         """(h, h[idx] - msgs): h is the node vector theta_s plus
         sum over neighbors v of rho_vs * log M_vs."""
-        weighted = (self.rho[:, None, None] * msgs).take(self.sides)
+        weighted = self._rho_sides * msgs.take(self.sides)
         h = self.theta_node + np.bincount(self._target, weighted, self.size)
         return h, h[self.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
-        _, cav = self._cavities(msgs[0])
-        # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s
-        new = _top(self._oriented + cav[:, ::-1, None, :], 3)
-        new -= _top(new, 2)[..., None]
+        old = msgs[0]
+        _, cav = self._cavities(old)
+        # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s;
+        # a max over the last axis is `_top`'s: np.maximum of its slices in order
+        second, rest = min(1, self.pad.shape[2] - 1), range(2, self.pad.shape[2])
+        t = self._oriented + cav[:, ::-1, None, :]
+        new = np.maximum(t[..., 0], t[..., second])
+        for j in rest:
+            np.maximum(new, t[..., j], out=new)
+        top = np.maximum(new[..., 0], new[..., second])
+        for j in rest:
+            np.maximum(top, new[..., j], out=top)
+        new -= top[..., None]
         if damping < 1.0:
-            new = _damp(new, msgs[0], damping)
-            new -= _top(new, 2)[..., None]
-        new.put(self._pad_at, 0.0)
+            new = damping * new + (1.0 - damping) * old
+            np.maximum(new[..., 0], new[..., second], out=top)
+            for j in rest:
+                np.maximum(top, new[..., j], out=top)
+            new -= top[..., None]
+        if len(self._pad_at):
+            new.put(self._pad_at, 0.0)
         return (new,)
 
     def pseudo_from_messages(self, msgs: tuple) -> tuple:
@@ -283,6 +298,8 @@ def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
 def _max_change(new: tuple, old: tuple, valid=None) -> float:
     """The largest absolute log change between two states, on the entries at
     `valid`'s flat positions per array (None, or a None entry: all)."""
+    if valid is None and len(new) == 1:
+        return float(np.abs(new[0] - old[0]).max())
     return max(float(np.max(np.abs(a - b if v is None else a.take(v) - b.take(v))))
                for a, b, v in zip(new, old, valid or (None,) * len(new)))
 

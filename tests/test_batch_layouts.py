@@ -2,14 +2,20 @@
 forms they replaced, kept in `slot_reference`.
 
 The message kernel computes both directions of an edge from one oriented
-table stack, and the tree DP keeps its cavities, messages and removed
-constants in batch order.  Both must perform the same floating-point
-operations on every entry in the same order as before, so every result is
-`np.array_equal` to the reference's and has the same sign bits, zeros
-included.  The models are the `grid4_paper` benchmark pools of seeds 1-3,
-the padded mixed-cardinality cases of `test_padded_kernels`, random trees
-with 2 to 4 states per node, and tables of signed zeros, on which the DP's
-buffers themselves are compared.
+table stack, and takes its maxima as `np.maximum` of slices.  The tree DP
+sends one batch per arc dependency level and keeps its cavities, messages
+and removed constants in batch order.  Both must perform the same
+floating-point operations on every entry in the same order as before, so
+every result is `np.array_equal` to the reference's and has the same sign
+bits, zeros included.  The models are the `grid4_paper` benchmark pools of
+seeds 1-3, the padded mixed-cardinality cases of `test_padded_kernels`,
+random trees with 2 to 4 states per node, paths of up to 3,000 nodes, and
+tables of signed zeros, on which the DP's buffers themselves and the
+message step are compared.
+
+The DP's plan is checked on its own too: a batch reads only messages that
+earlier batches sent, and there are as many batches as the largest tree
+diameter (9 on the 4x4 grid's two trees, n - 1 on a path rooted at an end).
 """
 
 import sys
@@ -21,9 +27,9 @@ import pytest
 import slot_reference as ref
 from conftest import random_graph_mrf, random_tree_mrf
 from test_padded_kernels import CASES, random_rho
-from trwmap import (SpanningTree, TrwConfig, cli, grid_two_tree_distribution, run_tree_updates,
-                    run_trw, tree_map_value, tree_max_marginals, trw, uniform_rho,
-                    uniform_tree_distribution)
+from trwmap import (PairwiseMrf, SpanningTree, TrwConfig, cli, grid_edges,
+                    grid_two_tree_distribution, run_tree_updates, run_trw, tree_map_value,
+                    tree_max_marginals, trw, uniform_rho, uniform_tree_distribution)
 from trwmap.treedp import _Layout, _TreeLayout
 from trwmap.trw import _FlatMrf
 
@@ -141,7 +147,7 @@ def test_dp_buffers_equal_slot_order_on_signed_zeros(seed):
     tables = np.where(rng.random((len(graph.edges), width, width)) < 0.5, -0.0, 0.0)
     tables[graph.pad[:, 0, :, None] | graph.pad[:, 1, None, :]] = -np.inf
     new, old = _TreeLayout(graph, trees), ref.SlotTreeLayout(graph, trees)
-    state = new._run(node, tables, new.up + new.down, 2 * len(new.edge))
+    state = new._run(node, tables, new.batches, 2 * len(new.edge))
     node_ext, oriented, msg, cav, tops = old._upward(node, tables)
     old._pass(old.down, node_ext, oriented, msg, cav)
     # the slots' cavities in slot order, and the messages into their sides:
@@ -168,3 +174,107 @@ def test_one_tree_wrappers_equal_slot_order(seed):
     assert_same_bits(got.tables, edge_mm)
     assert tree_map_value(mrf, tree) == ref.tree_map_value(mrf, tree) == value
     assert np.signbit(tree_map_value(mrf, tree)) == np.signbit(value)
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_message_step_equals_slot_order_on_signed_zeros(index, damping):
+    # messages, node vector and tables of -0.0 and 0.0 only: every max is a
+    # tie of zeros, and its sign shows which operand each np.maximum returned
+    mrf, _ = CASES[index]
+    rng = np.random.default_rng(21_100 + index)
+    rho = random_rho(rng, mrf)
+    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
+    old = ref.SlotFlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
+    assert flat.pad.any()
+    node = np.where(rng.random(flat.size) < 0.5, -0.0, 0.0)
+    table = np.where(rng.random(flat.table.shape) < 0.5, -0.0, 0.0)
+    table[flat.pad[:, 0, :, None] | flat.pad[:, 1, None, :]] = -np.inf
+    for layout in (flat, old):
+        layout.theta_node, layout.table = node, table
+    msgs = np.where(rng.random(flat.idx.shape) < 0.5, -0.0, 0.0)
+    msgs[flat.pad] = 0.0
+    got = want = (msgs,)
+    for _ in range(4):
+        got, want = flat.message_step(got, damping), old.message_step(want, damping)
+        assert_same_bits(got[0], want[0])
+
+
+
+def farthest(tree, n, source):
+    """(a node farthest from `source` on the tree, its distance in edges),
+    by breadth-first search."""
+    adj = tree.neighbors(n)
+    dist, queue = {source: 0}, [source]
+    for u in queue:
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return max(dist.items(), key=lambda item: item[1])
+
+
+def diameter(tree, n):
+    return farthest(tree, n, farthest(tree, n, 0)[0])[1]
+
+
+def assert_batches_follow_dependencies(plan, trees, n):
+    # a batch adds to its cavities only messages that an earlier batch of
+    # its list sent (or the -0.0 entry); `batches` sends every arc once and
+    # `upward` every up arc, toward the root 0, once
+    parents = [tree.parent_map(n, 0) for tree in trees]
+    up = {plan._at[(k, u, parent[u])] for k, parent in enumerate(parents) for u in range(1, n)}
+    for batches, arcs in ((plan.batches, set(range(2 * len(plan.edge)))), (plan.upward, up)):
+        sent = np.zeros(2 * len(plan.edge), dtype=bool)
+        for lo, hi, ranks in batches:
+            for src in ranks:
+                assert sent[src[src != plan._zero] // plan._width].all()
+            assert not sent[lo:hi].any()
+            sent[lo:hi] = True
+        assert set(np.flatnonzero(sent).tolist()) == arcs
+
+
+def test_paper_plan_runs_one_batch_per_level():
+    # by sender height, upward then downward, this plan ran 12 batches
+    dist = grid_two_tree_distribution(4, 4)
+    plan = _TreeLayout(_Layout((2,) * 16, grid_edges(4, 4)), dist.trees)
+    assert [diameter(tree, 16) for tree in dist.trees] == [9, 9]
+    assert len(plan.batches) == 9
+    assert len(plan.upward) == 6
+    # the up arcs lead each of the first six levels
+    assert [lo for lo, _, _ in plan.upward] == [lo for lo, _, _ in plan.batches[:6]]
+    assert_batches_follow_dependencies(plan, dist.trees, 16)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_batches_equal_the_largest_tree_diameter(seed):
+    # five random trees of 2 to 40 nodes, each alone and all five together
+    rng = np.random.default_rng(21_000 + seed)
+    n = int(rng.integers(2, 41))
+    trees = [SpanningTree(random_tree_mrf(rng, n_nodes=n).edges) for _ in range(5)]
+    graph = _Layout((2,) * n, sorted({e for tree in trees for e in tree.edges}))
+    for chosen in [[tree] for tree in trees] + [trees]:
+        plan = _TreeLayout(graph, chosen)
+        assert len(plan.batches) == max(diameter(tree, n) for tree in chosen)
+        # the up arcs' levels are their senders' heights below the root
+        assert len(plan.upward) == max(farthest(tree, n, 0)[1] for tree in chosen)
+        assert_batches_follow_dependencies(plan, chosen, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 3000])
+def test_path_rooted_at_an_end_runs_n_minus_one_batches(n):
+    # 3,000 nodes is past Python's default recursion limit of 1,000, so the
+    # plan is built without recursion; its results are the slot layout's
+    rng = np.random.default_rng(21_200 + n)
+    edges = tuple((u, u + 1) for u in range(n - 1))
+    cards = tuple(int(m) for m in rng.integers(2, 4, n))
+    mrf = PairwiseMrf(cards, edges, tuple(rng.normal(size=m) for m in cards),
+                      {(s, t): rng.normal(size=(cards[s], cards[t])) for s, t in edges})
+    tree = SpanningTree(edges)
+    plan = _TreeLayout(_Layout(cards, edges), [tree])
+    assert len(plan.batches) == len(plan.upward) == n - 1
+    node_mm, edge_mm, (value,) = ref.tree_max_marginals(mrf, tree)
+    got = tree_max_marginals(mrf, tree)
+    assert_same_bits(got.node, node_mm[0])
+    assert_same_bits(got.tables, edge_mm)
+    assert tree_map_value(mrf, tree) == value

@@ -234,8 +234,8 @@ def test_cached_plan_arrays_are_read_only():
     run_tree_updates(mrf, dist, TrwConfig(max_iterations=2))
     plan = _tree_plan(mrf.cardinalities, mrf.edges, dist.trees)
     arrays = [plan.graph.idx, plan.graph.offsets, plan.graph.entries, plan.edge, plan.final,
-              plan.slot_nodes, plan.slot_entries, plan.by_edge[0], plan.up[-1][2][0],
-              plan.roots[0], plan.roots[1][0], plan.down[-1][2][0]]
+              plan.slot_nodes, plan.slot_entries, plan.by_edge[0], plan.upward[-1][2][0],
+              plan.roots[0], plan.roots[1][0], plan.batches[-1][2][0]]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.reshape(-1)[0] = 0
