@@ -8,16 +8,17 @@ decoding of a solution, phi(x) as a pseudomarginal and the exact
 marginal-polytope oracle read.  theta and tau live in one space: a
 pseudomarginal tau is a `PairwiseMrf` on its model's graph whose packed
 vectors are the LP vector, checked by the one sequence every model goes
-through.  The local-polytope test and the vertex classification read those
-vectors and the `_Layout` table stack, and the marginal-polytope oracle
-takes tau alone, on tau's graph.  The Lagrange multipliers lambda share the
-messages' index set, one vector per edge direction over the receiver's
-states, so lambda is a `treedp.MessageSet`: `dual_from_messages` builds it
-on nu's layout from the messages and one (E, 2) array of parent weights,
-and the dual is evaluated on the padded edge stack of `treedp._Layout`,
-where lambda is one (E, 2, M) array, 0 on padded states, so subtracting it
-leaves the -inf padding in place.  Message sets live in `treedp`, next to
-`MaxMarginals`, so the LP layer does not import the solver.
+through.  The local-polytope test, the vertex classification, the LP's
+constraints and the dual read those vectors on `treedp._graph_layout`, the
+graph's one cached layout, which the solver's runs share; the
+marginal-polytope oracle takes tau alone.  The Lagrange multipliers lambda
+share the messages' index set, one vector per edge direction over the
+receiver's states, so lambda is a `treedp.MessageSet`: `dual_from_messages`
+builds it on nu's layout as one (E, 2, M) array, 0 on padded states, and
+`evaluate_dual` reads that array as it is when nu's layout is the model's
+(`_Layout.messages`), so subtracting it leaves the -inf padding of the edge
+stack in place.  Message sets live in `treedp`, next to `MaxMarginals`, so
+the LP layer does not import the solver.
 
 The dense two-phase simplex uses Bland's anti-cycling rule.  Its tableau
 carries the reduced-cost row c_B T - c as its last row, which each pivot
@@ -36,7 +37,7 @@ import numpy as np
 
 from .model import Edge, PairwiseMrf, _checked_rho, _indicator_index, check_assignment
 from .trees import TreeDistribution, _appearance
-from .treedp import MaxMarginals, MessageSet, _guard_states, _Layout
+from .treedp import MaxMarginals, MessageSet, _graph_layout, _guard_states
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -200,8 +201,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
 def in_local(tau: PairwiseMrf, tol: float = 1e-9) -> bool:
     """Membership in the local polytope: non-negativity, unit node sums, and
     edge tables whose row/column sums reproduce the node vectors.  The sums
-    are taken on tau's packed vectors and the `_Layout` table stack."""
-    node, layout = tau.node_vector, _Layout(tau.cardinalities, tau.edges)
+    are taken on tau's packed vectors and its layout's table stack."""
+    node, layout = tau.node_vector, _graph_layout(tau.cardinalities, tau.edges)
     if min(node.min(), tau.edge_vector.min(initial=0.0)) < -tol:
         return False
     if np.abs(np.add.reduceat(node, layout.offsets) - 1.0).max() > tol:
@@ -221,7 +222,7 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     Edge normalization is implied and omitted.
     """
     n, edge_off = mrf.node_count, mrf.offsets[1]
-    layout = _Layout(mrf.cardinalities, mrf.edges)
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
     E, _, M = layout.idx.shape
     sides = layout.sides.size
     e, j, k = np.unravel_index(layout.entries, (E, M, M))
@@ -299,7 +300,7 @@ def dual_from_messages(msgs: MessageSet, nu: MaxMarginals,
     direction order.  The multiplier for the direction t->s is the log message
     minus (w_ts / rho_st) times the node log table, 0 on padded states: the
     node correction enters the Lagrangian through the rho-scaled constraint
-    terms, hence the division.  The messages enter by `_Layout.directed` and
+    terms, hence the division.  The messages enter by `_Layout.messages` and
     rho by `trees.edge_appearance`'s check on nu's graph, so a message set,
     max-marginals or distribution on another graph is a StructureError.
     Requires an explicit tree distribution; edge appearance weights alone do
@@ -308,9 +309,8 @@ def dual_from_messages(msgs: MessageSet, nu: MaxMarginals,
     if not isinstance(dist, TreeDistribution):
         raise TypeError("dual extraction requires explicit trees")
     layout = nu.layout
-    m, n = layout.directed(msgs.log_m), len(layout.cards)
+    m, n, where = layout.messages(msgs), len(layout.cards), layout.position
     rho = np.array(list(_appearance(dist, n, layout.edges).values()))
-    where = {e: k for k, e in enumerate(layout.edges)}
     w = np.zeros((len(rho), 2))
     for tree, weight in dist.support_items():
         # parent t -> child s: column 0 of edge (s, t) when s < t, else column 1
@@ -329,13 +329,13 @@ def evaluate_dual(lam: MessageSet, mrf: PairwiseMrf,
     maximizes its table plus its rho-weighted incoming multipliers; each edge
     maximizes its table minus the rho-weighted multipliers of both endpoints.
     Always an upper bound on the relaxed-LP optimum.  Computed on the
-    `_Layout` table stack: one max per table, node maxima by `reduceat`.
+    model's cached layout: one max per table, node maxima by `reduceat`.
     """
     rho_e = _checked_rho(mrf.edges, rho_e)
-    layout = _Layout(mrf.cardinalities, mrf.edges)
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
     node, tables = mrf.node_vector.copy(), layout.model_tables(mrf)
     rho = np.array([rho_e[e] for e in layout.edges])[:, None, None]
-    to = rho * layout.directed(lam.log_m)
+    to = rho * layout.messages(lam)
     layout.accumulate(node, to)
     total = (tables - to[:, 0, :, None] - to[:, 1, None, :]).max(axis=(1, 2)).sum()
     return float(np.maximum.reduceat(node, layout.offsets).sum() + total)

@@ -15,36 +15,34 @@ Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
 and keeps all arithmetic overflow-safe.
 
-`_Layout` is the one array layout of the package; `trw`, `lp` and `cli` read
-its arrays too.  Node tables are one vector with per-node offsets.  Edge
-tables are one padded (E, M, M) stack in the layout's edge order, M the
-largest cardinality: edge k's table is [k, :m_s, :m_t] and the padded entries
-are -inf, so a table's max and its row and column maxima read the valid
-entries only.  Per-edge vectors over the states of either endpoint are
-(E, 2, M) arrays, s side first.  Where a step subtracts tables or compares
-them, it reads the valid entries or subtracts a 0-padded stack, so no
--inf - -inf is ever formed.  A model's tables enter a layout by one scatter
-of its packed edge vector (`_Layout.model_tables`).  A `MaxMarginals` keeps
-the layout it was computed on, with its node vector and table stack; its
-per-node and per-edge tables are views of them, built on first read, and
-`check_edge_consistency` tests every edge at once on them.  A `MessageSet`
-(messages, or the LP's multipliers) keeps its (E, 2, M) array the same way.
+`_Layout` is the one array layout of the package, built once per graph by
+`_graph_layout`, a small cache of read-only layouts that every layer
+(`trw`, `lp`, `cli`) and every run on the graph shares.  Node tables are one
+vector with per-node offsets.  Edge tables are one padded (E, M, M) stack in
+the layout's edge order, M the largest cardinality: edge k's table is [k,
+:m_s, :m_t] and the padded entries are -inf, so a table's max and its row
+and column maxima read the valid entries only.  Per-edge vectors over the
+states of either endpoint are (E, 2, M) arrays, s side first.  Where a step
+subtracts tables or compares them, it reads the valid entries or subtracts
+a 0-padded stack, so no -inf - -inf is ever formed.  A model's tables enter
+a layout by one scatter of its packed edge vector (`_Layout.model_tables`).
+A `MaxMarginals` keeps the layout it was computed on, with its node vector
+and table stack, and a `MessageSet` (messages, or the LP's multipliers) its
+(E, 2, M) array; their per-table views are built on first read, and
+`check_edge_consistency` tests every edge at once on the stack.
 
 Trees are solved by one max-product DP, `_TreeLayout`, which runs on every
-tree of a collection at once, each rooted at node 0.  It sends one batch of
-messages per arc dependency level, so a solve takes as many batches as the
-largest tree diameter, and each batch covers all the trees and every edge
-cardinality.  Its buffers are in batch order, so a batch reads and writes
-contiguous slices.  Every message is max-normalized, and the constants
-removed from the upward ones (toward the root) give a tree's optimal value:
-its root belief's max plus their sum.  `map_values` sends the upward
-messages alone, the up arcs of the leading levels, and `solve` every level,
-which also gives the max-marginals.
-`tree_max_marginals` and `tree_map_value` run it on a single tree, for a
-tree parameter: a `PairwiseMrf` on the model's nodes and edges whose tables
-vanish off the tree, a tree edge it lacks counting as zero.  They,
-`tree_opt_set` and `trw.check_reparameterization` check it by one function,
-`_tree_parameter`.
+tree of a collection at once, each rooted at node 0, one batch of messages
+per arc dependency level over all the trees and edge cardinalities.  Every
+message is max-normalized, and the constants removed from the upward ones
+(toward the root) give a tree's optimal value: its root belief's max plus
+their sum.  `map_values` sends the upward messages alone, and `solve` every
+level, which also gives the max-marginals.  `tree_max_marginals` and
+`tree_map_value` run it on a single tree, on a read-only plan from
+`_tree_plan`, the plan cache of the tree schedule, for a tree parameter: a
+`PairwiseMrf` on the model's nodes and edges whose tables vanish off the
+tree, a tree edge it lacks counting as zero.  They, `tree_opt_set` and
+`trw.check_reparameterization` check it by one function, `_tree_parameter`.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import (CapacityError, Edge, PairwiseMrf, StructureError,
-                    _all_finite, _indicator_index, _sum_in_order)
+                    _all_finite, _freeze, _indicator_index, _sum_in_order)
 from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
@@ -97,7 +95,7 @@ class MaxMarginals:
                 raise StructureError(f"edge {(s, t)} is a self-loop")
             if s > t:
                 raise StructureError(f"edge {(s, t)} must be ordered (s, t) with s < t")
-        layout = _Layout(cards, tuple(log_edge))
+        layout = _graph_layout(tuple(cards), tuple((int(s), int(t)) for s, t in log_edge))
         self._place(layout, np.concatenate([np.asarray(v, dtype=float) for v in log_node]),
                     layout.stack(log_edge))
 
@@ -129,9 +127,10 @@ class MessageSet:
 
     log_m[(t, s)] is the log message sent from t to s, indexed by states of s.
     The Lagrange multipliers of `lp.dual_from_messages` share this index set
-    and are a message set too.  A message set built on a layout keeps its
-    (E, 2, M) array and builds `log_m`, views of it, on first read.
-    """
+    and are a message set too.  A message set built on a layout, the graph's
+    cached one, keeps that layout and its (E, 2, M) array, which a step on
+    the same layout reads as it is; `log_m`, views of it, is built on first
+    read."""
 
     def __init__(self, log_m: Mapping[tuple, np.ndarray]):
         object.__setattr__(self, "log_m", log_m)
@@ -341,8 +340,8 @@ class _Layout:
     holds each edge's (m_s, m_t).  Per-edge vectors over the states of either
     endpoint are (E, 2, M) arrays, the s side first: idx[k, 0] and idx[k, 1]
     are the node entries of the k-th edge's s and t states, 0 where `pad`
-    marks a padded state.  `sides` and `entries` are the flat positions of
-    the valid entries of such an array and of a table stack.
+    marks a padded state.  `sides` (`pad_at`) and `entries` are the flat
+    positions of the valid (padded) entries of such an array and of a stack.
     """
 
     def __init__(self, cardinalities, edges):
@@ -357,10 +356,16 @@ class _Layout:
         states = np.arange(cards.max())
         valid = states < cards[pairs][:, :, None]
         self.pad = ~valid
+        self.pad_at = np.flatnonzero(self.pad)
         self.idx = np.where(valid, self.offsets[pairs][:, :, None] + states, 0)
         self.sides = np.flatnonzero(valid)
         self._target = self.idx.ravel()[self.sides]
         self.entries = np.flatnonzero(valid[:, 0, :, None] & valid[:, 1, None, :])
+
+    @functools.cached_property
+    def position(self) -> dict:
+        """{edge: its position in `edges`}."""
+        return {e: k for k, e in enumerate(self.edges)}
 
     def node_max(self, v: np.ndarray) -> np.ndarray:
         """Every entry's node-table max, for a node vector or a stack of them
@@ -425,12 +430,30 @@ class _Layout:
         out.reshape(-1)[self.sides] = np.concatenate([[], *(vectors[key] for key in keys)])
         return out
 
+    def messages(self, msgs: MessageSet) -> np.ndarray:
+        """A message set's (E, 2, M) array: its own if it was built on this
+        very layout, else `directed` of its vectors, which checks them."""
+        if getattr(msgs, "_layout", None) is self:
+            return msgs._msgs
+        return self.directed(msgs.log_m)
+
     def accumulate(self, acc: np.ndarray, sides: np.ndarray) -> np.ndarray:
         """Add the valid entries of an (E, 2, M) array to their node entries
         in the node vector `acc`, edge by edge in `edges` order, s side then
         t side."""
         np.add.at(acc, self._target, sides.take(self.sides))
         return acc
+
+
+@functools.lru_cache(maxsize=8)
+def _graph_layout(cardinalities: tuple, edges: tuple) -> _Layout:
+    """The read-only `_Layout` of a graph, built once per (cardinalities,
+    edges), both plain int tuples, and shared by every layer and run on it."""
+    layout = _Layout(cardinalities, edges)
+    for a in vars(layout).values():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return layout
 
 
 class _TreeLayout:
@@ -468,23 +491,20 @@ class _TreeLayout:
     end (`final`) reads the beliefs' two parts, the slots' cavities and the
     removed constants out of the state.
 
-    Every message is max-normalized, and the constants removed from the up
-    arcs give a tree's optimal value: its root belief's max plus their sum.
     `map_values` runs `upward`, the leading up arcs of each level below the
     tallest tree's height, and `solve` runs `batches`, every arc, which also
     gives the max-marginals.  `edge_sum` sums per-slot values onto the
     edges, and `by_edge` groups the slots by edge.  What only `solve` and
     the tree schedule read (`final`, `slot_nodes`, `slot_entries`,
-    `by_edge`) is built on first read, so the `map_values` callers never
-    build it.
+    `by_edge`) is built on first read, read-only, so the `map_values`
+    callers never build it.
     """
 
     def __init__(self, graph: _Layout, trees):
         self.graph = graph
         self.count = len(trees)
         n, N = len(graph.offsets), graph.size
-        width = graph.pad.shape[2]
-        where = {e: k for k, e in enumerate(graph.edges)}
+        width, where = graph.pad.shape[2], graph.position
         slots = [(k, where[e]) for k, tree in enumerate(trees) for e in tree.edges]
         self.tree = np.array([k for k, _ in slots], dtype=np.intp)
         self.edge = np.array([i for _, i in slots], dtype=np.intp)
@@ -588,28 +608,30 @@ class _TreeLayout:
         slots = list(zip(self.tree.tolist(), self.edge.tolist()))
         sides = ([at[(k, *edges[i])] for k, i in slots]
                  + [at[(k, *edges[i][::-1])] for k, i in slots])
-        return np.concatenate((
+        return _freeze(np.concatenate((
             self._rows(cav_arcs)[valid] + self._cav, self._rows(msg_arcs)[valid],
             self._rows(sides).reshape(2, -1, width).transpose(1, 0, 2).reshape(-1) + self._cav,
-            self._rev_at))
+            self._rev_at)), None)
 
     @functools.cached_property
     def slot_nodes(self) -> np.ndarray:
         """Each slot's s and t side node entries in a (T, N) stack of node
         vectors."""
-        return self.tree[:, None, None] * self.graph.size + self.graph.idx[self.edge]
+        return _freeze(self.tree[:, None, None] * self.graph.size + self.graph.idx[self.edge], None)
 
     @functools.cached_property
     def slot_entries(self) -> np.ndarray:
         """Each slot's table entries in an (E, M, M) stack, slot by slot."""
-        return (self.edge[:, None] * self._width ** 2 + np.arange(self._width ** 2)).reshape(-1)
+        return _freeze((self.edge[:, None] * self._width ** 2
+                        + np.arange(self._width ** 2)).reshape(-1), None)
 
     @functools.cached_property
     def by_edge(self) -> tuple:
         """(the slots stably sorted by edge, the first of each edge's slots
         in that order)."""
         order = np.argsort(self.edge, kind="stable")
-        return order, np.searchsorted(self.edge[order], np.arange(len(self.graph.edges)))
+        starts = np.searchsorted(self.edge[order], np.arange(len(self.graph.edges)))
+        return _freeze(order, None), _freeze(starts, None)
 
     def _rows(self, ps) -> np.ndarray:
         """The state entries of message rows `ps`, one row of M per p."""
@@ -687,6 +709,21 @@ class _TreeLayout:
                            math.prod(shape)).reshape(shape)
 
 
+@functools.lru_cache(maxsize=8)
+def _tree_plan(cardinalities: tuple, edges: tuple, trees: tuple) -> _TreeLayout:
+    """The read-only `_TreeLayout` of `trees` on `_graph_layout(cardinalities,
+    edges)`, shared by every call on that shape, lazy parts included."""
+    plan = _TreeLayout(_graph_layout(cardinalities, edges), trees)
+    parts = list(vars(plan).values())
+    while parts:  # its arrays, in tuples and lists too
+        part = parts.pop()
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+        elif isinstance(part, (tuple, list)):
+            parts.extend(part)
+    return plan
+
+
 def _tree_parameter(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):
     """`theta` (the model itself when None) checked as a tree parameter of
     `mrf` on `tree`, the one check of every entry point that takes one: a
@@ -710,7 +747,7 @@ def _tree_parameter(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | N
 
 def _one_tree(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):
     theta = _tree_parameter(mrf, tree, theta)
-    layout = _TreeLayout(_Layout(mrf.cardinalities, tree.edges), [tree])
+    layout = _tree_plan(mrf.cardinalities, tuple((int(s), int(t)) for s, t in tree.edges), (tree,))
     return layout, theta.node_vector, layout.graph.stack(theta.theta_edge)
 
 

@@ -7,68 +7,48 @@ and edge is updated from the previous iterate), optionally damped by linear
 combination of old and new logs, and re-normalized so the largest entry of
 every table is 0.
 
-The message and reparameterization schedules compute on `_FlatMrf`, built
-once per run from the model and rho: the `treedp._Layout` of the model in
-the schedule's edge order (`mrf.edges` for messages, sorted for
-reparameterization), whose edge tables theta_st / rho_st are one padded
-(E, M, M) stack, M the largest cardinality, plus a message state as one
-(E, 2, M) array.  Padded table entries are -inf, so table, row and column
-maxima read the valid entries only; padded row and column maxima and
-message entries are 0, so no step subtracts -inf from -inf.  A step maps
-one state (a tuple of such arrays) to the next with no loop over edges, and
-`_iterate`, the one loop for both schedules, applies it and stops on the
-max log change of the valid entries.  The per-node sums over incident edges
-add the valid entries edge by edge (s side, then t side) in schedule order,
-so each entry sees the same floating-point operations in the same order as
-a per-edge loop: onto zeros, as the message step's are, that is one
-`np.bincount`, which adds its weights in input order; onto a node vector,
-as the reparameterization step's are, one `np.add.at`.  The message step
-adds the cavities to an oriented (E, 2, M, M) stack, each edge's table and
-its transpose, built on a run's first message step (never for the
-reparameterization schedule), so both directions of every edge are one add
-and one max over the trailing axis.  `PseudoMaxMarginals` and
-`MessageSet` are the boundary types, built once at the end of a run; the
-former takes the padded stack as it is and keeps the run's layout, which
-the certificate search and the checks read.  The per-iteration bound of an
-explicit tree distribution runs the tree DP of `treedp._TreeLayout`, built
-once per run, on the same stack.  The public functions `message_step`,
-`reparameterization_step`, `messages_to_pseudo`, `init_pseudo` and
-`unit_messages` convert, run one kernel, convert back.
+Every run, public step and check reads its graph's one cached, read-only
+layout, `treedp._graph_layout`.  The synchronous schedules compute on
+`_FlatMrf`, built once per run: that layout in the schedule's edge order
+(`mrf.edges` for messages, sorted for reparameterization), the run's rho,
+the model's node vector and its tables theta_st / rho_st as one padded
+(E, M, M) stack; a message state is one (E, 2, M) array.  Padded table
+entries are -inf and padded message entries 0, so no step subtracts -inf
+from -inf.  A step maps one state (a tuple of arrays) to the next with no
+loop over edges, and `_iterate`, the one loop for both schedules, stops on
+the max log change of the valid entries.  The per-node sums over incident
+edges add the valid entries edge by edge (s side, then t side) in schedule
+order, as a per-edge loop does: onto zeros by one `np.bincount`, which adds
+its weights in input order, onto a node vector by one `np.add.at`.  The
+message step adds the cavities to an oriented (E, 2, M, M) stack, each
+table and its transpose, so both directions of every edge are one add and
+one max over the trailing axis.  A result (`PseudoMaxMarginals`,
+`MessageSet`) keeps the cached layout, not the run's tables; a message set
+built on a layout enters a step on it as its own array
+(`_Layout.messages`).  An explicit tree distribution adds a per-iteration
+bound, run by the tree DP `treedp._TreeLayout` on the same stack.
 
-The tree-based schedule keeps its own loop, because its stopping rules (a
+The tree-based schedule keeps its own loop: its stopping rules (a
 configuration optimal in every tree, or agreement of the per-tree tables) are
-checked between the tree DP and the merge.  It runs on the same layout: the
-shared parameter is a node vector and a table stack, each iteration runs one
-`_TreeLayout.solve` for all trees, which gives both the max-marginals (a
-stack over the (tree, edge) slots) and the tree values of the bound, and the
-split, the merge, the damping, the tie masks and the agreement test are
-array operations.  Its layouts come from `_tree_plan`, a small cache keyed
-on (cardinalities, edges, trees): every run on one graph and tree set, such
-as every cell of the grid experiment, shares one plan, built whole on the
-first run with every array read-only, so results that keep its layout stay
-immutable.  The experiment's two-tree distribution is cached per grid shape
-too (`_grid_trees`).  Sums over trees run in support order (`_tree_sum`):
-the node tables by `model._sum_in_order`, and the slots onto their edges by
-one `np.bincount` (`_TreeLayout.edge_sum`), as are the bound's combined
-first entries; every ordered sum, such as a bound's weighted tree values,
-is added left to right (`model._sum_in_order`).
-`check_reparameterization` takes pseudo-max-marginals, or explicit tree
-parameters, one `PairwiseMrf` per tree checked by `treedp._tree_parameter`.
-The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
-table's max, is `_tie_masks`, shared by `find_certificate`, the tree
-schedule and the experiment's unique-maximizer count; padded entries are
-never ties.  The search for a configuration within the ties first prunes
-the candidate states by arc consistency on the whole layout
-(`_arc_consistent`); a depth-first search runs only on the ends of the
-edges that still forbid a pair of candidates, in the order of their
-unpruned counts, so it finds the assignment a search over all nodes finds.
-When every node has a single tie, as on the large grids timed for this
-package, no node is left to search.
+checked between the tree DP and the merge.  Each iteration runs one
+`_TreeLayout.solve` for all trees, giving the max-marginals of every (tree,
+edge) slot and the tree values of the bound; the split, the merge, the tie
+masks and the agreement test are array operations.  Its plan comes from
+`treedp._tree_plan`, cached and read-only, as is the experiment's two-tree
+distribution (`_grid_trees`).  Sums over trees run in support order
+(`_tree_sum`), and every ordered sum is added left to right
+(`model._sum_in_order`).  `check_reparameterization` takes
+pseudo-max-marginals, or one tree parameter per tree, a `PairwiseMrf`
+checked by `treedp._tree_parameter`.
 
-A run reads a model's packed vectors only: `_FlatMrf` fills its table
-stack with one scatter of the edge vector.  The per-table views of a model
-(`theta_node`, `theta_edge`) and of a result (`log_node`, `log_edge`,
-`MessageSet.log_m`) are built only when read.
+The certificate's tie rule, the entries within `CERT_TIE_TOL` of their
+table's max, is `_tie_masks`, shared by `find_certificate`, the tree schedule
+and the experiment's unique-maximizer count; padded entries are never ties.
+The search prunes the candidates by arc consistency on the whole layout
+(`_arc_consistent`), then searches depth first only on the ends of the edges
+that still forbid a pair of candidates, so it finds the assignment a search
+over all nodes finds.  A run reads a model's packed vectors only; the
+per-table views of a model and of a result are built only when read.
 """
 
 from __future__ import annotations
@@ -79,10 +59,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, StructureError, _checked_rho, _freeze, _sum_in_order
+from .model import Edge, PairwiseMrf, StructureError, _checked_rho, _sum_in_order
 from .trees import TreeDistribution, edge_appearance, grid_two_tree_distribution
-from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, MessageSet, _guard_states, _Layout,
-                     _normalized, _top, _tree_parameter, _TreeLayout, assignment_scores)
+from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, MessageSet, _graph_layout, _guard_states,
+                     _Layout, _normalized, _top, _tree_parameter, _tree_plan, _TreeLayout,
+                     assignment_scores)
 
 CERT_TIE_TOL = 1e-9
 CERT_SEARCH_GUARD = 1_000_000
@@ -150,26 +131,25 @@ def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
     return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
 
 
-class _FlatMrf(_Layout):
-    """A graph, its rho and optionally its model, laid out for array updates.
+class _FlatMrf:
+    """A run's rho and model on a cached `layout`, for array updates.
 
-    Tables are the layout's (E, M, M) stacks; messages are one (E, 2, M)
-    array, msgs[k, 0] the log message t->s of the k-th edge and msgs[k, 1]
-    the one s->t, 0 on padded states.  `rho_e` comes checked (`_checked_rho`).
-    """
+    Messages are one (E, 2, M) array, msgs[k, 0] the log message t->s of the
+    k-th edge and msgs[k, 1] the one s->t, 0 on padded states.  `rho_e` comes
+    checked (`_checked_rho`).  Only the public reparameterization step has no
+    `mrf`: it reads no model tables."""
 
-    def __init__(self, cardinalities, edges, rho_e=None, mrf: PairwiseMrf | None = None):
-        super().__init__(cardinalities, edges)
-        if rho_e is not None:
-            self.rho = np.fromiter(map(rho_e.__getitem__, self.edges), float, len(self.edges))
-            # rho of each valid side's edge, as the node sums weight them
-            self._rho_sides = np.repeat(self.rho, 2 * self.pad.shape[2]).take(self.sides)
+    def __init__(self, layout: _Layout, rho_e, mrf: PairwiseMrf | None = None):
+        self.layout = layout
+        self.rho = np.fromiter(map(rho_e.__getitem__, layout.edges), float, len(layout.edges))
+        # rho of each valid side's edge, as the node sums weight them
+        self._rho_sides = np.repeat(self.rho, 2 * layout.pad.shape[2]).take(layout.sides)
         if mrf is not None:
             self.theta_node = mrf.node_vector
-            self.table = self.model_tables(mrf) / self.rho[:, None, None]
+            self.table = layout.model_tables(mrf) / self.rho[:, None, None]
 
     def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
-        return v - self.node_max(v)
+        return v - self.layout.node_max(v)
 
     # --- messages: one (E, 2, M) array --------------------------------------
 
@@ -179,26 +159,23 @@ class _FlatMrf(_Layout):
         transpose, rows x_t, so both directions maximize over the last axis."""
         return np.stack((self.table, self.table.transpose(0, 2, 1)), axis=1)
 
-    @functools.cached_property
-    def _pad_at(self) -> np.ndarray:
-        return np.flatnonzero(self.pad)
-
     def unit_messages(self) -> tuple:
-        return (np.zeros(self.idx.shape),)
+        return (np.zeros(self.layout.idx.shape),)
 
     def _cavities(self, msgs: np.ndarray) -> tuple:
         """(h, h[idx] - msgs): h is the node vector theta_s plus
         sum over neighbors v of rho_vs * log M_vs."""
-        weighted = self._rho_sides * msgs.take(self.sides)
-        h = self.theta_node + np.bincount(self._target, weighted, self.size)
-        return h, h[self.idx] - msgs
+        layout = self.layout
+        weighted = self._rho_sides * msgs.take(layout.sides)
+        h = self.theta_node + np.bincount(layout._target, weighted, layout.size)
+        return h, h[layout.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
         old = msgs[0]
         _, cav = self._cavities(old)
         # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s;
         # a max over the last axis is `_top`'s: np.maximum of its slices in order
-        second, rest = min(1, self.pad.shape[2] - 1), range(2, self.pad.shape[2])
+        second, rest = min(1, self.layout.pad.shape[2] - 1), range(2, self.layout.pad.shape[2])
         t = self._oriented + cav[:, ::-1, None, :]
         new = np.maximum(t[..., 0], t[..., second])
         for j in rest:
@@ -213,8 +190,8 @@ class _FlatMrf(_Layout):
             for j in rest:
                 np.maximum(top, new[..., j], out=top)
             new -= top[..., None]
-        if len(self._pad_at):
-            new.put(self._pad_at, 0.0)
+        if len(self.layout.pad_at):
+            new.put(self.layout.pad_at, 0.0)
         return (new,)
 
     def pseudo_from_messages(self, msgs: tuple) -> tuple:
@@ -223,20 +200,21 @@ class _FlatMrf(_Layout):
                 _normalized(self.table + cav[:, 0, :, None] + cav[:, 1, None, :]))
 
     def pack_messages(self, msgs: MessageSet) -> tuple:
-        return (self.directed(msgs.log_m),)
+        return (self.layout.messages(msgs),)
 
     def message_set(self, msgs: tuple) -> MessageSet:
-        return MessageSet.on_layout(self, msgs[0])
+        return MessageSet.on_layout(self.layout, msgs[0])
 
     # --- pseudo-max-marginals: node vector, then the table stack ------------
 
     def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
         node, tables = nu
+        layout = self.layout
         marg = np.stack((_top(tables, 2), _top(tables, 1)), axis=1)
-        marg[self.pad] = 0.0
-        new_node = self._normalized_nodes(self.accumulate(
-            node.copy(), self.rho[:, None, None] * (marg - node[self.idx])))
-        near = new_node[self.idx]
+        marg[layout.pad] = 0.0
+        new_node = self._normalized_nodes(layout.accumulate(
+            node.copy(), self.rho[:, None, None] * (marg - node[layout.idx])))
+        near = new_node[layout.idx]
         new_tables = _normalized(tables - marg[:, 0, :, None] - marg[:, 1, None, :]
                                  + near[:, 0, :, None] + near[:, 1, None, :])
         if damping < 1.0:
@@ -245,18 +223,19 @@ class _FlatMrf(_Layout):
         return new_node, new_tables
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        return PseudoMaxMarginals.on_layout(self, nu[0], nu[1])
+        return PseudoMaxMarginals.on_layout(self.layout, nu[0], nu[1])
 
 
 def unit_messages(mrf: PairwiseMrf) -> MessageSet:
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges)
-    return flat.message_set(flat.unit_messages())
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    return MessageSet.on_layout(layout, np.zeros(layout.idx.shape))
 
 
 def init_pseudo(mrf: PairwiseMrf, rho_e: Mapping[Edge, float]) -> PseudoMaxMarginals:
     """Starting pseudo-max-marginals: node tables from theta, edge tables from
     the edge table scaled by 1/rho plus both node tables, max-normalized."""
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, _checked_rho(mrf.edges, rho_e), mrf)
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    flat = _FlatMrf(layout, _checked_rho(mrf.edges, rho_e), mrf)
     return flat.pseudo(flat.pseudo_from_messages(flat.unit_messages()))
 
 
@@ -270,9 +249,11 @@ def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
     tables.  The update is computed from the previous iterate throughout,
     then damped in the log domain and re-normalized.
     """
-    edges = sorted(nu.log_edge)
-    flat = _FlatMrf([len(v) for v in nu.log_node], edges, _checked_rho(edges, rho_e))
-    return flat.pseudo(flat.reparameterization_step((nu.node, flat.stack(nu.log_edge)), damping))
+    edges = tuple(sorted(nu.log_edge))
+    flat = _FlatMrf(_graph_layout(tuple(nu.layout.cards.tolist()), edges),
+                    _checked_rho(edges, rho_e))
+    nu = (nu.node, flat.layout.stack(nu.log_edge))
+    return flat.pseudo(flat.reparameterization_step(nu, damping))
 
 
 def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float],
@@ -284,14 +265,16 @@ def message_step(msgs: MessageSet, mrf: PairwiseMrf, rho_e: Mapping[Edge, float]
     incoming messages, with the reverse-direction message subtracted at full
     weight.  With rho identically 1 this is the ordinary max-product update.
     """
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, _checked_rho(mrf.edges, rho_e), mrf)
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    flat = _FlatMrf(layout, _checked_rho(mrf.edges, rho_e), mrf)
     return flat.message_set(flat.message_step(flat.pack_messages(msgs), damping))
 
 
 def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
                        rho_e: Mapping[Edge, float]) -> PseudoMaxMarginals:
     """Pseudo-max-marginals induced by a message set, max-normalized."""
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, _checked_rho(mrf.edges, rho_e), mrf)
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    flat = _FlatMrf(layout, _checked_rho(mrf.edges, rho_e), mrf)
     return flat.pseudo(flat.pseudo_from_messages(flat.pack_messages(msgs)))
 
 
@@ -499,8 +482,7 @@ class _ZeroOffset:
     """
 
     def __init__(self, mrf: PairwiseMrf, layout: _Layout):
-        where = {e: k for k, e in enumerate(layout.edges)}
-        self.order = np.array([where[e] for e in mrf.edges], dtype=np.intp)
+        self.order = np.array([layout.position[e] for e in mrf.edges], dtype=np.intp)
         node_off, edge_off = mrf.offsets
         self.theta_node = mrf.node_vector[node_off]
         n = len(node_off)
@@ -538,7 +520,7 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
         if len(thetas) != len(support):
             raise ValueError("one tree parameter per supported tree required")
         thetas = [_tree_parameter(mrf, tree, th) for (tree, _), th in zip(support, thetas)]
-        layout = _Layout(mrf.cardinalities, mrf.edges)
+        layout = _graph_layout(mrf.cardinalities, mrf.edges)
         w = np.array([wk for _, wk in support])
         node = _sum_in_order(w[:, None] * np.array([th.node_vector for th in thetas]))
         tables = _sum_in_order(w[:, None, None, None]
@@ -551,16 +533,16 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
     return float(np.max(np.abs(d - d.mean())))
 
 
-def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, nu: tuple) -> float:
-    """Current upper bound from pseudo-max-marginals on the `_FlatMrf`
-    `trees.graph` (node vector, table stack): rho-weighted optimal values of
+def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, rho, nu: tuple) -> float:
+    """Current upper bound from pseudo-max-marginals on `trees.graph` (node
+    vector, table stack) and its edges' rho: rho-weighted optimal values of
     the induced tree problems, corrected by the additive constant
     separating their combination from theta."""
     (node, stack), graph = nu, trees.graph
     near = node[graph.idx]
     theta = (stack - near[:, 0, :, None]) - near[:, 1, None, :]
     return (float(_sum_in_order(weights * trees.map_values(node, theta)))
-            - offset(node[graph.offsets], graph.rho * theta[:, 0, 0]))
+            - offset(node[graph.offsets], rho * theta[:, 0, 0]))
 
 
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
@@ -579,14 +561,14 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     dist, rho_e = resolve_rho(mrf, dist_or_rho)
     if variant == "reparam":
         # this update sums node corrections in sorted edge order
-        flat = _FlatMrf(mrf.cardinalities, sorted(mrf.edges), rho_e, mrf)
+        flat = _FlatMrf(_graph_layout(mrf.cardinalities, tuple(sorted(mrf.edges))), rho_e, mrf)
         state, step = flat.pseudo_from_messages(flat.unit_messages()), flat.reparameterization_step
-        valid = (None, flat.entries)
+        valid = (None, flat.layout.entries)
 
         def tables(nu):
             return nu
     elif variant == "messages":
-        flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho_e, mrf)
+        flat = _FlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho_e, mrf)
         state, step, tables = flat.unit_messages(), flat.message_step, flat.pseudo_from_messages
         valid = None  # padded message entries are 0 in every iterate
     else:
@@ -595,12 +577,12 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     observe = None
     if dist is not None:
         support = dist.support_items()
-        trees = _TreeLayout(flat, [tree for tree, _ in support])
+        trees = _TreeLayout(flat.layout, [tree for tree, _ in support])
         weights = np.array([w for _, w in support])
-        offset = _ZeroOffset(mrf, flat)
+        offset = _ZeroOffset(mrf, flat.layout)
 
         def observe(state):
-            bound_trace.append(_bound_value(trees, weights, offset, tables(state)))
+            bound_trace.append(_bound_value(trees, weights, offset, flat.rho, tables(state)))
     state, iterations, converged = _iterate(step, state, config, observe, valid)
     nu = flat.pseudo(tables(state))
     cert = find_certificate(nu, mrf)
@@ -616,26 +598,6 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         terminated_by="converged" if converged else "max_iterations",
         messages_per_edge=2.0 * iterations,
     )
-
-
-@functools.lru_cache(maxsize=8)
-def _tree_plan(cardinalities: tuple, edges: tuple, trees: tuple) -> _TreeLayout:
-    """The `_TreeLayout` of `trees` on the `_Layout` of a graph, built once
-    per (cardinalities, edges, trees) and shared by every run on that
-    shape: all of it, the parts only `solve` and the tree schedule read
-    too, is built here, and every array in it is read-only."""
-    plan = _TreeLayout(_Layout(cardinalities, edges), trees)
-    parts = [vars(plan), vars(plan.graph), plan.final, plan.slot_nodes, plan.slot_entries,
-             plan.by_edge]
-    while parts:
-        part = parts.pop()
-        if isinstance(part, np.ndarray):
-            _freeze(part, None)
-        elif isinstance(part, (tuple, list)):
-            parts.extend(part)
-        elif isinstance(part, dict):
-            parts.extend(part.values())
-    return plan
 
 
 @functools.lru_cache(maxsize=8)

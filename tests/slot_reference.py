@@ -33,9 +33,9 @@ class SlotFlatMrf(_FlatMrf):
     """`_FlatMrf` with the slot-ordered message kernel."""
 
     def _cavities(self, msgs: np.ndarray) -> tuple:
-        h = self.theta_node + self.accumulate(np.zeros(self.size),
-                                              self.rho[:, None, None] * msgs)
-        return h, h[self.idx] - msgs
+        h = self.theta_node + self.layout.accumulate(np.zeros(self.layout.size),
+                                                     self.rho[:, None, None] * msgs)
+        return h, h[self.layout.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
         _, cav = self._cavities(msgs[0])
@@ -45,7 +45,7 @@ class SlotFlatMrf(_FlatMrf):
         if damping < 1.0:
             new = _damp(new, msgs[0], damping)
             new -= _top(new, 2)[..., None]
-        new[self.pad] = 0.0
+        new[self.layout.pad] = 0.0
         return (new,)
 
 

@@ -30,7 +30,7 @@ from test_padded_kernels import CASES, random_rho
 from trwmap import (PairwiseMrf, SpanningTree, TrwConfig, cli, grid_edges,
                     grid_two_tree_distribution, run_tree_updates, run_trw, tree_map_value,
                     tree_max_marginals, trw, uniform_rho, uniform_tree_distribution)
-from trwmap.treedp import _Layout, _TreeLayout
+from trwmap.treedp import _graph_layout, _Layout, _TreeLayout
 from trwmap.trw import _FlatMrf
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -105,8 +105,8 @@ def test_paper_pool_bound_traces_equal_slot_order(reference_run_trw):
 def test_message_step_equals_slot_order(index, damping):
     mrf, _ = CASES[index]
     rho = random_rho(np.random.default_rng(index), mrf)
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
-    old = ref.SlotFlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
+    flat = _FlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho, mrf)
+    old = ref.SlotFlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho, mrf)
     got = want = flat.unit_messages()
     for _ in range(100):
         got, want = flat.message_step(got, damping), old.message_step(want, damping)
@@ -184,16 +184,17 @@ def test_message_step_equals_slot_order_on_signed_zeros(index, damping):
     mrf, _ = CASES[index]
     rng = np.random.default_rng(21_100 + index)
     rho = random_rho(rng, mrf)
-    flat = _FlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
-    old = ref.SlotFlatMrf(mrf.cardinalities, mrf.edges, rho, mrf)
-    assert flat.pad.any()
-    node = np.where(rng.random(flat.size) < 0.5, -0.0, 0.0)
+    flat = _FlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho, mrf)
+    old = ref.SlotFlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho, mrf)
+    graph = flat.layout
+    assert graph.pad.any()
+    node = np.where(rng.random(graph.size) < 0.5, -0.0, 0.0)
     table = np.where(rng.random(flat.table.shape) < 0.5, -0.0, 0.0)
-    table[flat.pad[:, 0, :, None] | flat.pad[:, 1, None, :]] = -np.inf
+    table[graph.pad[:, 0, :, None] | graph.pad[:, 1, None, :]] = -np.inf
     for layout in (flat, old):
         layout.theta_node, layout.table = node, table
-    msgs = np.where(rng.random(flat.idx.shape) < 0.5, -0.0, 0.0)
-    msgs[flat.pad] = 0.0
+    msgs = np.where(rng.random(graph.idx.shape) < 0.5, -0.0, 0.0)
+    msgs[graph.pad] = 0.0
     got = want = (msgs,)
     for _ in range(4):
         got, want = flat.message_step(got, damping), old.message_step(want, damping)

@@ -9,7 +9,7 @@ from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
                     uniform_tree_distribution)
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
-from trwmap.treedp import _Layout
+from trwmap.treedp import _graph_layout, _Layout
 from trwmap.trw import _tree_plan
 
 from conftest import potts_grid_mrf, random_graph_mrf
@@ -159,16 +159,9 @@ class TestSolve:
         assert run_cli(argv + ["--trees", str(tpath)]) == run_cli(argv)
 
 
-@pytest.mark.parametrize("with_trees", [False, True])
-@pytest.mark.parametrize("method", ["trw-msg", "trw-edge", "trw-tree", "maxprod"])
-def test_trw_solve_builds_one_layout(method, with_trees, tmp_path, monkeypatch):
-    # the run, the certificate search and the invariant checks share the
-    # run's layout (a `_FlatMrf` is one); the tree schedule takes its layout
-    # from the plan cache, emptied here, so a cold solve builds one
-    mrf = random_graph_mrf(np.random.default_rng(7000), n_nodes=6)
-    path, tpath = tmp_path / "model.json", tmp_path / "trees.json"
-    path.write_bytes(save_model(mrf))
-    tpath.write_bytes(save_tree_distribution(uniform_tree_distribution(mrf)))
+def cold_layout_builds(monkeypatch) -> list:
+    """Empty the layout and plan caches, and record every `_Layout` built
+    from here on."""
     built = []
     init = _Layout.__init__
 
@@ -178,9 +171,39 @@ def test_trw_solve_builds_one_layout(method, with_trees, tmp_path, monkeypatch):
 
     monkeypatch.setattr(_Layout, "__init__", counted)
     _tree_plan.cache_clear()
-    code, out = run_cli(["solve", str(path), "--method", method, "--max-iters", "50"]
-                        + (["--trees", str(tpath)] if with_trees else []))
+    _graph_layout.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("with_trees", [False, True])
+@pytest.mark.parametrize("method", ["trw-msg", "trw-edge", "trw-tree", "maxprod"])
+def test_trw_solve_builds_one_layout(method, with_trees, tmp_path, monkeypatch):
+    # the run, the certificate search and the invariant checks share the
+    # graph's cached layout, and the tree schedule's plan is built on it,
+    # so a cold solve builds one and a second solve of the file none
+    mrf = random_graph_mrf(np.random.default_rng(7000), n_nodes=6)
+    path, tpath = tmp_path / "model.json", tmp_path / "trees.json"
+    path.write_bytes(save_model(mrf))
+    tpath.write_bytes(save_tree_distribution(uniform_tree_distribution(mrf)))
+    built = cold_layout_builds(monkeypatch)
+    argv = (["solve", str(path), "--method", method, "--max-iters", "50"]
+            + (["--trees", str(tpath)] if with_trees else []))
+    code, out = run_cli(argv)
     assert code in (0, 2) and "edge-consistency" in out
+    assert len(built) == 1, built
+    assert run_cli(argv) == (code, out)
+    assert len(built) == 1, built
+
+
+def test_lp_solve_builds_one_layout(tmp_path, monkeypatch):
+    # the LP's constraints and the local-polytope test of its vertex
+    path = tmp_path / "model.json"
+    path.write_bytes(save_model(random_graph_mrf(np.random.default_rng(7000), n_nodes=6)))
+    built = cold_layout_builds(monkeypatch)
+    code, out = run_cli(["solve", str(path), "--method", "lp"])
+    assert code in (0, 2) and "vertex:" in out
+    assert len(built) == 1, built
+    assert run_cli(["solve", str(path), "--method", "lp"]) == (code, out)
     assert len(built) == 1, built
 
 

@@ -19,6 +19,7 @@ import trw_reference as ref
 from conftest import random_graph_mrf
 from trwmap import (PairwiseMrf, TrwConfig, grid_two_tree_distribution, run_trw,
                     uniform_tree_distribution)
+from trwmap.treedp import _graph_layout
 from trwmap.trw import _FlatMrf, _max_change
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -65,7 +66,7 @@ def random_rho(rng, mrf):
 
 
 def layouts(mrf, edges, rho):
-    return _FlatMrf(mrf.cardinalities, edges, rho, mrf), ref.BucketedFlatMrf(
+    return _FlatMrf(_graph_layout(mrf.cardinalities, tuple(edges)), rho, mrf), ref.BucketedFlatMrf(
         mrf.cardinalities, edges, rho, mrf)
 
 
@@ -84,18 +85,18 @@ def assert_pseudo_equal(got, want):
 
 def assert_padding(flat, tables, msgs=None):
     """Padded table entries are -inf, padded message entries 0."""
-    pad = flat.pad[:, 0, :, None] | flat.pad[:, 1, None, :]
+    pad = flat.layout.pad[:, 0, :, None] | flat.layout.pad[:, 1, None, :]
     assert np.all(tables[pad] == -np.inf) and np.isfinite(tables[~pad]).all()
     if msgs is not None:
-        assert np.all(msgs[flat.pad] == 0.0)
+        assert np.all(msgs[flat.layout.pad] == 0.0)
 
 
 def test_cases_have_padding_and_several_table_shapes():
     for mrf, _ in CASES:
-        flat = _FlatMrf(mrf.cardinalities, mrf.edges)
-        assert flat.pad.any()
-        assert len({tuple(cards) for cards in flat.edge_cards}) >= 2
-    worst = _FlatMrf(CASES[-1][0].cardinalities, CASES[-1][0].edges)
+        layout = _graph_layout(mrf.cardinalities, mrf.edges)
+        assert layout.pad.any()
+        assert len({tuple(cards) for cards in layout.edge_cards}) >= 2
+    worst = _graph_layout(CASES[-1][0].cardinalities, CASES[-1][0].edges)
     # at most a third of the (E, 6, 6) table entries are valid
     assert worst.pad.shape[2] == 6 and 3 * worst.entries.size <= 36 * len(worst.edges)
 
@@ -127,7 +128,7 @@ def test_reparameterization_kernel_matches_bucketed(index, damping):
     for _ in range(STEPS):
         new_got = flat.reparameterization_step(got, damping)
         new_want = old.reparameterization_step(want, damping)
-        assert (_max_change(new_got, got, (None, flat.entries))
+        assert (_max_change(new_got, got, (None, flat.layout.entries))
                 == ref.bucketed_change(new_want, want))
         got, want = new_got, new_want
         assert_padding(flat, got[1])
