@@ -20,12 +20,12 @@ builds it on nu's layout as one (E, 2, M) array, 0 on padded states, and
 stack in place.  Message sets live in `treedp`, next to `MaxMarginals`, so
 the LP layer does not import the solver.
 
-The dense two-phase simplex uses Bland's anti-cycling rule.  Its tableau
-carries the reduced-cost row c_B T - c as its last row, which each pivot
-updates; the dense product runs once per phase and again at each terminal
-decision.  The entering-column choice, ratio test and pivots are array
-operations over the pivot column's and pivot row's nonzeros.  The loop form
-they reproduce pivot for pivot is kept in `tests/lp_reference.py`.
+The dense two-phase simplex uses Bland's anti-cycling rule, both phases in
+one tableau buffer whose last row, the reduced-cost row c_B T - c, each
+pivot updates; the dense product runs once per phase and again at each
+terminal decision.  The entering-column choice, ratio test and pivots are
+array operations over the pivot column's and pivot row's nonzeros.  The loop
+form they reproduce pivot for pivot is kept in `tests/lp_reference.py`.
 """
 
 from __future__ import annotations
@@ -74,22 +74,23 @@ class SimplexResult:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    """Pivot the tableau in place on (row, col).
+    """Pivot the C-contiguous tableau in place on (row, col).
 
     The pivot row is divided by the pivot.  Every other row i with
-    f_i = T[i, col] nonzero gets T_ij - f_i * piv_j, but only at the columns
-    j where the pivot row piv is nonzero: at the others a full row update
-    subtracts a signed zero, so every value is `==` to the full update's.
-    The one difference is the sign of a zero: the full update can turn a
-    -0.0 into +0.0 at a skipped column, so zero entries of a solution may
-    differ in sign from the loop form kept in `tests/lp_reference.py`.
+    f_i = T[i, col] nonzero gets T_ij - f_i * piv_j, one flat-indexed update,
+    but only where the pivot row piv is nonzero: at the others a full row
+    update subtracts a signed zero, so every value is `==` to the full
+    update's.  The one difference is the sign of a zero: the full update can
+    turn a -0.0 into +0.0 at a skipped column, so zero entries of a solution
+    may differ in sign from the loop form kept in `tests/lp_reference.py`.
     """
     T[row] /= T[row, col]
     piv = T[row]
     rows = T[:, col].nonzero()[0]
     rows = rows[rows != row]
     cols = piv.nonzero()[0]
-    T[rows[:, None], cols] -= T[rows, col][:, None] * piv[cols]
+    at = (rows[:, None] * T.shape[1] + cols).ravel()
+    T.reshape(-1)[at] -= np.multiply.outer(T[rows, col], piv[cols]).ravel()
 
 
 def _dense_row(T: np.ndarray, basis: list, c: np.ndarray) -> np.ndarray:
@@ -143,36 +144,24 @@ def _simplex_core(T: np.ndarray, basis: list, c: np.ndarray) -> str:
         basis[leave] = entering
 
 
-def _tableau(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Constraint rows [M | rhs] above a row of zeros for the objective row
-    that `_simplex_core` fills in and carries."""
-    T = np.zeros((M.shape[0] + 1, M.shape[1] + 1))
-    T[:-1, :-1] = M
-    T[:-1, -1] = rhs
-    return T
-
-
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Two-phase dense simplex; returns an optimal basic feasible solution.
 
-    Each phase's tableau carries an objective row below its constraint rows
-    (`_tableau`).  Phase 1's is dropped before the remaining artificials are
-    driven out, and phase 2 reads x from its constraint rows.
+    Both phases run in one buffer, [A | I | b] (rows with b < 0 negated)
+    above the objective row each phase fills in and carries.  Phase 2 runs
+    with the artificial block zeroed, so none of it can enter, and reads x
+    from the constraint rows; the buffer is copied only when the drive-out
+    of the remaining artificials drops a redundant row.
     """
-    A, b, c = lp.A.copy(), lp.b.copy(), lp.c
-    m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1
-    b[flip] *= -1
-
-    # Phase 1: artificial basis, maximize minus their sum.
-    T = _tableau(np.hstack([A, np.eye(m)]), b)
+    m, n = lp.A.shape
+    sign = np.where(lp.b < 0, -1.0, 1.0)
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, -1] = lp.A * sign[:, None], lp.b * sign
+    T[range(m), range(n, n + m)] = 1.0
     basis = list(range(n, n + m))
     c1 = np.concatenate([np.zeros(n), -np.ones(m)])
     _simplex_core(T, basis, c1)
-    T = T[:-1]
-    art_sum = float(c1[basis] @ T[:, -1])
-    if art_sum < -FEAS_TOL:
+    if float(c1[basis] @ T[:m, -1]) < -FEAS_TOL:
         return SimplexResult("infeasible", np.nan, None)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
@@ -183,19 +172,20 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             if nonzero.size == 0:
                 continue  # redundant constraint
             piv = int(nonzero[0])
-            _pivot(T, i, piv)
+            _pivot(T[:m], i, piv)
             basis[i] = piv
         keep_rows.append(i)
-    kept = T[keep_rows]
-    T = _tableau(kept[:, :n], kept[:, -1])
-    basis = [basis[i] for i in keep_rows]
+    if len(keep_rows) < m:
+        T = T[keep_rows + [m]]
+        basis = [basis[i] for i in keep_rows]
+    T[:, n:-1] = 0.0
 
-    status = _simplex_core(T, basis, np.asarray(c, dtype=float))
+    status = _simplex_core(T, basis, np.concatenate((lp.c, np.zeros(m))))
     if status != "optimal":
         return SimplexResult(status, np.nan, None)
     x = np.zeros(n)
     x[basis] = T[:-1, -1]
-    return SimplexResult("optimal", float(c @ x), x)
+    return SimplexResult("optimal", float(lp.c @ x), x)
 
 
 def in_local(tau: PairwiseMrf, tol: float = 1e-9) -> bool:
@@ -336,6 +326,6 @@ def evaluate_dual(lam: MessageSet, mrf: PairwiseMrf,
     node, tables = mrf.node_vector.copy(), layout.model_tables(mrf)
     rho = np.array([rho_e[e] for e in layout.edges])[:, None, None]
     to = rho * layout.messages(lam)
-    layout.accumulate(node, to)
+    np.add.at(node, layout._target, to.take(layout.sides))
     total = (tables - to[:, 0, :, None] - to[:, 1, None, :]).max(axis=(1, 2)).sum()
     return float(np.maximum.reduceat(node, layout.offsets).sum() + total)

@@ -62,6 +62,7 @@ from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
 GRID_OPTIMA_GUARD = 2 ** 16
+GRID_KEPT_TABLES = 2 ** 20  # entries of the pair tables `grid_map` may keep
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -239,13 +240,14 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     """Exact MAP value and the complete set of optimal assignments of a model
     whose edges are `grid_edges(rows, cols)`, equal to `brute_force_map`'s.
 
-    A max-sum DP runs over the grid's lines (`_grid_lines`).  Backtracking
-    collects every configuration whose DP score lies within 1e-9 of the DP
-    value, relative to the model's total absolute weight (which bounds any
-    configuration's terms, so rounding never drops an optimum).  Each is
-    rescored in `score`'s order, the order in which brute force sums too,
-    and those equal to the maximum are returned in lexicographic order.  A
-    CapacityError is raised when a line-pair table exceeds
+    A max-sum DP runs over the grid's lines (`_grid_lines`).  Backtracking,
+    on the DP's pair tables when they have `GRID_KEPT_TABLES` entries at
+    most, collects every configuration whose DP score lies within 1e-9 of
+    the DP value, relative to the model's total absolute weight (which
+    bounds any configuration's terms, so rounding never drops an optimum).
+    Each is rescored in `score`'s order, the order in which brute force sums
+    too, and those equal to the maximum are returned in lexicographic order.
+    A CapacityError is raised when a line-pair table exceeds
     `BRUTE_FORCE_GUARD`, or when more than `GRID_OPTIMA_GUARD`
     configurations are collected.
     """
@@ -281,9 +283,11 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
         return out
 
     unary = [within(line, x) for line, x in zip(lines, states)]
-    best = [unary[0]]
+    keep = sum(len(x) * len(y) for x, y in zip(states, states[1:])) <= GRID_KEPT_TABLES
+    best, kept = [unary[0]], []
     for r in range(1, len(lines)):
         pair = between(r - 1, slice(None))
+        kept.append(pair.copy() if keep else None)
         pair += best[-1][:, None]
         best.append(unary[r] + pair.max(axis=0))
     floor = best[-1].max() - 1e-9 * (1.0 + np.abs(theta).sum())
@@ -301,7 +305,7 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
         grown, count = [], 0
         for lo in range(0, len(paths), step):
             p, t = paths[lo:lo + step], tail[lo:lo + step]
-            pair = between(r, p[:, 0])
+            pair = between(r, p[:, 0]) if kept[r] is None else kept[r][:, p[:, 0]]
             k, i = np.nonzero(best[r][:, None] + pair + t >= floor)
             count += len(k)
             if count > GRID_OPTIMA_GUARD:
@@ -320,10 +324,13 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
 
 
 def _top(a: np.ndarray, axis: int) -> np.ndarray:
-    """Max over one short axis as elementwise maxima of its slices: numpy
-    reduces over an axis of a few entries many times slower per entry."""
-    rest = (k for k in range(a.ndim) if k != axis)
-    return functools.reduce(np.maximum, a.transpose(axis, *rest))
+    """Max over one short axis as elementwise maxima of its slices, in order:
+    numpy reduces over an axis of a few entries many times slower per entry."""
+    slabs = a.transpose(axis, *(k for k in range(a.ndim) if k != axis)) if axis else a
+    out = np.maximum(slabs[0], slabs[min(1, len(slabs) - 1)])
+    for j in range(2, len(slabs)):
+        np.maximum(out, slabs[j], out=out)
+    return out
 
 
 def _normalized(a: np.ndarray) -> np.ndarray:
@@ -341,7 +348,10 @@ class _Layout:
     endpoint are (E, 2, M) arrays, the s side first: idx[k, 0] and idx[k, 1]
     are the node entries of the k-th edge's s and t states, 0 where `pad`
     marks a padded state.  `sides` (`pad_at`) and `entries` are the flat
-    positions of the valid (padded) entries of such an array and of a stack.
+    positions of the valid (padded) entries of such an array and of a stack,
+    `_target` the node entry of each valid side.  A synchronous run reverses
+    their axes (edge axis last): `idx_last` is `idx` so, and `sides_last`,
+    `pad_last` and `entries_last` the same entries there, in the same order.
     """
 
     def __init__(self, cardinalities, edges):
@@ -360,7 +370,12 @@ class _Layout:
         self.idx = np.where(valid, self.offsets[pairs][:, :, None] + states, 0)
         self.sides = np.flatnonzero(valid)
         self._target = self.idx.ravel()[self.sides]
-        self.entries = np.flatnonzero(valid[:, 0, :, None] & valid[:, 1, None, :])
+        tables = valid[:, 0, :, None] & valid[:, 1, None, :]
+        self.entries = np.flatnonzero(tables)
+        self.idx_last = np.ascontiguousarray(self.idx.T)
+        sides, entries = (np.arange(a.size).reshape(a.shape[::-1]).T.ravel() for a in (valid, tables))
+        self.sides_last, self.pad_last = sides[self.sides], sides[self.pad_at]
+        self.entries_last = entries[self.entries]
 
     @functools.cached_property
     def position(self) -> dict:
@@ -436,13 +451,6 @@ class _Layout:
         if getattr(msgs, "_layout", None) is self:
             return msgs._msgs
         return self.directed(msgs.log_m)
-
-    def accumulate(self, acc: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        """Add the valid entries of an (E, 2, M) array to their node entries
-        in the node vector `acc`, edge by edge in `edges` order, s side then
-        t side."""
-        np.add.at(acc, self._target, sides.take(self.sides))
-        return acc
 
 
 @functools.lru_cache(maxsize=8)

@@ -11,22 +11,22 @@ Every run, public step and check reads its graph's one cached, read-only
 layout, `treedp._graph_layout`.  The synchronous schedules compute on
 `_FlatMrf`, built once per run: that layout in the schedule's edge order
 (`mrf.edges` for messages, sorted for reparameterization), the run's rho,
-the model's node vector and its tables theta_st / rho_st as one padded
-(E, M, M) stack; a message state is one (E, 2, M) array.  Padded table
+the model's node vector and its tables theta_st / rho_st.  A run's state
+is the layout's arrays with their axes reversed, edge axis last, flipped
+once at its start and back once at its end (`_flip`): every max over states
+is np.maximum of contiguous length-E slabs in `_top`'s order, and both
+directions of every edge are one add and one such max.  Padded table
 entries are -inf and padded message entries 0, so no step subtracts -inf
 from -inf.  A step maps one state (a tuple of arrays) to the next with no
 loop over edges, and `_iterate`, the one loop for both schedules, stops on
 the max log change of the valid entries.  The per-node sums over incident
 edges add the valid entries edge by edge (s side, then t side) in schedule
 order, as a per-edge loop does: onto zeros by one `np.bincount`, which adds
-its weights in input order, onto a node vector by one `np.add.at`.  The
-message step adds the cavities to an oriented (E, 2, M, M) stack, each
-table and its transpose, so both directions of every edge are one add and
-one max over the trailing axis.  A result (`PseudoMaxMarginals`,
-`MessageSet`) keeps the cached layout, not the run's tables; a message set
-built on a layout enters a step on it as its own array
-(`_Layout.messages`).  An explicit tree distribution adds a per-iteration
-bound, run by the tree DP `treedp._TreeLayout` on the same stack.
+its weights in input order, onto a node vector by one `np.add.at`.  A
+result (`PseudoMaxMarginals`, `MessageSet`) keeps the cached layout, not
+the run's tables; a message set built on a layout enters a step on it as
+its own array (`_Layout.messages`).  An explicit tree distribution adds a
+per-iteration bound, run by the tree DP on the plan of `treedp._tree_plan`.
 
 The tree-based schedule keeps its own loop: its stopping rules (a
 configuration optimal in every tree, or agreement of the per-tree tables) are
@@ -132,98 +132,113 @@ def _damp(new: np.ndarray, old: np.ndarray, lam: float) -> np.ndarray:
 
 
 class _FlatMrf:
-    """A run's rho and model on a cached `layout`, for array updates.
-
-    Messages are one (E, 2, M) array, msgs[k, 0] the log message t->s of the
-    k-th edge and msgs[k, 1] the one s->t, 0 on padded states.  `rho_e` comes
-    checked (`_checked_rho`).  Only the public reparameterization step has no
+    """A run's rho and model on a cached `layout`, its state edge axis last:
+    messages are one (M, 2, E) array, [i, 0, k] the log message t->s of the
+    k-th edge at x_s = i and [i, 1, k] the one s->t at x_t = i, 0 on padded
+    states; tables are one (M_t, M_s, E) stack.  `rho_e` comes checked
+    (`_checked_rho`).  Only the public reparameterization step has no
     `mrf`: it reads no model tables."""
 
     def __init__(self, layout: _Layout, rho_e, mrf: PairwiseMrf | None = None):
         self.layout = layout
         self.rho = np.fromiter(map(rho_e.__getitem__, layout.edges), float, len(layout.edges))
+        self.entries = layout.entries_last
         # rho of each valid side's edge, as the node sums weight them
         self._rho_sides = np.repeat(self.rho, 2 * layout.pad.shape[2]).take(layout.sides)
         if mrf is not None:
             self.theta_node = mrf.node_vector
-            self.table = layout.model_tables(mrf) / self.rho[:, None, None]
+            self.table = _flip(layout.model_tables(mrf)) / self.rho
 
-    def _normalized_nodes(self, v: np.ndarray) -> np.ndarray:
-        return v - self.layout.node_max(v)
-
-    # --- messages: one (E, 2, M) array --------------------------------------
+    # --- messages: one (M, 2, E) array --------------------------------------
 
     @functools.cached_property
     def _oriented(self) -> np.ndarray:
-        """(E, 2, M, M): [k, 0] the k-th table, rows x_s, and [k, 1] its
-        transpose, rows x_t, so both directions maximize over the last axis."""
-        return np.stack((self.table, self.table.transpose(0, 2, 1)), axis=1)
+        """(M, M, 2, E), sender state first: [j, i, 0, k] edge k's entry at
+        x_t = j, x_s = i, and [j, i, 1, k] the one at x_s = j, x_t = i."""
+        return np.stack((self.table, self.table.transpose(1, 0, 2)), axis=2)
 
     def unit_messages(self) -> tuple:
-        return (np.zeros(self.layout.idx.shape),)
+        return (np.zeros(self.layout.idx_last.shape),)
 
     def _cavities(self, msgs: np.ndarray) -> tuple:
         """(h, h[idx] - msgs): h is the node vector theta_s plus
         sum over neighbors v of rho_vs * log M_vs."""
         layout = self.layout
-        weighted = self._rho_sides * msgs.take(layout.sides)
+        weighted = self._rho_sides * msgs.take(layout.sides_last)
         h = self.theta_node + np.bincount(layout._target, weighted, layout.size)
-        return h, h[layout.idx] - msgs
+        return h, h[layout.idx_last] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
         old = msgs[0]
         _, cav = self._cavities(old)
-        # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s;
-        # a max over the last axis is `_top`'s: np.maximum of its slices in order
-        second, rest = min(1, self.layout.pad.shape[2] - 1), range(2, self.layout.pad.shape[2])
-        t = self._oriented + cav[:, ::-1, None, :]
-        new = np.maximum(t[..., 0], t[..., second])
-        for j in rest:
-            np.maximum(new, t[..., j], out=new)
-        top = np.maximum(new[..., 0], new[..., second])
-        for j in rest:
-            np.maximum(top, new[..., j], out=top)
-        new -= top[..., None]
+        # message t -> s (indexed by x_s) maximizes over x_t, s -> t over x_s
+        new = _top(self._oriented + cav[:, None, ::-1], 0)
+        new -= _top(new, 0)
         if damping < 1.0:
             new = damping * new + (1.0 - damping) * old
-            np.maximum(new[..., 0], new[..., second], out=top)
-            for j in rest:
-                np.maximum(top, new[..., j], out=top)
-            new -= top[..., None]
-        if len(self.layout.pad_at):
-            new.put(self.layout.pad_at, 0.0)
+            new -= _top(new, 0)
+        if len(self.layout.pad_last):
+            new.put(self.layout.pad_last, 0.0)
         return (new,)
 
     def pseudo_from_messages(self, msgs: tuple) -> tuple:
         h, cav = self._cavities(msgs[0])
-        return (self._normalized_nodes(h),
-                _normalized(self.table + cav[:, 0, :, None] + cav[:, 1, None, :]))
+        return (h - self.layout.node_max(h),
+                _normalize_last(self.table + cav[None, :, 0] + cav[:, None, 1]))
 
     def pack_messages(self, msgs: MessageSet) -> tuple:
-        return (self.layout.messages(msgs),)
+        return (_flip(self.layout.messages(msgs)),)
 
     def message_set(self, msgs: tuple) -> MessageSet:
-        return MessageSet.on_layout(self.layout, msgs[0])
+        return MessageSet.on_layout(self.layout, _flip(msgs[0]))
 
     # --- pseudo-max-marginals: node vector, then the table stack ------------
 
     def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
         node, tables = nu
         layout = self.layout
-        marg = np.stack((_top(tables, 2), _top(tables, 1)), axis=1)
-        marg[layout.pad] = 0.0
-        new_node = self._normalized_nodes(layout.accumulate(
-            node.copy(), self.rho[:, None, None] * (marg - node[layout.idx])))
-        near = new_node[layout.idx]
-        new_tables = _normalized(tables - marg[:, 0, :, None] - marg[:, 1, None, :]
-                                 + near[:, 0, :, None] + near[:, 1, None, :])
+        # row maxima (over x_t) and column maxima (over x_s), 0 on padded states
+        both = np.empty(tables.shape[:2] + (2, tables.shape[2]))
+        both[:, :, 0], both[:, :, 1] = tables, tables.transpose(1, 0, 2)
+        marg = _top(both, 0)
+        marg.put(layout.pad_last, 0.0)
+        new_node = node.copy()
+        np.add.at(new_node, layout._target, self._rho_sides
+                  * (marg.take(layout.sides_last) - node.take(layout._target)))
+        new_node -= layout.node_max(new_node)
+        near = new_node[layout.idx_last]
+        new_tables = _normalize_last(tables - marg[None, :, 0] - marg[:, None, 1]
+                                     + near[None, :, 0] + near[:, None, 1])
         if damping < 1.0:
-            new_node = self._normalized_nodes(_damp(new_node, node, damping))
-            new_tables = _normalized(_damp(new_tables, tables, damping))
+            new_node = _damp(new_node, node, damping)
+            new_node -= layout.node_max(new_node)
+            new_tables = _normalize_last(_damp(new_tables, tables, damping))
         return new_node, new_tables
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
-        return PseudoMaxMarginals.on_layout(self.layout, nu[0], nu[1])
+        return PseudoMaxMarginals.on_layout(self.layout, nu[0], _flip(nu[1]))
+
+    def bound(self, trees: _TreeLayout, weights, offset: _ZeroOffset, nu: tuple) -> float:
+        """The bound from pseudo-max-marginals: rho-weighted optimal values
+        of the induced tree problems (the DP reads the layout's order),
+        corrected by the constant separating their sum from theta."""
+        node, stack = nu
+        near = node[self.layout.idx_last]
+        theta = (stack - near[None, :, 0]) - near[:, None, 1]
+        return (float(_sum_in_order(weights * trees.map_values(node, theta.T)))
+                - offset(node[self.layout.offsets], self.rho * theta[0, 0]))
+
+
+def _flip(a: np.ndarray) -> np.ndarray:
+    """`a` with its axes reversed, C-contiguous: into a run's order or back."""
+    return np.ascontiguousarray(a.T)
+
+
+def _normalize_last(a: np.ndarray) -> np.ndarray:
+    """Shift every table of an edge-last stack, in place, so its largest
+    entry is 0: the max of its row maxima (over x_t), in `_top`'s order."""
+    a -= _top(_top(a, 0), 0)
+    return a
 
 
 def unit_messages(mrf: PairwiseMrf) -> MessageSet:
@@ -252,7 +267,7 @@ def reparameterization_step(nu: PseudoMaxMarginals, rho_e: Mapping[Edge, float],
     edges = tuple(sorted(nu.log_edge))
     flat = _FlatMrf(_graph_layout(tuple(nu.layout.cards.tolist()), edges),
                     _checked_rho(edges, rho_e))
-    nu = (nu.node, flat.layout.stack(nu.log_edge))
+    nu = (nu.node, _flip(flat.layout.stack(nu.log_edge)))
     return flat.pseudo(flat.reparameterization_step(nu, damping))
 
 
@@ -281,9 +296,7 @@ def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
 def _max_change(new: tuple, old: tuple, valid=None) -> float:
     """The largest absolute log change between two states, on the entries at
     `valid`'s flat positions per array (None, or a None entry: all)."""
-    if valid is None and len(new) == 1:
-        return float(np.abs(new[0] - old[0]).max())
-    return max(float(np.max(np.abs(a - b if v is None else a.take(v) - b.take(v))))
+    return max(float(np.abs(a - b if v is None else a.take(v) - b.take(v)).max())
                for a, b, v in zip(new, old, valid or (None,) * len(new)))
 
 
@@ -533,18 +546,6 @@ def check_reparameterization(nu_or_thetas, dist: TreeDistribution, mrf: Pairwise
     return float(np.max(np.abs(d - d.mean())))
 
 
-def _bound_value(trees: _TreeLayout, weights, offset: _ZeroOffset, rho, nu: tuple) -> float:
-    """Current upper bound from pseudo-max-marginals on `trees.graph` (node
-    vector, table stack) and its edges' rho: rho-weighted optimal values of
-    the induced tree problems, corrected by the additive constant
-    separating their combination from theta."""
-    (node, stack), graph = nu, trees.graph
-    near = node[graph.idx]
-    theta = (stack - near[:, 0, :, None]) - near[:, 1, None, :]
-    return (float(_sum_in_order(weights * trees.map_values(node, theta)))
-            - offset(node[graph.offsets], rho * theta[:, 0, 0]))
-
-
 def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
             variant: str = "messages") -> TrwResult:
     """Iterate tree-reweighted updates to convergence or the iteration cap.
@@ -563,7 +564,7 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         # this update sums node corrections in sorted edge order
         flat = _FlatMrf(_graph_layout(mrf.cardinalities, tuple(sorted(mrf.edges))), rho_e, mrf)
         state, step = flat.pseudo_from_messages(flat.unit_messages()), flat.reparameterization_step
-        valid = (None, flat.layout.entries)
+        valid = (None, flat.entries)
 
         def tables(nu):
             return nu
@@ -577,12 +578,12 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
     observe = None
     if dist is not None:
         support = dist.support_items()
-        trees = _TreeLayout(flat.layout, [tree for tree, _ in support])
+        trees = _tree_plan(mrf.cardinalities, flat.layout.edges, tuple(t for t, _ in support))
         weights = np.array([w for _, w in support])
         offset = _ZeroOffset(mrf, flat.layout)
 
         def observe(state):
-            bound_trace.append(_bound_value(trees, weights, offset, flat.rho, tables(state)))
+            bound_trace.append(flat.bound(trees, weights, offset, tables(state)))
     state, iterations, converged = _iterate(step, state, config, observe, valid)
     nu = flat.pseudo(tables(state))
     cert = find_certificate(nu, mrf)

@@ -25,16 +25,19 @@ from trwmap import PseudoMaxMarginals, StructureError, TrwConfig, TreeDistributi
 from trwmap.model import _sum_in_order
 from trwmap.treedp import _Layout, _normalized, _top
 from trwmap.trees import edge_appearance
-from trwmap.trw import (CERT_TIE_TOL, TrwResult, _damp, _FlatMrf, _shared_tree_optimum,
-                        _tie_masks, _tree_tables_agree)
+from trwmap.trw import (CERT_TIE_TOL, TrwResult, _damp, _shared_tree_optimum, _tie_masks,
+                        _tree_tables_agree)
+from edge_major_reference import EdgeMajorFlatMrf
 
 
-class SlotFlatMrf(_FlatMrf):
-    """`_FlatMrf` with the slot-ordered message kernel."""
+class SlotFlatMrf(EdgeMajorFlatMrf):
+    """`EdgeMajorFlatMrf` with the slot-ordered message kernel."""
 
     def _cavities(self, msgs: np.ndarray) -> tuple:
-        h = self.theta_node + self.layout.accumulate(np.zeros(self.layout.size),
-                                                     self.rho[:, None, None] * msgs)
+        weighted = self.rho[:, None, None] * msgs
+        h = np.zeros(self.layout.size)
+        np.add.at(h, self.layout._target, weighted.take(self.layout.sides))
+        h = self.theta_node + h
         return h, h[self.layout.idx] - msgs
 
     def message_step(self, msgs: tuple, damping: float) -> tuple:
@@ -289,8 +292,8 @@ class SlotTreeLayout:
         for rows, plan, at_cav, at_msg, at_top in batches:
             c = self._sums(plan, node, msg)
             cav[at_cav] = c
-            out = (oriented[rows] + c.reshape(len(rows), 1, -1)).max(axis=2)
-            top = out.max(axis=1)
+            out = _top(oriented[rows] + c.reshape(len(rows), 1, -1), 2)
+            top = _top(out, 1)
             msg[at_msg] = out - top[:, None]
             if tops is not None:
                 tops[at_top] = top

@@ -31,7 +31,7 @@ from trwmap import (PairwiseMrf, SpanningTree, TrwConfig, cli, grid_edges,
                     grid_two_tree_distribution, run_tree_updates, run_trw, tree_map_value,
                     tree_max_marginals, trw, uniform_rho, uniform_tree_distribution)
 from trwmap.treedp import _graph_layout, _Layout, _TreeLayout
-from trwmap.trw import _FlatMrf
+from trwmap.trw import _flip, _FlatMrf
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import Grid4Paper  # noqa: E402
@@ -67,7 +67,8 @@ def reference_run_trw(monkeypatch):
     def run(*args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(trw, "_FlatMrf", ref.SlotFlatMrf)
-            m.setattr(trw, "_TreeLayout", ref.SlotTreeLayout)
+            m.setattr(trw, "_tree_plan", lambda cards, edges, trees: ref.SlotTreeLayout(
+                _graph_layout(cards, edges), trees))
             m.setattr(trw, "_ZeroOffset", ref.ZeroOffset)
             return run_trw(*args, **kwargs)
     return run
@@ -107,12 +108,13 @@ def test_message_step_equals_slot_order(index, damping):
     rho = random_rho(np.random.default_rng(index), mrf)
     flat = _FlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho, mrf)
     old = ref.SlotFlatMrf(_graph_layout(mrf.cardinalities, mrf.edges), rho, mrf)
-    got = want = flat.unit_messages()
+    got, want = flat.unit_messages(), old.unit_messages()
     for _ in range(100):
         got, want = flat.message_step(got, damping), old.message_step(want, damping)
-        assert_same_bits(got[0], want[0])
-        for a, b in zip(flat._cavities(got[0]), old._cavities(want[0])):
-            assert_same_bits(a, b)
+        assert_same_bits(_flip(got[0]), want[0])
+        (h, cav), (old_h, old_cav) = flat._cavities(got[0]), old._cavities(want[0])
+        assert_same_bits(h, old_h)
+        assert_same_bits(_flip(cav), old_cav)
 
 
 @pytest.mark.parametrize("variant", ["messages", "reparam"])
@@ -189,16 +191,16 @@ def test_message_step_equals_slot_order_on_signed_zeros(index, damping):
     graph = flat.layout
     assert graph.pad.any()
     node = np.where(rng.random(graph.size) < 0.5, -0.0, 0.0)
-    table = np.where(rng.random(flat.table.shape) < 0.5, -0.0, 0.0)
+    table = np.where(rng.random(old.table.shape) < 0.5, -0.0, 0.0)
     table[graph.pad[:, 0, :, None] | graph.pad[:, 1, None, :]] = -np.inf
-    for layout in (flat, old):
-        layout.theta_node, layout.table = node, table
+    flat.theta_node, flat.table = node, _flip(table)
+    old.theta_node, old.table = node, table
     msgs = np.where(rng.random(graph.idx.shape) < 0.5, -0.0, 0.0)
     msgs[graph.pad] = 0.0
-    got = want = (msgs,)
+    got, want = (_flip(msgs),), (msgs,)
     for _ in range(4):
         got, want = flat.message_step(got, damping), old.message_step(want, damping)
-        assert_same_bits(got[0], want[0])
+        assert_same_bits(_flip(got[0]), want[0])
 
 
 

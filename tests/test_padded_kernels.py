@@ -20,7 +20,7 @@ from conftest import random_graph_mrf
 from trwmap import (PairwiseMrf, TrwConfig, grid_two_tree_distribution, run_trw,
                     uniform_tree_distribution)
 from trwmap.treedp import _graph_layout
-from trwmap.trw import _FlatMrf, _max_change
+from trwmap.trw import _flip, _FlatMrf, _max_change
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import _rng, mixed_cardinality_grid  # noqa: E402
@@ -84,7 +84,8 @@ def assert_pseudo_equal(got, want):
 
 
 def assert_padding(flat, tables, msgs=None):
-    """Padded table entries are -inf, padded message entries 0."""
+    """Padded table entries are -inf, padded message entries 0, on the
+    layout's (E, M, M) and (E, 2, M) arrays."""
     pad = flat.layout.pad[:, 0, :, None] | flat.layout.pad[:, 1, None, :]
     assert np.all(tables[pad] == -np.inf) and np.isfinite(tables[~pad]).all()
     if msgs is not None:
@@ -113,7 +114,7 @@ def test_message_kernels_match_bucketed(index, damping):
         got, want = new_got, new_want
         assert_messages_equal(flat.message_set(got), old.message_set(want))
         pseudo = flat.pseudo_from_messages(got)
-        assert_padding(flat, pseudo[1], got[0])
+        assert_padding(flat, _flip(pseudo[1]), _flip(got[0]))
         assert_pseudo_equal(flat.pseudo(pseudo), old.pseudo(old.pseudo_from_messages(want)))
 
 
@@ -128,10 +129,10 @@ def test_reparameterization_kernel_matches_bucketed(index, damping):
     for _ in range(STEPS):
         new_got = flat.reparameterization_step(got, damping)
         new_want = old.reparameterization_step(want, damping)
-        assert (_max_change(new_got, got, (None, flat.layout.entries))
+        assert (_max_change(new_got, got, (None, flat.entries))
                 == ref.bucketed_change(new_want, want))
         got, want = new_got, new_want
-        assert_padding(flat, got[1])
+        assert_padding(flat, _flip(got[1]))
         assert_pseudo_equal(flat.pseudo(got), old.pseudo(want))
 
 
