@@ -8,8 +8,11 @@ when those have fewer joint states, guarded by the size of a line-pair
 table, (joint states of a line)^2.  It backtracks every configuration near
 the DP value and rescores each in `score`'s left-to-right order, which is
 the order brute force sums in, so its value and optimal set are brute
-force's to the bit.  `grid_shape` finds a model's grid shape.  The CLI uses
-`grid_map` on grids and brute force elsewhere, and on grids past its guards.
+force's to the bit.  What it reads of the graph alone (lines, joint
+states, gather indices) is a read-only plan per grid shape, cached by
+`_grid_plan` next to the layout and tree-plan caches below.  `grid_shape`
+finds a model's grid shape.  The CLI uses `grid_map` on grids and brute
+force elsewhere, and on grids past its guards.
 
 Max-marginals are kept in the log domain and max-normalized (largest entry of
 every table is 1, i.e. 0 in logs); that pins down the free per-table constants
@@ -37,12 +40,14 @@ per arc dependency level over all the trees and edge cardinalities.  Every
 message is max-normalized, and the constants removed from the upward ones
 (toward the root) give a tree's optimal value: its root belief's max plus
 their sum.  `map_values` sends the upward messages alone, and `solve` every
-level, which also gives the max-marginals.  `tree_max_marginals` and
-`tree_map_value` run it on a single tree, on a read-only plan from
-`_tree_plan`, the plan cache of the tree schedule, for a tree parameter: a
-`PairwiseMrf` on the model's nodes and edges whose tables vanish off the
-tree, a tree edge it lacks counting as zero.  They, `tree_opt_set` and
-`trw.check_reparameterization` check it by one function, `_tree_parameter`.
+level, which also gives the max-marginals, both refilling in place the
+buffers of a per-run `_Workspace` (a call without one builds its own).
+`tree_max_marginals` and `tree_map_value` run it on a single tree, on a
+read-only plan from `_tree_plan`, the plan cache of the tree schedule, for
+a tree parameter: a `PairwiseMrf` on the model's nodes and edges whose
+tables vanish off the tree, a tree edge it lacks counting as zero.  They,
+`tree_opt_set` and `trw.check_reparameterization` check it by one
+function, `_tree_parameter`.
 """
 
 from __future__ import annotations
@@ -57,12 +62,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import (CapacityError, Edge, PairwiseMrf, StructureError,
-                    _all_finite, _freeze, _indicator_index, _sum_in_order)
+                    _all_finite, _freeze, _indicator_index, _offsets, _sum_in_order)
 from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
 GRID_OPTIMA_GUARD = 2 ** 16
 GRID_KEPT_TABLES = 2 ** 20  # entries of the pair tables `grid_map` may keep
+GRID_PLAN_POSITIONS = 2 ** 18  # pair-table positions a grid plan may hold
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -212,15 +218,14 @@ def grid_shape(mrf: PairwiseMrf):
     order, or None when its graph is no grid: the shape `grid_map` takes."""
     n = mrf.node_count
     for cols in range(1, n + 1):
-        if n % cols == 0 and _is_grid(mrf, n // cols, cols):
+        if n % cols == 0 and _is_grid(mrf.edges, n, n // cols, cols):
             return n // cols, cols
     return None
 
 
-def _is_grid(mrf: PairwiseMrf, rows: int, cols: int) -> bool:
-    return (mrf.node_count == rows * cols
-            and len(mrf.edges) == rows * (cols - 1) + (rows - 1) * cols
-            and sorted(mrf.edges) == grid_edges(rows, cols))
+def _is_grid(edges, n: int, rows: int, cols: int) -> bool:
+    return (n == rows * cols and len(edges) == rows * (cols - 1) + (rows - 1) * cols
+            and sorted(edges) == grid_edges(rows, cols))
 
 
 def _grid_lines(cardinalities: Sequence[int], rows: int, cols: int) -> list:
@@ -236,56 +241,82 @@ def _grid_lines(cardinalities: Sequence[int], rows: int, cols: int) -> list:
     return (grid.T if sizes[1] < sizes[0] else grid).tolist()
 
 
-def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
-    """Exact MAP value and the complete set of optimal assignments of a model
-    whose edges are `grid_edges(rows, cols)`, equal to `brute_force_map`'s.
-
-    A max-sum DP runs over the grid's lines (`_grid_lines`).  Backtracking,
-    on the DP's pair tables when they have `GRID_KEPT_TABLES` entries at
-    most, collects every configuration whose DP score lies within 1e-9 of
-    the DP value, relative to the model's total absolute weight (which
-    bounds any configuration's terms, so rounding never drops an optimum).
-    Each is rescored in `score`'s order, the order in which brute force sums
-    too, and those equal to the maximum are returned in lexicographic order.
-    A CapacityError is raised when a line-pair table exceeds
-    `BRUTE_FORCE_GUARD`, or when more than `GRID_OPTIMA_GUARD`
-    configurations are collected.
-    """
-    if not _is_grid(mrf, rows, cols):
+@functools.lru_cache(maxsize=8)
+def _grid_plan(cardinalities: tuple, edges: tuple, rows: int, cols: int) -> tuple:
+    """What `grid_map` reads of a grid graph (edges in the model's order),
+    as entries of a model's packed vector theta, read-only and shared by
+    every call on the graph: (lines, states, unary, sides, pairs).  Per line
+    r of `lines` ((R, L) nodes), its joint states `states[r]`, (K_r, L), and
+    the entries that score them along the line, `unary[r]`, (K_r, 2L - 1).
+    The c-th edge between lines r and r + 1 at states i, j is entry
+    `sides[r][0][c, i] + sides[r][1][c, j]`, and `pairs[r]` holds these
+    sums, (L, K_r, K_{r+1}).  The memory is bounded: the pair positions
+    take at most `GRID_PLAN_POSITIONS` integers (2 MB), past which `pairs`
+    is None and `grid_map` builds the pair tables column by column from
+    `sides`, and the per-line arrays hold 4L - 1 integers per joint state,
+    as the index arrays of one call did before.  Its StructureError on other
+    edges and `_grid_lines`' CapacityError are never cached."""
+    if not _is_grid(edges, len(cardinalities), rows, cols):
         raise StructureError(f"the model's graph is not the {rows}x{cols} grid")
-    lines = _grid_lines(mrf.cardinalities, rows, cols)
-    theta = np.concatenate((mrf.node_vector, mrf.edge_vector))
-    cards = np.array(mrf.cardinalities)
-    node_off, edge_off = mrf.offsets
-    where = {e: k for k, e in enumerate(mrf.edges)}
-    starts = edge_off.tolist()
-    # each line's joint states in lexicographic order, one node per column,
-    # built once per line cardinalities (and only read)
+    lines = np.array(_grid_lines(cardinalities, rows, cols), dtype=np.intp)
+    cards = np.array(cardinalities, dtype=np.intp)
+    node_off, edge_off = _offsets(cards, np.array(edges, dtype=np.intp).reshape(-1, 2))
+    at = dict(zip(edges, edge_off.tolist()))
     shapes = [tuple(cards[line].tolist()) for line in lines]
     joint = {key: np.indices(key).reshape(len(key), -1).T for key in set(shapes)}
     states = [joint[key] for key in shapes]
 
-    def within(line, x):
-        """Scores of a line's node tables and the edges along it."""
-        e = edge_off[[where[(s, t)] for s, t in zip(line[:-1], line[1:])]]
-        pos = np.concatenate((node_off[line] + x, e + x[:, :-1] * cards[line[1:]] + x[:, 1:]), 1)
-        return theta[pos].sum(axis=1)
+    def starts(a, b):
+        """The entry of each edge (a[c], b[c]) at states (0, 0)."""
+        return np.array([at[e] for e in zip(a.tolist(), b.tolist())], dtype=np.intp)
 
-    def between(r, next_states):
+    unary = [np.concatenate((node_off[line] + x, starts(line[:-1], line[1:])
+                             + x[:, :-1] * cards[line[1:]] + x[:, 1:]), 1)
+             for line, x in zip(lines, states)]
+    sides = [(starts(a, b)[:, None] + x.T * cards[b][:, None], y.T)
+             for a, b, x, y in zip(lines, lines[1:], states, states[1:])]
+    pairs = None
+    if sum(left.size * right.shape[1] for left, right in sides) <= GRID_PLAN_POSITIONS:
+        pairs = tuple(left[:, :, None] + right[:, None, :] for left, right in sides)
+    for a in chain([lines], states, unary, chain.from_iterable(sides), pairs or ()):
+        a.setflags(write=False)
+    return lines, tuple(states), tuple(unary), tuple(sides), pairs
+
+
+def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
+    """Exact MAP value and the complete set of optimal assignments of a model
+    whose edges are `grid_edges(rows, cols)`, equal to `brute_force_map`'s.
+
+    On the shape's cached `_grid_plan`, a max-sum DP runs over the grid's
+    lines (`_grid_lines`).  Backtracking, on the DP's pair tables when they
+    have `GRID_KEPT_TABLES` entries at most (decided per call),
+    collects every configuration whose DP score lies within 1e-9 of the DP
+    value, relative to the model's total absolute weight (which bounds any
+    configuration's terms, so rounding never drops an optimum).  Each is
+    rescored in `score`'s order, the order in which brute force sums too,
+    and those equal to the maximum are returned in lexicographic order.  A
+    CapacityError is raised when a line-pair table exceeds
+    `BRUTE_FORCE_GUARD`, or when more than `GRID_OPTIMA_GUARD`
+    configurations are collected.
+    """
+    lines, states, unary, sides, pairs = _grid_plan(mrf.cardinalities, mrf.edges, rows, cols)
+    theta = np.concatenate((mrf.node_vector, mrf.edge_vector))
+
+    def between(r, picked):
         """The pair table of lines r and r + 1: rows the states of line r,
-        columns the states `next_states` of line r + 1."""
-        x, y = states[r], states[r + 1][next_states]
-        out = np.zeros((len(x), len(y)))
-        for c, (s, t) in enumerate(zip(lines[r], lines[r + 1])):
-            k = where[(s, t)]
-            table = theta[starts[k]:starts[k + 1]].reshape(cards[s], cards[t])
-            out += table[x[:, c]][:, y[:, c]]
+        columns the states `picked` of line r + 1."""
+        if pairs is not None:
+            return theta[pairs[r][:, :, picked]].sum(axis=0)
+        left, right = sides[r][0], sides[r][1][:, picked]
+        out = np.zeros((left.shape[1], right.shape[1]))
+        for a, b in zip(left, right):
+            out += theta[a[:, None] + b]
         return out
 
-    unary = [within(line, x) for line, x in zip(lines, states)]
+    unary = [theta[pos].sum(axis=1) for pos in unary]
     keep = sum(len(x) * len(y) for x, y in zip(states, states[1:])) <= GRID_KEPT_TABLES
     best, kept = [unary[0]], []
-    for r in range(1, len(lines)):
+    for r in range(1, len(states)):
         pair = between(r - 1, slice(None))
         kept.append(pair.copy() if keep else None)
         pair += best[-1][:, None]
@@ -300,7 +331,7 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     if len(paths) > GRID_OPTIMA_GUARD:
         raise too_many
     tail = unary[-1][paths[:, 0]]
-    for r in range(len(lines) - 2, -1, -1):
+    for r in range(len(states) - 2, -1, -1):
         step = max(1, 2 ** 20 // len(best[r]))  # bounds the (states, items) block
         grown, count = [], 0
         for lo in range(0, len(paths), step):
@@ -334,8 +365,13 @@ def _top(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _normalized(a: np.ndarray) -> np.ndarray:
-    """Shift every table of a stack (axis 0) so its largest entry is 0."""
-    return a - a.max(axis=tuple(range(1, a.ndim)), keepdims=True)
+    """Shift every table of a stack (axis 0) so its largest entry is 0: the
+    max of its row maxima, folded in `_top`'s order from the last axis in,
+    so a tie of 0.0 and -0.0 gives one zero on every SIMD path."""
+    top = a
+    for axis in range(a.ndim - 1, 0, -1):
+        top = _top(top, axis)
+    return a - top[(...,) + (None,) * (a.ndim - 1)]
 
 
 class _Layout:
@@ -505,7 +541,9 @@ class _TreeLayout:
     edges, and `by_edge` groups the slots by edge.  What only `solve` and
     the tree schedule read (`final`, `slot_nodes`, `slot_entries`,
     `by_edge`) is built on first read, read-only, so the `map_values`
-    callers never build it.
+    callers never build it.  Every array is frozen where it is built, so
+    every view of it (a batch's ranks, a root's) is born read-only.  The
+    DP's buffers live in a `_Workspace`, one per run, never on the plan.
     """
 
     def __init__(self, graph: _Layout, trees):
@@ -514,8 +552,8 @@ class _TreeLayout:
         n, N = len(graph.offsets), graph.size
         width, where = graph.pad.shape[2], graph.position
         slots = [(k, where[e]) for k, tree in enumerate(trees) for e in tree.edges]
-        self.tree = np.array([k for k, _ in slots], dtype=np.intp)
-        self.edge = np.array([i for _, i in slots], dtype=np.intp)
+        self.tree = _freeze([k for k, _ in slots], np.intp)
+        self.edge = _freeze([i for _, i in slots], np.intp)
         S = len(slots)
         adjs, up, down, rev = [], [], [], []
         for k, tree in enumerate(trees):
@@ -571,7 +609,8 @@ class _TreeLayout:
             most = max(map(len, into), default=0)
             p = np.array([q + [-1] * (most - len(q)) for q in into], dtype=np.intp)
             p = np.ascontiguousarray(p.reshape(len(group), most).T)[:, :, None]
-            return np.where(p < 0, self._zero, p * width + span), [len(q) for q in into]
+            p = _freeze(np.where(p < 0, self._zero, p * width + span), None)
+            return p, [len(q) for q in into]
 
         # a batch adds as many ranks as its arcs' most incoming messages
         plan, counts = ranks(arcs)
@@ -585,17 +624,17 @@ class _TreeLayout:
             if ups[level]:
                 self.upward.append(batch(lo, lo + ups[level]))
             lo += len(group)
-        self._cav_node = node_rows[[u for _, u, _ in arcs]].reshape(-1, width)
+        self._cav_node = _freeze(node_rows[[u for _, u, _ in arcs]].reshape(-1, width), None)
         # arc (k, u, v) reads its edge's table oriented v by u: the
         # transpose when u is the edge's s end
         a, b = span[:, None], span[None, :]
         ends = np.array([(u, v, where[(min(u, v), max(u, v))]) for _, u, v in arcs],
                         dtype=np.intp).reshape(-1, 3)
-        self._oriented_at = (ends[:, 2, None, None] * width * width + np.where(
-            (ends[:, 0] < ends[:, 1])[:, None, None], b * width + a, a * width + b))
-        self.roots = (node_rows[[0] * self.count],
+        self._oriented_at = _freeze(ends[:, 2, None, None] * width * width + np.where(
+            (ends[:, 0] < ends[:, 1])[:, None, None], b * width + a, a * width + b), None)
+        self.roots = (_freeze(node_rows[[0] * self.count], None),
                       tuple(ranks([(k, 0, None) for k in range(self.count)])[0]))
-        self._rev_at = np.array([at[arc] for arc in rev], dtype=np.intp) + self._tops
+        self._rev_at = _freeze([at[arc] + self._tops for arc in rev], np.intp)
         # the parts only `solve` and the tree schedule read are built on first read
         self._at, self._adjs = at, adjs
         beliefs = int(sum(cards[u] for adj in adjs for u in range(n) if adj[u]))
@@ -645,29 +684,26 @@ class _TreeLayout:
         """The state entries of message rows `ps`, one row of M per p."""
         return np.array(ps, dtype=np.intp).reshape(-1, 1) * self._width + np.arange(self._width)
 
-    def _run(self, node, tables, batches, arcs) -> np.ndarray:
-        """The state buffer after `batches`, which send the first `arcs` arcs."""
-        state = np.empty(self._tops + arcs)
-        state[self._zero] = -0.0
-        msg = state[:self._zero].reshape(-1, self._width)
-        cav = state[self._cav:self._tops].reshape(-1, self._width)
-        tops = state[self._tops:]
-        cav[:arcs] = np.append(node, -np.inf)[self._cav_node[:arcs]]
-        oriented = tables.take(self._oriented_at[:arcs])
+    def _run(self, node, tables, work: _Workspace) -> np.ndarray:
+        """`work`'s state buffer after its batches, filled in place."""
+        work.node[:-1] = node
+        # every position is in range; "clip" writes into `out` unbuffered
+        work.node.take(work.cav_node, None, work.cav, "clip")
+        tables.take(work.oriented_at, None, work.oriented, "clip")
+        state = work.state
         # a max over the last axis is `_top`'s: np.maximum of its slices in order
         second, rest = min(1, self._width - 1), range(2, self._width)
-        for lo, hi, ranks in batches:
-            c, out, top = cav[lo:hi], msg[lo:hi], tops[lo:hi]
+        for c, ranks, t, cav, out, top, top_col in work.views:
             for src in ranks:
                 c += state[src]
-            t = oriented[lo:hi] + c[:, None, :]
+            t += cav
             np.maximum(t[..., 0], t[..., second], out=out)
             for j in rest:
                 np.maximum(out, t[..., j], out=out)
             np.maximum(out[:, 0], out[:, second], out=top)
             for j in rest:
                 np.maximum(top, out[:, j], out=top)
-            out -= top[:, None]
+            out -= top_col
         return state
 
     def _root_beliefs(self, node, state) -> np.ndarray:
@@ -682,19 +718,21 @@ class _TreeLayout:
         the up arcs removed, summed in reverse visit order."""
         return (root_max + _sum_in_order(tops.reshape(self.count, -1).T)).tolist()
 
-    def map_values(self, node: np.ndarray, tables: np.ndarray) -> list:
+    def map_values(self, node: np.ndarray, tables: np.ndarray,
+                   work: _Workspace | None = None) -> list:
         """Each tree's optimal value (the up arcs only), from a node
-        vector and a table stack of the graph."""
-        ups = self.upward
-        state = self._run(node, tables, ups, ups[-1][1] if ups else 0)
+        vector and a table stack of the graph, on a run's workspace for
+        `upward` (a new one when None)."""
+        state = self._run(node, tables, work or _Workspace(self, self.upward))
         roots = self._root_beliefs(node, state)
         return self._values(roots.max(axis=1), state.take(self._rev_at))
 
-    def solve(self, node: np.ndarray, tables: np.ndarray) -> tuple:
+    def solve(self, node: np.ndarray, tables: np.ndarray, work: _Workspace | None = None) -> tuple:
         """Both passes: (node max-marginals as a (T, N) stack, the edge
         max-marginals of the slots as an (S, M, M) stack, each tree's
-        optimal value)."""
-        state = self._run(node, tables, self.batches, 2 * len(self.edge))
+        optimal value), on a run's workspace for `batches` (a new one when
+        None).  None of them is a view of the workspace."""
+        state = self._run(node, tables, work or _Workspace(self, self.batches))
         final = state.take(self.final)
         b, s = self._splits
         # a one-node tree has no edges: its belief is the root's node table
@@ -717,19 +755,38 @@ class _TreeLayout:
                            math.prod(shape)).reshape(shape)
 
 
+class _Workspace:
+    """The buffers of one run of a plan's DP on `batches` (its `batches` or
+    `upward`), refilled in place by each `_run`: the state buffer, its -0.0
+    entry written once, the node vector and its -inf entry, the oriented
+    tables, to which `_run` adds the cavities; and every batch's views of
+    them, in the order `_run` reads them.  It belongs to the run and names
+    the `plan` it was built on, which is read-only and shared."""
+
+    def __init__(self, plan: _TreeLayout, batches):
+        width, self.plan = plan._width, plan
+        arcs = batches[-1][1] if batches else 0
+        self.state = state = np.empty(plan._tops + arcs)
+        state[plan._zero] = -0.0
+        self.node = np.full(plan.graph.size + 1, -np.inf)
+        msg = state[:plan._zero].reshape(-1, width)
+        cav = state[plan._cav:plan._tops].reshape(-1, width)
+        tops = state[plan._tops:]
+        self.cav, self.cav_node = cav[:arcs], plan._cav_node[:arcs]
+        self.oriented = oriented = np.empty((arcs, width, width))
+        self.oriented_at = plan._oriented_at[:arcs]
+        self.views = []
+        for lo, hi, ranks in batches:
+            c, top = cav[lo:hi], tops[lo:hi]
+            self.views.append((c, ranks, oriented[lo:hi], c[:, None, :], msg[lo:hi], top,
+                               top[:, None]))
+
+
 @functools.lru_cache(maxsize=8)
 def _tree_plan(cardinalities: tuple, edges: tuple, trees: tuple) -> _TreeLayout:
     """The read-only `_TreeLayout` of `trees` on `_graph_layout(cardinalities,
     edges)`, shared by every call on that shape, lazy parts included."""
-    plan = _TreeLayout(_graph_layout(cardinalities, edges), trees)
-    parts = list(vars(plan).values())
-    while parts:  # its arrays, in tuples and lists too
-        part = parts.pop()
-        if isinstance(part, np.ndarray):
-            part.setflags(write=False)
-        elif isinstance(part, (tuple, list)):
-            parts.extend(part)
-    return plan
+    return _TreeLayout(_graph_layout(cardinalities, edges), trees)
 
 
 def _tree_parameter(mrf: PairwiseMrf, tree: SpanningTree, theta: PairwiseMrf | None):

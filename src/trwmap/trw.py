@@ -63,7 +63,7 @@ from .model import Edge, PairwiseMrf, StructureError, _checked_rho, _sum_in_orde
 from .trees import TreeDistribution, edge_appearance, grid_two_tree_distribution
 from .treedp import (BRUTE_FORCE_GUARD, MaxMarginals, MessageSet, _graph_layout, _guard_states,
                      _Layout, _normalized, _top, _tree_parameter, _tree_plan, _TreeLayout,
-                     assignment_scores)
+                     _Workspace, assignment_scores)
 
 CERT_TIE_TOL = 1e-9
 CERT_SEARCH_GUARD = 1_000_000
@@ -148,6 +148,7 @@ class _FlatMrf:
         if mrf is not None:
             self.theta_node = mrf.node_vector
             self.table = _flip(layout.model_tables(mrf)) / self.rho
+        self._work = None  # `bound`'s DP workspace, for the plan it was built on
 
     # --- messages: one (M, 2, E) array --------------------------------------
 
@@ -220,12 +221,15 @@ class _FlatMrf:
 
     def bound(self, trees: _TreeLayout, weights, offset: _ZeroOffset, nu: tuple) -> float:
         """The bound from pseudo-max-marginals: rho-weighted optimal values
-        of the induced tree problems (the DP reads the layout's order),
-        corrected by the constant separating their sum from theta."""
+        of the induced tree problems (the DP reads the layout's order, on a
+        workspace kept while `trees` stays the same plan), corrected by the
+        constant separating their sum from theta."""
+        if self._work is None or self._work.plan is not trees:
+            self._work = _Workspace(trees, trees.upward)
         node, stack = nu
         near = node[self.layout.idx_last]
         theta = (stack - near[None, :, 0]) - near[:, None, 1]
-        return (float(_sum_in_order(weights * trees.map_values(node, theta.T)))
+        return (float(_sum_in_order(weights * trees.map_values(node, theta.T, self._work)))
                 - offset(node[self.layout.offsets], self.rho * theta[0, 0]))
 
 
@@ -635,6 +639,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     rho_e = edge_appearance(dist, mrf)
     support = dist.support_items()
     trees = _tree_plan(mrf.cardinalities, mrf.edges, tuple(tree for tree, _ in support))
+    work = _Workspace(trees, trees.batches)
     graph = trees.graph
     w = np.array([wk for _, wk in support])
     rho = np.array([rho_e[e] for e in graph.edges])[:, None, None]
@@ -649,7 +654,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
     units_per_iter = sum(len(t.edges) for t, _ in support) / len(mrf.edges)
     for iterations in range(1, config.max_iterations + 1):
         split = edge / rho
-        node_mm, edge_mm, values = trees.solve(node, split)
+        node_mm, edge_mm, values = trees.solve(node, split, work)
         # the offset sums the tree parameters over the trees, as the bound
         # is defined; taking `node` and `edge` as their sum instead would
         # move the bound in the last ulps

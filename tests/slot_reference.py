@@ -23,7 +23,7 @@ import numpy as np
 
 from trwmap import PseudoMaxMarginals, StructureError, TrwConfig, TreeDistribution
 from trwmap.model import _sum_in_order
-from trwmap.treedp import _Layout, _normalized, _top
+from trwmap.treedp import _Layout, _top
 from trwmap.trees import edge_appearance
 from trwmap.trw import (CERT_TIE_TOL, TrwResult, _damp, _shared_tree_optimum, _tie_masks,
                         _tree_tables_agree)
@@ -66,6 +66,14 @@ class ZeroOffset:
     def __call__(self, node: np.ndarray, edge: np.ndarray) -> float:
         edge_terms = np.stack((edge[self.order], self.minus_theta_edge), axis=1)
         return float(_sum_in_order(np.concatenate((node - self.theta_node, edge_terms.ravel()))))
+
+
+def normalized(tables: np.ndarray) -> np.ndarray:
+    """Shift every table of an (E, M, M) stack so its largest entry is 0:
+    the max over the rows of the row maxima, each taken by `np.maximum` of
+    the slices in order, so a tie of 0.0 and -0.0 has one answer."""
+    top = _top(_top(tables, 2), 1)
+    return tables - top[:, None, None]
 
 
 def tree_sum(trees, w, node, slot_tables) -> tuple:
@@ -133,7 +141,7 @@ def run_tree_updates(mrf, dist: TreeDistribution, config: TrwConfig | None = Non
         edge = _damp(merged_edge, edge, config.damping)
     total_node, total_edge = tree_sum(trees, w, node_mm, edge_mm)
     nu = PseudoMaxMarginals.on_layout(graph, total_node - graph.node_max(total_node),
-                                      _normalized(total_edge / rho))
+                                      normalized(total_edge / rho))
     return TrwResult(nu=nu, iterations=iterations, converged=converged, certificate=certificate,
                      certificate_indeterminate=indeterminate, bound_trace=tuple(bound_trace),
                      messages=None, variant="tree", terminated_by=terminated_by,
@@ -330,5 +338,5 @@ class SlotTreeLayout:
                    else self._sums(self.roots, node, msg)).reshape(self.count, -1)
         top = self.graph.node_max(beliefs)
         sides = cav.reshape(len(self.edge), 2, len(self._span))
-        edge = _normalized(tables[self.edge] + sides[:, 0, :, None] + sides[:, 1, None, :])
+        edge = normalized(tables[self.edge] + sides[:, 0, :, None] + sides[:, 1, None, :])
         return beliefs - top, edge, self._values(top[:, 0], tops)

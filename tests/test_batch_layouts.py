@@ -30,7 +30,7 @@ from test_padded_kernels import CASES, random_rho
 from trwmap import (PairwiseMrf, SpanningTree, TrwConfig, cli, grid_edges,
                     grid_two_tree_distribution, run_tree_updates, run_trw, tree_map_value,
                     tree_max_marginals, trw, uniform_rho, uniform_tree_distribution)
-from trwmap.treedp import _graph_layout, _Layout, _TreeLayout
+from trwmap.treedp import _graph_layout, _Layout, _normalized, _TreeLayout, _Workspace
 from trwmap.trw import _flip, _FlatMrf
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -149,7 +149,7 @@ def test_dp_buffers_equal_slot_order_on_signed_zeros(seed):
     tables = np.where(rng.random((len(graph.edges), width, width)) < 0.5, -0.0, 0.0)
     tables[graph.pad[:, 0, :, None] | graph.pad[:, 1, None, :]] = -np.inf
     new, old = _TreeLayout(graph, trees), ref.SlotTreeLayout(graph, trees)
-    state = new._run(node, tables, new.batches, 2 * len(new.edge))
+    state = new._run(node, tables, _Workspace(new, new.batches))
     node_ext, oriented, msg, cav, tops = old._upward(node, tables)
     old._pass(old.down, node_ext, oriented, msg, cav)
     # the slots' cavities in slot order, and the messages into their sides:
@@ -163,6 +163,47 @@ def test_dp_buffers_equal_slot_order_on_signed_zeros(seed):
     assert_same_bits(state.take(new.final[s:]), tops[old.rev])
     for a, c in zip(new.solve(node, tables), old.solve(node, tables)):
         assert_same_bits(a, c)
+
+
+def signed_zeros(rng, shape, values=(0.0, -0.0, -1.0)):
+    return rng.choice(np.array(values), size=shape)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_normalized_folds_the_row_maxima_on_signed_zeros(width):
+    # on a tie of 0.0 and -0.0, numpy's max over both table axes returns
+    # either zero, by SIMD path; the fold of the row maxima returns one
+    rng = np.random.default_rng(24_100 + width)
+    for _ in range(50):
+        a = signed_zeros(rng, (40, width, width))
+        kept = a.copy()
+        assert_same_bits(_normalized(a), ref.normalized(a))
+        assert_same_bits(a, kept)  # the input is left as it was
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tree_tables_fold_the_row_maxima_on_signed_zeros(seed):
+    # `solve`'s edge tables, and the tree schedule's, against the slot
+    # oracle's own fold, on node tables of -0.0 and edge tables of 0.0 and
+    # -0.0: on 2 and 3 nodes, most sums a table's max reads are one table
+    # entry plus -0.0 entries, which keep its sign
+    rng = np.random.default_rng(24_200 + seed)
+    mrf = random_graph_mrf(rng, n_nodes=2 + seed % 2, card_choices=(3, 5))
+    dist = uniform_tree_distribution(mrf)
+    trees = [tree for tree, _ in dist.support_items()]
+    graph = _Layout(mrf.cardinalities, mrf.edges)
+    width = graph.pad.shape[2]
+    node = np.full(graph.size, -0.0)
+    tables = signed_zeros(rng, (len(graph.edges), width, width), (0.0, -0.0))
+    tables[graph.pad[:, 0, :, None] | graph.pad[:, 1, None, :]] = -np.inf
+    new, old = _TreeLayout(graph, trees), ref.SlotTreeLayout(graph, trees)
+    for a, c in zip(new.solve(node, tables), old.solve(node, tables)):
+        assert_same_bits(a, c)
+    zeros = PairwiseMrf(mrf.cardinalities, mrf.edges, graph.node_views(node),
+                        graph.edge_views(tables))
+    config = TrwConfig(max_iterations=5)
+    assert_same_result(run_tree_updates(zeros, dist, config),
+                       ref.run_tree_updates(zeros, dist, config))
 
 
 @pytest.mark.parametrize("seed", range(12))

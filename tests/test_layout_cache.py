@@ -15,12 +15,12 @@ import pytest
 from conftest import random_graph_mrf, random_tree_mrf
 from test_batch_layouts import assert_same_bits, assert_same_result
 from test_padded_kernels import CASES, random_rho
-from trwmap import (MessageSet, PairwiseMrf, SpanningTree, StructureError, TrwConfig,
-                    dual_from_messages, edge_appearance, evaluate_dual, message_step,
+from trwmap import (MessageSet, PairwiseMrf, SpanningTree, StructureError, TreeDistribution,
+                    TrwConfig, dual_from_messages, edge_appearance, evaluate_dual, message_step,
                     messages_to_pseudo, run_tree_updates, run_trw, tree_map_value,
                     tree_max_marginals)
 from trwmap.treedp import _graph_layout, _Layout, _tree_plan
-from trwmap.trw import _FlatMrf
+from trwmap.trw import _FlatMrf, _ZeroOffset
 
 CONFIG = TrwConfig(max_iterations=40)
 
@@ -131,6 +131,66 @@ def test_one_tree_plans_are_cached_and_read_only():
     assert _tree_plan.cache_info().misses == 1 and _graph_layout.cache_info().misses == 1
     assert nu.layout is plan.graph
     writes_fail(all_arrays(plan) + [plan.final, plan.slot_nodes, plan.slot_entries])
+
+
+def result_arrays(result):
+    return [result.nu.node, result.nu.tables, np.array(result.bound_trace)]
+
+
+def test_a_second_run_on_the_plan_leaves_the_first_result_unchanged():
+    # each run fills its own workspace: no result is a view of a buffer
+    # that a later run on the same cached plan writes
+    mrf, dist = CASES[-1]
+    rng = np.random.default_rng(2400)
+    other = PairwiseMrf(mrf.cardinalities, mrf.edges,
+                        tuple(rng.normal(size=m) for m in mrf.cardinalities),
+                        {(s, t): rng.normal(size=(mrf.cardinalities[s], mrf.cardinalities[t]))
+                         for s, t in mrf.edges})
+    first = run_tree_updates(mrf, dist, CONFIG)
+    kept = [a.copy() for a in result_arrays(first)]
+    hits = _tree_plan.cache_info().hits
+    second = run_tree_updates(other, dist, CONFIG)
+    assert _tree_plan.cache_info().hits > hits
+    assert not np.array_equal(second.nu.tables, first.nu.tables)
+    for a, b in zip(result_arrays(first), kept):
+        assert_same_bits(a, b)
+    assert_same_result(run_tree_updates(mrf, dist, CONFIG), first)
+
+
+def test_one_tree_results_are_the_same_after_a_run_on_their_plan():
+    # a tree model whose one-tree distribution is its own tree: the tree
+    # schedule and the one-tree wrappers share one cached plan
+    mrf = random_tree_mrf(np.random.default_rng(2401), n_nodes=9, card_choices=(2, 3, 4))
+    tree = SpanningTree(mrf.edges)
+    value, nu = tree_map_value(mrf, tree), tree_max_marginals(mrf, tree)
+    plan = _tree_plan(mrf.cardinalities, tree.edges, (tree,))
+    hits = _tree_plan.cache_info().hits
+    run_tree_updates(mrf, TreeDistribution(len(mrf.cardinalities), (tree,), (1.0,)), CONFIG)
+    assert _tree_plan.cache_info().hits > hits
+    assert _tree_plan(mrf.cardinalities, tree.edges, (tree,)) is plan
+    again = tree_max_marginals(mrf, tree)
+    assert_same_bits(again.node, nu.node)
+    assert_same_bits(again.tables, nu.tables)
+    assert_same_bits(tree_map_value(mrf, tree), value)
+
+
+def test_bound_builds_a_workspace_for_each_plan():
+    # `_FlatMrf.bound` keeps its DP workspace while the plan stays the same
+    # and builds another for another plan, whose batches differ
+    mrf, dist = CASES[-1]
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    flat = _FlatMrf(layout, edge_appearance(dist, mrf), mrf)
+    nu = flat.pseudo_from_messages(flat.message_step(flat.unit_messages(), 1.0))
+    offset = _ZeroOffset(mrf, layout)
+    support = dist.support_items()
+    plans = [(_tree_plan(mrf.cardinalities, mrf.edges, tuple(t for t, _ in support)),
+              np.array([w for _, w in support])),
+             (_tree_plan(mrf.cardinalities, mrf.edges, (support[0][0],)), np.ones(1))]
+    assert plans[0][0].upward != plans[1][0].upward
+    for trees, weights in plans + plans[::-1] + plans:
+        fresh = _FlatMrf(layout, edge_appearance(dist, mrf), mrf)
+        assert_same_bits(flat.bound(trees, weights, offset, nu),
+                         fresh.bound(trees, weights, offset, nu))
 
 
 def dual_cases():

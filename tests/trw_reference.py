@@ -25,13 +25,14 @@ consistency pruned its candidates: a depth-first search over every node,
 the oracle of the pruned search.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
 from trwmap import (MessageSet, PairwiseMrf, PseudoMaxMarginals, StructureError,
                     TrwConfig, edge_appearance)
-from trwmap.treedp import (BRUTE_FORCE_GUARD, MaxMarginals, _guard_states, _Layout, _normalized,
+from trwmap.treedp import (BRUTE_FORCE_GUARD, MaxMarginals, _guard_states, _Layout,
                            assignment_scores)
 from trwmap.trw import CERT_SEARCH_GUARD, CERT_TIE_TOL, resolve_rho
 
@@ -56,6 +57,16 @@ def tree_parameter(mrf, theta):
 
 def _damp(new, old, lam):
     return new if lam >= 1.0 else lam * new + (1.0 - lam) * old
+
+
+def _normalized(a):
+    """Shift every table of a stack (axis 0) so its largest entry is 0: the
+    max of its row maxima, each an `np.maximum` of the slices in order from
+    the last axis in, so a tie of 0.0 and -0.0 has one answer."""
+    top = a
+    for axis in range(a.ndim - 1, 0, -1):
+        top = functools.reduce(np.maximum, np.moveaxis(top, axis, 0))
+    return a - top[(...,) + (None,) * (a.ndim - 1)]
 
 
 def init_pseudo(mrf, rho_e):
