@@ -19,6 +19,6 @@ from .trw import (PseudoMaxMarginals, TrwConfig, TrwResult,
 from .lp import (LinearProgram, SimplexResult,
                  build_local_lp, classify_vertex, delta_pseudomarginal,
                  dual_from_messages, evaluate_dual, in_local, in_marginal_polytope,
-                 simplex_solve, vector_to_pseudomarginal)
+                 simplex_solve, vector_to_pseudomarginal, vertex_start)
 
 __version__ = "0.1.0"

@@ -27,7 +27,8 @@ from .treedp import (BRUTE_FORCE_GUARD, _grid_lines, brute_force_map, check_edge
                      grid_map, grid_shape)
 from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _grid_trees, _tie_masks,
                   check_reparameterization, resolve_rho, run_trw, run_tree_updates)
-from .lp import build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal
+from .lp import (build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal,
+                 vertex_start)
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
 
@@ -210,7 +211,8 @@ def _solve_report(args, mrf, out) -> int:
             out.write("  " + "".join(str(v) for v in x) + "\n")
         return 0
     if args.method == "lp":
-        res = simplex_solve(build_local_lp(mrf))
+        lp = build_local_lp(mrf)
+        res = simplex_solve(lp, vertex_start(mrf, lp))
         out.write(f"value: {res.value!r}\n")
         tau = vector_to_pseudomarginal(mrf, res.x)
         cls = classify_vertex(tau)

@@ -20,12 +20,15 @@ builds it on nu's layout as one (E, 2, M) array, 0 on padded states, and
 stack in place.  Message sets live in `treedp`, next to `MaxMarginals`, so
 the LP layer does not import the solver.
 
-The dense two-phase simplex uses Bland's anti-cycling rule, both phases in
-one tableau buffer whose last row, the reduced-cost row c_B T - c, each
-pivot updates; the dense product runs once per phase and again at each
-terminal decision.  The entering-column choice, ratio test and pivots are
-array operations over the pivot column's and pivot row's nonzeros.  The loop
-form they reproduce pivot for pivot is kept in `tests/lp_reference.py`.
+The dense simplex uses Bland's anti-cycling rule on a tableau buffer whose
+last row, the reduced-cost row c_B T - c, each pivot updates; the dense
+product runs once per phase and again at each terminal decision.  The
+entering-column choice, ratio test and pivots are array operations over the
+pivot column's and pivot row's nonzeros.  The loop form they reproduce pivot
+for pivot is kept in `tests/lp_reference.py`.  Phase 1 searches for a vertex
+from an all-artificial basis.  The local LP has one at every configuration:
+`solve --method lp` runs phase 2 alone from `vertex_start`'s exact tableau
+there, and with tied optima may end at another optimal vertex.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Edge, PairwiseMrf, _checked_rho, _indicator_index, check_assignment
+from .model import (CapacityError, Edge, PairwiseMrf, _checked_rho, _indicator_index,
+                    check_assignment)
 from .trees import TreeDistribution, _appearance
 from .treedp import MaxMarginals, MessageSet, _graph_layout, _guard_states
 
@@ -43,6 +47,7 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 INTEGRAL_TOL = 1e-7
 MEMBERSHIP_GUARD = 4096
+LP_GUARD = 2 ** 22  # entries of the local LP's dense matrix A, 32 MiB
 
 
 @dataclass(frozen=True)
@@ -144,16 +149,20 @@ def _simplex_core(T: np.ndarray, basis: list, c: np.ndarray) -> str:
         basis[leave] = entering
 
 
-def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Two-phase dense simplex; returns an optimal basic feasible solution.
+def simplex_solve(lp: LinearProgram, start: tuple | None = None) -> SimplexResult:
+    """Dense simplex; returns an optimal basic feasible solution.
 
-    Both phases run in one buffer, [A | I | b] (rows with b < 0 negated)
-    above the objective row each phase fills in and carries.  Phase 2 runs
-    with the artificial block zeroed, so none of it can enter, and reads x
-    from the constraint rows; the buffer is copied only when the drive-out
-    of the remaining artificials drops a redundant row.
+    With a `start` (`vertex_start`), a feasible basis and its tableau
+    [B^-1 A | B^-1 b] less the redundant rows, above a zero objective row,
+    phase 2 alone runs from it, in place.  Without one, both phases run in
+    one buffer, [A | I | b] (rows with b < 0 negated) above the objective row
+    each phase fills in and carries.  Phase 2 runs with the artificial block
+    zeroed, so none of it can enter; the buffer is copied only when the
+    drive-out of the remaining artificials drops a redundant row.
     """
     m, n = lp.A.shape
+    if start is not None:
+        return _phase_two(lp, *start, lp.c)
     sign = np.where(lp.b < 0, -1.0, 1.0)
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n], T[:m, -1] = lp.A * sign[:, None], lp.b * sign
@@ -179,11 +188,15 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         T = T[keep_rows + [m]]
         basis = [basis[i] for i in keep_rows]
     T[:, n:-1] = 0.0
+    return _phase_two(lp, T, basis, np.concatenate((lp.c, np.zeros(m))))
 
-    status = _simplex_core(T, basis, np.concatenate((lp.c, np.zeros(m))))
+
+def _phase_two(lp: LinearProgram, T: np.ndarray, basis: list, c: np.ndarray) -> SimplexResult:
+    """Phase 2 from a feasible basis; x is read from the constraint rows."""
+    status = _simplex_core(T, basis, c)
     if status != "optimal":
         return SimplexResult(status, np.nan, None)
-    x = np.zeros(n)
+    x = np.zeros(lp.c.size)
     x[basis] = T[:-1, -1]
     return SimplexResult("optimal", float(lp.c @ x), x)
 
@@ -209,12 +222,16 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     Variables are the LP vector of `PairwiseMrf.offsets`.  Constraints are one
     normalization row per node, then one marginalization row per state of
     each edge's s and then its t, edge by edge: the order of `_Layout.sides`.
-    Edge normalization is implied and omitted.
+    Edge normalization is implied and omitted.  A is dense: past
+    `LP_GUARD` entries it is a CapacityError, raised before it is allocated.
     """
     n, edge_off = mrf.node_count, mrf.offsets[1]
     layout = _graph_layout(mrf.cardinalities, mrf.edges)
     E, _, M = layout.idx.shape
     sides = layout.sides.size
+    if (n + sides) * edge_off[-1] > LP_GUARD:
+        raise CapacityError(f"the local LP's {n + sides} x {edge_off[-1]} dense matrix "
+                            f"exceeds the guard of {LP_GUARD} entries")
     e, j, k = np.unravel_index(layout.entries, (E, M, M))
     # entry (e, j, k) of the edge vector is in the rows of side states (e, 0, j) and (e, 1, k)
     rows = n + np.searchsorted(layout.sides, np.stack(((2 * e) * M + j, (2 * e + 1) * M + k)))
@@ -224,6 +241,41 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     A[rows, np.arange(edge_off[0], edge_off[-1])] = 1.0
     b = np.concatenate([np.ones(n), np.zeros(sides)])
     return LinearProgram(np.concatenate((mrf.node_vector, mrf.edge_vector)), A, b)
+
+
+def vertex_start(mrf: PairwiseMrf, lp: LinearProgram) -> tuple:
+    """The start of `simplex_solve` at the vertex phi(x) of `lp`, the local
+    LP of `mrf`, x each node's first argmax of theta_s: its tableau
+    [B^-1 A | B^-1 b] above a zero objective row, and its basis, row by row.
+
+    The basis is every tau_s(x_s) and each edge table's cross through
+    (x_s, x_t): a side row's basic entry takes the row's state on its side
+    and x on the other.  The t-side row at x_t, implied by the others, is
+    dropped.  Each kept row then holds one basic column but the s-side row
+    at x_s, which gains node row s and loses the edge's kept t-side rows:
+    exact small integers, no solve.
+    """
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    n, (E, _, M) = mrf.node_count, layout.idx.shape
+    x = _node_argmax(mrf.node_vector, layout.offsets)
+    s, t = layout.ends.T
+    e, side, state = np.unravel_index(layout.sides, (E, 2, M))
+    own, other = np.where(side, x[s[e]], state), np.where(side, state, x[t[e]])
+    basis = np.concatenate((layout.offsets + x,
+                            mrf.offsets[1][e] + own * layout.cards[t[e]] + other))
+    kept = (side == 0) | (state != x[t[e]])
+    keep = np.concatenate((np.ones(n, dtype=bool), kept))
+    T = np.zeros((keep.sum() + 1, lp.c.size + 1))
+    T[:-1, :-1], T[:-1, -1] = lp.A[keep], lp.b[keep]
+    cross = (np.cumsum(keep) - 1)[n + np.flatnonzero((side == 0) & (state == x[s[e]]))]
+    # +1 on node s's entries from node row s, and on node t's but x_t from the
+    # kept t-side rows' -1s, which also take 1 off every tau_st(j, k != x_t)
+    T[cross[e[kept]], layout._target[kept]] += 1.0
+    ee, _, k = np.unravel_index(layout.entries, (E, M, M))
+    off = k != x[t[ee]]
+    T[cross[ee[off]], mrf.offsets[1][0] + np.flatnonzero(off)] -= 1.0
+    T[cross, -1] = 1.0
+    return T, basis[keep].tolist()
 
 
 def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> PairwiseMrf:
@@ -260,10 +312,14 @@ def classify_vertex(tau: PairwiseMrf, tol: float = INTEGRAL_TOL) -> VertexClassi
     flat = np.concatenate((tau.node_vector, tau.edge_vector))
     if np.any(np.minimum(np.abs(flat), np.abs(flat - 1.0)) > tol):
         return VertexClassification("fractional", None)
-    node, off = tau.node_vector, tau.offsets[0]
-    top = np.repeat(np.maximum.reduceat(node, off), tau.cardinalities)
+    return VertexClassification("integral", _node_argmax(tau.node_vector, tau.offsets[0]))
+
+
+def _node_argmax(node: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each node's state at the first entry of its table at the table's maximum."""
+    top = np.repeat(np.maximum.reduceat(node, offsets), np.diff(offsets, append=node.size))
     first = np.where(node == top, np.arange(node.size), node.size)
-    return VertexClassification("integral", np.minimum.reduceat(first, off) - off)
+    return np.minimum.reduceat(first, offsets) - offsets
 
 
 def in_marginal_polytope(tau: PairwiseMrf) -> bool:

@@ -7,6 +7,11 @@ entering column and leaving row at every step (Bland's rule, the same
 `PIVOT_TOL` band and tie-break), so its status, value and solution vector
 are `==` to these.
 
+Also kept: the start of phase 2 at a configuration's vertex, pivoted into
+[A | I | b] one basic column at a time with the loop-form pivot; the
+library builds the same tableau from A's rows by index arrays, and the two
+must be `==`.
+
 Also kept: the per-row and per-state builds of the local LP, of a
 configuration's indicator pseudomarginal and of the marginal-polytope
 feasibility LP, the edge-by-edge local-polytope test, and the node-by-node
@@ -108,6 +113,41 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     x = np.zeros(n)
     x[basis] = T[:, -1]
     return SimplexResult("optimal", float(c @ x), x)
+
+
+def vertex_start(mrf, lp: LinearProgram):
+    """[B^-1 A | B^-1 b] and B of `lp = build_local_lp(mrf)` at phi(x), x each
+    node's first argmax, by loop-form pivots on [A | I | b] in row order.
+
+    The basic column of node row s is tau_s(x_s); of the s-side row j of
+    edge (s, t), tau_st(j, x_t); of its t-side row k != x_t, tau_st(x_s, k).
+    The t-side row at x_t is implied by the others and dropped, with the
+    identity block."""
+    cards = mrf.cardinalities
+    x = [int(np.argmax(v)) for v in mrf.theta_node]
+    node_off = np.cumsum([0, *cards]).tolist()
+    rows, basis = [], []
+    for s in range(mrf.node_count):
+        rows.append(s)
+        basis.append(node_off[s] + x[s])
+    row, base = mrf.node_count, node_off[-1]
+    for s, t in mrf.edges:
+        ms, mt = cards[s], cards[t]
+        for j in range(ms):
+            rows.append(row + j)
+            basis.append(base + j * mt + x[t])
+        row += ms
+        for k in range(mt):
+            if k != x[t]:
+                rows.append(row + k)
+                basis.append(base + x[s] * mt + k)
+        row += mt
+        base += ms * mt
+    m, n = lp.A.shape
+    T = np.hstack([lp.A, np.eye(m), lp.b[:, None]])
+    for i, j in zip(rows, basis):
+        _pivot(T, i, j)
+    return np.hstack([T[rows, :n], T[rows, -1:]]), basis
 
 
 def build_local_lp(mrf) -> LinearProgram:

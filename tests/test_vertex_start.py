@@ -1,0 +1,158 @@
+"""Phase 2 from a configuration's vertex: `lp.vertex_start` and
+`simplex_solve(lp, start)`, the path of `solve --method lp`.
+
+The start tableau must be `==` to `lp_reference.vertex_start`, which pivots
+the same basis into [A | I | b] with loop-form pivots, and the array simplex
+from it `==` to the loop form.  Its optimum may be another optimal vertex
+than the two-phase path's, so values are compared to 1e-9, and an integral
+answer must score its value (on grids, `grid_map`'s).
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lp_reference
+from conftest import random_graph_mrf
+from test_simplex_reference import MIXED_GRIDS
+from trwmap import (CapacityError, PairwiseMrf, build_local_lp, grid_edges, grid_map, load_model,
+                    save_model, score, simplex_solve, vertex_start)
+from trwmap import lp as lp_module
+from trwmap.cli import main
+from trwmap.examples import triangle_mrf
+from trwmap.treedp import grid_shape
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import (LP_POOL, LP_SIDE, _rng, mixed_cardinality_grid,  # noqa: E402
+                                 potts_grid)
+
+K5PATH = Path(__file__).parent / "data" / "solve" / "k5path_wrong_certificate.json"
+
+
+def pool(seed):
+    """The `lp_mixed_card` benchmark pool of one seed."""
+    return [mixed_cardinality_grid(LP_SIDE, _rng(seed, 2, i)) for i in range(LP_POOL)]
+
+
+def small_models():
+    rng = np.random.default_rng(20240817)
+    yield from (random_graph_mrf(rng) for _ in range(12))
+    yield from (mixed_cardinality_grid(side, np.random.default_rng(1000 * side + seed))
+                for side, seed in MIXED_GRIDS)
+    yield from (potts_grid(side, 3, 2.0, np.random.default_rng(50 + seed))
+                for side in (2, 3, 4) for seed in range(2))
+    edges = tuple(grid_edges(3, 3))
+    cards = (2, 3, 2, 3, 2, 3, 2, 3, 2)
+    yield PairwiseMrf(cards, edges, tuple(np.zeros(m) for m in cards),
+                      {(s, t): np.zeros((cards[s], cards[t])) for s, t in edges})
+    yield PairwiseMrf((3,), (), (np.array([0.3, 1.7, -0.2]),), {})
+    yield PairwiseMrf((2, 3), (), (np.array([0.5, 0.5]), np.array([-1.0, 2.0, 2.0])), {})
+    # cardinality-1 nodes at either end of an edge, and a tie at the argmax
+    yield PairwiseMrf((1, 3, 1), ((0, 1), (1, 2)),
+                      (np.zeros(1), np.array([0.0, 2.0, 2.0]), np.zeros(1)),
+                      {(0, 1): np.array([[1.0, 0.0, 3.0]]), (1, 2): np.array([[1.0], [0.0], [5.0]])})
+    yield triangle_mrf(1.0)
+    yield triangle_mrf(-1.0)
+    yield load_model(K5PATH.read_bytes())
+
+
+SMALL = list(small_models())
+
+
+@pytest.mark.parametrize("k", range(len(SMALL)))
+def test_start_tableau_is_the_loop_pivoted_basis(k):
+    mrf = SMALL[k]
+    lp = build_local_lp(mrf)
+    T, basis = vertex_start(mrf, lp)
+    want_T, want_basis = lp_reference.vertex_start(mrf, lp)
+    assert basis == want_basis
+    assert np.array_equal(T[:-1], want_T)
+    assert not T[-1].any()  # the objective row phase 2 fills in
+    assert np.array_equal(T[:-1, basis], np.eye(len(basis)))
+    # the right-hand side is phi(x), x each node's first argmax
+    x = np.array([int(np.argmax(v)) for v in mrf.theta_node])
+    phi, tau = np.zeros(lp.c.size), lp_module.delta_pseudomarginal(mrf, x)
+    phi[basis] = T[:-1, -1]
+    assert np.array_equal(phi, np.concatenate([tau.node_vector, tau.edge_vector]))
+    # one row per node, per side state, less one per edge
+    assert len(basis) == lp.A.shape[0] - len(mrf.edges)
+
+
+@pytest.mark.parametrize("k", range(len(SMALL)))
+def test_phase_two_is_the_loop_form(k):
+    mrf = SMALL[k]
+    lp = build_local_lp(mrf)
+    T, basis = vertex_start(mrf, lp)
+    want_T, want_basis = T[:-1].copy(), list(basis)
+    want = lp_reference._simplex_core(want_T, want_basis, lp.c)
+    assert lp_module._simplex_core(T, basis, lp.c) == want
+    assert basis == want_basis
+    assert np.array_equal(T[:-1], want_T)
+
+
+@pytest.mark.parametrize("k", range(len(SMALL)))
+def test_solve_from_the_start_reads_its_tableau(k):
+    mrf = SMALL[k]
+    lp = build_local_lp(mrf)
+    T, basis = start = vertex_start(mrf, lp)
+    res = simplex_solve(lp, start)  # pivots the start in place
+    assert res.status == "optimal"
+    assert np.array_equal(res.x[basis], T[:-1, -1])
+    assert np.count_nonzero(res.x) <= len(basis)
+    assert res.value == float(lp.c @ res.x)
+
+
+@pytest.mark.parametrize("k", range(len(SMALL)))
+def test_value_is_the_two_phase_value(k):
+    mrf = SMALL[k]
+    lp = build_local_lp(mrf)
+    got, want = simplex_solve(lp, vertex_start(mrf, lp)), simplex_solve(lp)
+    assert got.status == want.status == "optimal"
+    assert abs(got.value - want.value) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_pool_answers(tmp_path, seed):
+    # every answer of `solve --method lp` on the pool: its value is the
+    # two-phase path's, and an integral one scores it and is grid_map's
+    for i, mrf in enumerate(pool(seed)):
+        path = tmp_path / f"mixed{i}.json"
+        path.write_bytes(save_model(mrf))
+        out = io.StringIO()
+        code = main(["solve", str(path), "--method", "lp"], out=out)
+        fields = dict(line.split(": ") for line in out.getvalue().splitlines())
+        value = float(fields["value"])
+        assert abs(value - simplex_solve(build_local_lp(mrf)).value) <= 1e-9
+        assert code == (0 if fields["vertex"] == "integral" else 2)
+        if code == 0:
+            assert abs(score(mrf, [int(v) for v in fields["assignment"]]) - value) <= 1e-9
+            assert abs(grid_map(mrf, *grid_shape(mrf))[0] - value) <= 1e-9
+
+
+def test_guard_names_the_size(monkeypatch):
+    mrf = mixed_cardinality_grid(3, np.random.default_rng(5))
+    rows, cols = build_local_lp(mrf).A.shape
+    monkeypatch.setattr(lp_module, "LP_GUARD", rows * cols)
+    build_local_lp(mrf)
+    monkeypatch.setattr(lp_module, "LP_GUARD", rows * cols - 1)
+    with pytest.raises(CapacityError, match=f"{rows} x {cols}"):
+        build_local_lp(mrf)
+
+
+def test_guard_stops_a_24x24_grid():
+    # 7200 x 11664 entries, 672 MB as a dense matrix
+    mrf = potts_grid(24, 3, 0.5, np.random.default_rng(0))
+    with pytest.raises(CapacityError, match="7200 x 11664"):
+        build_local_lp(mrf)
+
+
+def test_solve_past_the_guard_is_an_error(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_bytes(save_model(mixed_cardinality_grid(3, np.random.default_rng(5))))
+    monkeypatch.setattr(lp_module, "LP_GUARD", 100)
+    out = io.StringIO()
+    assert main(["solve", str(path), "--method", "lp"], out=out) == 1
+    assert out.getvalue().startswith("error: the local LP's ")
