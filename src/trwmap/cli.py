@@ -27,8 +27,7 @@ from .treedp import (BRUTE_FORCE_GUARD, _grid_lines, brute_force_map, check_edge
                      grid_map, grid_shape)
 from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _grid_trees, _tie_masks,
                   check_reparameterization, resolve_rho, run_trw, run_tree_updates)
-from .lp import (build_local_lp, classify_vertex, simplex_solve, vector_to_pseudomarginal,
-                 vertex_start)
+from .lp import classify_vertex, simplex_solve, vector_to_pseudomarginal, vertex_start
 
 METHODS = ("brute", "maxprod", "trw-edge", "trw-msg", "trw-tree", "lp")
 
@@ -211,16 +210,15 @@ def _solve_report(args, mrf, out) -> int:
             out.write("  " + "".join(str(v) for v in x) + "\n")
         return 0
     if args.method == "lp":
-        lp = build_local_lp(mrf)
-        res = simplex_solve(lp, vertex_start(mrf, lp))
+        # phase 2 from the start tableau alone, on the LP's objective: no A is built
+        res = simplex_solve(np.concatenate((mrf.node_vector, mrf.edge_vector)), vertex_start(mrf))
         out.write(f"value: {res.value!r}\n")
-        tau = vector_to_pseudomarginal(mrf, res.x)
-        cls = classify_vertex(tau)
+        cls = classify_vertex(vector_to_pseudomarginal(mrf, res.x))
         out.write(f"vertex: {cls.kind}\n")
-        if cls.kind == "integral":
-            out.write("assignment: " + "".join(str(v) for v in cls.assignment) + "\n")
-            return 0
-        return 2
+        if cls.kind != "integral":
+            return 2
+        out.write("assignment: " + "".join(str(v) for v in cls.assignment) + "\n")
+        return _oracle_match(out, mrf, cls.assignment) if args.verify_oracle else 0
     config = _trw_config(args)
     if args.method == "maxprod":
         dist = None  # rho = 1 on every edge, not the --trees distribution
@@ -245,17 +243,21 @@ def _solve_report(args, mrf, out) -> int:
     cert = result.certificate
     out.write("certificate: " + "".join(map(str, cert.tolist())) + "\n")
     out.write(f"value: {score(mrf, cert)!r}\n")
-    if args.verify_oracle:
-        try:
-            value, _ = _oracle(mrf)
-        except CapacityError as err:
-            out.write(f"oracle-match: skipped ({err})\n")
-            return 0
-        ok = abs(score(mrf, cert) - value) <= 1e-9
-        out.write(f"oracle-match: {'true' if ok else 'false'}\n")
-        if not ok:
-            return 1
-    return 0
+    return _oracle_match(out, mrf, cert) if args.verify_oracle else 0
+
+
+def _oracle_match(out, mrf: PairwiseMrf, x) -> int:
+    """`--verify-oracle` on an answer x: its score against the exact MAP
+    value; exit code 1 when they differ, 0 when they agree or the oracle is
+    past its guards."""
+    try:
+        value, _ = _oracle(mrf)
+    except CapacityError as err:
+        out.write(f"oracle-match: skipped ({err})\n")
+        return 0
+    ok = abs(score(mrf, x) - value) <= 1e-9
+    out.write(f"oracle-match: {'true' if ok else 'false'}\n")
+    return 0 if ok else 1
 
 
 def _oracle(mrf: PairwiseMrf):

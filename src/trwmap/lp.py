@@ -28,7 +28,10 @@ pivot column's and pivot row's nonzeros.  The loop form they reproduce pivot
 for pivot is kept in `tests/lp_reference.py`.  Phase 1 searches for a vertex
 from an all-artificial basis.  The local LP has one at every configuration:
 `solve --method lp` runs phase 2 alone from `vertex_start`'s exact tableau
-there, and with tied optima may end at another optimal vertex.
+there, and with tied optima may end at another optimal vertex.  That
+tableau is scattered from the layout's index arrays into one buffer, so the
+solve path never builds the LP's dense A; `LP_GUARD` still bounds A's rows
+times columns, checked before the buffer is allocated.
 """
 
 from __future__ import annotations
@@ -149,20 +152,23 @@ def _simplex_core(T: np.ndarray, basis: list, c: np.ndarray) -> str:
         basis[leave] = entering
 
 
-def simplex_solve(lp: LinearProgram, start: tuple | None = None) -> SimplexResult:
+def simplex_solve(lp: LinearProgram | np.ndarray, start: tuple | None = None) -> SimplexResult:
     """Dense simplex; returns an optimal basic feasible solution.
 
     With a `start` (`vertex_start`), a feasible basis and its tableau
     [B^-1 A | B^-1 b] less the redundant rows, above a zero objective row,
-    phase 2 alone runs from it, in place.  Without one, both phases run in
+    phase 2 alone runs from it, in place.  It reads only the objective c of
+    `lp`, so `lp` may be c itself: `solve --method lp` passes the model's
+    packed vectors and builds no A.  Without a start, both phases run in
     one buffer, [A | I | b] (rows with b < 0 negated) above the objective row
     each phase fills in and carries.  Phase 2 runs with the artificial block
     zeroed, so none of it can enter; the buffer is copied only when the
     drive-out of the remaining artificials drops a redundant row.
     """
-    m, n = lp.A.shape
     if start is not None:
-        return _phase_two(lp, *start, lp.c)
+        c = lp.c if isinstance(lp, LinearProgram) else np.asarray(lp, dtype=float)
+        return _phase_two(*start, c, c)
+    m, n = lp.A.shape
     sign = np.where(lp.b < 0, -1.0, 1.0)
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n], T[:m, -1] = lp.A * sign[:, None], lp.b * sign
@@ -188,17 +194,19 @@ def simplex_solve(lp: LinearProgram, start: tuple | None = None) -> SimplexResul
         T = T[keep_rows + [m]]
         basis = [basis[i] for i in keep_rows]
     T[:, n:-1] = 0.0
-    return _phase_two(lp, T, basis, np.concatenate((lp.c, np.zeros(m))))
+    return _phase_two(T, basis, np.concatenate((lp.c, np.zeros(m))), lp.c)
 
 
-def _phase_two(lp: LinearProgram, T: np.ndarray, basis: list, c: np.ndarray) -> SimplexResult:
-    """Phase 2 from a feasible basis; x is read from the constraint rows."""
+def _phase_two(T: np.ndarray, basis: list, c: np.ndarray, objective: np.ndarray) -> SimplexResult:
+    """Phase 2 from a feasible basis on the tableau's objective c, which
+    extends the LP's with zeros past its variables; x is read from the
+    constraint rows."""
     status = _simplex_core(T, basis, c)
     if status != "optimal":
         return SimplexResult(status, np.nan, None)
-    x = np.zeros(lp.c.size)
+    x = np.zeros(objective.size)
     x[basis] = T[:-1, -1]
-    return SimplexResult("optimal", float(lp.c @ x), x)
+    return SimplexResult("optimal", float(objective @ x), x)
 
 
 def in_local(tau: PairwiseMrf, tol: float = 1e-9) -> bool:
@@ -216,6 +224,32 @@ def in_local(tau: PairwiseMrf, tol: float = 1e-9) -> bool:
     return bool(np.abs(gap).max(initial=0.0) <= tol)
 
 
+def _check_lp_size(mrf: PairwiseMrf, layout) -> None:
+    """The guard on the local LP's dense matrix: (n + sides) x columns entries
+    past `LP_GUARD` is a CapacityError, raised before anything that size is
+    allocated."""
+    rows, cols = mrf.node_count + layout.sides.size, mrf.offsets[1][-1]
+    if rows * cols > LP_GUARD:
+        raise CapacityError(f"the local LP's {rows} x {cols} dense matrix "
+                            f"exceeds the guard of {LP_GUARD} entries")
+
+
+def _scatter_rows(out: np.ndarray, mrf: PairwiseMrf, layout, side_row: np.ndarray) -> None:
+    """Write the nonzeros of the local LP's A into the zeroed `out`, one
+    column per LP variable: node row s at row s, side row r at row
+    side_row[r], or nowhere where side_row[r] is -1."""
+    edge_off = mrf.offsets[1]
+    E, _, M = layout.idx.shape
+    e, j, k = np.unravel_index(layout.entries, (E, M, M))
+    # entry (e, j, k) of the edge vector is in the rows of side states (e, 0, j) and (e, 1, k)
+    rows = side_row[np.searchsorted(layout.sides, np.stack(((2 * e) * M + j, (2 * e + 1) * M + k)))]
+    cols = np.broadcast_to(np.arange(edge_off[0], edge_off[-1]), rows.shape)
+    kept = side_row >= 0
+    out[layout.node_of, np.arange(edge_off[0])] = 1.0
+    out[side_row[kept], layout._target[kept]] = -1.0
+    out[rows[rows >= 0], cols[rows >= 0]] = 1.0
+
+
 def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     """Relaxed MAP linear program: maximize theta.tau over the local polytope.
 
@@ -225,49 +259,45 @@ def build_local_lp(mrf: PairwiseMrf) -> LinearProgram:
     Edge normalization is implied and omitted.  A is dense: past
     `LP_GUARD` entries it is a CapacityError, raised before it is allocated.
     """
-    n, edge_off = mrf.node_count, mrf.offsets[1]
+    n = mrf.node_count
     layout = _graph_layout(mrf.cardinalities, mrf.edges)
-    E, _, M = layout.idx.shape
     sides = layout.sides.size
-    if (n + sides) * edge_off[-1] > LP_GUARD:
-        raise CapacityError(f"the local LP's {n + sides} x {edge_off[-1]} dense matrix "
-                            f"exceeds the guard of {LP_GUARD} entries")
-    e, j, k = np.unravel_index(layout.entries, (E, M, M))
-    # entry (e, j, k) of the edge vector is in the rows of side states (e, 0, j) and (e, 1, k)
-    rows = n + np.searchsorted(layout.sides, np.stack(((2 * e) * M + j, (2 * e + 1) * M + k)))
-    A = np.zeros((n + sides, edge_off[-1]))
-    A[layout.node_of, np.arange(edge_off[0])] = 1.0
-    A[np.arange(n, n + sides), layout.idx.take(layout.sides)] = -1.0
-    A[rows, np.arange(edge_off[0], edge_off[-1])] = 1.0
+    _check_lp_size(mrf, layout)
+    A = np.zeros((n + sides, mrf.offsets[1][-1]))
+    _scatter_rows(A, mrf, layout, np.arange(n, n + sides))
     b = np.concatenate([np.ones(n), np.zeros(sides)])
     return LinearProgram(np.concatenate((mrf.node_vector, mrf.edge_vector)), A, b)
 
 
-def vertex_start(mrf: PairwiseMrf, lp: LinearProgram) -> tuple:
-    """The start of `simplex_solve` at the vertex phi(x) of `lp`, the local
-    LP of `mrf`, x each node's first argmax of theta_s: its tableau
-    [B^-1 A | B^-1 b] above a zero objective row, and its basis, row by row.
+def vertex_start(mrf: PairwiseMrf) -> tuple:
+    """The start of `simplex_solve` at the vertex phi(x) of `mrf`'s local LP,
+    x each node's first argmax of theta_s: its tableau [B^-1 A | B^-1 b]
+    above a zero objective row, and its basis, row by row.
 
     The basis is every tau_s(x_s) and each edge table's cross through
     (x_s, x_t): a side row's basic entry takes the row's state on its side
     and x on the other.  The t-side row at x_t, implied by the others, is
     dropped.  Each kept row then holds one basic column but the s-side row
     at x_s, which gains node row s and loses the edge's kept t-side rows:
-    exact small integers, no solve.
+    exact small integers, no solve.  The kept rows of A are scattered from
+    the layout straight into the one tableau buffer, so A is never built;
+    `LP_GUARD` still bounds A's size, checked before the buffer exists.
     """
     layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    _check_lp_size(mrf, layout)
     n, (E, _, M) = mrf.node_count, layout.idx.shape
     x = _node_argmax(mrf.node_vector, layout.offsets)
     s, t = layout.ends.T
     e, side, state = np.unravel_index(layout.sides, (E, 2, M))
     own, other = np.where(side, x[s[e]], state), np.where(side, state, x[t[e]])
-    basis = np.concatenate((layout.offsets + x,
-                            mrf.offsets[1][e] + own * layout.cards[t[e]] + other))
     kept = (side == 0) | (state != x[t[e]])
-    keep = np.concatenate((np.ones(n, dtype=bool), kept))
-    T = np.zeros((keep.sum() + 1, lp.c.size + 1))
-    T[:-1, :-1], T[:-1, -1] = lp.A[keep], lp.b[keep]
-    cross = (np.cumsum(keep) - 1)[n + np.flatnonzero((side == 0) & (state == x[s[e]]))]
+    basis = np.concatenate((layout.offsets + x,
+                            (mrf.offsets[1][e] + own * layout.cards[t[e]] + other)[kept]))
+    side_row = np.where(kept, n + np.cumsum(kept) - 1, -1)
+    T = np.zeros((n + kept.sum() + 1, mrf.offsets[1][-1] + 1))
+    _scatter_rows(T, mrf, layout, side_row)
+    T[:n, -1] = 1.0
+    cross = side_row[(side == 0) & (state == x[s[e]])]
     # +1 on node s's entries from node row s, and on node t's but x_t from the
     # kept t-side rows' -1s, which also take 1 off every tau_st(j, k != x_t)
     T[cross[e[kept]], layout._target[kept]] += 1.0
@@ -275,7 +305,7 @@ def vertex_start(mrf: PairwiseMrf, lp: LinearProgram) -> tuple:
     off = k != x[t[ee]]
     T[cross[ee[off]], mrf.offsets[1][0] + np.flatnonzero(off)] -= 1.0
     T[cross, -1] = 1.0
-    return T, basis[keep].tolist()
+    return T, basis.tolist()
 
 
 def vector_to_pseudomarginal(mrf: PairwiseMrf, x: np.ndarray) -> PairwiseMrf:

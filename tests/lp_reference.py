@@ -8,9 +8,11 @@ entering column and leaving row at every step (Bland's rule, the same
 are `==` to these.
 
 Also kept: the start of phase 2 at a configuration's vertex, pivoted into
-[A | I | b] one basic column at a time with the loop-form pivot; the
-library builds the same tableau from A's rows by index arrays, and the two
-must be `==`.
+[A | I | b] one basic column at a time with the loop-form pivot, and the
+same tableau built from the kept rows of a built A by index arrays
+(`vertex_start_from_a`), as the library had it before it scattered those
+rows from the graph's layout without building A; the library's tableau must
+be `==` to both, sign bits included.
 
 Also kept: the per-row and per-state builds of the local LP, of a
 configuration's indicator pseudomarginal and of the marginal-polytope
@@ -29,10 +31,10 @@ library's array must be `np.array_equal` to this dict's.
 
 import numpy as np
 
-from trwmap.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, SimplexResult
+from trwmap.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, SimplexResult, _node_argmax
 from trwmap.model import PairwiseMrf, StructureError
 from trwmap.trees import TreeDistribution
-from trwmap.treedp import MessageSet, _guard_states, _Layout
+from trwmap.treedp import MessageSet, _graph_layout, _guard_states, _Layout
 
 from model_reference import edge_key, neighbors
 
@@ -148,6 +150,31 @@ def vertex_start(mrf, lp: LinearProgram):
     for i, j in zip(rows, basis):
         _pivot(T, i, j)
     return np.hstack([T[rows, :n], T[rows, -1:]]), basis
+
+
+def vertex_start_from_a(mrf, lp: LinearProgram):
+    """The library's start tableau, above its zero objective row, and basis,
+    built from `lp = build_local_lp(mrf)`: the kept rows A[keep] and b[keep]
+    copied into the tableau, then each cross row's corrections."""
+    layout = _graph_layout(mrf.cardinalities, mrf.edges)
+    n, (E, _, M) = mrf.node_count, layout.idx.shape
+    x = _node_argmax(mrf.node_vector, layout.offsets)
+    s, t = layout.ends.T
+    e, side, state = np.unravel_index(layout.sides, (E, 2, M))
+    own, other = np.where(side, x[s[e]], state), np.where(side, state, x[t[e]])
+    basis = np.concatenate((layout.offsets + x,
+                            mrf.offsets[1][e] + own * layout.cards[t[e]] + other))
+    kept = (side == 0) | (state != x[t[e]])
+    keep = np.concatenate((np.ones(n, dtype=bool), kept))
+    T = np.zeros((keep.sum() + 1, lp.c.size + 1))
+    T[:-1, :-1], T[:-1, -1] = lp.A[keep], lp.b[keep]
+    cross = (np.cumsum(keep) - 1)[n + np.flatnonzero((side == 0) & (state == x[s[e]]))]
+    T[cross[e[kept]], layout._target[kept]] += 1.0
+    ee, _, k = np.unravel_index(layout.entries, (E, M, M))
+    off = k != x[t[ee]]
+    T[cross[ee[off]], mrf.offsets[1][0] + np.flatnonzero(off)] -= 1.0
+    T[cross, -1] = 1.0
+    return T, basis[keep].tolist()
 
 
 def build_local_lp(mrf) -> LinearProgram:

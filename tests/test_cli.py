@@ -234,6 +234,46 @@ def test_oracle_rejects_the_assignment_of_a_non_converged_run(method):
     assert code == 1
 
 
+def test_lp_verify_oracle_on_an_integral_vertex():
+    # the golden's lines, then the check of its assignment against grid_map
+    code, out = run_cli(["solve", str(GOLDEN / "mixed5x5.json"), "--method", "lp",
+                         "--verify-oracle"])
+    assert code == 0
+    assert out == (GOLDEN / "mixed5x5_lp.stdout").read_text() + "oracle-match: true\n"
+
+
+def test_lp_verify_oracle_skips_a_fractional_vertex():
+    code, out = run_cli(["solve", str(GOLDEN / "mixed5x5frac.json"), "--method", "lp",
+                         "--verify-oracle"])
+    assert code == 2
+    assert out == (GOLDEN / "mixed5x5frac_lp.stdout").read_text()
+
+
+def test_lp_verify_oracle_mismatch_exits_1(monkeypatch):
+    from trwmap import cli
+    exact = cli._oracle
+    monkeypatch.setattr(cli, "_oracle", lambda mrf: (exact(mrf)[0] + 1.0, None))
+    code, out = run_cli(["solve", str(GOLDEN / "mixed5x5.json"), "--method", "lp",
+                         "--verify-oracle"])
+    assert code == 1
+    assert out.endswith("oracle-match: false\n")
+
+
+def test_lp_verify_oracle_past_its_guards_is_skipped(tmp_path):
+    # a star on 25 binary nodes: not a grid, and 2^25 joint states are past
+    # brute force's guard; on a tree the LP's vertex is integral
+    rng = np.random.default_rng(3)
+    edges = tuple((0, t) for t in range(1, 25))
+    mrf = PairwiseMrf((2,) * 25, edges, tuple(rng.normal(size=2) for _ in range(25)),
+                      {e: rng.normal(size=(2, 2)) for e in edges})
+    path = tmp_path / "star.json"
+    path.write_bytes(save_model(mrf))
+    code, out = run_cli(["solve", str(path), "--method", "lp", "--verify-oracle"])
+    assert code == 0
+    assert "vertex: integral\n" in out
+    assert out.endswith("oracle-match: skipped (joint state space exceeds 2^24)\n")
+
+
 @pytest.mark.parametrize("side, code", [(16, 0), (24, 2)])
 def test_large_potts_grid_stdout_is_golden(tmp_path, side, code):
     # 3-state Potts grids built here from seed 0: the 16x16 one prints a

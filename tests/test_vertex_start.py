@@ -1,15 +1,20 @@
 """Phase 2 from a configuration's vertex: `lp.vertex_start` and
 `simplex_solve(lp, start)`, the path of `solve --method lp`.
 
-The start tableau must be `==` to `lp_reference.vertex_start`, which pivots
-the same basis into [A | I | b] with loop-form pivots, and the array simplex
-from it `==` to the loop form.  Its optimum may be another optimal vertex
-than the two-phase path's, so values are compared to 1e-9, and an integral
-answer must score its value (on grids, `grid_map`'s).
+The start tableau, scattered from the graph's layout without building A,
+must be `==` (sign bits included) to `lp_reference.vertex_start`, which
+pivots the same basis into [A | I | b] with loop-form pivots, and to
+`lp_reference.vertex_start_from_a`, which copies the kept rows of a built A;
+the array simplex from it must be `==` to the loop form.  Its optimum may
+be another optimal vertex than the two-phase path's, so values are compared
+to 1e-9, and an integral answer must score its value (on grids,
+`grid_map`'s).
 """
 
 import io
+import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ from conftest import random_graph_mrf
 from test_simplex_reference import MIXED_GRIDS
 from trwmap import (CapacityError, PairwiseMrf, build_local_lp, grid_edges, grid_map, load_model,
                     save_model, score, simplex_solve, vertex_start)
+from trwmap import cli
 from trwmap import lp as lp_module
 from trwmap.cli import main
 from trwmap.examples import triangle_mrf
@@ -29,7 +35,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import (LP_POOL, LP_SIDE, _rng, mixed_cardinality_grid,  # noqa: E402
                                  potts_grid)
 
-K5PATH = Path(__file__).parent / "data" / "solve" / "k5path_wrong_certificate.json"
+GOLDEN = Path(__file__).parent / "data" / "solve"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+K5PATH = GOLDEN / "k5path_wrong_certificate.json"
 
 
 def pool(seed):
@@ -60,16 +68,33 @@ def small_models():
 
 
 SMALL = list(small_models())
+POOLS = {seed: pool(seed) for seed in (1, 2, 3)}
+
+
+def assert_same_start(mrf):
+    """The layout-built start `==` both oracles, the sign of every zero too."""
+    lp = build_local_lp(mrf)
+    T, basis = vertex_start(mrf)
+    for want_T, want_basis in (lp_reference.vertex_start_from_a(mrf, lp),
+                               lp_reference.vertex_start(mrf, lp)):
+        assert basis == want_basis
+        got = T if want_T.shape == T.shape else T[:-1]
+        assert np.array_equal(got, want_T)
+        assert np.array_equal(np.signbit(got), np.signbit(want_T))
+
+
+@pytest.mark.parametrize("seed", sorted(POOLS))
+def test_layout_start_is_the_start_from_a_on_the_pool(seed):
+    for mrf in POOLS[seed]:
+        assert_same_start(mrf)
 
 
 @pytest.mark.parametrize("k", range(len(SMALL)))
 def test_start_tableau_is_the_loop_pivoted_basis(k):
     mrf = SMALL[k]
     lp = build_local_lp(mrf)
-    T, basis = vertex_start(mrf, lp)
-    want_T, want_basis = lp_reference.vertex_start(mrf, lp)
-    assert basis == want_basis
-    assert np.array_equal(T[:-1], want_T)
+    assert_same_start(mrf)
+    T, basis = vertex_start(mrf)
     assert not T[-1].any()  # the objective row phase 2 fills in
     assert np.array_equal(T[:-1, basis], np.eye(len(basis)))
     # the right-hand side is phi(x), x each node's first argmax
@@ -85,7 +110,7 @@ def test_start_tableau_is_the_loop_pivoted_basis(k):
 def test_phase_two_is_the_loop_form(k):
     mrf = SMALL[k]
     lp = build_local_lp(mrf)
-    T, basis = vertex_start(mrf, lp)
+    T, basis = vertex_start(mrf)
     want_T, want_basis = T[:-1].copy(), list(basis)
     want = lp_reference._simplex_core(want_T, want_basis, lp.c)
     assert lp_module._simplex_core(T, basis, lp.c) == want
@@ -97,7 +122,7 @@ def test_phase_two_is_the_loop_form(k):
 def test_solve_from_the_start_reads_its_tableau(k):
     mrf = SMALL[k]
     lp = build_local_lp(mrf)
-    T, basis = start = vertex_start(mrf, lp)
+    T, basis = start = vertex_start(mrf)
     res = simplex_solve(lp, start)  # pivots the start in place
     assert res.status == "optimal"
     assert np.array_equal(res.x[basis], T[:-1, -1])
@@ -109,7 +134,7 @@ def test_solve_from_the_start_reads_its_tableau(k):
 def test_value_is_the_two_phase_value(k):
     mrf = SMALL[k]
     lp = build_local_lp(mrf)
-    got, want = simplex_solve(lp, vertex_start(mrf, lp)), simplex_solve(lp)
+    got, want = simplex_solve(lp, vertex_start(mrf)), simplex_solve(lp)
     assert got.status == want.status == "optimal"
     assert abs(got.value - want.value) <= 1e-9
 
@@ -118,7 +143,7 @@ def test_value_is_the_two_phase_value(k):
 def test_benchmark_pool_answers(tmp_path, seed):
     # every answer of `solve --method lp` on the pool: its value is the
     # two-phase path's, and an integral one scores it and is grid_map's
-    for i, mrf in enumerate(pool(seed)):
+    for i, mrf in enumerate(POOLS[seed]):
         path = tmp_path / f"mixed{i}.json"
         path.write_bytes(save_model(mrf))
         out = io.StringIO()
@@ -137,9 +162,12 @@ def test_guard_names_the_size(monkeypatch):
     rows, cols = build_local_lp(mrf).A.shape
     monkeypatch.setattr(lp_module, "LP_GUARD", rows * cols)
     build_local_lp(mrf)
+    vertex_start(mrf)
     monkeypatch.setattr(lp_module, "LP_GUARD", rows * cols - 1)
     with pytest.raises(CapacityError, match=f"{rows} x {cols}"):
         build_local_lp(mrf)
+    with pytest.raises(CapacityError, match=f"{rows} x {cols}"):
+        vertex_start(mrf)
 
 
 def test_guard_stops_a_24x24_grid():
@@ -156,3 +184,43 @@ def test_solve_past_the_guard_is_an_error(tmp_path, monkeypatch):
     out = io.StringIO()
     assert main(["solve", str(path), "--method", "lp"], out=out) == 1
     assert out.getvalue().startswith("error: the local LP's ")
+
+
+def test_start_guard_allocates_nothing_that_size():
+    # the guard counts A's entries, 7200 x 11664, though the start never builds A
+    mrf = potts_grid(24, 3, 0.5, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="7200 x 11664"):
+            vertex_start(mrf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+LP_GOLDENS = sorted(k for k, case in GOLDEN_CASES.items() if case["argv"][2] == "lp")
+
+
+def test_four_lp_goldens():
+    assert len(LP_GOLDENS) == 4
+
+
+@pytest.mark.parametrize("case", LP_GOLDENS)
+def test_solve_builds_no_dense_matrix(monkeypatch, case):
+    def no_a(mrf):
+        raise AssertionError("solve --method lp built A")
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simplex_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "build_local_lp", no_a)
+    monkeypatch.setattr(cli, "simplex_solve", counted)
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_CASES[case]["argv"]]
+    out = io.StringIO()
+    assert main(["solve", *argv], out=out) == GOLDEN_CASES[case]["code"]
+    assert out.getvalue().encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
+    assert len(calls) == 1
