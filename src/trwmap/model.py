@@ -15,7 +15,12 @@ A model is checked by one sequence, whatever it is built from: the graph,
 then the tables' shapes, then their finiteness, each on whole arrays; a
 loop over the tables runs only to name the first bad one.  The constructor
 packs per-table arrays, and `load_model` flattens a document's nested lists
-into the two vectors in one pass.
+into the two vectors in one pass and checks the tables' shapes as one int
+array of list lengths.  It parses with the cyclic garbage collector paused:
+a JSON document holds no reference cycles, so a collector pass during the
+parse could free nothing, and the caller's setting is restored afterwards,
+also on error.  The pause is process-wide, so in a threaded program another
+thread's collector passes wait for at most one parse.
 
 A tree parameter theta(T), one term of the split theta = sum_T rho(T)
 theta(T), is a `PairwiseMrf` too: on the model's nodes, with some of the
@@ -27,7 +32,9 @@ like theta's, so <theta, tau> is one dot product.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -139,7 +146,7 @@ class PairwiseMrf:
         if ends.size and ends.shape[1:] != (2,):
             raise ModelFormatError("edges: expected pairs of node indices")
         ends = ends.reshape(-1, 2)
-        object.__setattr__(self, "edges", tuple(map(tuple, ends.tolist())))
+        object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))
         s, t = ends.T
         order = np.lexsort((t, s))
         repeat = np.zeros(len(ends), dtype=bool)  # an edge equal to an earlier one
@@ -158,15 +165,24 @@ class PairwiseMrf:
 
     def _check_tables(self, node, node_shapes, edge, edge_shapes):
         """Check the node and then the edge tables, each given as arrays whose
-        entries, concatenated, are the packed vector, and an iterable of the
-        tables' shapes (None: not one table per node, or per edge): each
-        table (m_s,) or (m_s, m_t), then every entry finite; an error names
-        the first bad table.  Keeps the vectors, frozen, and their `_offsets`."""
-        for field, shapes, want in (("theta_node", node_shapes, list(zip(self.cardinalities))),
-                                    ("theta_edge", edge_shapes, self._edge_shapes)):
+        entries, concatenated, are the packed vector, and the tables' shapes
+        (None: not one table per node, or per edge): each table (m_s,) or
+        (m_s, m_t), then every entry finite; an error names the first bad
+        table.  The shapes are an iterable of tuples, or a (K, 1) or (K, 2)
+        int array of the list lengths, checked with one comparison; a table
+        without rows has numpy's shape (0,).  Keeps the vectors, frozen, and
+        their `_offsets`."""
+        cards = np.array(self.cardinalities)
+        for field, shapes, want in (("theta_node", node_shapes, cards[:, None]),
+                                    ("theta_edge", edge_shapes, cards[self._ends])):
             if shapes is None:
                 raise ModelFormatError(f"{field}: one table per {field[6:]} required")
-            shapes = list(shapes)
+            if isinstance(shapes, np.ndarray):
+                if np.array_equal(shapes, want):
+                    continue
+                # a table without rows reads as numpy's shape (0,)
+                shapes = [tuple(shape) if shape[0] else (0,) for shape in shapes.tolist()]
+            shapes, want = list(shapes), list(map(tuple, want.tolist()))
             if shapes != want:
                 k, shape = next((k, a) for k, (a, b) in enumerate(zip(shapes, want)) if a != b)
                 raise ModelFormatError(
@@ -367,26 +383,28 @@ def save_model(mrf: PairwiseMrf) -> bytes:
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
-def _entries(tables: list, depth: int):
+def _entries(tables: list, depth: int, numbers=frozenset((int, float))):
     """The numbers of a list of tables nested `depth` lists deep, in order,
     and the list lengths of every level; None unless every table is lists
-    of that depth holding JSON numbers (int or float, not bool)."""
+    of that depth holding JSON numbers of the types `numbers` (int or float
+    by default; a bool is neither)."""
     lengths = []
     for _ in range(depth):
         if not set(map(type, tables)) <= {list}:
             return None
         lengths.append(list(map(len, tables)))
         tables = list(chain.from_iterable(tables))
-    if not set(map(type, tables)) <= {int, float}:
+    if not set(map(type, tables)) <= numbers:
         return None
     return tables, lengths
 
 
 def _flatten(tables: list, field: str, depth: int) -> tuple:
-    """(one float vector of all the entries, each table's shape) for a
-    document's list of node tables (depth 1) or edge tables (depth 2, a
-    list of rows); a `ModelFormatError` names the first table that is not a
-    list of numbers, or of equal-length rows of numbers."""
+    """(one float vector of all the entries, the tables' shapes as a (K,
+    depth) int array of list lengths) for a document's list of node tables
+    (depth 1) or edge tables (depth 2, a list of rows); a `ModelFormatError`
+    names the first table that is not a list of numbers, or of equal-length
+    rows of numbers."""
     found = _entries(tables, depth)
     if found is None:
         k = next(k for k, table in enumerate(tables) if _entries([table], depth) is None)
@@ -394,7 +412,7 @@ def _flatten(tables: list, field: str, depth: int) -> tuple:
         raise ModelFormatError(f"{field}[{k}]: expected a list of {what}")
     values, lengths = found
     if depth == 1:
-        shapes = list(zip(lengths[0]))
+        shapes = np.array(lengths[0], dtype=np.intp)[:, None]
     else:
         rows, widths = (np.array(v, dtype=np.intp) for v in lengths)
         first = np.cumsum(rows) - rows  # each table's first row
@@ -402,20 +420,43 @@ def _flatten(tables: list, field: str, depth: int) -> tuple:
         odd = widths != widths[first[table_of]]
         if odd.any():
             raise ModelFormatError(f"{field}[{table_of[odd.argmax()]}]: rows of unequal length")
-        # a table without rows reads as numpy's shape (0,)
-        shapes = [(r, w) if r else (0,) for r, w in
-                  zip(lengths[0], np.append(widths, 0)[first].tolist())]
+        # a table without rows gets any width; `_check_tables` reads it as (0,)
+        shapes = np.stack((rows, np.append(widths, 0)[first]), axis=1)
     try:
         return np.array(values, dtype=float), shapes
     except OverflowError:
         raise ModelFormatError(f"{field}: a number is too large for a float") from None
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block (or, as a decorator, the function) with the cyclic
+    garbage collector off, and restore the caller's setting on the way out,
+    also when it raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_model(data: bytes | str) -> PairwiseMrf:
     """Read a model document: `nodes` (the cardinalities), `edges` (pairs of
     node indices) and one table per node and per edge, as nested lists of
     numbers.  A malformed document raises `ModelFormatError` naming the
-    field."""
+    field.
+
+    The parse, the checks and the packing run with the cyclic collector
+    paused.  A 32x32 3-state grid's document is about 11K lists, enough
+    allocations to set off some 24 collector passes per load, and none of
+    them can free anything: a JSON document holds no reference cycles, so
+    reference counting frees the lists once the vectors are packed.  The
+    caller's setting is restored afterwards, also on error; in a threaded
+    program another thread's collector passes wait for at most one parse.
+    The tables' shapes are checked as one int array of list lengths."""
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
@@ -432,8 +473,8 @@ def load_model(data: bytes | str) -> PairwiseMrf:
         if not isinstance(doc[key], list):
             raise ModelFormatError(f"{key}: expected a list")
     edges = doc["edges"]
-    found = _entries(edges, 1)
-    if found is None or not set(found[1][0]) <= {2} or not set(map(type, found[0])) <= {int}:
+    found = _entries(edges, 1, {int})
+    if found is None or not set(found[1][0]) <= {2}:
         for i, e in enumerate(edges):
             if not (type(e) is list and len(e) == 2 and set(map(type, e)) == {int}):
                 raise ModelFormatError(f"edges[{i}]: expected a pair of integers")

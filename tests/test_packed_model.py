@@ -1,8 +1,10 @@
 """The packed model against the per-table loader it replaced
 (`tests/model_reference.py`): the same tables, in the same order, from
 `load_model` and from the constructor; the same error text on malformed
-documents; and the same `score` float."""
+documents; and the same `score` float.  `load_model` runs with the cyclic
+garbage collector paused and leaves it as it found it."""
 
+import gc
 import json
 
 import numpy as np
@@ -37,7 +39,7 @@ def assert_same_model(got, want):
 
 def documents():
     """Valid documents: mixed and single cardinalities, edges out of order,
-    integer entries, a one-node model and a large grid."""
+    integer entries, a one-node model and two large grids."""
     docs = []
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -54,9 +56,12 @@ def documents():
         docs.append(json.dumps(doc))
     docs.append('{"nodes": [3], "edges": [], "theta_node": [[0.5, -1, 2]], "theta_edge": []}')
     docs.append(save_model(potts_grid_mrf(12, 3, 0.5, np.random.default_rng(1))))
+    docs.append(GRID32)
     return docs
 
 
+# the size of the largest benchmark grid: about 11K JSON lists
+GRID32 = save_model(potts_grid_mrf(32, 3, 0.5, np.random.default_rng(32)))
 DOCUMENTS = documents()
 
 
@@ -105,6 +110,13 @@ MALFORMED = [
     json.dumps({**TRIANGLE, "theta_edge": [[[0.0, 1.0], [1.0, 0.0]]] * 2}),
     json.dumps({**TRIANGLE, "theta_edge": [[[0.0, 1.0], [1.0, 0.0]]] * 2 + [[[0.0, 1.0]]]}),
     json.dumps({**TRIANGLE, "theta_node": [[0.0, 0.0], [0.0, 1e400], [0.0, 0.0]]}),
+    # shapes the array check must name as the per-table check did: a table
+    # without rows (numpy's shape (0,)) after a valid one, a transposed
+    # table and an empty node table
+    json.dumps({**TRIANGLE, "theta_edge": [[[0.0, 1.0], [1.0, 0.0]], [], [[0.0, 1.0], [1.0, 0.0]]]}),
+    json.dumps({"nodes": [2, 3], "edges": [[0, 1]], "theta_node": [[0, 0], [0, 0, 0]],
+                "theta_edge": [[[0, 1], [2, 3], [4, 5]]]}),
+    json.dumps({**TRIANGLE, "theta_node": [[0.0, 0.0], [], [0.0, 0.0]]}),
 ]
 
 
@@ -116,6 +128,44 @@ def test_malformed_documents_raise_the_same_error(k):
     with pytest.raises(ModelFormatError) as got:
         load_model(doc)
     assert str(got.value) == str(want.value)
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's setting after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("k", range(1 + len(MALFORMED)))
+def test_load_model_leaves_the_collector_as_it_found_it(collector, enabled, k):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_model([GRID32, *MALFORMED][k])
+    except ModelFormatError:
+        pass
+    assert gc.isenabled() is enabled
+
+
+def test_a_large_document_loads_without_a_collector_pass(collector):
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        json.loads(GRID32)
+        parsed = len(passes)
+        load_model(GRID32)
+    finally:
+        gc.callbacks.remove(count)
+    assert parsed > 0  # the parse alone sets some off, so the count can see them
+    assert len(passes) == parsed
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
