@@ -2,8 +2,9 @@
 examples, and reproduce the edge-based versus tree-based update experiment
 with CSV output.
 
-Exit codes: 0 success, 1 error (bad input, bad options), 2 indeterminate
-(the method terminated without a certificate).
+Exit codes: 0 success, 1 error (bad input, bad options) or, with
+`--verify-oracle`, `oracle-match: false`, 2 indeterminate (the method
+terminated without a certificate, or the LP at a fractional vertex).
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValueError(f"{name}: expected a non-negative integer, got {value!r}")
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 2:
+                raise ValueError(f"{name}: expected an integer of at least 2, got {value!r}")
         if self.verify_oracle:
             try:
                 _grid_lines((2,) * (self.rows * self.cols), self.rows, self.cols)

@@ -9,8 +9,10 @@ table, (joint states of a line)^2.  It backtracks every configuration near
 the DP value and rescores each in `score`'s left-to-right order, which is
 the order brute force sums in, so its value and optimal set are brute
 force's to the bit.  What it reads of the graph alone (lines, joint
-states, gather indices) is a read-only plan per grid shape, cached by
-`_grid_plan` next to the layout and tree-plan caches below.  `grid_shape`
+states, the two sides of each edge's gather index) is a read-only plan per
+grid shape, cached by `_grid_plan` next to the layout and tree-plan caches
+below.  Every pair table is one gather from those sides, in column blocks
+under one bound on a temporary's positions.  `grid_shape`
 finds a model's grid shape.  The CLI uses `grid_map` on grids and brute
 force elsewhere, and on grids past its guards.
 
@@ -67,8 +69,6 @@ from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
 GRID_OPTIMA_GUARD = 2 ** 16
-GRID_KEPT_TABLES = 2 ** 20  # entries of the pair tables `grid_map` may keep
-GRID_PLAN_POSITIONS = 2 ** 18  # pair-table positions a grid plan may hold
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -245,17 +245,14 @@ def _grid_lines(cardinalities: Sequence[int], rows: int, cols: int) -> list:
 def _grid_plan(cardinalities: tuple, edges: tuple, rows: int, cols: int) -> tuple:
     """What `grid_map` reads of a grid graph (edges in the model's order),
     as entries of a model's packed vector theta, read-only and shared by
-    every call on the graph: (lines, states, unary, sides, pairs).  Per line
-    r of `lines` ((R, L) nodes), its joint states `states[r]`, (K_r, L), and
-    the entries that score them along the line, `unary[r]`, (K_r, 2L - 1).
-    The c-th edge between lines r and r + 1 at states i, j is entry
-    `sides[r][0][c, i] + sides[r][1][c, j]`, and `pairs[r]` holds these
-    sums, (L, K_r, K_{r+1}).  The memory is bounded: the pair positions
-    take at most `GRID_PLAN_POSITIONS` integers (2 MB), past which `pairs`
-    is None and `grid_map` builds the pair tables column by column from
-    `sides`, and the per-line arrays hold 4L - 1 integers per joint state,
-    as the index arrays of one call did before.  Its StructureError on other
-    edges and `_grid_lines`' CapacityError are never cached."""
+    every call on the graph: (lines, states, unary, sides).  Per line r of
+    `lines` ((R, L) nodes), its joint states `states[r]`, (K_r, L), and the
+    entries that score them along the line, `unary[r]`, (K_r, 2L - 1).  The
+    c-th edge between lines r and r + 1 at states i, j is entry
+    `sides[r][0][c, i] + sides[r][1][c, j]`; a call forms these sums itself.
+    Each line's arrays hold 4L - 1 integers per joint state, as the index
+    arrays of one call did before.  Its StructureError on other edges and
+    `_grid_lines`' CapacityError are never cached."""
     if not _is_grid(edges, len(cardinalities), rows, cols):
         raise StructureError(f"the model's graph is not the {rows}x{cols} grid")
     lines = np.array(_grid_lines(cardinalities, rows, cols), dtype=np.intp)
@@ -275,12 +272,9 @@ def _grid_plan(cardinalities: tuple, edges: tuple, rows: int, cols: int) -> tupl
              for line, x in zip(lines, states)]
     sides = [(starts(a, b)[:, None] + x.T * cards[b][:, None], y.T)
              for a, b, x, y in zip(lines, lines[1:], states, states[1:])]
-    pairs = None
-    if sum(left.size * right.shape[1] for left, right in sides) <= GRID_PLAN_POSITIONS:
-        pairs = tuple(left[:, :, None] + right[:, None, :] for left, right in sides)
-    for a in chain([lines], states, unary, chain.from_iterable(sides), pairs or ()):
+    for a in chain([lines], states, unary, chain.from_iterable(sides)):
         a.setflags(write=False)
-    return lines, tuple(states), tuple(unary), tuple(sides), pairs
+    return lines, tuple(states), tuple(unary), tuple(sides)
 
 
 def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
@@ -288,37 +282,34 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     whose edges are `grid_edges(rows, cols)`, equal to `brute_force_map`'s.
 
     On the shape's cached `_grid_plan`, a max-sum DP runs over the grid's
-    lines (`_grid_lines`).  Backtracking, on the DP's pair tables when they
-    have `GRID_KEPT_TABLES` entries at most (decided per call),
-    collects every configuration whose DP score lies within 1e-9 of the DP
-    value, relative to the model's total absolute weight (which bounds any
-    configuration's terms, so rounding never drops an optimum).  Each is
-    rescored in `score`'s order, the order in which brute force sums too,
-    and those equal to the maximum are returned in lexicographic order.  A
-    CapacityError is raised when a line-pair table exceeds
-    `BRUTE_FORCE_GUARD`, or when more than `GRID_OPTIMA_GUARD`
+    lines (`_grid_lines`), each line-pair table gathered at the plan's
+    `sides` in column blocks of `bound` positions, the backtrack's too.
+    Backtracking collects every configuration whose DP score lies within
+    1e-9 of the DP value, relative to the model's total absolute weight
+    (which bounds any configuration's terms, so rounding never drops an
+    optimum).  Each is rescored in `score`'s order, the order in which brute
+    force sums too, and those equal to the maximum are returned in
+    lexicographic order.  A CapacityError is raised when a line-pair table
+    exceeds `BRUTE_FORCE_GUARD`, or when more than `GRID_OPTIMA_GUARD`
     configurations are collected.
     """
-    lines, states, unary, sides, pairs = _grid_plan(mrf.cardinalities, mrf.edges, rows, cols)
+    lines, states, unary, sides = _grid_plan(mrf.cardinalities, mrf.edges, rows, cols)
     theta = np.concatenate((mrf.node_vector, mrf.edge_vector))
+    bound = 2 ** 16  # positions of a gathered block's or a backtrack block's temporary
 
     def between(r, picked):
         """The pair table of lines r and r + 1: rows the states of line r,
         columns the states `picked` of line r + 1."""
-        if pairs is not None:
-            return theta[pairs[r][:, :, picked]].sum(axis=0)
-        left, right = sides[r][0], sides[r][1][:, picked]
-        out = np.zeros((left.shape[1], right.shape[1]))
-        for a, b in zip(left, right):
-            out += theta[a[:, None] + b]
-        return out
+        left, right = sides[r][0][:, :, None], sides[r][1][:, None, picked]
+        step = max(1, bound // left.size)
+        blocks = [theta[left + right[:, :, lo:lo + step]].sum(axis=0)
+                  for lo in range(0, right.shape[2], step)]
+        return np.concatenate(blocks, axis=1)
 
     unary = [theta[pos].sum(axis=1) for pos in unary]
-    keep = sum(len(x) * len(y) for x, y in zip(states, states[1:])) <= GRID_KEPT_TABLES
-    best, kept = [unary[0]], []
+    best = [unary[0]]
     for r in range(1, len(states)):
         pair = between(r - 1, slice(None))
-        kept.append(pair.copy() if keep else None)
         pair += best[-1][:, None]
         best.append(unary[r] + pair.max(axis=0))
     floor = best[-1].max() - 1e-9 * (1.0 + np.abs(theta).sum())
@@ -332,11 +323,11 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
         raise too_many
     tail = unary[-1][paths[:, 0]]
     for r in range(len(states) - 2, -1, -1):
-        step = max(1, 2 ** 20 // len(best[r]))  # bounds the (states, items) block
+        step = max(1, bound // len(best[r]))  # bounds the (states, items) block
         grown, count = [], 0
         for lo in range(0, len(paths), step):
             p, t = paths[lo:lo + step], tail[lo:lo + step]
-            pair = between(r, p[:, 0]) if kept[r] is None else kept[r][:, p[:, 0]]
+            pair = between(r, p[:, 0])
             k, i = np.nonzero(best[r][:, None] + pair + t >= floor)
             count += len(k)
             if count > GRID_OPTIMA_GUARD:

@@ -105,10 +105,6 @@ class TreeDistribution:
         for t in trees:
             t.validate(self.node_count)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(t for t, w in zip(self.trees, self.weights) if w > 0)
-
     def support_items(self) -> list:
         return [(t, float(w)) for t, w in zip(self.trees, self.weights) if w > 0]
 

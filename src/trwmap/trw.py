@@ -54,6 +54,7 @@ per-table views of a model and of a result are built only when read.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -82,8 +83,8 @@ class TrwConfig:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -358,6 +358,10 @@ class TestExperiment:
                                  "got -1.0"),
         (["--trials", "-1"], "trials: expected a non-negative integer, got -1"),
         (["--seed", "-1"], "seed: expected a non-negative integer, got -1"),
+        (["--eps", "inf"], "tolerance must be finite and positive, got inf"),
+        (["--eps", "nan"], "tolerance must be finite and positive, got nan"),
+        (["--rows", "0", "--verify-oracle"], "rows: expected an integer of at least 2, got 0"),
+        (["--rows", "-2", "--verify-oracle"], "rows: expected an integer of at least 2, got -2"),
     ])
     def test_bad_spec_is_rejected_before_any_row(self, argv, message):
         code, out = run_cli(["experiment", "--rows", "2", "--cols", "2", "--trials", "1",

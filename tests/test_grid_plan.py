@@ -6,9 +6,9 @@ graph is the grid, the lines, their joint states and every gather index.
 A call gathers the model's entries, runs the DP, backtracks and rescores in
 `score`'s order, so its value (`repr`) and optimal set must equal the
 reference's on every grid: the `test_grid_oracle` corpus, the seed 1-3
-`grid4_paper` pools, and grids past brute force's guard, with the pair
-tables gathered from planned positions and, past the plan's bound, built
-column by column.  The plan is read-only, built once per shape, and never
+`grid4_paper` pools, and grids past brute force's guard, whose pair tables
+are gathered in one column block or, on 5x5 3-state and 10x10 binary
+grids, in several.  The plan is read-only, built once per shape, and never
 caches a failed check.
 """
 
@@ -23,7 +23,7 @@ from test_grid_oracle import PAPER_GAMMAS, random_grid, random_shapes
 from trwmap import (CapacityError, PairwiseMrf, StructureError, cli, grid_edges, grid_map,
                     ising_to_overcomplete, treedp)
 from trwmap.cli import ExperimentSpec, _draw_grid_model
-from trwmap.treedp import GRID_PLAN_POSITIONS, _grid_plan
+from trwmap.treedp import _grid_plan
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import Grid4Paper  # noqa: E402
@@ -81,12 +81,16 @@ def test_paper_pools_equal_the_per_call_form(seed):
 
 
 def large_grids():
-    """Grids past brute force's 2^24 states: 6x8 binary, whose pair
-    positions the plan holds, and 5x5 with 3 states, past its bound."""
+    """Grids past brute force's 2^24 states: 6x8 binary, whose pair tables
+    are gathered in one block, then 5x5 with 3 states and 10x10 binary
+    (integer tables, tied optima), gathered in several."""
     rng = np.random.default_rng(24_000)
     out = []
-    for rows, cols, states in [(6, 8, 2), (8, 6, 2), (5, 5, 3)]:
-        for kind in ("normal", "integer"):
+    for rows, cols, states, kinds in [(6, 8, 2, ("normal", "integer")),
+                                      (8, 6, 2, ("normal", "integer")),
+                                      (5, 5, 3, ("normal", "integer")),
+                                      (10, 10, 2, ("integer",))]:
+        for kind in kinds:
             cards = (states,) * (rows * cols)
             draw = ((lambda shape: rng.normal(size=shape)) if kind == "normal"
                     else (lambda shape: rng.integers(-2, 3, shape).astype(float)))
@@ -97,26 +101,10 @@ def large_grids():
     return out
 
 
-@pytest.mark.parametrize("case", range(6))
-def test_grids_past_brute_force_equal_the_per_call_form(case, monkeypatch):
+@pytest.mark.parametrize("case", range(7))
+def test_grids_past_brute_force_equal_the_per_call_form(case):
     rows, cols, mrf = large_grids()[case]
     assert_same_answer(mrf, rows, cols)
-    # the backtrack rebuilds its pair-table columns past `GRID_KEPT_TABLES`
-    monkeypatch.setattr(treedp, "GRID_KEPT_TABLES", 0)
-    monkeypatch.setattr(ref, "GRID_KEPT_TABLES", 0)
-    assert_same_answer(mrf, rows, cols)
-
-
-@pytest.mark.parametrize("case", range(6))
-def test_the_plan_bound(case):
-    # 6x8 binary: seven pairs of 64-state lines of 6 edges, planned; 5x5
-    # with 3 states: four pairs of 243-state lines of 5 edges, past the bound
-    rows, cols, mrf = large_grids()[case]
-    pairs = _grid_plan(mrf.cardinalities, mrf.edges, rows, cols)[-1]
-    if mrf.cardinalities[0] == 3:
-        assert pairs is None and 4 * 243 ** 2 * 5 > GRID_PLAN_POSITIONS
-    else:
-        assert sum(a.size for a in pairs) == 7 * 64 ** 2 * 6 <= GRID_PLAN_POSITIONS
 
 
 def plan_arrays(plan):

@@ -8,7 +8,6 @@ from trwmap import (MaxMarginals, PairwiseMrf, PseudoMaxMarginals,
                     SpanningTree, StructureError, TrwConfig, backtrack_optimum,
                     brute_force_map, check_edge_consistency, check_reparameterization,
                     run_trw, score, tree_map_value, tree_max_marginals, tree_opt_set)
-from trwmap import treedp
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
 from trwmap.model import CapacityError, ModelFormatError, StructureError
 
@@ -393,15 +392,3 @@ class TestTreeOptSet:
         assert intersection == {(0, 0, 0), (1, 1, 1)}
         _, opt = brute_force_map(mrf)
         assert intersection <= opt.as_set()
-
-
-@pytest.mark.parametrize("case", range(30))
-def test_grid_map_equal_on_kept_and_rebuilt_pair_tables(case, monkeypatch):
-    # the backtrack reads the forward pass's pair tables, or rebuilds its
-    # columns of them once they have more than `GRID_KEPT_TABLES` entries
-    from test_grid_oracle import random_shapes
-    rows, cols, mrf = random_shapes(np.random.default_rng(23_400), 30, 2 ** 16)[case]
-    kept = treedp.grid_map(mrf, rows, cols)
-    monkeypatch.setattr(treedp, "GRID_KEPT_TABLES", 0)
-    rebuilt = treedp.grid_map(mrf, rows, cols)
-    assert repr(kept[0]) == repr(rebuilt[0]) and kept[1] == rebuilt[1]

@@ -131,7 +131,7 @@ class TestTreeDistribution:
     def test_support_excludes_zero_weight(self):
         trees = enumerate_spanning_trees(triangle_mrf())
         dist = TreeDistribution(3, tuple(trees), np.array([0.5, 0.5, 0.0]))
-        assert len(dist.support) == 2
+        assert len(dist.support_items()) == 2
 
     def test_round_trip_document(self):
         dist = bridge_graph_trees()

@@ -535,6 +535,23 @@ def test_every_entry_point_checks_rho(name, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tol", float("inf"), "tolerance must be finite and positive, got inf"),
+    ("tol", float("nan"), "tolerance must be finite and positive, got nan"),
+    ("tol", 0.0, "tolerance must be finite and positive, got 0.0"),
+    ("damping", float("nan"), "damping must lie in (0, 1]"),
+    ("damping", 1.5, "damping must lie in (0, 1]"),
+    ("max_iterations", 0, "max_iterations must be at least 1"),
+])
+def test_trw_config_rejects_bad_fields(field, value, message):
+    # an infinite tolerance would stop every run after one step as converged,
+    # and a NaN one would never stop it
+    TrwConfig(**{field: 1})
+    with pytest.raises(ValueError) as err:
+        TrwConfig(**{field: value})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sum_in_order_adds_left_to_right(seed):
     # terms of very different sizes, where pairwise or compensated sums differ
