@@ -249,7 +249,8 @@ def _grid_plan(cardinalities: tuple, edges: tuple, rows: int, cols: int) -> tupl
     `lines` ((R, L) nodes), its joint states `states[r]`, (K_r, L), and the
     entries that score them along the line, `unary[r]`, (K_r, 2L - 1).  The
     c-th edge between lines r and r + 1 at states i, j is entry
-    `sides[r][0][c, i] + sides[r][1][c, j]`; a call forms these sums itself.
+    `sides[r][0][c, i, 0] + sides[r][1][c, 0, j]`, shaped (L, K_r, 1) and
+    (L, 1, K_{r+1}) to broadcast; a call forms these sums itself.
     Each line's arrays hold 4L - 1 integers per joint state, as the index
     arrays of one call did before.  Its StructureError on other edges and
     `_grid_lines`' CapacityError are never cached."""
@@ -270,7 +271,7 @@ def _grid_plan(cardinalities: tuple, edges: tuple, rows: int, cols: int) -> tupl
     unary = [np.concatenate((node_off[line] + x, starts(line[:-1], line[1:])
                              + x[:, :-1] * cards[line[1:]] + x[:, 1:]), 1)
              for line, x in zip(lines, states)]
-    sides = [(starts(a, b)[:, None] + x.T * cards[b][:, None], y.T)
+    sides = [((starts(a, b)[:, None] + x.T * cards[b][:, None])[:, :, None], y.T[:, None, :])
              for a, b, x, y in zip(lines, lines[1:], states, states[1:])]
     for a in chain([lines], states, unary, chain.from_iterable(sides)):
         a.setflags(write=False)
@@ -300,11 +301,10 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     def between(r, picked):
         """The pair table of lines r and r + 1: rows the states of line r,
         columns the states `picked` of line r + 1."""
-        left, right = sides[r][0][:, :, None], sides[r][1][:, None, picked]
+        left, right = sides[r][0], sides[r][1][:, :, picked]
         step = max(1, bound // left.size)
-        blocks = [theta[left + right[:, :, lo:lo + step]].sum(axis=0)
-                  for lo in range(0, right.shape[2], step)]
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate([np.add.reduce(theta[left + right[:, :, lo:lo + step]])
+                               for lo in range(0, right.shape[2], step)], axis=1)
 
     unary = [theta[pos].sum(axis=1) for pos in unary]
     best = [unary[0]]
@@ -338,7 +338,7 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     for r, line in enumerate(lines):
         x[:, line] = states[r][paths[:, r]]
     scores = np.concatenate([_sum_in_order(theta[_indicator_index(mrf, part)].T)
-                             for part in np.split(x, range(4096, len(x), 4096))])
+                             for part in (x[lo:lo + 4096] for lo in range(0, len(x), 4096))])
     top = scores.max()
     x = x[scores == top]
     x = x[np.lexsort(x.T[::-1])]
