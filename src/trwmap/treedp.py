@@ -12,7 +12,7 @@ force's to the bit.  What it reads of the graph alone (lines, joint
 states, the two sides of each edge's gather index) is a read-only plan per
 grid shape, cached by `_grid_plan` next to the layout and tree-plan caches
 below.  Every pair table is one gather from those sides, in column blocks
-under one bound on a temporary's positions.  `grid_shape`
+under one bound on a temporary's positions, `GRID_GATHER_BOUND`.  `grid_shape`
 finds a model's grid shape.  The CLI uses `grid_map` on grids and brute
 force elsewhere, and on grids past its guards.
 
@@ -69,6 +69,7 @@ from .trees import SpanningTree, grid_edges
 
 BRUTE_FORCE_GUARD = 2 ** 24
 GRID_OPTIMA_GUARD = 2 ** 16
+GRID_GATHER_BOUND = 2 ** 16  # positions of a `grid_map` gather block's or backtrack block's temporary
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -284,7 +285,8 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
 
     On the shape's cached `_grid_plan`, a max-sum DP runs over the grid's
     lines (`_grid_lines`), each line-pair table gathered at the plan's
-    `sides` in column blocks of `bound` positions, the backtrack's too.
+    `sides` in column blocks of at most `GRID_GATHER_BOUND` positions, the
+    backtrack's too.
     Backtracking collects every configuration whose DP score lies within
     1e-9 of the DP value, relative to the model's total absolute weight
     (which bounds any configuration's terms, so rounding never drops an
@@ -296,7 +298,7 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     """
     lines, states, unary, sides = _grid_plan(mrf.cardinalities, mrf.edges, rows, cols)
     theta = np.concatenate((mrf.node_vector, mrf.edge_vector))
-    bound = 2 ** 16  # positions of a gathered block's or a backtrack block's temporary
+    bound = GRID_GATHER_BOUND
 
     def between(r, picked):
         """The pair table of lines r and r + 1: rows the states of line r,

@@ -23,7 +23,7 @@ from test_grid_oracle import PAPER_GAMMAS, random_grid, random_shapes
 from trwmap import (CapacityError, PairwiseMrf, StructureError, cli, grid_edges, grid_map,
                     ising_to_overcomplete, treedp)
 from trwmap.cli import ExperimentSpec, _draw_grid_model
-from trwmap.treedp import _grid_plan
+from trwmap.treedp import GRID_GATHER_BOUND, _grid_plan
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import Grid4Paper  # noqa: E402
@@ -105,6 +105,21 @@ def large_grids():
 def test_grids_past_brute_force_equal_the_per_call_form(case):
     rows, cols, mrf = large_grids()[case]
     assert_same_answer(mrf, rows, cols)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_the_gather_bound(case):
+    # 6x8 binary: seven pairs of 64-state lines of 6 edges, each table one
+    # block; 5x5 with 3 states (four pairs of 243-state lines of 5) and
+    # 10x10 binary (nine pairs of 1024-state lines of 10) take several
+    rows, cols, mrf = large_grids()[case]
+    _, states, _, sides = _grid_plan(mrf.cardinalities, mrf.edges, rows, cols)
+    line, pairs, joint = {2: (6, 7, 64), 3: (5, 4, 243)}[mrf.cardinalities[0]] if rows < 10 \
+        else (10, 9, 1024)
+    assert len(sides) == pairs and [len(x) for x in states] == [joint] * (pairs + 1)
+    for left, right in sides:
+        assert left.shape == (line, joint, 1) and right.shape == (line, 1, joint)
+    assert (line * joint ** 2 <= GRID_GATHER_BOUND) == (joint == 64)
 
 
 def plan_arrays(plan):

@@ -8,6 +8,7 @@ from trwmap import (MaxMarginals, PairwiseMrf, PseudoMaxMarginals,
                     SpanningTree, StructureError, TrwConfig, backtrack_optimum,
                     brute_force_map, check_edge_consistency, check_reparameterization,
                     run_trw, score, tree_map_value, tree_max_marginals, tree_opt_set)
+from trwmap import treedp
 from trwmap.examples import cycle4_tree_parameters, diamond_mrf, triangle_mrf
 from trwmap.model import CapacityError, ModelFormatError, StructureError
 
@@ -392,3 +393,15 @@ class TestTreeOptSet:
         assert intersection == {(0, 0, 0), (1, 1, 1)}
         _, opt = brute_force_map(mrf)
         assert intersection <= opt.as_set()
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_grid_map_equal_on_one_and_many_gather_blocks(case, monkeypatch):
+    # at a bound of one position every pair table is gathered a column at a
+    # time and the backtrack extends one partial configuration at a time
+    from test_grid_oracle import random_shapes
+    rows, cols, mrf = random_shapes(np.random.default_rng(23_400), 30, 2 ** 16)[case]
+    whole = treedp.grid_map(mrf, rows, cols)
+    monkeypatch.setattr(treedp, "GRID_GATHER_BOUND", 1)
+    blocked = treedp.grid_map(mrf, rows, cols)
+    assert repr(whole[0]) == repr(blocked[0]) and whole[1] == blocked[1]
