@@ -289,8 +289,15 @@ def cmd_example(args, out) -> int:
     return 0 if failed == 0 else 1
 
 
+def _parse_gammas(text: str) -> tuple:
+    try:
+        return tuple(float(g) for g in text.split(","))
+    except ValueError:
+        raise ValueError(f"gammas: expected comma-separated numbers, got {text!r}") from None
+
+
 def cmd_experiment(args, out) -> int:
-    gammas = tuple(float(g) for g in args.gammas.split(","))
+    gammas = _parse_gammas(args.gammas)
     spec = ExperimentSpec(rows=args.rows, cols=args.cols, regime=args.regime,
                           gammas=gammas, trials=args.trials, seed=args.seed,
                           damping=args.damping, eps=args.eps,

@@ -347,11 +347,12 @@ def grid_map(mrf: PairwiseMrf, rows: int, cols: int):
     return float(top), OptSet(tuple(map(tuple, x.tolist())))
 
 
-def _top(a: np.ndarray, axis: int) -> np.ndarray:
+def _top(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Max over one short axis as elementwise maxima of its slices, in order:
-    numpy reduces over an axis of a few entries many times slower per entry."""
+    numpy reduces over an axis of a few entries many times slower per entry.
+    Written into `out` when given."""
     slabs = a.transpose(axis, *(k for k in range(a.ndim) if k != axis)) if axis else a
-    out = np.maximum(slabs[0], slabs[min(1, len(slabs) - 1)])
+    out = np.maximum(slabs[0], slabs[min(1, len(slabs) - 1)], out=out)
     for j in range(2, len(slabs)):
         np.maximum(out, slabs[j], out=out)
     return out

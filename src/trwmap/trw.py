@@ -18,8 +18,13 @@ is np.maximum of contiguous length-E slabs in `_top`'s order, and both
 directions of every edge are one add and one such max.  Padded table
 entries are -inf and padded message entries 0, so no step subtracts -inf
 from -inf.  A step maps one state (a tuple of arrays) to the next with no
-loop over edges, and `_iterate`, the one loop for both schedules, stops on
-the max log change of the valid entries.  The per-node sums over incident
+loop over edges.  The message step returns new arrays; the
+reparameterization step runs on its run's workspace (`_ReparamWorkspace`),
+allocates nothing, and writes the one of its two states that it does not
+read, so an iterate stays unchanged until the step after next.
+`_iterate`, the one loop for both schedules, stops on the max log change
+of the valid entries, read once per iterate into one vector (`_Change`)
+and compared with the previous iterate's.  The per-node sums over incident
 edges add the valid entries edge by edge (s side, then t side) in schedule
 order, as a per-edge loop does: onto zeros by one `np.bincount`, which adds
 its weights in input order, onto a node vector by one `np.add.at`.  A
@@ -138,7 +143,14 @@ class _FlatMrf:
     k-th edge at x_s = i and [i, 1, k] the one s->t at x_t = i, 0 on padded
     states; tables are one (M_t, M_s, E) stack.  `rho_e` comes checked
     (`_checked_rho`).  Only the public reparameterization step has no
-    `mrf`: it reads no model tables."""
+    `mrf`: it reads no model tables.
+
+    A message step returns new arrays and overwrites none.  A
+    reparameterization step writes one of the two states of the run's
+    workspace, the one `nu` is not (an outside `nu` is first copied into
+    the other), and overwrites no other state: the iterate it returns stays
+    unchanged until the step after next, and the state a result keeps is
+    its run's own."""
 
     def __init__(self, layout: _Layout, rho_e, mrf: PairwiseMrf | None = None):
         self.layout = layout
@@ -196,26 +208,54 @@ class _FlatMrf:
 
     # --- pseudo-max-marginals: node vector, then the table stack ------------
 
+    @functools.cached_property
+    def _reparam(self) -> _ReparamWorkspace:
+        """The run's reparameterization workspace, built on its first step."""
+        return _ReparamWorkspace(self.layout)
+
     def reparameterization_step(self, nu: tuple, damping: float) -> tuple:
-        node, tables = nu
-        layout = self.layout
+        """`reparameterization_step`'s update on the run's workspace: the
+        row and column maxima by one reduce each over the outer axis of the
+        stack and of its transposed copy, which numpy folds slab by slab as
+        `_top` does (over the middle axis of a one-edge stack a reduce
+        would take numpy's SIMD order), every temporary in its buffer, and
+        the damping on the node vector and the tables at once."""
+        layout, w = self.layout, self._reparam
+        # write the workspace state `nu` is not; an outside `nu` is copied
+        # into the other one first
+        k = nu is w.states[0]
+        if nu is not w.states[1 - k]:
+            np.copyto(w.states[1 - k][0], nu[0])
+            np.copyto(w.states[1 - k][1], nu[1])
+        (node, tables), (new_node, new_tables) = w.states[1 - k], w.states[k]
         # row maxima (over x_t) and column maxima (over x_s), 0 on padded states
-        both = np.empty(tables.shape[:2] + (2, tables.shape[2]))
-        both[:, :, 0], both[:, :, 1] = tables, tables.transpose(1, 0, 2)
-        marg = _top(both, 0)
-        marg.put(layout.pad_last, 0.0)
-        new_node = node.copy()
-        np.add.at(new_node, layout._target, self._rho_sides
-                  * (marg.take(layout.sides_last) - node.take(layout._target)))
-        new_node -= layout.node_max(new_node)
-        near = new_node[layout.idx_last]
-        new_tables = _normalize_last(tables - marg[None, :, 0] - marg[:, None, 1]
-                                     + near[None, :, 0] + near[:, None, 1])
+        np.maximum.reduce(tables, axis=0, out=w.row_max)
+        np.copyto(w.swapped, tables.transpose(1, 0, 2))
+        np.maximum.reduce(w.swapped, axis=0, out=w.col_max)
+        w.marg.put(layout.pad_last, 0.0)
+        gain, lost = w.sides
+        # every index is in range; "clip" lets `take` write `out` unbuffered
+        w.marg.take(layout.sides_last, out=gain, mode="clip")
+        node.take(layout._target, out=lost, mode="clip")
+        np.subtract(gain, lost, out=gain)
+        np.multiply(self._rho_sides, gain, out=gain)
+        np.copyto(new_node, node)
+        np.add.at(new_node, layout._target, gain)
+        w.center_nodes(new_node)
+        new_node.take(layout.idx_last, out=w.near, mode="clip")
+        np.subtract(tables, w.marg_s, out=new_tables)
+        np.subtract(new_tables, w.marg_t, out=new_tables)
+        np.add(new_tables, w.near_s, out=new_tables)
+        np.add(new_tables, w.near_t, out=new_tables)
+        w.center_tables(new_tables)
         if damping < 1.0:
-            new_node = _damp(new_node, node, damping)
-            new_node -= layout.node_max(new_node)
-            new_tables = _normalize_last(_damp(new_tables, tables, damping))
-        return new_node, new_tables
+            new, old = w.flat[k], w.flat[1 - k]
+            np.multiply(new, damping, out=new)
+            np.multiply(old, 1.0 - damping, out=w.term)
+            np.add(new, w.term, out=new)
+            w.center_nodes(new_node)
+            w.center_tables(new_tables)
+        return w.states[k]
 
     def pseudo(self, nu: tuple) -> PseudoMaxMarginals:
         return PseudoMaxMarginals.on_layout(self.layout, nu[0], _flip(nu[1]))
@@ -232,6 +272,46 @@ class _FlatMrf:
         theta = (stack - near[None, :, 0]) - near[:, None, 1]
         return (float(_sum_in_order(weights * trees.map_values(node, theta.T, self._work)))
                 - offset(node[self.layout.offsets], self.rho * theta[0, 0]))
+
+
+class _ReparamWorkspace:
+    """The buffers of one run's reparameterization steps on `layout`, edge
+    axis last: two states, which the steps write in turn, and every
+    temporary of a step, with the broadcast views it reads made once.  It
+    belongs to one run's `_FlatMrf`; the layout is shared and read-only."""
+
+    def __init__(self, layout: _Layout):
+        width, n = layout.pad.shape[2], len(layout.edges)
+        stack = (width, width, n)
+        self.layout = layout
+        # each state one vector, its node vector then its table stack, so
+        # that damping runs on both at once
+        self.flat = list(np.empty((2, layout.size + width * width * n)))
+        self.states = tuple((f[:layout.size], f[layout.size:].reshape(stack)) for f in self.flat)
+        self.term = np.empty(self.flat[0].shape)  # the damping term of the old state
+        self.swapped = np.empty(stack)  # a state's tables, rows x_s
+        self.marg = np.empty((width, 2, n))  # row and column maxima, as messages
+        self.near = np.empty((width, 2, n))  # the new node entries of both sides
+        self.sides = np.empty((2, len(layout.sides)))
+        self.node_max, self.node_top = np.empty(len(layout.cards)), np.empty(layout.size)
+        self.rows, self.top = np.empty((width, n)), np.empty(n)
+        self.row_max, self.col_max = self.marg[:, 0], self.marg[:, 1]
+        self.marg_s, self.marg_t = self.marg[None, :, 0], self.marg[:, None, 1]
+        self.near_s, self.near_t = self.near[None, :, 0], self.near[:, None, 1]
+
+    def center_nodes(self, v: np.ndarray):
+        """v -= `layout.node_max(v)`, in place."""
+        np.maximum.reduceat(v, self.layout.offsets, out=self.node_max)
+        self.node_max.take(self.layout.node_of, out=self.node_top, mode="clip")
+        np.subtract(v, self.node_top, out=v)
+
+    def center_tables(self, a: np.ndarray):
+        """`_normalize_last(a)`: the row maxima by one reduce over the outer
+        axis, which numpy folds slab by slab as `_top` does; their max by
+        `_top`, as a reduce over a contiguous axis (one edge) is ordered by
+        numpy's SIMD dispatch."""
+        np.maximum.reduce(a, axis=0, out=self.rows)
+        np.subtract(a, _top(self.rows, 0, self.top), out=a)
 
 
 def _flip(a: np.ndarray) -> np.ndarray:
@@ -298,27 +378,64 @@ def messages_to_pseudo(msgs: MessageSet, mrf: PairwiseMrf,
     return flat.pseudo(flat.pseudo_from_messages(flat.pack_messages(msgs)))
 
 
-def _max_change(new: tuple, old: tuple, valid=None) -> float:
-    """The largest absolute log change between two states, on the entries at
-    `valid`'s flat positions per array (None, or a None entry: all)."""
-    return max(float(np.abs(a - b if v is None else a.take(v) - b.take(v)).max())
-               for a, b, v in zip(new, old, valid or (None,) * len(new)))
+class _Change:
+    """The stop rule's measure, read on one vector per iterate.  A state of
+    one array compared whole (`valid` None) is read as it is; else its
+    entries at `valid`'s flat positions per array (a None entry: all) are
+    gathered into one vector, in one of two buffers in turn.  `since(state)`
+    reads `state` and returns the largest absolute log change from the
+    state read before it, which must be unchanged since, so each iterate is
+    read once."""
+
+    def __init__(self, state: tuple, valid=None):
+        self.valid = valid
+        if valid is not None:
+            bounds = np.cumsum([0] + [a.size if v is None else len(v)
+                                      for a, v in zip(state, valid)])
+            self.buffers = list(np.empty((2, bounds[-1])))
+            self.parts = [[b[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+                          for b in self.buffers]
+            self.k = 1
+        self.last = self._read(state)
+        self.diff = np.empty(self.last.shape)
+
+    def _read(self, state: tuple) -> np.ndarray:
+        if self.valid is None:
+            (a,) = state
+            return a
+        self.k = 1 - self.k
+        for a, v, part in zip(state, self.valid, self.parts[self.k]):
+            if v is None:
+                np.copyto(part, a.reshape(-1))
+            else:
+                a.take(v, out=part, mode="clip")
+        return self.buffers[self.k]
+
+    def since(self, state: tuple) -> float:
+        new = self._read(state)
+        np.subtract(new, self.last, out=self.diff)
+        self.last = new
+        return float(np.abs(self.diff, out=self.diff).max())
 
 
 def _iterate(step, state: tuple, config: TrwConfig, observe=None, valid=None):
     """The iteration driver shared by the synchronous schedules.
 
-    Applies `step(state, damping)` until the `_max_change` of two iterates
-    falls below the tolerance, or the iteration cap.
+    Applies `step(state, damping)` until the `_Change` of two iterates
+    (on `valid`'s entries) falls below the tolerance, or the iteration cap.
     `observe`, when given, sees the starting state and every iterate.
+    A step may overwrite any state but the one it reads and the one it
+    returns: the previous iterate is compared once the next is returned
+    (the whole-array measure of the message schedule reads it in place), and
+    `observe` reads the new one before the next step.
     Returns (final state, iterations, converged).
     """
     if observe is not None:
         observe(state)
+    change = _Change(state, valid)
     for iterations in range(1, config.max_iterations + 1):
-        new = step(state, config.damping)
-        delta = _max_change(new, state, valid)
-        state = new
+        state = step(state, config.damping)
+        delta = change.since(state)
         if observe is not None:
             observe(state)
         if delta < config.tol:

@@ -356,6 +356,9 @@ class TestExperiment:
         (["--gammas", "1,nan"], "gammas: coupling strengths must be finite and non-negative, got nan"),
         (["--gammas", "0.5,-1"], "gammas: coupling strengths must be finite and non-negative, "
                                  "got -1.0"),
+        (["--gammas", ""], "gammas: expected comma-separated numbers, got ''"),
+        (["--gammas", "0.5,,1"], "gammas: expected comma-separated numbers, got '0.5,,1'"),
+        (["--gammas", "abc"], "gammas: expected comma-separated numbers, got 'abc'"),
         (["--trials", "-1"], "trials: expected a non-negative integer, got -1"),
         (["--seed", "-1"], "seed: expected a non-negative integer, got -1"),
         (["--eps", "inf"], "tolerance must be finite and positive, got inf"),

@@ -27,7 +27,7 @@ from test_flat_kernels import MODELS
 from test_padded_kernels import CASES, random_rho
 from trwmap import TrwConfig, run_trw, trw
 from trwmap.treedp import _graph_layout
-from trwmap.trw import _flip, _FlatMrf, _max_change, _normalize_last
+from trwmap.trw import _Change, _flip, _FlatMrf, _normalize_last
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import LP_EDGE_MAX_ITERS, LP_POOL, LP_SIDE, _rng  # noqa: E402
@@ -71,7 +71,7 @@ def test_message_step_equals_edge_major(index, damping):
     assert_same_state(got, want)
     for _ in range(STEPS):
         new_got, new_want = flat.message_step(got, damping), old.message_step(want, damping)
-        assert _max_change(new_got, got) == _max_change(new_want, want)
+        assert _Change(got).since(new_got) == _Change(want).since(new_want)
         got, want = new_got, new_want
         assert_same_state(got, want)
         (h, cav), (old_h, old_cav) = flat._cavities(got[0]), old._cavities(want[0])
@@ -92,8 +92,8 @@ def test_reparameterization_step_equals_edge_major(index, damping):
     for _ in range(STEPS):
         new_got = flat.reparameterization_step(got, damping)
         new_want = old.reparameterization_step(want, damping)
-        assert (_max_change(new_got, got, (None, flat.entries))
-                == _max_change(new_want, want, (None, old.entries)))
+        assert (_Change(got, (None, flat.entries)).since(new_got)
+                == _Change(want, (None, old.entries)).since(new_want))
         got, want = new_got, new_want
         assert_same_state(got, want)
     assert_same_bits(flat.pseudo(got).tables, old.pseudo(want).tables)

@@ -20,7 +20,7 @@ from conftest import random_graph_mrf
 from trwmap import (PairwiseMrf, TrwConfig, grid_two_tree_distribution, run_trw,
                     uniform_tree_distribution)
 from trwmap.treedp import _graph_layout
-from trwmap.trw import _flip, _FlatMrf, _max_change
+from trwmap.trw import _Change, _flip, _FlatMrf
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import _rng, mixed_cardinality_grid  # noqa: E402
@@ -110,7 +110,7 @@ def test_message_kernels_match_bucketed(index, damping):
     got, want = flat.unit_messages(), old.unit_messages()
     for _ in range(STEPS):
         new_got, new_want = flat.message_step(got, damping), old.message_step(want, damping)
-        assert _max_change(new_got, got) == ref.bucketed_change(new_want, want)
+        assert _Change(got).since(new_got) == ref.bucketed_change(new_want, want)
         got, want = new_got, new_want
         assert_messages_equal(flat.message_set(got), old.message_set(want))
         pseudo = flat.pseudo_from_messages(got)
@@ -129,7 +129,7 @@ def test_reparameterization_kernel_matches_bucketed(index, damping):
     for _ in range(STEPS):
         new_got = flat.reparameterization_step(got, damping)
         new_want = old.reparameterization_step(want, damping)
-        assert (_max_change(new_got, got, (None, flat.entries))
+        assert (_Change(got, (None, flat.entries)).since(new_got)
                 == ref.bucketed_change(new_want, want))
         got, want = new_got, new_want
         assert_padding(flat, _flip(got[1]))
