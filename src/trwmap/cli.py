@@ -281,7 +281,12 @@ def _oracle(mrf: PairwiseMrf):
 
 
 def cmd_example(args, out) -> int:
-    checks = ex.run_example(args.name, beta=args.beta)
+    if args.beta is None:
+        checks = ex.run_example(args.name)
+    elif args.name == "triangle":
+        checks = ex.run_example(args.name, beta=args.beta)
+    else:
+        raise ValueError(f"--beta applies to the triangle example only, not {args.name}")
     failed = 0
     for name, ok, detail in checks:
         out.write(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail else "") + "\n")
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = sub.add_parser("example", help="run a built-in worked example")
     p_ex.add_argument("name", choices=("cycle4", "triangle", "diamond", "fig2"))
-    p_ex.add_argument("--beta", type=float, default=1.0)
+    p_ex.add_argument("--beta", type=float, help="the triangle's coupling (default 1.0)")
 
     p_exp = sub.add_parser("experiment", help="edge-based vs tree-based grid experiment")
     p_exp.add_argument("--rows", type=int, default=4)

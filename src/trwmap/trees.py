@@ -242,9 +242,10 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
 
     Returns a TreeDistribution for the explicit record form, or a plain
     {edge: rho_e} dict for the `{"rho_e": ...}` form (only usable by the
-    message-passing path, which needs nothing but the edge weights).  Either
-    form is checked against a model by `trw.resolve_rho`, which the CLI runs
-    on every loaded file, whatever the method.
+    message-passing path, which needs nothing but the edge weights); two of
+    its keys that name one edge, such as "0,1" and "1,0", are an error.
+    Either form is checked against a model by `trw.resolve_rho`, which the
+    CLI runs on every loaded file, whatever the method.
     """
     try:
         doc = json.loads(data)
@@ -253,13 +254,17 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
     if isinstance(doc, dict) and "rho_e" in doc:
         if not isinstance(doc["rho_e"], dict):
             raise ModelFormatError("rho_e: expected an object mapping 's,t' to a weight")
-        rho = {}
+        rho, keys = {}, {}
         for key, val in doc["rho_e"].items():
             try:
                 s, t = (int(v) for v in key.split(","))
             except ValueError as err:
                 raise ModelFormatError(f"rho_e key {key!r}: expected 's,t'") from err
-            rho[(min(s, t), max(s, t))] = _number(val, f"rho_e[{key!r}]")
+            edge = (min(s, t), max(s, t))
+            if edge in keys:
+                raise ModelFormatError(f"rho_e keys {keys[edge]!r} and {key!r} name the same edge {edge}")
+            keys[edge] = key
+            rho[edge] = _number(val, f"rho_e[{key!r}]")
         return rho
     if not isinstance(doc, list):
         raise ModelFormatError("expected a list of tree records or a rho_e object")

@@ -8,6 +8,9 @@ packed loader must build the same model (`==` tables, same cardinalities and
 edges, in the same order) and raise the same error text on the malformed
 documents the tests use.  `score` is the loop that summed an assignment's
 table entries one by one; the packed `score` must return the same float.
+`save_model` is the writer that built the document's nested lists and
+handed them to `json.dumps(doc, indent=1)`; the one-join writer must return
+the same bytes.
 
 `neighbors`, `edge_key` and `edge_table` are the per-table accessors the
 model had, which only the tests' loop-form references read.
@@ -115,6 +118,17 @@ def load_model(data: bytes | str) -> PairwiseMrf:
     except (TypeError, ValueError) as err:
         raise ModelFormatError(f"ragged or non-numeric table: {err}") from err
     return PairwiseMrf(tuple(cards), tuple(edges), theta_node, theta_edge)
+
+
+def save_model(mrf) -> bytes:
+    """The document of a model (packed or per-table) as json writes it."""
+    doc = {
+        "nodes": list(mrf.cardinalities),
+        "edges": [list(e) for e in mrf.edges],
+        "theta_node": [v.tolist() for v in mrf.theta_node],
+        "theta_edge": [mrf.theta_edge[e].tolist() for e in mrf.edges],
+    }
+    return json.dumps(doc, indent=1).encode("utf-8")
 
 
 def score(mrf, x) -> float:

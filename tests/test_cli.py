@@ -308,6 +308,13 @@ class TestExamples:
         assert code == 0
         assert "fractional" in out
 
+    @pytest.mark.parametrize("name", ["cycle4", "diamond", "fig2"])
+    @pytest.mark.parametrize("beta", ["-5", "nan", "1.0", "2"])
+    def test_beta_is_rejected_where_it_is_not_read(self, name, beta):
+        code, out = run_cli(["example", name, "--beta", beta])
+        assert code == 1
+        assert out == f"error: --beta applies to the triangle example only, not {name}\n"
+
 
 class TestExperiment:
     def test_csv_row_count_and_determinism(self, tmp_path):

@@ -163,6 +163,17 @@ class TestTreeDistribution:
         rho = load_tree_distribution(b'{"rho_e": {"0,1": 0.75, "1,2": 0.5}}')
         assert rho == {(0, 1): 0.75, (1, 2): 0.5}
 
+    @pytest.mark.parametrize("doc, message", [
+        (b'{"rho_e": {"0,1": 0.5, "1,0": 0.7}}',
+         "rho_e keys '0,1' and '1,0' name the same edge (0, 1)"),
+        (b'{"rho_e": {"2,1": 0.5, "0,1": 0.5, "1, 2": 0.5}}',
+         "rho_e keys '2,1' and '1, 2' name the same edge (1, 2)"),
+    ])
+    def test_rho_e_keys_naming_one_edge_twice_are_rejected(self, doc, message):
+        with pytest.raises(ModelFormatError) as info:
+            load_tree_distribution(doc)
+        assert str(info.value) == message
+
 
 class TestGridTwoTrees:
     def test_2x2_sum_rule(self):
