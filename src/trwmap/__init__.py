@@ -7,9 +7,8 @@ from .model import (BIG, CapacityError, Factor, FactorGraph, ModelFormatError,
                     save_model, score)
 from .trees import (SpanningTree, TreeDistribution, edge_appearance,
                     enumerate_spanning_trees, grid_edges, grid_two_tree_distribution,
-                    kirchhoff_count, load_tree_distribution, save_tree_distribution,
-                    uniform_tree_distribution)
-from .treedp import (MaxMarginals, MessageSet, OptSet, backtrack_optimum, brute_force_map,
+                    load_tree_distribution, uniform_tree_distribution)
+from .treedp import (MaxMarginals, MessageSet, OptSet, brute_force_map,
                      check_edge_consistency, grid_map, tree_map_value, tree_max_marginals,
                      tree_opt_set)
 from .trw import (PseudoMaxMarginals, TrwConfig, TrwResult,

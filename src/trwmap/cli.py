@@ -26,7 +26,7 @@ from .trees import (TreeDistribution, grid_edges, load_tree_distribution,
                     uniform_tree_distribution)
 from .treedp import (BRUTE_FORCE_GUARD, _grid_lines, brute_force_map, check_edge_consistency,
                      grid_map, grid_shape)
-from .trw import (CERT_TIE_TOL, TrwConfig, TrwResult, _grid_trees, _tie_masks,
+from .trw import (TrwConfig, TrwResult, _grid_trees, _tie_masks,
                   check_reparameterization, resolve_rho, run_trw, run_tree_updates)
 from .lp import classify_vertex, simplex_solve, vector_to_pseudomarginal, vertex_start
 
@@ -107,7 +107,7 @@ def _unique_correct_fraction(result: TrwResult, opt_set) -> float:
     """Of the nodes whose table has a unique maximizer, the fraction whose
     maximizing state occurs in some oracle-optimal configuration."""
     layout = result.nu.layout
-    ties, _ = _tie_masks(layout, result.nu.node, result.nu.tables, CERT_TIE_TOL)
+    ties, _ = _tie_masks(layout, result.nu.node, result.nu.tables)
     unique = np.add.reduceat(ties, layout.offsets) == 1
     pos = np.flatnonzero(ties & unique[layout.node_of])
     nodes = layout.node_of[pos]
@@ -171,8 +171,12 @@ def _trw_config(args) -> TrwConfig:
 def _load_distribution(args, mrf):
     if args.trees is None:
         return None
-    with open(args.trees, "rb") as fh:
-        dist = load_tree_distribution(fh.read(), node_count=mrf.node_count)
+    try:
+        with open(args.trees, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise OSError(f"cannot read trees: {err}") from err
+    dist = load_tree_distribution(data, mrf.node_count)
     resolve_rho(mrf, dist)  # the same check for every method, whether it reads rho or not
     return dist
 
@@ -283,10 +287,12 @@ def _oracle(mrf: PairwiseMrf):
 def cmd_example(args, out) -> int:
     if args.beta is None:
         checks = ex.run_example(args.name)
-    elif args.name == "triangle":
-        checks = ex.run_example(args.name, beta=args.beta)
-    else:
+    elif args.name != "triangle":
         raise ValueError(f"--beta applies to the triangle example only, not {args.name}")
+    elif not math.isfinite(args.beta):
+        raise ValueError(f"--beta: expected a finite number, got {args.beta!r}")
+    else:
+        checks = ex.run_example(args.name, beta=args.beta)
     failed = 0
     for name, ok, detail in checks:
         out.write(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail else "") + "\n")

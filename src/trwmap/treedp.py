@@ -204,11 +204,11 @@ def _guard_states(cardinalities, max_states):
     return total
 
 
-def brute_force_map(mrf: PairwiseMrf, max_states: int = BRUTE_FORCE_GUARD,
-                    atol: float = 0.0):
+def brute_force_map(mrf: PairwiseMrf, atol: float = 0.0):
     """Exact MAP value and the complete set of optimal assignments (those
-    within `atol` of the value)."""
-    _guard_states(mrf.cardinalities, max_states)
+    within `atol` of the value); a CapacityError past `BRUTE_FORCE_GUARD`
+    joint states."""
+    _guard_states(mrf.cardinalities, BRUTE_FORCE_GUARD)
     scores = assignment_scores(mrf.cardinalities, mrf.theta_node, mrf.theta_edge)
     value = float(scores.max())
     return value, OptSet(tuple(map(tuple, np.argwhere(scores >= value - atol).tolist())))
@@ -867,37 +867,8 @@ def check_edge_consistency(nu: MaxMarginals) -> EdgeConsistencyReport:
     return EdgeConsistencyReport(layout, dev)
 
 
-def backtrack_optimum(nu: MaxMarginals, tree: SpanningTree, root: int = 0) -> np.ndarray:
-    """Decode one optimal assignment from edge-consistent tree max-marginals.
-
-    Picks an optimal root state, then walks parent-to-child choosing a child
-    state jointly optimal with the parent's.  Ties break to the lowest state.
-    The tree must span nu's nodes on edges that carry a table of nu.
-    """
-    n = len(nu.layout.cards)
-    tree.validate(n)
-    lacking = set(tree.edges) - set(nu.layout.edges)
-    if lacking:
-        raise StructureError(f"tree edge {min(lacking)} has no table in the max-marginals")
-    parent = tree.parent_map(n, root)
-    adj = tree.neighbors(n)
-    x = np.full(n, -1, dtype=int)
-    x[root] = int(np.argmax(nu.log_node[root]))
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v == parent[u]:
-                continue
-            m = nu.log_edge[(u, v)] if u < v else nu.log_edge[(v, u)].T
-            x[v] = int(np.argmax(m[x[u]]))
-            stack.append(v)
-    return x
-
-
 def tree_opt_set(mrf: PairwiseMrf, tree: SpanningTree,
-                 theta: PairwiseMrf | None = None,
-                 max_states: int = BRUTE_FORCE_GUARD,
-                 atol: float = 0.0) -> OptSet:
-    """Complete optimal set of a tree parameter's objective, by enumeration."""
-    return brute_force_map(_tree_parameter(mrf, tree, theta), max_states, atol)[1]
+                 theta: PairwiseMrf | None = None, atol: float = 0.0) -> OptSet:
+    """Complete optimal set of a tree parameter's objective, by enumeration
+    (`brute_force_map`)."""
+    return brute_force_map(_tree_parameter(mrf, tree, theta), atol)[1]

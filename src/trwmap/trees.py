@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -109,8 +109,9 @@ class TreeDistribution:
         return [(t, float(w)) for t, w in zip(self.trees, self.weights) if w > 0]
 
 
-def enumerate_spanning_trees(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) -> list:
-    """All spanning trees of the model's graph, by backtracking over edges."""
+def enumerate_spanning_trees(mrf: PairwiseMrf) -> list:
+    """All spanning trees of the model's graph, by backtracking over edges;
+    a CapacityError past `ENUMERATION_GUARD` trees."""
     n = mrf.node_count
     edges = list(mrf.edges)
     if not _connected(n, edges):
@@ -130,8 +131,8 @@ def enumerate_spanning_trees(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) -
         idx, chosen, parent = stack.pop()
         if len(chosen) == n - 1:
             found.append(SpanningTree(tuple(chosen)))
-            if len(found) > guard:
-                raise CapacityError(f"more than {guard} spanning trees")
+            if len(found) > ENUMERATION_GUARD:
+                raise CapacityError(f"more than {ENUMERATION_GUARD} spanning trees")
             continue
         if idx == len(edges) or len(chosen) + (len(edges) - idx) < n - 1:
             continue
@@ -145,22 +146,8 @@ def enumerate_spanning_trees(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) -
     return found
 
 
-def kirchhoff_count(n: int, edges: Sequence[Edge]) -> int:
-    """Number of spanning trees via the matrix-tree theorem (multi-edges allowed)."""
-    lap = np.zeros((n, n))
-    for s, t in edges:
-        lap[s, s] += 1
-        lap[t, t] += 1
-        lap[s, t] -= 1
-        lap[t, s] -= 1
-    if n == 1:
-        return 1
-    minor = lap[1:, 1:]
-    return int(round(np.linalg.det(minor)))
-
-
-def uniform_tree_distribution(mrf: PairwiseMrf, guard: int = ENUMERATION_GUARD) -> TreeDistribution:
-    trees = enumerate_spanning_trees(mrf, guard=guard)
+def uniform_tree_distribution(mrf: PairwiseMrf) -> TreeDistribution:
+    trees = enumerate_spanning_trees(mrf)
     w = np.full(len(trees), 1.0 / len(trees))
     return TreeDistribution(mrf.node_count, tuple(trees), w)
 
@@ -187,19 +174,15 @@ def _appearance(dist: TreeDistribution, n: int, edges) -> dict:
     return rho
 
 
-def grid_index(rows: int, cols: int, r: int, c: int) -> int:
-    return r * cols + c
-
-
 def grid_edges(rows: int, cols: int) -> list:
     edges = []
     for r in range(rows):
         for c in range(cols):
-            u = grid_index(rows, cols, r, c)
+            u = r * cols + c
             if c + 1 < cols:
-                edges.append((u, grid_index(rows, cols, r, c + 1)))
+                edges.append((u, u + 1))
             if r + 1 < rows:
-                edges.append((u, grid_index(rows, cols, r + 1, c)))
+                edges.append((u, u + cols))
     return sorted(edges)
 
 
@@ -208,23 +191,13 @@ def grid_two_tree_distribution(rows: int, cols: int) -> TreeDistribution:
     rotated version (all columns plus a connecting row), weight 1/2 each."""
     if rows < 2 or cols < 2:
         raise StructureError("grid must be at least 2x2")
-    horiz = [(grid_index(rows, cols, r, c), grid_index(rows, cols, r, c + 1))
-             for r in range(rows) for c in range(cols - 1)]
-    vert = [(grid_index(rows, cols, r, c), grid_index(rows, cols, r + 1, c))
-            for r in range(rows - 1) for c in range(cols)]
-    t_rows = horiz + [(grid_index(rows, cols, r, 0), grid_index(rows, cols, r + 1, 0))
-                      for r in range(rows - 1)]
-    t_cols = vert + [(grid_index(rows, cols, 0, c), grid_index(rows, cols, 0, c + 1))
-                     for c in range(cols - 1)]
+    horiz = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    vert = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    t_rows = horiz + [(r * cols, (r + 1) * cols) for r in range(rows - 1)]
+    t_cols = vert + [(c, c + 1) for c in range(cols - 1)]
     return TreeDistribution(rows * cols,
                             (SpanningTree(tuple(t_rows)), SpanningTree(tuple(t_cols))),
                             np.array([0.5, 0.5]))
-
-
-def save_tree_distribution(dist: TreeDistribution) -> bytes:
-    doc = [{"edges": [list(e) for e in t.edges], "weight": float(w)}
-           for t, w in zip(dist.trees, dist.weights)]
-    return json.dumps(doc, indent=1).encode("utf-8")
 
 
 def _number(value, field: str) -> float:
@@ -237,8 +210,9 @@ def _number(value, field: str) -> float:
         raise ModelFormatError(f"{field}: expected a number, got {value!r}") from err
 
 
-def load_tree_distribution(data: bytes | str, node_count: int | None = None):
-    """Load a tree-distribution document.
+def load_tree_distribution(data: bytes | str, node_count: int):
+    """Load a tree-distribution document for a model of `node_count` nodes,
+    which the record form's trees must span.
 
     Returns a TreeDistribution for the explicit record form, or a plain
     {edge: rho_e} dict for the `{"rho_e": ...}` form (only usable by the
@@ -279,10 +253,4 @@ def load_tree_distribution(data: bytes | str, node_count: int | None = None):
             raise ModelFormatError(f"tree record {i}: edges: expected a list of integer pairs")
         trees.append(SpanningTree(tuple(tuple(e) for e in edges)))
         weights.append(_number(rec["weight"], f"tree record {i}: weight"))
-    if node_count is None:
-        ends = [v for t in trees for e in t.edges for v in e]
-        if not ends:
-            raise ModelFormatError("the node count cannot be inferred without edges; "
-                                   "give node_count")
-        node_count = 1 + max(ends)
     return TreeDistribution(node_count, tuple(trees), np.asarray(weights))

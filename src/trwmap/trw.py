@@ -111,7 +111,6 @@ class TrwResult:
     certificate_indeterminate: bool
     bound_trace: tuple
     messages: MessageSet | None
-    variant: str
     terminated_by: str
     messages_per_edge: float
 
@@ -529,12 +528,12 @@ def _arc_consistent(layout: _Layout, node_mask: np.ndarray, edge_masks: np.ndarr
     return None
 
 
-def _tie_masks(layout: _Layout, node: np.ndarray, tables: np.ndarray, tie_tol: float):
-    """The certificate's tie rule: the entries within `tie_tol` of their
+def _tie_masks(layout: _Layout, node: np.ndarray, tables: np.ndarray):
+    """The certificate's tie rule: the entries within `CERT_TIE_TOL` of their
     table's max, on a node vector of `layout` (or a stack of them) and on
     every table of a stack (padded entries, -inf, are never ties)."""
-    return (node >= layout.node_max(node) - tie_tol,
-            tables >= tables.max(axis=(1, 2), keepdims=True) - tie_tol)
+    return (node >= layout.node_max(node) - CERT_TIE_TOL,
+            tables >= tables.max(axis=(1, 2), keepdims=True) - CERT_TIE_TOL)
 
 
 def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks: np.ndarray,
@@ -573,18 +572,17 @@ def _search_tie_masks(layout: _Layout, node_mask: np.ndarray, edge_masks: np.nda
     return x, False
 
 
-def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf,
-                     tie_tol: float = CERT_TIE_TOL,
-                     guard: int = CERT_SEARCH_GUARD) -> CertificateResult:
+def find_certificate(nu: PseudoMaxMarginals, mrf: PairwiseMrf) -> CertificateResult:
     """Search for an assignment that is optimal in every node table and every
-    edge table of `nu` simultaneously (within `tie_tol` in the log domain).
+    edge table of `nu` simultaneously (within `CERT_TIE_TOL` in the log
+    domain), expanding at most `CERT_SEARCH_GUARD` nodes.
 
     Such an assignment certifies MAP optimality at a fixed point of the
     tree-reweighted updates with valid edge appearance weights.
     """
     _check_graph(nu, mrf)
-    masks = _tie_masks(nu.layout, nu.node, nu.tables, tie_tol)
-    assignment, indet = _search_tie_masks(nu.layout, *masks, guard)
+    masks = _tie_masks(nu.layout, nu.node, nu.tables)
+    assignment, indet = _search_tie_masks(nu.layout, *masks, CERT_SEARCH_GUARD)
     return CertificateResult(assignment, indet)
 
 
@@ -717,7 +715,6 @@ def run_trw(mrf: PairwiseMrf, dist_or_rho=None, config: TrwConfig | None = None,
         certificate_indeterminate=cert.indeterminate,
         bound_trace=tuple(bound_trace),
         messages=flat.message_set(state) if variant == "messages" else None,
-        variant=variant,
         terminated_by="converged" if converged else "max_iterations",
         messages_per_edge=2.0 * iterations,
     )
@@ -780,7 +777,7 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
                     trees.edge_sum(w_slot * split[trees.edge, 0, 0]))
         bound_trace.append(float(_sum_in_order(w * values)) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
-            trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
+            trees, *_tie_masks(graph, node_mm, edge_mm))
         if certificate is not None:
             converged = True
             terminated_by = "tree_agreement"
@@ -805,7 +802,6 @@ def run_tree_updates(mrf: PairwiseMrf, dist: TreeDistribution,
         certificate_indeterminate=indeterminate,
         bound_trace=tuple(bound_trace),
         messages=None,
-        variant="tree",
         terminated_by=terminated_by,
         messages_per_edge=units_per_iter * iterations,
     )

@@ -25,7 +25,7 @@ from trwmap import PseudoMaxMarginals, StructureError, TrwConfig, TreeDistributi
 from trwmap.model import _sum_in_order
 from trwmap.treedp import _Layout, _top
 from trwmap.trees import edge_appearance
-from trwmap.trw import (CERT_TIE_TOL, TrwResult, _damp, _shared_tree_optimum, _tie_masks,
+from trwmap.trw import (TrwResult, _damp, _shared_tree_optimum, _tie_masks,
                         _tree_tables_agree)
 from edge_major_reference import EdgeMajorFlatMrf
 
@@ -125,7 +125,7 @@ def run_tree_updates(mrf, dist: TreeDistribution, config: TrwConfig | None = Non
                             split[trees.edge, 0, 0])
         bound_trace.append(float(_sum_in_order(w * values)) - offset(*combined))
         certificate, indeterminate = _shared_tree_optimum(
-            trees, *_tie_masks(graph, node_mm, edge_mm, CERT_TIE_TOL))
+            trees, *_tie_masks(graph, node_mm, edge_mm))
         if certificate is not None:
             converged = True
             terminated_by = "tree_agreement"
@@ -144,7 +144,7 @@ def run_tree_updates(mrf, dist: TreeDistribution, config: TrwConfig | None = Non
                                       normalized(total_edge / rho))
     return TrwResult(nu=nu, iterations=iterations, converged=converged, certificate=certificate,
                      certificate_indeterminate=indeterminate, bound_trace=tuple(bound_trace),
-                     messages=None, variant="tree", terminated_by=terminated_by,
+                     messages=None, terminated_by=terminated_by,
                      messages_per_edge=units_per_iter * iterations)
 
 

@@ -5,14 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trwmap import (PairwiseMrf, save_model, save_tree_distribution,
-                    uniform_tree_distribution)
+from trwmap import PairwiseMrf, save_model, uniform_tree_distribution
 from trwmap.cli import ExperimentSpec, main, records_to_csv, run_experiment
 from trwmap.examples import cycle4_mrf, diamond_mrf, triangle_mrf
 from trwmap.treedp import _graph_layout, _Layout
 from trwmap.trw import _tree_plan
 
 from conftest import potts_grid_mrf, random_graph_mrf
+from trees_reference import save_tree_distribution
 
 
 def run_cli(argv):
@@ -112,6 +112,18 @@ class TestSolve:
                              "--trees", str(tpath)])
         assert code == 1
         assert out.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["brute", "trw-msg", "trw-tree"])
+    def test_unreadable_trees_file_names_the_trees(self, triangle_file, tmp_path, method):
+        missing = tmp_path / "missing.json"
+        code, out = run_cli(["solve", triangle_file(1.0), "--method", method,
+                             "--trees", str(missing)])
+        assert code == 1
+        assert out == f"error: cannot read trees: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        code, out = run_cli(["solve", triangle_file(1.0), "--method", method,
+                             "--trees", str(tmp_path)])  # a directory
+        assert code == 1
+        assert out.startswith("error: cannot read trees: [Errno 21] ")
 
     def test_trw_tree_on_edgeless_model_is_error(self, tmp_path):
         path = tmp_path / "one_node.json"
@@ -314,6 +326,12 @@ class TestExamples:
         code, out = run_cli(["example", name, "--beta", beta])
         assert code == 1
         assert out == f"error: --beta applies to the triangle example only, not {name}\n"
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_beta_is_named(self, beta):
+        code, out = run_cli(["example", "triangle", f"--beta={beta}"])
+        assert code == 1
+        assert out == f"error: --beta: expected a finite number, got {float(beta)!r}\n"
 
 
 class TestExperiment:

@@ -19,9 +19,10 @@ import pytest
 import lp_reference
 from conftest import random_graph_mrf
 from test_simplex_reference import MIXED_GRIDS, mixed_cardinality_grid, potts_grid
+from trees_reference import kirchhoff_count
 from trwmap import (MaxMarginals, MessageSet, PairwiseMrf, SpanningTree, TreeDistribution,
                     TrwConfig, build_local_lp, delta_pseudomarginal, dual_from_messages,
-                    edge_appearance, grid_edges, in_local, in_marginal_polytope, kirchhoff_count,
+                    edge_appearance, grid_edges, in_local, in_marginal_polytope,
                     run_trw, score, simplex_solve, uniform_rho,
                     uniform_tree_distribution, unit_messages, vector_to_pseudomarginal)
 from trwmap import lp as lp_module

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trwmap import (MaxMarginals, PairwiseMrf, PseudoMaxMarginals,
-                    SpanningTree, StructureError, TrwConfig, backtrack_optimum,
+                    SpanningTree, StructureError, TrwConfig,
                     brute_force_map, check_edge_consistency, check_reparameterization,
                     run_trw, score, tree_map_value, tree_max_marginals, tree_opt_set)
 from trwmap import treedp
@@ -48,9 +48,13 @@ class TestBruteForce:
         assert opt.configurations == ((1, 1, 1, 1),)
         assert value == pytest.approx(0.02, abs=1e-12)
 
-    def test_guard(self):
-        with pytest.raises(CapacityError):
-            brute_force_map(triangle_mrf(1.0), max_states=4)
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(treedp, "BRUTE_FORCE_GUARD", 4)
+        with pytest.raises(CapacityError, match="exceeds guard of 4"):
+            brute_force_map(triangle_mrf(1.0))
+        mrf = random_tree_mrf(np.random.default_rng(0), n_nodes=3)
+        with pytest.raises(CapacityError, match="exceeds guard of 4"):
+            tree_opt_set(mrf, SpanningTree(mrf.edges))
 
 
 def chain2_mrf():
@@ -242,48 +246,6 @@ class TestEdgeConsistency:
                         for e in ((0, 1), (0, 2), (1, 2))}
             nu = MaxMarginals((np.zeros(2),) * 3, log_edge)
             assert check_edge_consistency(nu).max_deviation < 1e-12
-
-
-class TestBacktrack:
-    def test_unique_optimum_is_nodewise_argmax(self, rng):
-        for _ in range(10):
-            mrf = random_tree_mrf(rng, n_nodes=6)
-            tree = SpanningTree(mrf.edges)
-            nu = tree_max_marginals(mrf, tree)
-            if any(np.sum(v > v.max() - 1e-9) != 1 for v in nu.log_node):
-                continue
-            x = backtrack_optimum(nu, tree)
-            assert np.array_equal(x, [int(np.argmax(v)) for v in nu.log_node])
-
-    def test_triangle_tree_tie_breaks_low(self):
-        # shared tables of the agreeing triangle, restricted to one tree
-        tree = SpanningTree(((0, 1), (0, 2)))
-        log_edge = {e: 1.5 * np.array([[0.0, -1.0], [-1.0, 0.0]]) for e in tree.edges}
-        nu = MaxMarginals((np.zeros(2),) * 3, log_edge)
-        x = backtrack_optimum(nu, tree)
-        assert x.tolist() == [0, 0, 0]
-
-    def test_tree_edge_without_a_table_is_named(self):
-        nu = MaxMarginals((np.zeros(2),) * 3, {(0, 1): np.zeros((2, 2)), (1, 2): np.zeros((2, 2))})
-        with pytest.raises(StructureError, match=r"^tree edge \(0, 2\) has no table"):
-            backtrack_optimum(nu, SpanningTree(((0, 1), (0, 2))))
-
-    def test_tree_over_more_nodes_is_rejected(self):
-        nu = MaxMarginals((np.zeros(2),) * 3, {(0, 1): np.zeros((2, 2)), (1, 2): np.zeros((2, 2))})
-        with pytest.raises(StructureError, match="tree has 3 edges, expected 2"):
-            backtrack_optimum(nu, SpanningTree(((0, 1), (1, 2), (2, 3))))
-        with pytest.raises(StructureError, match=r"tree edge \(1, 3\) is invalid"):
-            backtrack_optimum(nu, SpanningTree(((0, 1), (1, 3))))
-
-    def test_backtracked_score_is_optimal(self, rng):
-        for seed in range(100):
-            local = np.random.default_rng(seed)
-            mrf = random_tree_mrf(local, n_nodes=int(local.integers(2, 11)))
-            tree = SpanningTree(mrf.edges)
-            nu = tree_max_marginals(mrf, tree)
-            x = backtrack_optimum(nu, tree, root=int(local.integers(0, mrf.node_count)))
-            value, _ = brute_force_map(mrf)
-            assert score(mrf, x) == pytest.approx(value, rel=1e-10, abs=1e-10)
 
 
 class TestTreeParameterCheck:

@@ -3,14 +3,15 @@ import pytest
 
 from trwmap import (CapacityError, PairwiseMrf, SpanningTree, StructureError,
                     TreeDistribution, edge_appearance, enumerate_spanning_trees,
-                    grid_edges, grid_two_tree_distribution, kirchhoff_count,
-                    load_tree_distribution, save_tree_distribution,
+                    grid_edges, grid_two_tree_distribution, load_tree_distribution,
                     uniform_tree_distribution)
+from trwmap import trees as trees_module
 from trwmap.examples import cycle4_mrf, diamond_mrf, bridge_graph_trees, bridge_graph, triangle_mrf
 from trwmap.model import ModelFormatError
 
 import trees_reference
 from conftest import random_graph_mrf
+from trees_reference import kirchhoff_count, save_tree_distribution
 
 
 def contract_edge(n, edges, e):
@@ -61,10 +62,13 @@ class TestEnumeration:
         with pytest.raises(StructureError, match="disconnected"):
             enumerate_spanning_trees(mrf)
 
-    def test_guard_enforced(self):
+    def test_guard_enforced(self, monkeypatch):
         mrf = zero_mrf(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        with pytest.raises(CapacityError):
-            enumerate_spanning_trees(mrf, guard=5)
+        monkeypatch.setattr(trees_module, "ENUMERATION_GUARD", 5)
+        with pytest.raises(CapacityError, match="more than 5 spanning trees"):
+            enumerate_spanning_trees(mrf)
+        with pytest.raises(CapacityError, match="more than 5 spanning trees"):
+            uniform_tree_distribution(mrf)
 
 
 class TestEdgeAppearance:
@@ -139,11 +143,16 @@ class TestTreeDistribution:
         assert again.trees == dist.trees
         assert np.array_equal(again.weights, dist.weights)
 
-    @pytest.mark.parametrize("doc", [b'[]', b'[{"edges": [], "weight": 1}]'])
-    def test_node_count_not_inferred_without_edges(self, doc):
-        with pytest.raises(ModelFormatError, match="node count cannot be inferred without edges"):
-            load_tree_distribution(doc)
+    def test_tree_over_more_nodes_is_rejected(self):
+        with pytest.raises(StructureError, match="tree has 3 edges, expected 2"):
+            SpanningTree(((0, 1), (1, 2), (2, 3))).validate(3)
+        with pytest.raises(StructureError, match=r"tree edge \(1, 3\) is invalid"):
+            TreeDistribution(3, (SpanningTree(((0, 1), (1, 3))),), np.array([1.0]))
+
+    def test_one_node_tree_has_no_edges(self):
         assert load_tree_distribution(b'[{"edges": [], "weight": 1}]', node_count=1).node_count == 1
+        with pytest.raises(ModelFormatError, match="tree weights sum to"):
+            load_tree_distribution(b'[]', node_count=1)
 
     @pytest.mark.parametrize("doc, message", [
         (b'[{"edges": [[0, 1], [1, 2]], "weight": true}]',
@@ -160,7 +169,7 @@ class TestTreeDistribution:
         assert str(info.value) == message
 
     def test_rho_e_document_form(self):
-        rho = load_tree_distribution(b'{"rho_e": {"0,1": 0.75, "1,2": 0.5}}')
+        rho = load_tree_distribution(b'{"rho_e": {"0,1": 0.75, "1,2": 0.5}}', node_count=3)
         assert rho == {(0, 1): 0.75, (1, 2): 0.5}
 
     @pytest.mark.parametrize("doc, message", [
@@ -171,7 +180,7 @@ class TestTreeDistribution:
     ])
     def test_rho_e_keys_naming_one_edge_twice_are_rejected(self, doc, message):
         with pytest.raises(ModelFormatError) as info:
-            load_tree_distribution(doc)
+            load_tree_distribution(doc, node_count=3)
         assert str(info.value) == message
 
 
@@ -216,11 +225,12 @@ class TestEnumerationOrder:
         assert trees == trees_reference.enumerate_spanning_trees(mrf)
         assert len(trees) == kirchhoff_count(mrf.node_count, mrf.edges)
 
-    def test_guard_matches_recursive_form(self):
+    def test_guard_matches_recursive_form(self, monkeypatch):
         mrf = zero_mrf(9, grid_edges(3, 3))
+        monkeypatch.setattr(trees_module, "ENUMERATION_GUARD", 50)
         for enumerate_ in (enumerate_spanning_trees, trees_reference.enumerate_spanning_trees):
             with pytest.raises(CapacityError, match="more than 50 spanning trees"):
-                enumerate_(mrf, guard=50)
+                enumerate_(mrf)
 
     def test_long_chain_needs_no_recursion(self):
         n = 3000

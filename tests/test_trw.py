@@ -15,6 +15,7 @@ from trwmap import (MaxMarginals, PairwiseMrf, PseudoMaxMarginals,
 from trwmap.examples import (DIAMOND_NU_BOUNDARY_EDGE, DIAMOND_NU_MIDDLE_EDGE,
                              DIAMOND_NU_NODE, cycle4_tree_parameters,
                              diamond_mrf, triangle_mrf)
+from trwmap import trw as trw_module
 from trwmap.trees import grid_edges, grid_two_tree_distribution
 
 from conftest import random_graph_mrf, random_tree_mrf
@@ -253,9 +254,10 @@ class TestCertificateSearch:
         value, _ = brute_force_map(mrf)
         assert score(mrf, res.assignment) < value - 1e-9
 
-    def test_guard_reports_indeterminate(self):
+    def test_guard_reports_indeterminate(self, monkeypatch):
         mrf = triangle_mrf(1.0)
-        res = find_certificate(triangle_fixed_point(1.0), mrf, guard=1)
+        monkeypatch.setattr(trw_module, "CERT_SEARCH_GUARD", 1)
+        res = find_certificate(triangle_fixed_point(1.0), mrf)
         assert res.assignment is None
         assert res.indeterminate
 
